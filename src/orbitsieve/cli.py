@@ -24,7 +24,6 @@ from .harmonics import (
     DEFAULT_MAX_POINTS,
     DEFAULT_MAX_VARS,
     associated_graded,
-    buchberger,
     graded_frobenius,
     harmonics_json,
     hilbert_series,
@@ -103,19 +102,14 @@ def _build_parser() -> _Parser:
 # -- rendering ---------------------------------------------------------------------------
 
 
-def _csv_text(rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _latex_tabular(header: list[str], rows: list[list]) -> str:
-    lines = ["\\begin{tabular}{" + "l" * len(header) + "}", "\\hline"]
-    lines.append(" & ".join(header) + " \\\\")
-    lines.append("\\hline")
-    for row in rows:
-        lines.append(" & ".join(str(cell) for cell in row) + " \\\\")
+def _table(fmt: str, header: list[str], rows: list[list]) -> str:
+    """A header and its rows as csv text or as a latex tabular."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header] + rows)
+        return buffer.getvalue().rstrip("\n")
+    lines = ["\\begin{tabular}{" + "l" * len(header) + "}", "\\hline", " & ".join(header) + " \\\\", "\\hline"]
+    lines += [" & ".join(str(cell) for cell in row) + " \\\\" for row in rows]
     lines += ["\\hline", "\\end{tabular}"]
     return "\n".join(lines)
 
@@ -130,7 +124,7 @@ def _render_poly(data: dict, p: SparsePoly, fmt: str) -> str:
     if fmt == "latex":
         return p.latex()
     if fmt == "csv":
-        return _csv_text([["q_exponent", "t_exponent", "coefficient"]] + _poly_terms(p)).rstrip("\n")
+        return _table(fmt, ["q_exponent", "t_exponent", "coefficient"], _poly_terms(p))
     data = dict(data)
     data["pretty"] = p.pretty()
     data["terms"] = _poly_terms(p)
@@ -143,10 +137,8 @@ def _render_report(report, fmt: str) -> str:
         return json.dumps(data, indent=2)
     rows = [[row["r"], "" if row["s"] is None else row["s"], row["fixed"], row["value"],
              "yes" if row["ok"] else "NO"] for row in data["rows"]]
-    if fmt == "csv":
-        return _csv_text([["r", "s", "fixed", "value", "ok"]] + rows).rstrip("\n")
-    if fmt == "latex":
-        return _latex_tabular(["r", "s", "fixed", "value", "ok"], rows)
+    if fmt in ("csv", "latex"):
+        return _table(fmt, ["r", "s", "fixed", "value", "ok"], rows)
     lines = ["verify " + data["family"] + "  " + _params_text(data["params"])]
     for side in ("q", "t"):
         if side in data["binding"]:
@@ -200,17 +192,12 @@ def _cmd_locus(ns) -> tuple[int, str]:
     fmt = ns.output
     if fmt == "json":
         return 0, json.dumps(data, indent=2)
-    if fmt == "csv":
-        rows = [["field", "value"]] + [[key, _params_text({key: val}).split("=", 1)[1]]
-                                       for key, val in data.items() if key != "words"]
-        if ns.list_words:
-            rows.append(["words", ";".join(" ".join(str(x) for x in w) for w in locus.words)])
-        return 0, _csv_text(rows).rstrip("\n")
-    if fmt == "latex":
+    if fmt in ("csv", "latex"):
         rows = [[key, _params_text({key: val}).split("=", 1)[1]] for key, val in data.items() if key != "words"]
         if ns.list_words:
-            rows += [["word", " ".join(str(x) for x in w)] for w in locus.words]
-        return 0, _latex_tabular(["field", "value"], rows)
+            words = [" ".join(str(x) for x in w) for w in locus.words]
+            rows += [["words", ";".join(words)]] if fmt == "csv" else [["word", w] for w in words]
+        return 0, _table(fmt, ["field", "value"], rows)
     lines = ["locus " + _params_text(locus.describe()), f"size {locus.size}"]
     if ns.list_words:
         lines += [" ".join(str(x) for x in w) for w in locus.words]
@@ -234,21 +221,19 @@ def _cmd_verify(ns) -> tuple[int, str]:
 
 def _cmd_harmonics(ns) -> tuple[int, str]:
     locus = _locus_from(ns)
-    budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars, max_pairs=ns.max_pairs)
+    budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.groebner and not ns.hilbert:
         raise DomainError("--groebner accompanies --hilbert")
     if ns.check_presentation:
-        matches = verify_presentation(locus, **budgets)
+        matches = verify_presentation(locus, max_pairs=ns.max_pairs, **budgets)
         data = {"locus": locus.describe(), "presentation_matches": matches}
         code = 0 if matches else 1
         if ns.output == "json":
             return code, json.dumps(data, indent=2)
-        text = "presentation matches" if matches else "FAILED: presentation does not match"
-        if ns.output == "csv":
-            return code, _csv_text([["field", "value"], ["presentation_matches", str(matches).lower()]]).rstrip("\n")
-        if ns.output == "latex":
-            return code, _latex_tabular(["field", "value"], [["presentation\\_matches", str(matches).lower()]])
-        return code, text
+        if ns.output in ("csv", "latex"):
+            field = "presentation_matches" if ns.output == "csv" else "presentation\\_matches"
+            return code, _table(ns.output, ["field", "value"], [[field, str(matches).lower()]])
+        return code, "presentation matches" if matches else "FAILED: presentation does not match"
     if ns.oracle:
         p = oracle_csp_poly(locus, ns.oracle, **budgets)
         return 0, _render_poly({"locus": locus.describe(), "group": ns.oracle}, p, ns.output)
@@ -263,13 +248,11 @@ def _cmd_harmonics(ns) -> tuple[int, str]:
             }
             return 0, json.dumps(data, indent=2)
         rows = [[",".join(str(p) for p in lam), poly.pretty()] for lam, poly in entries]
-        if ns.output == "csv":
-            return 0, _csv_text([["shape", "coefficient"]] + rows).rstrip("\n")
-        if ns.output == "latex":
-            return 0, _latex_tabular(["shape", "coefficient"], rows)
+        if ns.output in ("csv", "latex"):
+            return 0, _table(ns.output, ["shape", "coefficient"], rows)
         return 0, "\n".join(f"s[{shape}]: {coeff}" for shape, coeff in rows)
-    gb_i = vanishing_ideal(locus, max_points=ns.max_points, max_vars=ns.max_vars)
-    gb_t = buchberger(associated_graded(gb_i), max_pairs=ns.max_pairs)
+    gb_i = vanishing_ideal(locus, **budgets)
+    gb_t = associated_graded(gb_i)
     series = hilbert_series(gb_t.quotient_basis())
     if ns.groebner:
         if ns.output == "json":
@@ -292,10 +275,8 @@ def _cmd_suite(ns) -> tuple[int, str]:
         }
         return code, json.dumps(data, indent=2)
     rows = [[r.name, "PASS" if r.ok else "FAIL", r.detail] for r in results]
-    if ns.output == "csv":
-        return code, _csv_text([["criterion", "status", "detail"]] + rows).rstrip("\n")
-    if ns.output == "latex":
-        return code, _latex_tabular(["criterion", "status", "detail"], rows)
+    if ns.output in ("csv", "latex"):
+        return code, _table(ns.output, ["criterion", "status", "detail"], rows)
     lines = [f"{status} {name}: {detail}" for name, status, detail in rows]
     lines.append("all criteria pass" if all_ok else "FAILED: some criteria did not pass")
     return code, "\n".join(lines)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, InternalCheckError
-from .qpoly import SparsePoly
+from .qpoly import SparsePoly, int_poly_div_exact
 from .rat import RAT, RAT_ONE, RAT_ZERO, rat_as_int
 
 # -- integer polynomial helpers (ascending coefficient lists) ----------------------
@@ -23,27 +23,6 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    if len(num) < len(den):
-        raise InternalCheckError("inexact cyclotomic division")
-    quot = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        head = num[i + len(den) - 1]
-        if head % lead:
-            raise InternalCheckError("inexact cyclotomic division")
-        quot[i] = head // lead
-        if quot[i]:
-            for j, d in enumerate(den):
-                num[i + j] -= quot[i] * d
-    if any(num):
-        raise InternalCheckError("inexact cyclotomic division (remainder)")
-    return quot
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +41,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     for d in range(1, L):
         if L % d == 0:
             den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_int_poly_div_exact(num, den))
+    return tuple(int_poly_div_exact(num, den))
 
 
 # -- the field and its elements -----------------------------------------------------

@@ -3,10 +3,12 @@
 Words are embedded as points with root-of-unity coordinates (letter j becomes
 zeta_k^j), so value shifts act by scaling and position permutations by permuting
 coordinates.  The vanishing ideal I(X) is computed point-wise by the
-Buchberger-Moller algorithm over Q(zeta_k); taking top-degree components of its
-Groebner basis yields the associated graded ideal T(X), whose standard monomials
-give the Hilbert series and whose permutation traces give the graded Frobenius
-image.
+Buchberger-Moller algorithm over Q(zeta_k).  Under grevlex the top-degree
+components of its reduced Groebner basis are already the reduced basis of the
+associated graded ideal T(X), so no second Groebner pass is needed; the standard
+monomials of T(X) give the Hilbert series and its permutation traces give the
+graded Frobenius image.  Buchberger's algorithm remains for the stated
+presentations, which are given by generators rather than by points.
 
 All arithmetic is exact.  The monomial order is graded reverse lexicographic
 throughout; pivoting is first-nonzero with no size heuristics, so every run is
@@ -211,13 +213,19 @@ def complete_homogeneous(field: CycloField, nvars: int, d: int) -> MultiPoly:
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis under grevlex, with normal-form caching."""
+    """A reduced, monic Groebner basis under grevlex, with normal-form caching.
+
+    Every generator must be monic; reductions rely on it and never invert a
+    leading coefficient.
+    """
 
     def __init__(self, field: CycloField, nvars: int, gens: tuple[MultiPoly, ...]):
         self.field = field
         self.nvars = nvars
         self.gens = tuple(sorted(gens, key=lambda g: grevlex_key(g.leading_term()[0])))
         self._leads = tuple(g.leading_term()[0] for g in self.gens)
+        if any(g.terms[lt] != field.one for g, lt in zip(self.gens, self._leads)):
+            raise InternalCheckError("Groebner basis generator is not monic")
         self._nf_cache: dict[Exponents, dict[Exponents, CycloElement]] = {}
         self._qb: QuotientBasis | None = None
 
@@ -248,10 +256,10 @@ class GroebnerBasis:
                 stack.pop()
                 continue
             g = self.gens[idx]
-            lt, lc = g.leading_term()
+            lt = self._leads[idx]
             shift = tuple(a - b for a, b in zip(cur, lt))
-            # x^cur = x^shift * lt = x^shift * (g - tail) / lc, so modulo g only
-            # the shifted tail survives.
+            # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
+            # only the shifted tail survives.
             deps = []
             for te in g.terms:
                 if te != lt:
@@ -260,15 +268,13 @@ class GroebnerBasis:
             if missing:
                 stack.extend(missing)
                 continue
-            inv_lc = lc.inverse()
             acc: dict[Exponents, CycloElement] = {}
             for te, tc in g.terms.items():
                 if te == lt:
                     continue
-                factor = tc * inv_lc
                 sub = cache[tuple(a + b for a, b in zip(shift, te))]
                 for se, sc in sub.items():
-                    v = factor * sc
+                    v = tc * sc
                     curv = acc.get(se)
                     val = curv - v if curv is not None else -v
                     if val:
@@ -399,19 +405,19 @@ def _reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
             remainder[le] = lc
             work = MultiPoly(work.field, work.nvars, {e: c for e, c in work.terms.items() if e != le})
             continue
-        g = basis[hit]
-        glt, glc = g.leading_term()
-        shift = tuple(a - b for a, b in zip(le, glt))
-        work = work - g.monomial_shift(shift, lc / glc)
+        shift = tuple(a - b for a, b in zip(le, leads[hit]))
+        work = work - basis[hit].monomial_shift(shift, lc)
     return MultiPoly(p.field, p.nvars, remainder)
 
 
 def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    ltf, lcf = f.leading_term()
-    ltg, lcg = g.leading_term()
+    """S-polynomial of two monic polynomials."""
+    ltf = f.leading_term()[0]
+    ltg = g.leading_term()[0]
     gamma = tuple(max(a, b) for a, b in zip(ltf, ltg))
-    lhs = f.monomial_shift(tuple(a - b for a, b in zip(gamma, ltf)), lcf.inverse())
-    rhs = g.monomial_shift(tuple(a - b for a, b in zip(gamma, ltg)), lcg.inverse())
+    one = f.field.one
+    lhs = f.monomial_shift(tuple(a - b for a, b in zip(gamma, ltf)), one)
+    rhs = g.monomial_shift(tuple(a - b for a, b in zip(gamma, ltg)), one)
     return lhs - rhs
 
 
@@ -489,9 +495,17 @@ def _interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     return reduced
 
 
-def associated_graded(gb: GroebnerBasis) -> list[MultiPoly]:
-    """Top-degree components of the basis elements; generators of the graded ideal."""
-    return [g.top_component() for g in gb.gens]
+def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
+    """Reduced Groebner basis of the graded ideal: the top-degree components of gb.
+
+    Grevlex refines total degree, so each top component keeps its generator's
+    monic leading term and its tail stays standard; the components therefore form
+    the reduced basis of the graded ideal without a second Buchberger pass.
+    """
+    gb_t = GroebnerBasis(gb.field, gb.nvars, tuple(g.top_component() for g in gb.gens))
+    if gb_t.leading_exponents() != gb.leading_exponents():
+        raise InternalCheckError("top components changed the leading exponents")
+    return gb_t
 
 
 # -- vanishing ideals of loci (Buchberger-Moller) -----------------------------------
@@ -569,6 +583,16 @@ class _EigenClass:
         return memo
 
 
+def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
+    """Refuse empty loci and loci beyond the point or variable budget."""
+    if locus.size == 0:
+        raise DomainError("vanishing ideal of an empty locus")
+    if locus.size > max_points:
+        raise ResourceBudgetError(f"|X| = {locus.size} exceeds the point budget {max_points}")
+    if locus.n > max_vars:
+        raise ResourceBudgetError(f"n = {locus.n} exceeds the variable budget {max_vars}")
+
+
 def vanishing_ideal(
     locus: Locus,
     k: int | None = None,
@@ -583,14 +607,9 @@ def vanishing_ideal(
     determined by values at orbit representatives, and the elimination runs per
     eigenspace over Q (one rational row per power of zeta).
     """
-    if locus.size == 0:
-        raise DomainError("vanishing ideal of an empty locus")
     if k is not None and k != locus.k:
         raise DomainError("root order must match the locus alphabet size")
-    if locus.size > max_points:
-        raise ResourceBudgetError(f"|X| = {locus.size} exceeds the point budget {max_points}")
-    if locus.n > max_vars:
-        raise ResourceBudgetError(f"n = {locus.n} exceeds the variable budget {max_vars}")
+    _check_locus(locus, max_points, max_vars)
 
     field = cyclo_field(locus.k)
     n, kk = locus.n, locus.k
@@ -759,21 +778,22 @@ def graded_frobenius(
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     max_vars: int = DEFAULT_MAX_VARS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> SchurVector:
     """Schur expansion of the graded quotient as a symmetric-group module.
 
     c_lambda(q) = sum over conjugacy classes of (|class|/n!) chi^lambda(class)
     times the class' graded trace.  Coefficients are checked to be nonnegative
-    integers and the total dimension to be |X|.
+    integers and the total dimension to be |X|.  Budgets are checked before the
+    cache is consulted, so a cached result never escapes a tighter budget.
     """
+    _check_locus(locus, max_points, max_vars)
     key = (locus.family, locus.n, locus.k, locus.mu, locus.a)
     cached = _FROBENIUS_CACHE.get(key)
     if cached is not None:
         return cached
 
     gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
-    gb_t = buchberger(associated_graded(gb_i), max_pairs=max_pairs)
+    gb_t = associated_graded(gb_i)
     qb = gb_t.quotient_basis()
     if qb.total != locus.size:
         raise InternalCheckError(
@@ -873,9 +893,8 @@ def verify_presentation(
     if recipe is not None and recipe != expected:
         raise DomainError(f"recipe {recipe!r} does not apply to family {locus.family!r}")
     gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
-    taus = associated_graded(gb_i)
     gb_s = buchberger(stated_generators(locus), max_pairs=max_pairs)
-    for t in taus:
+    for t in associated_graded(gb_i).gens:
         if gb_s.normal_form(t).terms:
             return False
     # Containment holds; equal Hilbert series closes the other direction.  The

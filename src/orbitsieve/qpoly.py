@@ -168,31 +168,13 @@ class SparsePoly:
         return out
 
     def div_exact_q(self, other: "SparsePoly") -> "SparsePoly":
-        """Exact quotient self/other for q-univariate arguments.
-
-        A nonzero remainder means a broken caller-side identity, so it raises
-        InternalCheckError rather than returning anything.
-        """
+        """Exact quotient self/other for q-univariate arguments (see int_poly_div_exact)."""
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        num = self._q_coeff_list()
-        den = other._q_coeff_list()
+        num, den = self._q_coeff_list(), other._q_coeff_list()
         if self.is_zero():
             return SparsePoly()
-        if len(num) < len(den):
-            raise InternalCheckError("inexact polynomial division (degree too small)")
-        quot = [0] * (len(num) - len(den) + 1)
-        lead = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            head = num[i + len(den) - 1]
-            if head % lead:
-                raise InternalCheckError("inexact polynomial division")
-            quot[i] = head // lead
-            if quot[i]:
-                for j, d in enumerate(den):
-                    num[i + j] -= quot[i] * d
-        if any(num):
-            raise InternalCheckError("inexact polynomial division (nonzero remainder)")
+        quot = int_poly_div_exact(num, den)
         return SparsePoly({(i, 0): c for i, c in enumerate(quot) if c})
 
     # -- rendering ---------------------------------------------------------------
@@ -200,54 +182,61 @@ class SparsePoly:
     def sorted_terms(self) -> list[tuple[Term, int]]:
         return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
 
-    def pretty(self) -> str:
+    def _render(self, times: str, power: str) -> str:
+        """Terms in ascending total degree; ``times`` joins factors and ``power``
+        formats a variable ``v`` raised to an exponent ``e`` > 1."""
         if not self._terms:
             return "0"
         pieces = []
         for (eq, et), c in self.sorted_terms():
-            factors = []
-            if eq:
-                factors.append("q" if eq == 1 else f"q^{eq}")
-            if et:
-                factors.append("t" if et == 1 else f"t^{et}")
-            body = "*".join(factors)
+            factors = [v if e == 1 else power.format(v=v, e=e) for v, e in (("q", eq), ("t", et)) if e]
+            body = times.join(factors)
             if not body:
                 mono = str(abs(c))
             elif abs(c) == 1:
                 mono = body
             else:
-                mono = f"{abs(c)}*{body}"
+                mono = f"{abs(c)}{times}{body}"
             if not pieces:
                 pieces.append(mono if c > 0 else f"-{mono}")
             else:
                 pieces.append(f"+ {mono}" if c > 0 else f"- {mono}")
         return " ".join(pieces)
 
+    def pretty(self) -> str:
+        return self._render("*", "{v}^{e}")
+
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (eq, et), c in self.sorted_terms():
-            factors = []
-            if eq:
-                factors.append("q" if eq == 1 else f"q^{{{eq}}}")
-            if et:
-                factors.append("t" if et == 1 else f"t^{{{et}}}")
-            body = " ".join(factors)
-            if not body:
-                mono = str(abs(c))
-            elif abs(c) == 1:
-                mono = body
-            else:
-                mono = f"{abs(c)} {body}"
-            if not pieces:
-                pieces.append(mono if c > 0 else f"-{mono}")
-            else:
-                pieces.append(f"+ {mono}" if c > 0 else f"- {mono}")
-        return " ".join(pieces)
+        return self._render(" ", "{v}^{{{e}}}")
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.pretty()})"
+
+
+def int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials given as ascending coefficient lists.
+
+    A nonzero remainder means a broken caller-side identity, so it raises
+    InternalCheckError rather than returning anything.
+    """
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    if len(num) < len(den):
+        raise InternalCheckError("inexact polynomial division (degree too small)")
+    quot = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    for i in range(len(quot) - 1, -1, -1):
+        head = num[i + len(den) - 1]
+        if head % lead:
+            raise InternalCheckError("inexact polynomial division")
+        quot[i] = head // lead
+        if quot[i]:
+            for j, d in enumerate(den):
+                num[i + j] -= quot[i] * d
+    if any(num):
+        raise InternalCheckError("inexact polynomial division (nonzero remainder)")
+    return quot
 
 
 # -- q-analogues ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable
 from .characters import invariant_hilbert
 from .cyclotomic import CycloElement, cyclo_equals_integer, eval_at_unity
 from .errors import DomainError, InternalCheckError
-from .harmonics import graded_frobenius
+from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
 from .loci import Action, Locus, apply_action, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
@@ -554,9 +554,8 @@ def oracle_csp_poly(
     locus: Locus,
     group: str,
     *,
-    max_points: int = 720,
-    max_vars: int = 5,
-    max_pairs: int = 20000,
+    max_points: int = DEFAULT_MAX_POINTS,
+    max_vars: int = DEFAULT_MAX_VARS,
 ) -> SparsePoly:
     """Re-derive a CSP polynomial from the locus itself, bypassing the closed forms.
 
@@ -565,5 +564,5 @@ def oracle_csp_poly(
     the subgroup's order, this is the generating function the sieving results name
     explicitly, so it serves as an independent oracle for every constructor above.
     """
-    frob = graded_frobenius(locus, max_points=max_points, max_vars=max_vars, max_pairs=max_pairs)
+    frob = graded_frobenius(locus, max_points=max_points, max_vars=max_vars)
     return invariant_hilbert(frob, group)

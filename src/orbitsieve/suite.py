@@ -293,16 +293,11 @@ def _crit_properties(max_n, max_k):
                 return False, f"Kostka-Foulkes at content 1^{n} disagrees for {lam}"
             checks += 1
     for level in range(1, 31):
-        product = [1]
+        product = SparsePoly.one()
         for d in range(1, level + 1):
             if level % d == 0:
-                phi = cyclotomic_polynomial(d)
-                product = [
-                    sum(product[i] * phi[j] for i in range(len(product)) for j in range(len(phi)) if i + j == deg)
-                    for deg in range(len(product) + len(phi) - 1)
-                ]
-        expected = [-1] + [0] * (level - 1) + [1]
-        if product != expected:
+                product = product * SparsePoly({(i, 0): c for i, c in enumerate(cyclotomic_polynomial(d))})
+        if product != SparsePoly({(0, 0): -1, (level, 0): 1}):
             return False, f"cyclotomic factors of x^{level} - 1 do not multiply back"
         field = cyclo_field(level)
         for m in (0, 1, level // 2, level, level + 3):

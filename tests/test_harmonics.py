@@ -163,21 +163,36 @@ class TestVanishingIdeal:
 class TestAssociatedGraded:
     def test_top_components(self):
         gb = vanishing_ideal(enumerate_locus("X", 1, 3))
-        (tau,) = associated_graded(gb)
+        (tau,) = associated_graded(gb).gens
         assert tau.terms == {(3,): cyclo_field(3).one}
 
     def test_grid_leading_terms_and_dimension(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
-        taus = associated_graded(gb)
+        taus = associated_graded(gb).gens
         assert sorted(t.leading_term()[0] for t in taus) == [(0, 2), (2, 0)]
-        gb_t = buchberger(taus)
+        gb_t = buchberger(list(taus))
         assert gb_t.quotient_basis().total == 4
 
     def test_springer_two_letters(self):
         gb = vanishing_ideal(enumerate_locus("springer", 2))
-        taus = associated_graded(gb)
+        taus = associated_graded(gb).gens
         pretty = sorted(t.pretty() for t in taus)
         assert pretty[0] == "x1 + x2"  # the linear relation survives as its own top part
+
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
+    def test_top_components_are_the_reduced_graded_basis(self, family, n, k, mu):
+        gb_i = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        gb_t = associated_graded(gb_i)
+        assert buchberger(list(gb_t.gens)) == gb_t
+        assert gb_t.leading_exponents() == gb_i.leading_exponents()
+
+    def test_non_monic_generator_rejected(self):
+        field = cyclo_field(3)
+        x = MultiPoly.variable(field, 2, 0)
+        with pytest.raises(InternalCheckError):
+            GroebnerBasis(field, 2, (x.scale(field.from_int(2)),))
+        with pytest.raises(InternalCheckError):
+            GroebnerBasis(field, 2, (x.scale(field.root_power(1)),))
 
 
 class TestBuchberger:
@@ -291,16 +306,16 @@ class TestGradedCharacter:
     def test_identity_is_hilbert(self):
         for family, n, k, mu in [("X", 2, 2, None), ("Z", 3, 2, None), ("springer", 3, None, None)]:
             locus = enumerate_locus(family, n, k, mu=mu)
-            gb_t = buchberger(associated_graded(vanishing_ideal(locus)))
+            gb_t = associated_graded(vanishing_ideal(locus))
             ident = tuple(range(locus.n))
             assert graded_character(gb_t, ident) == hilbert_series(gb_t.quotient_basis())
 
     def test_transposition_on_grid(self):
-        gb_t = buchberger(associated_graded(vanishing_ideal(enumerate_locus("X", 2, 2))))
+        gb_t = associated_graded(vanishing_ideal(enumerate_locus("X", 2, 2)))
         assert graded_character(gb_t, (1, 0)) == SparsePoly({(0, 0): 1, (2, 0): 1})
 
     def test_rejects_non_permutation(self):
-        gb_t = buchberger(associated_graded(vanishing_ideal(enumerate_locus("X", 2, 2))))
+        gb_t = associated_graded(vanishing_ideal(enumerate_locus("X", 2, 2)))
         with pytest.raises(DomainError):
             graded_character(gb_t, (0, 0))
 
@@ -338,6 +353,15 @@ class TestGradedFrobenius:
             total = sum(m * sn_character(lam, (1,) * locus.n) for lam, m in dims.items())
             assert total == locus.size
 
+    def test_budgets_checked_before_the_cache(self):
+        locus = enumerate_locus("X", 2, 3)
+        graded_frobenius(locus)  # warm the cache
+        with pytest.raises(ResourceBudgetError):
+            graded_frobenius(locus, max_points=5)
+        with pytest.raises(ResourceBudgetError):
+            graded_frobenius(locus, max_vars=1)
+        assert graded_frobenius(locus, max_points=9) is graded_frobenius(locus)
+
     def test_trivial_multiplicity_counts_orbits(self):
         from orbitsieve.loci import orbit_set
 
@@ -366,7 +390,7 @@ class TestDumps:
     def test_json_shape(self):
         locus = enumerate_locus("X", 2, 2)
         gb_i = vanishing_ideal(locus)
-        gb_t = buchberger(associated_graded(gb_i))
+        gb_t = associated_graded(gb_i)
         blob = harmonics_json(locus, gb_i, gb_t)
         assert blob["locus"] == {"family": "X", "n": 2, "k": 2}
         assert blob["hilbert_series"] == "1 + 2*q + q^2"
