@@ -7,7 +7,8 @@ check and prints its report, ``harmonics`` drives the quotient-ring pipeline, an
 latex, or pretty text; identical invocations produce byte-identical output.
 
 Exit codes: 0 all checks pass, 1 a verification found a genuine discrepancy,
-2 usage or parameter error, 3 resource budget exceeded.
+2 usage or parameter error, 3 resource budget exceeded, 4 an internal check failed
+(a bug in the package, not a property of the input).
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 4
     text = text + "\n"
     if ns.out is not None:
         with open(ns.out, "w", encoding="utf-8") as handle:

@@ -8,21 +8,11 @@ polynomial at roots of unity reduces exponents mod L and sums power-basis vector
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import DomainError, InternalCheckError
-from .qpoly import SparsePoly, int_poly_div_exact
+from .qpoly import SparsePoly
 from .rat import RAT, RAT_ONE, RAT_ZERO, rat_as_int
-
-# -- integer polynomial helpers (ascending coefficient lists) ----------------------
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -33,15 +23,12 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """
     if L < 1:
         raise DomainError("cyclotomic polynomial needs L >= 1")
-    if L == 1:
-        return (-1, 1)
-    num = [0] * L + [1]
-    num[0] = -1
-    den = [1]
+    den = SparsePoly.one()
     for d in range(1, L):
         if L % d == 0:
-            den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(int_poly_div_exact(num, den))
+            den = den * SparsePoly({(i, 0): c for i, c in enumerate(cyclotomic_polynomial(d))})
+    quot = SparsePoly({(0, 0): -1, (L, 0): 1}).div_exact_q(den)
+    return tuple(quot.coeff(i) for i in range(quot.degree_q() + 1))
 
 
 # -- the field and its elements -----------------------------------------------------
@@ -50,8 +37,8 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 class CycloField:
     """Q(zeta_L) on the power basis modulo Phi_L.
 
-    Carries a table of x^j mod Phi_L for every exponent needed by element products
-    and by root-of-unity evaluation, so reductions are table lookups.
+    Carries a table of x^j mod Phi_L for every exponent needed by element products,
+    root-of-unity evaluation and Galois conjugation, so reductions are table lookups.
     """
 
     def __init__(self, order: int):
@@ -91,6 +78,16 @@ class CycloField:
     def root_power(self, j: int) -> "CycloElement":
         """zeta_L^j as a field element."""
         return CycloElement(self, tuple(RAT(c) for c in self.power_vector(j)))
+
+    def power_combination(self, pairs) -> "CycloElement":
+        """Sum of c * zeta_L^j over the (c, j) pairs, each zeta_L^j read from the power table."""
+        acc = [RAT_ZERO] * self.degree
+        for c, j in pairs:
+            if c:
+                for i, v in enumerate(self._powers[j % self.order]):
+                    if v:
+                        acc[i] += c * v
+        return CycloElement(self, tuple(acc))
 
     def element(self, coords) -> "CycloElement":
         coords = tuple(RAT(c) for c in coords)
@@ -184,28 +181,25 @@ class CycloElement:
 
     __rmul__ = __mul__
 
+    def conjugate(self, j: int) -> "CycloElement":
+        """The Galois conjugate sigma_j(self): zeta_L -> zeta_L^j, for j coprime to L."""
+        if gcd(j, self.field.order) != 1:
+            raise DomainError("Galois conjugation needs an exponent coprime to the field order")
+        return self.field.power_combination((c, i * j) for i, c in enumerate(self.coords))
+
     def inverse(self) -> "CycloElement":
-        """Field inverse via the extended Euclidean algorithm against Phi_L."""
+        """Field inverse: the product of the other Galois conjugates over the rational norm."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        mod = [RAT(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coords)
-        t0, t1 = [RAT_ZERO], [RAT_ONE]
-        while any(r1):
-            q, rem = _rat_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _rat_poly_sub(t0, _rat_poly_mul(q, t1))
-        # r0 is a nonzero constant: Phi_L is irreducible over Q
-        while r0 and not r0[-1]:
-            r0.pop()
-        if len(r0) != 1:
-            raise InternalCheckError("cyclotomic inverse: gcd not constant")
-        scale = RAT_ONE / r0[0]
-        t0 = [c * scale for c in t0]
-        # reduce t0 mod Phi (degree may reach deg Phi - 1 already, but be safe)
-        _, t0 = _rat_poly_divmod(t0, mod) if len(t0) > self.field.degree else (None, t0)
-        coords = tuple((t0[i] if i < len(t0) else RAT_ZERO) for i in range(self.field.degree))
-        inv = CycloElement(self.field, coords)
+        order = self.field.order
+        others = self.field.one
+        for j in range(2, order):
+            if gcd(j, order) == 1:
+                others = others * self.conjugate(j)
+        norm = others * self
+        if norm.is_zero() or not norm.is_rational():
+            raise InternalCheckError("cyclotomic norm is not a nonzero rational")
+        inv = others.scale(RAT_ONE / norm.coords[0])
         if (inv * self) != self.field.one:
             raise InternalCheckError("cyclotomic inverse failed verification")
         return inv
@@ -231,50 +225,6 @@ class CycloElement:
         return f"CycloElement(L={self.field.order}, {list(self.coords)})"
 
 
-def _rat_poly_mul(a: list, b: list) -> list:
-    out = [RAT_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _rat_poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else RAT_ZERO
-        bi = b[i] if i < len(b) else RAT_ZERO
-        out.append(ai - bi)
-    return out
-
-
-def _rat_poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    if not den:
-        raise DomainError("rational poly division by zero")
-    if len(num) < len(den):
-        return [RAT_ZERO], num
-    quot = [RAT_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        head = num[i + len(den) - 1]
-        if head:
-            q = head / lead
-            quot[i] = q
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 # -- root-of-unity evaluation --------------------------------------------------------
 
 
@@ -292,18 +242,8 @@ def eval_at_unity(
     """
     if order_q < 1 or order_t < 1 or L % order_q or L % order_t:
         raise DomainError("evaluation orders must divide the field order")
-    field = cyclo_field(L)
     step_q = (L // order_q) * r
     step_t = (L // order_t) * s
-    acc = [RAT_ZERO] * field.degree
-    for (eq, et), c in p.terms.items():
-        row = field.power_vector(step_q * eq + step_t * et)
-        for i, v in enumerate(row):
-            if v:
-                acc[i] += c * v
-    return CycloElement(field, tuple(acc))
-
-
-def cyclo_equals_integer(value: CycloElement, m: int) -> bool:
-    """Whether a cyclotomic value equals the rational integer m."""
-    return value.is_integer() and value.as_int() == m
+    return cyclo_field(L).power_combination(
+        (c, step_q * eq + step_t * et) for (eq, et), c in p.terms.items()
+    )

@@ -2,7 +2,7 @@
 
 DomainError marks bad caller input (maps to CLI exit 2), ResourceBudgetError marks an
 exceeded size/work budget (CLI exit 3), InternalCheckError marks a violated internal
-invariant and is never caught by the CLI: it is a bug, not a property of the input.
+invariant (CLI exit 4): it is a bug, not a property of the input.
 """
 
 

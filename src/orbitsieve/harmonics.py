@@ -34,6 +34,7 @@ Exponents = tuple[int, ...]
 DEFAULT_MAX_POINTS = 720
 DEFAULT_MAX_VARS = 5
 DEFAULT_MAX_PAIRS = 20000
+MAX_QUOTIENT_DIM = 100000
 
 
 def grevlex_key(e: Exponents):
@@ -300,9 +301,9 @@ class GroebnerBasis:
                     del acc[se]
         return MultiPoly(self.field, self.nvars, acc)
 
-    def quotient_basis(self, *, max_dim: int = 100000) -> "QuotientBasis":
+    def quotient_basis(self) -> "QuotientBasis":
         if self._qb is None:
-            self._qb = _enumerate_standard(self, max_dim=max_dim)
+            self._qb = _enumerate_standard(self)
         return self._qb
 
     def _canonical(self):
@@ -355,7 +356,7 @@ class QuotientBasis:
         return f"QuotientBasis(dim {self.total}, top degree {len(self.by_degree) - 1})"
 
 
-def _enumerate_standard(gb: GroebnerBasis, *, max_dim: int) -> QuotientBasis:
+def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
     leads = gb.leading_exponents()
     n = gb.nvars
     for i in range(n):
@@ -373,8 +374,8 @@ def _enumerate_standard(gb: GroebnerBasis, *, max_dim: int) -> QuotientBasis:
         if not alive:
             break
         total += len(alive)
-        if total > max_dim:
-            raise ResourceBudgetError(f"quotient dimension exceeds the budget {max_dim}")
+        if total > MAX_QUOTIENT_DIM:
+            raise ResourceBudgetError(f"quotient dimension exceeds the budget {MAX_QUOTIENT_DIM}")
         levels.append(alive)
         d += 1
     return QuotientBasis(n, tuple(levels))

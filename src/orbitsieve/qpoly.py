@@ -168,13 +168,30 @@ class SparsePoly:
         return out
 
     def div_exact_q(self, other: "SparsePoly") -> "SparsePoly":
-        """Exact quotient self/other for q-univariate arguments (see int_poly_div_exact)."""
+        """Exact quotient self/other for q-univariate arguments.
+
+        A nonzero remainder means a broken caller-side identity, so it raises
+        InternalCheckError rather than returning anything.
+        """
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
         num, den = self._q_coeff_list(), other._q_coeff_list()
         if self.is_zero():
             return SparsePoly()
-        quot = int_poly_div_exact(num, den)
+        if len(num) < len(den):
+            raise InternalCheckError("inexact polynomial division (degree too small)")
+        quot = [0] * (len(num) - len(den) + 1)
+        lead = den[-1]
+        for i in range(len(quot) - 1, -1, -1):
+            head = num[i + len(den) - 1]
+            if head % lead:
+                raise InternalCheckError("inexact polynomial division")
+            quot[i] = head // lead
+            if quot[i]:
+                for j, d in enumerate(den):
+                    num[i + j] -= quot[i] * d
+        if any(num):
+            raise InternalCheckError("inexact polynomial division (nonzero remainder)")
         return SparsePoly({(i, 0): c for i, c in enumerate(quot) if c})
 
     # -- rendering ---------------------------------------------------------------
@@ -211,32 +228,6 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.pretty()})"
-
-
-def int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials given as ascending coefficient lists.
-
-    A nonzero remainder means a broken caller-side identity, so it raises
-    InternalCheckError rather than returning anything.
-    """
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    if len(num) < len(den):
-        raise InternalCheckError("inexact polynomial division (degree too small)")
-    quot = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        head = num[i + len(den) - 1]
-        if head % lead:
-            raise InternalCheckError("inexact polynomial division")
-        quot[i] = head // lead
-        if quot[i]:
-            for j, d in enumerate(den):
-                num[i + j] -= quot[i] * d
-    if any(num):
-        raise InternalCheckError("inexact polynomial division (nonzero remainder)")
-    return quot
 
 
 # -- q-analogues ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .characters import invariant_hilbert
-from .cyclotomic import CycloElement, cyclo_equals_integer, eval_at_unity
+from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
 from .loci import Action, Locus, apply_action, enumerate_locus, orbit_set, symmetry_steps
@@ -504,7 +504,7 @@ def verify_csp(inst: SievingInstance) -> Report:
     for r in range(order):
         fixed = inst.fixed_count(r)
         value = eval_at_unity(inst.polynomial, order, r=r, order_q=order)
-        ok = cyclo_equals_integer(value, fixed)
+        ok = value == fixed
         rows.append({"r": r, "s": None, "fixed": fixed, "value": _value_field(value), "ok": ok})
     return Report(
         family=inst.family,
@@ -532,7 +532,7 @@ def verify_bicsp(inst: SievingInstance) -> Report:
         for s in range(inst.order_t):
             fixed = inst.fixed_count(r, s)
             value = eval_at_unity(inst.polynomial, level, r=r, s=s, order_q=inst.order_q, order_t=inst.order_t)
-            ok = cyclo_equals_integer(value, fixed)
+            ok = value == fixed
             rows.append({"r": r, "s": s, "fixed": fixed, "value": _value_field(value), "ok": ok})
     return Report(
         family=inst.family,

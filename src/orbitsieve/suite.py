@@ -56,61 +56,62 @@ def _bad_cell(report) -> str:
     return f"row r={row['r']} s={row['s']}: fixed {row['fixed']} vs value {row['value']}"
 
 
+def _verify_grids(cells, shape_ok=None):
+    """Verify each (family, params) cell in order; stop at the first bad row.
+
+    A cell is labelled by its family and ``key=value`` parameters; ``shape_ok``, when
+    given, must also accept each passing report.
+    """
+    grids = rows = 0
+    for family, params in cells:
+        label = " ".join([family] + [f"{key}={value}" for key, value in params.items()])
+        report = verify_family(family, **params)
+        if not report.all_ok:
+            return False, f"{label}: {_bad_cell(report)}"
+        if shape_ok is not None and not shape_ok(params, report):
+            return False, f"{label}: unexpected grid shape"
+        grids += 1
+        rows += len(report.rows)
+    return True, f"{grids} grids, {rows} rows exact"
+
+
 # -- criterion 1: word biCSP grids --------------------------------------------------------
 
 
 def _crit_word_bicsp(max_n, max_k):
-    grids = rows = 0
     cells = []
     for n in range(1, _cap(4, max_n) + 1):
-        cells += [("word-bicsp-X", n, k) for k in range(1, _cap(4, max_k) + 1)]
-        cells += [("word-bicsp-Y", n, k) for k in range(1, _cap(6, max_k) + 1)]
+        cells += [("word-bicsp-X", {"n": n, "k": k}) for k in range(1, _cap(4, max_k) + 1)]
+        cells += [("word-bicsp-Y", {"n": n, "k": k}) for k in range(1, _cap(6, max_k) + 1)]
     for n in range(1, _cap(6, max_n) + 1):
-        cells += [("word-bicsp-Z", n, k) for k in range(1, _cap(n, max_k) + 1)]
-    for family, n, k in cells:
-        report = verify_family(family, n=n, k=k)
-        if not report.all_ok:
-            return False, f"{family} n={n} k={k}: {_bad_cell(report)}"
-        grids += 1
-        rows += len(report.rows)
-    return True, f"{grids} grids, {rows} rows exact"
+        cells += [("word-bicsp-Z", {"n": n, "k": k}) for k in range(1, _cap(n, max_k) + 1)]
+    return _verify_grids(cells)
 
 
 # -- criterion 2: orbit CSPs under the full position group --------------------------------
 
 
 def _crit_orbit_csps(max_n, max_k):
-    grids = rows = 0
-    for family in ("wcomp-csp", "subset-csp", "comp-csp"):
-        for n in range(1, _cap(6, max_n) + 1):
-            for k in range(1, _cap(6, max_k) + 1):
-                report = verify_family(family, n=n, k=k)
-                if not report.all_ok:
-                    return False, f"{family} n={n} k={k}: {_bad_cell(report)}"
-                grids += 1
-                rows += len(report.rows)
-    return True, f"{grids} grids, {rows} rows exact"
+    return _verify_grids(
+        (family, {"n": n, "k": k})
+        for family in ("wcomp-csp", "subset-csp", "comp-csp")
+        for n in range(1, _cap(6, max_n) + 1)
+        for k in range(1, _cap(6, max_k) + 1)
+    )
 
 
 # -- criterion 3: necklace and graph CSPs --------------------------------------------------
 
 
 def _crit_necklace_graph(max_n, max_k):
-    grids = rows = 0
     cells = []
     for suffix in ("X", "Y", "Z"):
         for n in range(1, _cap(6, max_n) + 1):
             for k in range(1, _cap(5, max_k) + 1):
-                cells.append(("necklace-" + suffix, n, k))
+                cells.append(("necklace-" + suffix, {"n": n, "k": k}))
                 if n % 2 == 0:
-                    cells.append(("graph-" + suffix, n, k))
-    for family, n, k in cells:
-        report = verify_family(family, n=n, k=k)
-        if not report.all_ok:
-            return False, f"{family} n={n} k={k}: {_bad_cell(report)}"
-        grids += 1
-        rows += len(report.rows)
-    return True, f"{grids} grids, {rows} rows exact"
+                    cells.append(("graph-" + suffix, {"n": n, "k": k}))
+    return _verify_grids(cells)
 
 
 # -- criterion 4: fixed-content sieving ----------------------------------------------------
@@ -123,39 +124,23 @@ def _tanisaki_mu_grid(max_n, max_k):
 
 
 def _crit_tanisaki(max_n, max_k):
-    grids = rows = 0
+    cells = []
     for mu in _tanisaki_mu_grid(max_n, max_k):
-        n = sum(mu)
-        for a in symmetry_steps(mu):
-            report = verify_family("tanisaki-bicsp", mu=mu, a=a)
-            if not report.all_ok:
-                return False, f"tanisaki-bicsp mu={mu} a={a}: {_bad_cell(report)}"
-            grids += 1
-            rows += len(report.rows)
-        examples = ["tanisaki-trivial", "tanisaki-necklace"] + (["tanisaki-graph"] if n % 2 == 0 else [])
-        for family in examples:
-            report = verify_family(family, mu=mu)
-            if not report.all_ok:
-                return False, f"{family} mu={mu}: {_bad_cell(report)}"
-            grids += 1
-            rows += len(report.rows)
-    return True, f"{grids} grids, {rows} rows exact"
+        cells += [("tanisaki-bicsp", {"mu": mu, "a": a}) for a in symmetry_steps(mu)]
+        examples = ["tanisaki-trivial", "tanisaki-necklace"] + (["tanisaki-graph"] if sum(mu) % 2 == 0 else [])
+        cells += [(family, {"mu": mu}) for family in examples]
+    return _verify_grids(cells)
 
 
 # -- criterion 5: permutation-word biCSP ---------------------------------------------------
 
 
 def _crit_springer(max_n, max_k):
-    grids = rows = 0
-    for n in range(1, _cap(5, max_n) + 1):
-        report = verify_family("springer-bicsp", n=n)
-        if not report.all_ok:
-            return False, f"springer-bicsp n={n}: {_bad_cell(report)}"
-        if len(report.rows) != n * n or report.rows[0]["fixed"] != math.factorial(n):
-            return False, f"springer-bicsp n={n}: unexpected grid shape"
-        grids += 1
-        rows += len(report.rows)
-    return True, f"{grids} grids, {rows} rows exact"
+    def shape_ok(params, report):
+        n = params["n"]
+        return len(report.rows) == n * n and report.rows[0]["fixed"] == math.factorial(n)
+
+    return _verify_grids((("springer-bicsp", {"n": n}) for n in range(1, _cap(5, max_n) + 1)), shape_ok)
 
 
 # -- criterion 6: quotient presentations ---------------------------------------------------

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from orbitsieve import cli
 from orbitsieve.cli import main
+from orbitsieve.errors import InternalCheckError
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,17 @@ def test_budget_exceeded_exit_code(capsys):
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(ns):
+        raise InternalCheckError("invariant violated")
+
+    monkeypatch.setitem(cli._COMMANDS, "poly", broken)
+    code, out, err = run_cli(capsys, "poly", "--family", "wcomp-csp", "--n", "2", "--k", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: invariant violated\n"
 
 
 def test_identical_invocations_are_byte_identical(capsys):

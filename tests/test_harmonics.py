@@ -10,6 +10,7 @@ as an iterated product of maximal ideals.
 
 import pytest
 
+from orbitsieve import harmonics
 from orbitsieve.characters import subgroup_elements
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -241,6 +242,13 @@ class TestBuchberger:
         gens = [x * x + y, x * y + x]
         with pytest.raises(ResourceBudgetError):
             buchberger(gens, max_pairs=0)
+
+    def test_quotient_dimension_budget(self, monkeypatch):
+        field = cyclo_field(1)
+        gb = buchberger([complete_homogeneous(field, 2, 1), complete_homogeneous(field, 2, 2)])
+        monkeypatch.setattr(harmonics, "MAX_QUOTIENT_DIM", 1)
+        with pytest.raises(ResourceBudgetError):
+            gb.quotient_basis()
 
     def test_rejects_zero_input(self):
         field = cyclo_field(1)
