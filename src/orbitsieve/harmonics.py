@@ -2,15 +2,25 @@
 
 Words are embedded as points with root-of-unity coordinates (letter j becomes
 zeta_k^j), so value shifts act by scaling and position permutations by permuting
-coordinates.  The vanishing ideal I(X) is computed point-wise by the
-Buchberger-Moller algorithm over Q(zeta_k).  Under grevlex the top-degree
-components of its reduced Groebner basis are already the reduced basis of the
-associated graded ideal T(X), so no second Groebner pass is needed; the standard
-monomials of T(X) give the Hilbert series and its permutation traces give the
-graded Frobenius image.  Buchberger's algorithm remains for the stated
-presentations, which are given by generators rather than by points.
+coordinates.  The vanishing ideal I(X) comes from Buchberger-Moller interpolation
+(``interpolation``): elimination over F_p for primes p = 1 mod k, once for each
+primitive k-th root of unity mod p standing in for zeta_k, with the coefficients
+lifted to Q(zeta_k) by interpolation at those roots, CRT over primes and rational
+reconstruction.  A lifted basis is returned only after an exact certificate here
+(monic generators with standard tails, antichain leads, |X| standard monomials,
+vanishing at every point), which proves it is the reduced one.  If no prime
+yields a certified basis, the elimination runs over Q; that path is also the
+tests' reference.
 
-All arithmetic is exact.  The monomial order is graded reverse lexicographic
+Under grevlex the top-degree components of the reduced basis of I(X) are already
+the reduced basis of the associated graded ideal T(X), so no second Groebner
+pass is needed; the standard monomials of T(X) give the Hilbert series and its
+permutation traces give the graded Frobenius image.  Buchberger's algorithm
+remains for the stated presentations, which are given by generators rather than
+by points.
+
+Every result is exact: modular arithmetic only proposes a basis, which exact
+arithmetic certifies.  The monomial order is graded reverse lexicographic
 throughout; pivoting is first-nonzero with no size heuristics, so every run is
 deterministic.
 """
@@ -24,22 +34,21 @@ from itertools import combinations, combinations_with_replacement
 from .characters import SchurVector, conjugacy_classes, sn_character
 from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
+from .interpolation import (
+    Exponents,
+    alive_monomials,
+    grevlex_key,
+    modular_lifts,
+    rational_elimination,
+)
 from .loci import Locus
 from .qpoly import SparsePoly
-from .rat import RAT
-from .tableaux import partitions, weak_compositions
-
-Exponents = tuple[int, ...]
+from .tableaux import partitions
 
 DEFAULT_MAX_POINTS = 720
 DEFAULT_MAX_VARS = 5
 DEFAULT_MAX_PAIRS = 20000
 MAX_QUOTIENT_DIM = 100000
-
-
-def grevlex_key(e: Exponents):
-    """Sort key realizing graded reverse lexicographic order (larger key = larger)."""
-    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 class MultiPoly:
@@ -366,11 +375,7 @@ def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
     total = 0
     d = 0
     while True:
-        alive = tuple(
-            e
-            for e in sorted(weak_compositions(d, n), key=grevlex_key)
-            if gb.is_standard(e)
-        )
+        alive = tuple(alive_monomials(d, n, leads))
         if not alive:
             break
         total += len(alive)
@@ -512,78 +517,6 @@ def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
 # -- vanishing ideals of loci (Buchberger-Moller) -----------------------------------
 
 
-class _EchelonRow:
-    __slots__ = ("vec", "pivot", "tag", "uses", "scale")
-
-    def __init__(self, vec, pivot, tag, uses, scale):
-        self.vec = vec
-        self.pivot = pivot
-        self.tag = tag  # (standard-monomial index in class, zeta power)
-        self.uses = uses  # [(coefficient, earlier row index)]
-        self.scale = scale
-
-
-class _EigenClass:
-    """Elimination state for one eigenvalue of the value-shift scaling action."""
-
-    __slots__ = ("rows", "stds")
-
-    def __init__(self):
-        self.rows: list[_EchelonRow] = []
-        self.stds: list[Exponents] = []
-
-    def reduce(self, vec):
-        """Eliminate pivots in place; returns the reduction trail."""
-        uses = []
-        for r_idx, row in enumerate(self.rows):
-            c = vec[row.pivot]
-            if c:
-                rv = row.vec
-                for i, b in enumerate(rv):
-                    if b:
-                        vec[i] -= c * b
-                vec[row.pivot] = 0
-                uses.append((c, r_idx))
-        return uses
-
-    def insert(self, vec, uses, tag):
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            raise InternalCheckError("eigenclass row collapsed during insertion")
-        scale = vec[pivot]
-        if scale != 1:
-            inv = RAT(1) / RAT(scale)
-            vec = [x * inv if x else 0 for x in vec]
-        self.rows.append(_EchelonRow(vec, pivot, tag, uses, scale))
-
-    def combos(self, needed: set[int]) -> dict[int, dict]:
-        """Expansion of the requested rows over the original (monomial, power) vectors."""
-        closure: set[int] = set()
-        stack = list(needed)
-        while stack:
-            idx = stack.pop()
-            if idx in closure:
-                continue
-            closure.add(idx)
-            stack.extend(r for _, r in self.rows[idx].uses)
-        memo: dict[int, dict] = {}
-        for idx in sorted(closure):
-            row = self.rows[idx]
-            combo = {row.tag: RAT(1)}
-            for c, r in row.uses:
-                for key, val in memo[r].items():
-                    cur = combo.get(key, RAT(0)) - c * val
-                    if cur:
-                        combo[key] = cur
-                    elif key in combo:
-                        del combo[key]
-            if row.scale != 1:
-                inv = RAT(1) / RAT(row.scale)
-                combo = {key: val * inv for key, val in combo.items()}
-            memo[idx] = combo
-        return memo
-
-
 def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
     """Refuse empty loci and loci beyond the point or variable budget."""
     if locus.size == 0:
@@ -603,108 +536,87 @@ def vanishing_ideal(
 ) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal of the embedded locus.
 
-    The value-shift action scales embedded points, so evaluation vectors split
-    into eigenspaces indexed by degree mod the shift order; each eigenspace is
-    determined by values at orbit representatives, and the elimination runs per
-    eigenspace over Q (one rational row per power of zeta).
+    Buchberger-Moller per eigenspace of the value-shift action (see
+    ``interpolation``), over F_p for split primes; each lifted candidate is
+    returned only if it passes the exact certificate.  If none does, the
+    elimination runs over Q.
     """
     if k is not None and k != locus.k:
         raise DomainError("root order must match the locus alphabet size")
     _check_locus(locus, max_points, max_vars)
-
     field = cyclo_field(locus.k)
-    n, kk = locus.n, locus.k
-    step, korder = locus.scaling_step, locus.scaling_order
-    phi = field.degree
+    for layout, coords in modular_lifts(locus):
+        gb = _basis(field, locus.n, layout, coords)
+        if _certified(locus, gb):
+            return gb
+    return _exact_vanishing_ideal(locus)
 
-    # Orbit representatives of the free value-shift action.
-    seen: set = set()
-    reps: list[tuple[int, ...]] = []
-    for w in locus.words:
-        if w in seen:
-            continue
-        orbit = [tuple((x - 1 + step * j) % kk + 1 for x in w) for j in range(korder)]
-        seen.update(orbit)
-        reps.append(min(orbit))
-    reps.sort()
-    if len(reps) * korder != locus.size:
-        raise InternalCheckError("value-shift action is not free on the locus")
 
-    power_rows = [field.power_vector(j) for j in range(kk)]
-
-    def flat_vector(e: Exponents, power_offset: int):
-        vec: list = []
-        for w in reps:
-            t = (sum(a * b for a, b in zip(e, w)) + power_offset) % kk
-            vec.extend(power_rows[t])
-        return vec
-
-    classes = [_EigenClass() for _ in range(korder)]
-    lead_exps: list[Exponents] = []
-    gens: list[MultiPoly] = []
-    total_std = 0
-
-    d = 0
-    while True:
-        alive = [
-            e
-            for e in sorted(weak_compositions(d, n), key=grevlex_key)
-            if not any(all(a >= b for a, b in zip(e, lt)) for lt in lead_exps)
-        ]
-        if not alive:
-            break
-        cls = classes[d % korder]
-        for e in alive:
-            vec = flat_vector(e, 0)
-            uses = cls.reduce(vec)
-            if any(vec):
-                local = len(cls.stds)
-                cls.insert(vec, uses, (local, 0))
-                for j in range(1, phi):
-                    vj = flat_vector(e, j)
-                    uj = cls.reduce(vj)
-                    cls.insert(vj, uj, (local, j))
-                cls.stds.append(e)
-                total_std += 1
-            else:
-                gens.append(_assemble_generator(field, n, e, cls, uses))
-                lead_exps.append(e)
-        d += 1
-        if d > locus.size + n * kk:
-            raise InternalCheckError("point-ideal elimination failed to terminate")
-
-    if total_std != locus.size:
-        raise InternalCheckError(
-            f"standard monomial count {total_std} differs from |X| = {locus.size}"
-        )
-    gb = GroebnerBasis(field, n, tuple(gens))
-    for g in gb.gens:
-        for w in locus.words:
-            if g.evaluate_at_word(w):
-                raise InternalCheckError("basis element does not vanish on the locus")
+def _exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
+    """vanishing_ideal by elimination over Q: the fallback, and the tests' reference."""
+    field = cyclo_field(locus.k)
+    gb = _basis(field, locus.n, *rational_elimination(locus))
+    if not _vanishes_on(gb, locus):
+        raise InternalCheckError("basis element does not vanish on the locus")
     return gb
 
 
-def _assemble_generator(field, n, e, cls: _EigenClass, uses) -> MultiPoly:
-    memo = cls.combos({r for _, r in uses})
-    total: dict = {}
-    for c, r in uses:
-        for key, val in memo[r].items():
-            cur = total.get(key, RAT(0)) + c * val
-            if cur:
-                total[key] = cur
-            elif key in total:
-                del total[key]
-    phi = field.degree
-    terms: dict[Exponents, CycloElement] = {e: field.one}
-    by_std: dict[int, list] = {}
-    for (local, j), val in total.items():
-        by_std.setdefault(local, [RAT(0)] * phi)[j] = val
-    for local, coords in by_std.items():
-        coeff = field.element(coords)
-        if coeff:
-            terms[cls.stds[local]] = -coeff
-    return MultiPoly(field, n, terms)
+def _basis(field: CycloField, n: int, layout, coords) -> GroebnerBasis:
+    """Generators x^e + tail, the tails read from flat power-basis coordinates."""
+    it = iter(coords)
+    gens = []
+    for e, stds in layout:
+        terms = {e: field.one}
+        for s in stds:
+            terms[s] = field.element([next(it) for _ in range(field.degree)])
+        gens.append(MultiPoly(field, n, terms))
+    return GroebnerBasis(field, n, tuple(gens))
+
+
+def _certified(locus: Locus, gb: GroebnerBasis) -> bool:
+    """Exact check that gb, lifted from modular data, is the reduced basis of I(X).
+
+    Generators that vanish on X put LT(gb) inside LT(I(X)); both leave |X|
+    standard monomials, so they are equal and gb is a Groebner basis of I(X).
+    Monic generators (checked by GroebnerBasis), standard tails and antichain
+    leads make it the reduced one.  Each lead is its generator's grevlex-largest
+    term, so tails lie below their leads.
+    """
+    leads = gb.leading_exponents()
+    for g, lt in zip(gb.gens, leads):
+        if any(e != lt and not gb.is_standard(e) for e in g.terms):
+            return False
+    for i, a in enumerate(leads):
+        if any(j != i and all(x >= y for x, y in zip(a, b)) for j, b in enumerate(leads)):
+            return False
+    if gb.quotient_basis().total != locus.size:
+        return False
+    return _vanishes_on(gb, locus)
+
+
+def _vanishes_on(gb: GroebnerBasis, locus: Locus) -> bool:
+    """Whether every generator is zero at every embedded point, exactly.
+
+    Each generator is scaled by the lcm of its coordinate denominators, so the
+    sums run over integers: at each point the coefficients of each power of zeta
+    are gathered first, and the power table reduces them once.
+    """
+    field = gb.field
+    powers = [field.power_vector(j) for j in range(field.order)]
+    for g in gb.gens:
+        den = math.lcm(*(x.denominator for c in g.terms.values() for x in c.coords))
+        terms = [
+            (e, [(i, int(x * den)) for i, x in enumerate(c.coords) if x]) for e, c in g.terms.items()
+        ]
+        for w in locus.words:
+            at = [0] * field.order
+            for e, coords in terms:
+                j = sum(a * b for a, b in zip(e, w))
+                for i, x in coords:
+                    at[(i + j) % field.order] += x
+            if any(sum(s * row[m] for s, row in zip(at, powers)) for m in range(field.degree)):
+                return False
+    return True
 
 
 def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
@@ -771,7 +683,9 @@ def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(perm)
 
 
+# Graded Frobenius images by locus key, oldest first; the oldest is evicted at the bound.
 _FROBENIUS_CACHE: dict[tuple, SchurVector] = {}
+_FROBENIUS_CACHE_SIZE = 256
 
 
 def graded_frobenius(
@@ -832,6 +746,8 @@ def graded_frobenius(
     total = sum(mult * sn_character(lam, (1,) * n) for lam, mult in dims.items())
     if total != locus.size:
         raise InternalCheckError("graded Frobenius dimensions do not add up to |X|")
+    if len(_FROBENIUS_CACHE) >= _FROBENIUS_CACHE_SIZE:
+        del _FROBENIUS_CACHE[next(iter(_FROBENIUS_CACHE))]
     _FROBENIUS_CACHE[key] = frob
     return frob
 

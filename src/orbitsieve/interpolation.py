@@ -1,0 +1,427 @@
+"""Buchberger-Moller interpolation of embedded word loci, as raw linear algebra.
+
+Letter j of a word becomes zeta_k^j, so the value-shift action scales embedded
+points and evaluation vectors split into eigenspaces indexed by degree mod the
+shift order; each eigenspace is determined by the values at orbit
+representatives.  Monomials are visited in ascending grevlex order, skipping
+multiples of leading exponents already found; a monomial whose eigenclass vector
+depends on the earlier standard ones is a leading exponent, and the dependency
+gives its generator's tail.
+
+Two eliminations produce the same data: a layout, listing for each generator its
+leading exponent and the standard monomials of its eigenclass found before it,
+and the power-basis coordinates in Q(zeta_k) of every tail coefficient on them,
+flattened in layout order.
+
+- ``modular_lifts`` eliminates over F_p for primes p = 1 mod k (Abbott, Bigatti,
+  Kreuzer and Robbiano, "Computing ideals of points", 2000; Arnold, "Modular
+  algorithms for computing Groebner bases", 2003).  Phi_k splits into linear
+  factors mod p, so each primitive k-th root omega mod p stands in for zeta_k
+  and a monomial gives one scalar row per omega.  Interpolation at the roots,
+  CRT over primes and rational reconstruction lift the coefficients.  A lift is
+  a candidate only: the caller must certify it.
+- ``rational_elimination`` eliminates over Q, each eigenclass vector flattened to
+  phi(k) rational rows, one per power of zeta.  It is exact.
+
+No polynomial type appears here; ``harmonics`` assembles and certifies the bases.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import islice
+
+from .cyclotomic import cyclo_field
+from .errors import InternalCheckError
+from .loci import Locus
+from .rat import RAT, RAT_ZERO
+from .tableaux import weak_compositions
+
+Exponents = tuple[int, ...]
+
+PRIME_CEILING = 2**62
+MODULAR_PRIMES = 4
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SPLIT_PRIMES: dict[tuple[int, int], list[int]] = {}
+
+
+def grevlex_key(e: Exponents):
+    """Sort key realizing graded reverse lexicographic order (larger key = larger)."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def alive_monomials(d: int, n: int, lead_exps) -> list[Exponents]:
+    """Degree-d exponents no leading exponent divides, in ascending grevlex order."""
+    return [
+        e
+        for e in sorted(weak_compositions(d, n), key=grevlex_key)
+        if not any(all(a >= b for a, b in zip(e, lt)) for lt in lead_exps)
+    ]
+
+
+def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
+    """Sorted least words of the value-shift orbits; the action must be free."""
+    step, korder, kk = locus.scaling_step, locus.scaling_order, locus.k
+    seen: set = set()
+    reps: list[tuple[int, ...]] = []
+    for w in locus.words:
+        if w in seen:
+            continue
+        orbit = [tuple((x - 1 + step * j) % kk + 1 for x in w) for j in range(korder)]
+        seen.update(orbit)
+        reps.append(min(orbit))
+    reps.sort()
+    if len(reps) * korder != locus.size:
+        raise InternalCheckError("value-shift action is not free on the locus")
+    return reps
+
+
+# -- arithmetic mod split primes -----------------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases: deterministic for n < 3.18e23."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def split_primes(k: int):
+    """Primes p < PRIME_CEILING with p = 1 mod k, largest first, found on demand.
+
+    Found primes are cached per (ceiling, k), so no search happens at import.
+    """
+    found = _SPLIT_PRIMES.setdefault((PRIME_CEILING, k), [])
+    step = k if k % 2 == 0 else 2 * k  # odd p = 1 mod k means p = 1 mod lcm(2, k)
+    i = 0
+    while True:
+        if i == len(found):
+            cand = found[-1] - step if found else (PRIME_CEILING - 2) // step * step + 1
+            while not is_prime(cand):
+                cand -= step
+                if cand < 3:
+                    return
+            found.append(cand)
+        yield found[i]
+        i += 1
+
+
+def primitive_roots(k: int, p: int) -> list[int]:
+    """The primitive k-th roots of unity mod p = 1 mod k: omega^u for the units u mod k, ascending."""
+    factors = [q for q in range(2, k + 1) if k % q == 0 and all(q % r for r in range(2, q))]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // k, p)
+        if all(pow(omega, k // q, p) != 1 for q in factors):
+            break
+    return [pow(omega, u, p) for u in range(k) if math.gcd(u, k) == 1]
+
+
+def inverse_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of an invertible square matrix over F_p, by Gauss-Jordan."""
+    m = len(matrix)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(matrix)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(m):
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def rational_reconstruction(r: int, m: int):
+    """The fraction a/b with a = b r (mod m) and |a|, b <= sqrt(m/2), or None (Wang)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, r % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return RAT(r1, s1)
+
+
+# -- elimination over F_p --------------------------------------------------------------
+
+
+def _tail_coefficients(rows: list[tuple], uses: list[tuple[int, int]], p: int) -> list[int]:
+    """Coefficients mod p, on the class' standard monomials, of the tail of x^e.
+
+    x^e's vector is the sum of c * row r over its trail ``uses``.  Row q is
+    (v_q - sum of c * row r over its own trail) / scale_q, where v_q is the vector
+    of the q-th standard monomial, so unwinding the trails from the last row down
+    rewrites the sum over rows as a sum b_q v_q; the tail coefficients are -b_q.
+    """
+    b = [0] * len(rows)
+    for c, r in uses:
+        b[r] = c
+    for q in range(len(rows) - 1, -1, -1):
+        if b[q]:
+            bq = b[q] = b[q] * rows[q][3] % p
+            for c, r in rows[q][2]:
+                b[r] = (b[r] - bq * c) % p
+    return [-x % p for x in b]
+
+
+def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
+    """Buchberger-Moller over F_p, run side by side for each zeta_k -> omega in roots.
+
+    Each monomial gives one scalar row of length #reps per root.  Returns None as
+    soon as the roots disagree on whether a monomial is standard.  Otherwise
+    returns the standard monomials in the order found and, for every leading
+    exponent e in the order found, (e, the standard monomials of e's eigenclass
+    found before it, per root the tail coefficients mod p on them).
+    """
+    n, kk, korder = locus.n, locus.k, locus.scaling_order
+    powers = [[pow(omega, j, p) for j in range(kk)] for omega in roots]
+    # Per root and eigenclass: echelon rows (pivot, negated vector with pivot 1,
+    # trail, 1/scale), one per standard monomial of the class.  Row operations add
+    # without reducing mod p (each adds less than p^2 to an entry); only the entry
+    # read as the next multiplier is reduced, and the vector once at the end.
+    rows_by_root = [[[] for _ in range(korder)] for _ in roots]
+    cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
+    stds: list[Exponents] = []
+    gens: list[tuple] = []
+    lead_exps: list[Exponents] = []
+    d = 0
+    while True:
+        alive = alive_monomials(d, n, lead_exps)
+        if not alive:
+            break
+        for e in alive:
+            t = [sum(a * b for a, b in zip(e, w)) % kk for w in reps]
+            tails = []
+            for pw, by_class in zip(powers, rows_by_root):
+                rows = by_class[d % korder]
+                vec = [pw[j] for j in t]
+                uses = []
+                for r, (pivot, neg, _, _) in enumerate(rows):
+                    c = vec[pivot] % p
+                    if c:
+                        vec = [a + c * b for a, b in zip(vec, neg)]
+                        uses.append((c, r))
+                vec = [x % p for x in vec]
+                pivot = next((i for i, x in enumerate(vec) if x), None)
+                if pivot is None:
+                    tails.append(_tail_coefficients(rows, uses, p))
+                else:
+                    inv = pow(vec[pivot], -1, p)
+                    rows.append((pivot, [-x * inv % p for x in vec], uses, inv))
+            if len(tails) == len(roots):
+                gens.append((e, tuple(cls_stds[d % korder]), tails))
+                lead_exps.append(e)
+            elif tails:
+                return None
+            else:
+                cls_stds[d % korder].append(e)
+                stds.append(e)
+        d += 1
+        if d > locus.size + n * kk:
+            raise InternalCheckError("point-ideal elimination failed to terminate")
+    return stds, gens
+
+
+def modular_lifts(locus: Locus):
+    """Candidate (layout, coordinates) lifts from at most MODULAR_PRIMES split primes.
+
+    A prime whose roots disagree on the staircase is skipped.  Tail coefficients
+    at the phi(k) roots are interpolated to power-basis coordinates mod p and
+    combined over primes with the same staircase by CRT; every prime after which
+    all of them lift by rational reconstruction yields a candidate.
+    """
+    phi = cyclo_field(locus.k).degree
+    reps = orbit_representatives(locus)
+    staircase = None  # (grevlex keys of the standard monomials, layout)
+    residues: list[int] = []
+    modulus = 1
+    for p in islice(split_primes(locus.k), MODULAR_PRIMES):
+        roots = primitive_roots(locus.k, p)
+        run = modular_elimination(locus, reps, p, roots)
+        if run is None:
+            continue
+        stds, gens = run
+        vinv = inverse_mod([[pow(omega, j, p) for j in range(phi)] for omega in roots], p)
+        coords: list[int] = []
+        for _, _, tails in gens:
+            for values in zip(*tails):
+                coords.extend(sum(a * v for a, v in zip(row, values)) % p for row in vinv)
+        key = [grevlex_key(e) for e in stds]
+        if staircase is None or key < staircase[0]:
+            # Independence mod p implies independence over Q(zeta_k), so the true
+            # staircase is the least one any prime shows: a smaller one restarts.
+            staircase = (key, [(e, cls_stds) for e, cls_stds, _ in gens])
+            residues, modulus = coords, p
+        elif key == staircase[0]:
+            inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((c - r) * inv % p) for r, c in zip(residues, coords)]
+            modulus *= p
+        else:
+            continue
+        lifted = [rational_reconstruction(r, modulus) for r in residues]
+        if all(c is not None for c in lifted):
+            yield staircase[1], lifted
+
+
+# -- elimination over Q ----------------------------------------------------------------
+
+
+class _EchelonRow:
+    __slots__ = ("vec", "pivot", "tag", "uses", "scale")
+
+    def __init__(self, vec, pivot, tag, uses, scale):
+        self.vec = vec
+        self.pivot = pivot
+        self.tag = tag  # (standard-monomial index in class, zeta power)
+        self.uses = uses  # [(coefficient, earlier row index)]
+        self.scale = scale
+
+
+class _EigenClass:
+    """Elimination state for one eigenvalue of the value-shift scaling action."""
+
+    __slots__ = ("rows", "stds")
+
+    def __init__(self):
+        self.rows: list[_EchelonRow] = []
+        self.stds: list[Exponents] = []
+
+    def reduce(self, vec):
+        """Eliminate pivots in place; returns the reduction trail."""
+        uses = []
+        for r_idx, row in enumerate(self.rows):
+            c = vec[row.pivot]
+            if c:
+                rv = row.vec
+                for i, b in enumerate(rv):
+                    if b:
+                        vec[i] -= c * b
+                vec[row.pivot] = 0
+                uses.append((c, r_idx))
+        return uses
+
+    def insert(self, vec, uses, tag):
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            raise InternalCheckError("eigenclass row collapsed during insertion")
+        scale = vec[pivot]
+        if scale != 1:
+            inv = RAT(1) / RAT(scale)
+            vec = [x * inv if x else 0 for x in vec]
+        self.rows.append(_EchelonRow(vec, pivot, tag, uses, scale))
+
+    def combos(self, needed: set[int]) -> dict[int, dict]:
+        """Expansion of the requested rows over the original (monomial, power) vectors."""
+        closure: set[int] = set()
+        stack = list(needed)
+        while stack:
+            idx = stack.pop()
+            if idx in closure:
+                continue
+            closure.add(idx)
+            stack.extend(r for _, r in self.rows[idx].uses)
+        memo: dict[int, dict] = {}
+        for idx in sorted(closure):
+            row = self.rows[idx]
+            combo = {row.tag: RAT(1)}
+            for c, r in row.uses:
+                for key, val in memo[r].items():
+                    cur = combo.get(key, RAT(0)) - c * val
+                    if cur:
+                        combo[key] = cur
+                    elif key in combo:
+                        del combo[key]
+            if row.scale != 1:
+                inv = RAT(1) / RAT(row.scale)
+                combo = {key: val * inv for key, val in combo.items()}
+            memo[idx] = combo
+        return memo
+
+    def tail_coordinates(self, uses, phi: int) -> list:
+        """Power-basis coordinates of the tail of a monomial whose vector reduced to zero."""
+        memo = self.combos({r for _, r in uses})
+        total: dict = {}
+        for c, r in uses:
+            for key, val in memo[r].items():
+                cur = total.get(key, RAT_ZERO) + c * val
+                if cur:
+                    total[key] = cur
+                elif key in total:
+                    del total[key]
+        return [-total.get((local, j), RAT_ZERO) for local in range(len(self.stds)) for j in range(phi)]
+
+
+def rational_elimination(locus: Locus):
+    """The exact (layout, coordinates) of the reduced basis, by elimination over Q."""
+    field = cyclo_field(locus.k)
+    n, kk = locus.n, locus.k
+    korder = locus.scaling_order
+    phi = field.degree
+    reps = orbit_representatives(locus)
+
+    power_rows = [field.power_vector(j) for j in range(kk)]
+
+    def flat_vector(e: Exponents, power_offset: int):
+        vec: list = []
+        for w in reps:
+            t = (sum(a * b for a, b in zip(e, w)) + power_offset) % kk
+            vec.extend(power_rows[t])
+        return vec
+
+    classes = [_EigenClass() for _ in range(korder)]
+    lead_exps: list[Exponents] = []
+    layout: list[tuple] = []
+    coords: list = []
+    total_std = 0
+
+    d = 0
+    while True:
+        alive = alive_monomials(d, n, lead_exps)
+        if not alive:
+            break
+        cls = classes[d % korder]
+        for e in alive:
+            vec = flat_vector(e, 0)
+            uses = cls.reduce(vec)
+            if any(vec):
+                local = len(cls.stds)
+                cls.insert(vec, uses, (local, 0))
+                for j in range(1, phi):
+                    vj = flat_vector(e, j)
+                    uj = cls.reduce(vj)
+                    cls.insert(vj, uj, (local, j))
+                cls.stds.append(e)
+                total_std += 1
+            else:
+                layout.append((e, tuple(cls.stds)))
+                coords.extend(cls.tail_coordinates(uses, phi))
+                lead_exps.append(e)
+        d += 1
+        if d > locus.size + n * kk:
+            raise InternalCheckError("point-ideal elimination failed to terminate")
+
+    if total_std != locus.size:
+        raise InternalCheckError(
+            f"standard monomial count {total_std} differs from |X| = {locus.size}"
+        )
+    return layout, coords

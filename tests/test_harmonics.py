@@ -1,16 +1,23 @@
 """Vanishing ideals, Groebner machinery, and graded Frobenius images.
 
-The main implementation splits the point-ideal elimination into eigenspaces of
-the value-shift scaling and works over flattened rational vectors.  The oracle
-here is a deliberately naive Buchberger-Moller: dense evaluation vectors over
-the cyclotomic field, no splitting, no flattening.  Reduced monic Groebner
-bases are unique, so the two must agree exactly.  A second oracle builds I(X)
-as an iterated product of maximal ideals.
+``vanishing_ideal`` eliminates over F_p for split primes p = 1 mod k, one
+scalar row per monomial and primitive root, and lifts the coefficients to
+Q(zeta_k) under an exact certificate; the rational eigenclass elimination it
+falls back to is kept and tested equal to it.  The oracle here is a
+deliberately naive Buchberger-Moller: dense evaluation vectors over the
+cyclotomic field, no eigenspace splitting, no modular arithmetic.  Reduced monic
+Groebner bases are unique, so all of them must agree exactly.  A second oracle
+builds I(X) as an iterated product of maximal ideals.
 """
 
-import pytest
+from itertools import islice
+from math import isqrt
 
-from orbitsieve import harmonics
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orbitsieve import harmonics, interpolation
 from orbitsieve.characters import subgroup_elements
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -31,8 +38,9 @@ from orbitsieve.harmonics import (
     vanishing_ideal,
     verify_presentation,
 )
-from orbitsieve.loci import enumerate_locus
+from orbitsieve.loci import Locus, enumerate_locus
 from orbitsieve.qpoly import SparsePoly, q_int
+from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 
@@ -108,6 +116,74 @@ SMALL_LOCI = [
     ("springer", 3, None, None),
 ]
 
+# Every locus of the benchmark's oracle-mid pool.
+ORACLE_MID_LOCI = [
+    ("X", 3, 5, None),
+    ("X", 3, 6, None),
+    ("tanisaki", 5, 5, (1, 1, 1, 1, 1)),
+    ("Y", 5, 5, None),
+    ("Z", 5, 3, None),
+    ("Y", 3, 6, None),
+    ("Y", 3, 5, None),
+    ("X", 4, 3, None),
+    ("Z", 4, 3, None),
+    ("Y", 4, 4, None),
+]
+
+# Loci built directly.  Family "tanisaki" gives a value-shift step of ``a``, the
+# others a step of 1.  Two shift orbits in {1..4}^3; the basis has coordinates 1/2.
+HALF_LOCUS = Locus(
+    "X", 3, 4, ((1, 3, 4), (1, 4, 3), (2, 1, 4), (2, 4, 1), (3, 1, 2), (3, 2, 1), (4, 2, 3), (4, 3, 2))
+)
+# Five orbits of the shift by 3 in {1..6}^3; coordinates such as -96/49 need a
+# modulus above 2 * 96^2, more than one prime below 2^8 gives.
+RATIONAL_LOCUS = Locus(
+    "tanisaki",
+    3,
+    6,
+    (
+        (1, 1, 5), (1, 3, 5), (1, 5, 4), (3, 2, 4), (3, 3, 3),
+        (4, 2, 1), (4, 4, 2), (4, 6, 2), (6, 5, 1), (6, 6, 6),
+    ),
+    a=3,
+)
+
+# Shift by 2 in {1..6}^4: mod 13 the staircase is wrong at both primitive roots.
+UNLUCKY_13_LOCUS = Locus(
+    "tanisaki",
+    4,
+    6,
+    (
+        (1, 1, 3, 6), (1, 2, 6, 1), (1, 6, 6, 3), (2, 2, 1, 6), (2, 4, 3, 5),
+        (3, 2, 2, 5), (3, 3, 5, 2), (3, 4, 2, 3), (4, 4, 3, 2), (4, 6, 5, 1),
+        (5, 4, 4, 1), (5, 5, 1, 4), (5, 6, 4, 5), (6, 2, 1, 3), (6, 6, 5, 4),
+    ),
+    a=2,
+)
+
+
+def _coords(gb):
+    return [x for g in gb.gens for c in g.terms.values() for x in c.coords]
+
+
+def _no_fallback(locus):
+    raise AssertionError("the modular path gave no certified basis")
+
+
+@st.composite
+def shift_stable_loci(draw):
+    """Up to 8 words of length <= 3 over {1..k}, k <= 6, closed under a step-a value shift."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    seeds = draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1, max_size=4))
+    words: set = set()
+    for w in seeds:
+        orbit = {tuple((x - 1 + a * j) % k + 1 for x in w) for j in range(k // a)}
+        if len(words | orbit) <= 8:
+            words |= orbit
+    return Locus("tanisaki", n, k, tuple(sorted(words)), a=a)
+
 
 class TestVanishingIdeal:
     def test_single_point(self):
@@ -131,7 +207,9 @@ class TestVanishingIdeal:
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
     def test_matches_naive_elimination(self, family, n, k, mu):
         locus = enumerate_locus(family, n, k, mu=mu)
-        assert vanishing_ideal(locus) == naive_vanishing_ideal(locus)
+        gb = vanishing_ideal(locus)
+        assert gb == naive_vanishing_ideal(locus)
+        assert gb == harmonics._exact_vanishing_ideal(locus)
 
     @pytest.mark.parametrize(
         "family,n,k,mu",
@@ -139,6 +217,12 @@ class TestVanishingIdeal:
     )
     def test_matches_maximal_ideal_product(self, family, n, k, mu):
         locus = enumerate_locus(family, n, k, mu=mu)
+        assert vanishing_ideal(locus) == point_ideal_product(locus)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shift_stable_loci())
+    @example(HALF_LOCUS)
+    def test_matches_maximal_ideal_product_on_random_sets(self, locus):
         assert vanishing_ideal(locus) == point_ideal_product(locus)
 
     def test_generators_vanish_on_points(self):
@@ -159,6 +243,116 @@ class TestVanishingIdeal:
             vanishing_ideal(enumerate_locus("X", 2, 2), k=3)
         with pytest.raises(ResourceBudgetError):
             point_ideal_product(enumerate_locus("X", 2, 3))
+
+
+class TestModularElimination:
+    @pytest.mark.parametrize("family,n,k,mu", ORACLE_MID_LOCI + [("Y", 4, 5, None), ("X", 4, 4, None)])
+    def test_matches_exact_elimination(self, family, n, k, mu):
+        locus = enumerate_locus(family, n, k, mu=mu)
+        assert vanishing_ideal(locus) == harmonics._exact_vanishing_ideal(locus)
+
+    def test_full_grid_is_the_power_ideal(self):
+        # X(4, 5), 625 points: compared with <x_i^5 - 1> directly, since the
+        # exact elimination takes minutes.
+        field = cyclo_field(5)
+        gens = []
+        for i in range(4):
+            e = tuple(5 if j == i else 0 for j in range(4))
+            gens.append(MultiPoly(field, 4, {e: field.one, (0, 0, 0, 0): -field.one}))
+        assert vanishing_ideal(enumerate_locus("X", 4, 5)) == GroebnerBasis(field, 4, tuple(gens))
+
+    def test_non_integer_coordinates(self):
+        assert any(x.denominator == 2 for x in _coords(vanishing_ideal(HALF_LOCUS)))
+        assert RAT(-96, 49) in _coords(vanishing_ideal(RATIONAL_LOCUS))
+
+    def test_small_primes_combine_by_crt(self, monkeypatch):
+        exact = harmonics._exact_vanishing_ideal(RATIONAL_LOCUS)
+        moduli = []
+        reconstruct = interpolation.rational_reconstruction
+
+        def spy(r, m):
+            moduli.append(m)
+            return reconstruct(r, m)
+
+        monkeypatch.setattr(interpolation, "PRIME_CEILING", 2**8)
+        monkeypatch.setattr(interpolation, "rational_reconstruction", spy)
+        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
+        assert vanishing_ideal(RATIONAL_LOCUS) == exact
+        assert max(moduli) > 2**8  # a product of several primes
+
+    @pytest.mark.parametrize("order", [(13, 19, 31, 37), (19, 13, 31, 37)])
+    def test_unlucky_prime_is_outvoted(self, order, monkeypatch):
+        # Mod 13 both primitive sixth roots agree on a staircase that is not the
+        # true one; whether 13 comes first or later, the least staircase wins.
+        exact = harmonics._exact_vanishing_ideal(UNLUCKY_13_LOCUS)
+        reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
+        roots = interpolation.primitive_roots(6, 13)
+        stds, _ = interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots)
+        assert sorted(stds) != sorted(exact.quotient_basis().all_monomials())
+
+        monkeypatch.setattr(interpolation, "split_primes", lambda k: iter(order))
+        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
+        assert vanishing_ideal(UNLUCKY_13_LOCUS) == exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(shift_stable_loci())
+    def test_tiny_primes_still_give_the_exact_basis(self, locus):
+        # Below 2^4 some primes are too small to reconstruct with, or their
+        # roots disagree on the staircase; more primes or the fallback still
+        # give the exact basis.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interpolation, "PRIME_CEILING", 2**4)
+            assert vanishing_ideal(locus) == harmonics._exact_vanishing_ideal(locus)
+
+    def test_no_primes_falls_back_to_exact(self, monkeypatch):
+        locus = enumerate_locus("Z", 4, 3)
+        modular = vanishing_ideal(locus)
+        exact = harmonics._exact_vanishing_ideal
+        calls = []
+
+        def counted(lc):
+            calls.append(lc)
+            return exact(lc)
+
+        monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
+        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", counted)
+        assert vanishing_ideal(locus) == modular
+        assert calls == [locus]
+
+    def test_rational_reconstruction(self):
+        m = 1000003 * 998244353
+        for a, b in [(0, 1), (1, 1), (-1, 1), (1, 2), (-96, 49), (12345, 678)]:
+            assert interpolation.rational_reconstruction(a * pow(b, -1, m) % m, m) == RAT(a, b)
+        # Modulo 7 only 0 and +-1 have numerator and denominator within sqrt(7/2).
+        lifted = [interpolation.rational_reconstruction(r, 7) for r in range(7)]
+        assert lifted == [0, 1, None, None, None, None, -1]
+
+    def test_miller_rabin_matches_a_sieve(self):
+        limit = 20000
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for i in range(2, isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if interpolation.is_prime(n)] == [n for n in range(limit) if sieve[n]]
+        # Strong pseudoprimes to the bases 2..7 and 2..23, and numbers near the prime ceiling.
+        assert not interpolation.is_prime(3825123056546413051)
+        assert not interpolation.is_prime(3215031751)
+        assert interpolation.is_prime(2**61 - 1)
+        assert not interpolation.is_prime(2**62 - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 12])
+    def test_split_primes_and_their_roots(self, k):
+        primes = list(islice(interpolation.split_primes(k), 3))
+        assert primes == sorted(primes, reverse=True)
+        assert 2**61 < primes[-1] < primes[0] < 2**62
+        for p in primes:
+            assert interpolation.is_prime(p) and (p - 1) % k == 0
+            roots = interpolation.primitive_roots(k, p)
+            assert len(set(roots)) == cyclo_field(k).degree
+            for omega in roots:
+                assert pow(omega, k, p) == 1
+                assert all(pow(omega, j, p) != 1 for j in range(1, k))
 
 
 class TestAssociatedGraded:
@@ -369,6 +563,16 @@ class TestGradedFrobenius:
         with pytest.raises(ResourceBudgetError):
             graded_frobenius(locus, max_vars=1)
         assert graded_frobenius(locus, max_points=9) is graded_frobenius(locus)
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE_SIZE", 3)
+        loci = [enumerate_locus("X", 1, k) for k in range(1, 7)]
+        for locus in loci:
+            graded_frobenius(locus)
+            assert len(harmonics._FROBENIUS_CACHE) <= 3
+        # The oldest entries went first.
+        assert list(harmonics._FROBENIUS_CACHE) == [("X", 1, k, None, None) for k in (4, 5, 6)]
 
     def test_trivial_multiplicity_counts_orbits(self):
         from orbitsieve.loci import orbit_set

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitsieve.errors import DomainError
 from orbitsieve.loci import Action, apply_action, enumerate_locus
@@ -103,6 +105,29 @@ def test_polynomial_counts_cardinality_at_one():
     for family, kwargs in cases:
         inst = build_instance(family, **kwargs)
         assert inst.polynomial.evaluate(1, 1) == inst.size, (family, kwargs)
+
+
+@st.composite
+def sieving_cases(draw):
+    """A supported family with small parameters it accepts."""
+    family = draw(st.sampled_from(SIEVING_FAMILIES))
+    if family == "springer-bicsp":
+        return family, {"n": draw(st.integers(1, 5))}
+    if family.startswith("tanisaki"):
+        mu = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        assume(sum(mu) <= 7 and (family != "tanisaki-graph" or sum(mu) % 2 == 0))
+        return family, {"mu": mu}
+    n = draw(st.integers(1, 6))
+    assume(not family.startswith("graph") or n % 2 == 0)
+    return family, {"n": n, "k": draw(st.integers(1, 4))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sieving_cases())
+def test_every_closed_form_counts_its_set_at_one(case):
+    family, params = case
+    inst = build_instance(family, **params)
+    assert inst.polynomial.evaluate(1, 1) == inst.size, case
 
 
 def test_empty_parameter_ranges_give_zero_polynomials():
