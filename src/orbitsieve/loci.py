@@ -10,9 +10,10 @@ carry the induced value-shift action on canonical labels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from typing import Iterator
+from itertools import count, permutations, product
+from typing import Iterable
 
 from .errors import DomainError, InternalCheckError
 from .tableaux import Word, content_of_word, multiset_permutations
@@ -213,6 +214,11 @@ def count_fixed(locus: Locus, action: Action, times: int = 1) -> int:
     return fixed
 
 
+def fixed_points(images: Iterable[int]) -> int:
+    """Number of indices i whose image (the i-th entry) is i."""
+    return sum(map(operator.eq, images, count()))
+
+
 # -- orbit sets --------------------------------------------------------------------------
 
 
@@ -258,16 +264,16 @@ class OrbitSet:
         shifted = tuple((x - 1 + shift) % self.k + 1 for x in w)
         return canonical_form(shifted, self.group, self.k)
 
+    def shift_permutation(self, shift: int) -> list[int]:
+        """Index of each label's image under the value shift; checks closure."""
+        position = {label: i for i, label in enumerate(self.labels)}
+        try:
+            return [position[self.shifted_label(label, shift)] for label in self.labels]
+        except KeyError:
+            raise InternalCheckError("value shift does not preserve the orbit set") from None
+
     def count_shift_fixed(self, shift: int) -> int:
-        label_set = set(self.labels)
-        fixed = 0
-        for label in self.labels:
-            image = self.shifted_label(label, shift)
-            if image not in label_set:
-                raise InternalCheckError("value shift does not preserve the orbit set")
-            if image == label:
-                fixed += 1
-        return fixed
+        return fixed_points(self.shift_permutation(shift))
 
 
 def orbit_set(locus: Locus, group: str) -> OrbitSet:

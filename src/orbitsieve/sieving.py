@@ -6,7 +6,11 @@ root-of-unity evaluations must count fixed points.  The binding convention is fi
 throughout and recorded in every report: q tracks the value-shift action, t tracks the
 position action.  Verification is exhaustive and exact: for every group element the
 fixed points are counted directly and compared with the cyclotomic evaluation of the
-polynomial, with no numerical tolerance anywhere.
+polynomial, with no numerical tolerance anywhere.  Each generator's image of every
+element of the set is computed once, which turns the generator into a permutation of
+indices and checks that the set is closed under it (a generator is injective, so
+closure under the generators is closure under the group); every group element is
+then counted over the whole set on compositions of those index permutations.
 
 ``oracle_csp_poly`` rebuilds a sieving polynomial from first principles (graded
 Frobenius of the associated-graded quotient, restricted to subgroup invariants) so the
@@ -15,6 +19,7 @@ closed forms above can be cross-checked against an independent derivation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +28,7 @@ from .characters import invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
-from .loci import Action, Locus, apply_action, enumerate_locus, orbit_set, symmetry_steps
+from .loci import Action, Locus, apply_action, enumerate_locus, fixed_points, orbit_set, symmetry_steps
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
@@ -365,30 +370,52 @@ def _rotation_binding(n: int) -> dict:
     return {"action": "position-rotation", "order": n}
 
 
-def _word_fixed_fn(locus: Locus, action_q: Action, action_t: Action) -> Callable[[int, int], int]:
-    members = set(locus.words)
+class _Powers:
+    """Powers of one permutation of indices, composed on demand.
+
+    Composition stops when the identity comes back, so the order used to reduce
+    exponents is the permutation's own, never a declared ``Action.order``.
+    """
+
+    def __init__(self, perm: list[int]):
+        self._perm = perm
+        self._powers = [list(range(len(perm)))]
+        self._order: int | None = None
+
+    def __getitem__(self, exponent: int) -> list[int]:
+        if exponent < 0:
+            raise DomainError("negative action power")
+        while self._order is None and len(self._powers) <= exponent:
+            power = [self._perm[i] for i in self._powers[-1]]
+            if power == self._powers[0]:
+                self._order = len(self._powers)
+            else:
+                self._powers.append(power)
+        return self._powers[exponent % self._order if self._order else exponent]
+
+
+def _word_grid(locus: Locus, action_q: Action, action_t: Action) -> tuple[Callable[..., int], Callable[[], bool]]:
+    """``fixed_count`` and the commute check, on the generators as permutations of
+    word indices.  Each generator is applied once per word, on first use; closure
+    under both generators is closure under every element, as they are injective."""
+
+    @functools.cache
+    def generators() -> tuple[_Powers, _Powers]:
+        index = {w: i for i, w in enumerate(locus.words)}
+        try:
+            return tuple(_Powers([index[apply_action(a, w)] for w in locus.words]) for a in (action_q, action_t))
+        except KeyError:
+            raise InternalCheckError("action does not preserve the locus") from None
 
     def fixed(r: int, s: int) -> int:
-        count = 0
-        for w in locus.words:
-            image = apply_action(action_q, apply_action(action_t, w, s), r)
-            if image not in members:
-                raise InternalCheckError("action does not preserve the locus")
-            if image == w:
-                count += 1
-        return count
+        shifts, moves = generators()
+        return fixed_points(map(shifts[r].__getitem__, moves[s]))
 
-    return fixed
-
-
-def _word_commute_fn(locus: Locus, action_q: Action, action_t: Action) -> Callable[[], bool]:
     def commutes() -> bool:
-        return all(
-            apply_action(action_q, apply_action(action_t, w)) == apply_action(action_t, apply_action(action_q, w))
-            for w in locus.words
-        )
+        shift, move = (powers[1] for powers in generators())
+        return [shift[i] for i in move] == [move[i] for i in shift]
 
-    return commutes
+    return fixed, commutes
 
 
 def word_bicsp_instance(
@@ -413,16 +440,17 @@ def word_bicsp_instance(
     all_notes = (_BINDING_NOTE,) + tuple(notes)
     if locus.infeasible:
         all_notes = all_notes + ("the parameter range admits no words; every row checks 0 = 0",)
+    fixed, commutes = _word_grid(locus, shift, position_action)
     return SievingInstance(
         family,
         locus.describe(),
         polynomial,
         shift.order,
-        _word_fixed_fn(locus, shift, position_action),
+        fixed,
         binding,
         order_t=position_action.order,
         notes=all_notes,
-        commutes=_word_commute_fn(locus, shift, position_action),
+        commutes=commutes,
     )
 
 
@@ -433,8 +461,12 @@ def _orbit_instance(family: str, locus: Locus, group: str, polynomial: SparsePol
     params = locus.describe()
     params["group"] = group
 
+    @functools.cache
+    def shifts() -> _Powers:
+        return _Powers(orbits.shift_permutation(step))
+
     def fixed(r: int) -> int:
-        return orbits.count_shift_fixed((step * r) % locus.k)
+        return fixed_points(shifts()[r])
 
     all_notes = (_BINDING_NOTE,) + tuple(notes)
     if locus.infeasible:

@@ -1,0 +1,20 @@
+"""Hypothesis strategies for small loci, shared by the test modules."""
+
+from hypothesis import strategies as st
+
+from orbitsieve.loci import Locus
+
+
+@st.composite
+def shift_stable_loci(draw):
+    """Up to 8 words of length <= 3 over {1..k}, k <= 6, closed under a step-a value shift."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    seeds = draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1, max_size=4))
+    words: set = set()
+    for w in seeds:
+        orbit = {tuple((x - 1 + a * j) % k + 1 for x in w) for j in range(k // a)}
+        if len(words | orbit) <= 8:
+            words |= orbit
+    return Locus("tanisaki", n, k, tuple(sorted(words)), a=a)

@@ -15,7 +15,6 @@ from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from orbitsieve import harmonics, interpolation
 from orbitsieve.characters import subgroup_elements
@@ -42,6 +41,8 @@ from orbitsieve.loci import Locus, enumerate_locus
 from orbitsieve.qpoly import SparsePoly, q_int
 from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
+
+from locus_strategies import shift_stable_loci
 
 
 def naive_vanishing_ideal(locus):
@@ -168,21 +169,6 @@ def _coords(gb):
 
 def _no_fallback(locus):
     raise AssertionError("the modular path gave no certified basis")
-
-
-@st.composite
-def shift_stable_loci(draw):
-    """Up to 8 words of length <= 3 over {1..k}, k <= 6, closed under a step-a value shift."""
-    k = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 3))
-    a = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
-    seeds = draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1, max_size=4))
-    words: set = set()
-    for w in seeds:
-        orbit = {tuple((x - 1 + a * j) % k + 1 for x in w) for j in range(k // a)}
-        if len(words | orbit) <= 8:
-            words |= orbit
-    return Locus("tanisaki", n, k, tuple(sorted(words)), a=a)
 
 
 class TestVanishingIdeal:

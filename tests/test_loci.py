@@ -15,6 +15,7 @@ from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.loci import (
     Action,
     Locus,
+    OrbitSet,
     apply_action,
     canonical_form,
     count_fixed,
@@ -224,6 +225,19 @@ class TestOrbitSets:
                 label = canonical_form(w, group, 3)
                 shifted = tuple(x % 3 + 1 for x in w)
                 assert canonical_form(shifted, group, 3) == orbits.shifted_label(label, 1)
+
+    def test_shift_permutation(self):
+        orbits = orbit_set(enumerate_locus("X", 2, 2), "Cn")
+        assert orbits.shift_permutation(1) == [2, 1, 0]
+        assert orbits.shift_permutation(0) == orbits.shift_permutation(2) == [0, 1, 2]
+
+    def test_labels_not_closed_under_the_shift_rejected(self):
+        orbits = OrbitSet("Cn", 2, 2, ((1, 1),), {(1, 1): (1, 1)})
+        assert orbits.count_shift_fixed(0) == 1
+        with pytest.raises(InternalCheckError):
+            orbits.shift_permutation(1)
+        with pytest.raises(InternalCheckError):
+            orbits.count_shift_fixed(1)
 
     def test_hr_requires_even_n(self):
         with pytest.raises(DomainError):

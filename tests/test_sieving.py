@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitsieve.errors import DomainError
-from orbitsieve.loci import Action, apply_action, enumerate_locus
+from orbitsieve import sieving
+from orbitsieve.errors import DomainError, InternalCheckError
+from orbitsieve.loci import Action, Locus, apply_action, canonical_form, enumerate_locus, orbit_set
 from orbitsieve.qpoly import SparsePoly, q_binomial
 from orbitsieve.sieving import (
     SIEVING_FAMILIES,
@@ -21,6 +22,8 @@ from orbitsieve.sieving import (
     verify_family,
     word_bicsp_instance,
 )
+
+from locus_strategies import shift_stable_loci
 
 
 def poly_dict(p):
@@ -258,6 +261,187 @@ def test_regular_position_elements_of_adjacent_order():
         assert report.binding["t"]["action"] == "position-permutation"
         assert report.binding["t"]["order"] == n - 1
         assert report.all_ok, [r for r in report.rows if not r["ok"]]
+
+
+# -- fixed-point grids against a brute-force scan -----------------------------------------
+
+
+def brute_grid(words, shift, position, rs, ss):
+    """Fixed points of shift^r position^s for every (r, s), each word moved by apply_action;
+    None if some image leaves the set."""
+    members = set(words)
+    grid = {}
+    for r in rs:
+        for s in ss:
+            images = [apply_action(shift, apply_action(position, w, s), r) for w in words]
+            if not members.issuperset(images):
+                return None
+            grid[(r, s)] = sum(image == w for image, w in zip(images, words))
+    return grid
+
+
+def verified_grid(inst):
+    return {(row["r"], row["s"]): row["fixed"] for row in verify_bicsp(inst).rows}
+
+
+def word_instance(locus, position):
+    return word_bicsp_instance("custom", locus, position, SparsePoly.zero())
+
+
+def shift_of(locus):
+    return Action.value_shift(locus.scaling_step, locus.k)
+
+
+@pytest.mark.parametrize(
+    "family,kwargs,locus_args",
+    [
+        ("word-bicsp-X", dict(n=3, k=3), ("X", 3, 3)),
+        ("word-bicsp-Y", dict(n=3, k=4), ("Y", 3, 4)),
+        ("word-bicsp-Z", dict(n=4, k=3), ("Z", 4, 3)),
+        ("tanisaki-bicsp", dict(mu=(2, 1, 2, 1), a=2), ("tanisaki", 6, 4)),
+        ("tanisaki-bicsp", dict(mu=(2, 2, 1)), ("tanisaki", 5, 3)),
+        ("springer-bicsp", dict(n=4), ("springer", 4, 4)),
+        ("word-bicsp-Y", dict(n=4, k=3), ("Y", 4, 3)),
+    ],
+)
+def test_word_grid_equals_brute_force(family, kwargs, locus_args):
+    inst = build_instance(family, **kwargs)
+    locus = enumerate_locus(*locus_args, mu=kwargs.get("mu"), a=kwargs.get("a"))
+    rotation = Action.position_rotation(locus.n)
+    expected = brute_grid(locus.words, shift_of(locus), rotation, range(inst.order_q), range(inst.order_t))
+    assert verified_grid(inst) == expected
+    if locus.infeasible:
+        assert set(expected.values()) == {0}
+
+
+def test_each_generator_moves_each_word_once(monkeypatch):
+    moved = []
+
+    def counting_apply_action(action, w, times=1):
+        moved.append(times)
+        return apply_action(action, w, times)
+
+    monkeypatch.setattr(sieving, "apply_action", counting_apply_action)
+    inst = build_instance("word-bicsp-Z", n=4, k=3)
+    assert moved == []
+    verify_bicsp(inst)
+    assert moved == [1] * (2 * inst.size)
+
+
+@pytest.mark.parametrize(
+    "n,position",
+    [
+        (4, Action.permutation((1, 2, 0, 3))),
+        (5, Action.permutation((1, 2, 3, 0, 4))),
+        (4, Action.composite([Action.position_rotation(4), Action.permutation((1, 0, 2, 3))])),
+    ],
+)
+def test_springer_grid_under_other_position_actions(n, position):
+    locus = enumerate_locus("springer", n)
+    expected = brute_grid(locus.words, shift_of(locus), position, range(n), range(position.order))
+    assert verified_grid(word_instance(locus, position)) == expected
+
+
+def test_fixed_count_is_exact_beyond_the_declared_orders():
+    # The 3-cycle declared with order 2: exponents are never reduced by a declared order.
+    locus = enumerate_locus("springer", 4)
+    position = Action.permutation((1, 2, 0, 3), order=2)
+    inst = word_instance(locus, position)
+    grid = {(r, s): inst.fixed_count(r, s) for r in range(10) for s in range(8)}
+    assert grid == brute_grid(locus.words, shift_of(locus), position, range(10), range(8))
+    locus = enumerate_locus("X", 3, 2)
+    inst = build_instance("word-bicsp-X", n=3, k=2)
+    rotation = Action.position_rotation(3)
+    for r, s in [(5, 0), (0, 7), (9, 11), (100, 301)]:
+        assert inst.fixed_count(r, s) == brute_grid(locus.words, shift_of(locus), rotation, [r], [s])[(r, s)]
+
+
+def test_negative_exponents_rejected():
+    inst = build_instance("word-bicsp-X", n=2, k=2)
+    for r, s in [(-1, 0), (0, -1), (-2, -3)]:
+        with pytest.raises(DomainError):
+            inst.fixed_count(r, s)
+    with pytest.raises(DomainError):
+        build_instance("necklace-X", n=3, k=2).fixed_count(-1)
+
+
+def test_locus_not_preserved_by_the_value_shift_is_an_internal_error():
+    # {11} is closed under rotation, but the shift sends it to 22.
+    inst = word_instance(Locus("X", 2, 2, ((1, 1),)), Action.position_rotation(2))
+    with pytest.raises(InternalCheckError):
+        verify_bicsp(inst)
+
+
+def test_locus_not_preserved_by_the_position_action_is_an_internal_error():
+    # {112, 221} is closed under the shift, but the rotation sends 112 to 121.
+    inst = word_instance(Locus("X", 3, 2, ((1, 1, 2), (2, 2, 1))), Action.position_rotation(3))
+    with pytest.raises(InternalCheckError):
+        verify_bicsp(inst)
+
+
+def test_commute_check_of_a_word_instance_runs():
+    inst = build_instance("word-bicsp-Z", n=4, k=3)
+    assert inst._commutes() is True
+    assert word_instance(enumerate_locus("springer", 4), Action.permutation((1, 2, 0, 3)))._commutes() is True
+
+
+def close_under(words, position):
+    closed = set(words)
+    frontier = list(closed)
+    while frontier:
+        image = apply_action(position, frontier.pop())
+        if image not in closed:
+            closed.add(image)
+            frontier.append(image)
+    return tuple(sorted(closed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_stable_loci(), st.data())
+def test_grid_equals_brute_force_on_random_sets(locus, data):
+    position = Action.permutation(data.draw(st.permutations(range(locus.n))))
+    shift = shift_of(locus)
+    grid = brute_grid(locus.words, shift, position, range(shift.order), range(position.order))
+    if grid is None:
+        with pytest.raises(InternalCheckError):
+            verify_bicsp(word_instance(locus, position))
+        locus = Locus(locus.family, locus.n, locus.k, close_under(locus.words, position), a=locus.a)
+        grid = brute_grid(locus.words, shift, position, range(shift.order), range(position.order))
+    assert verified_grid(word_instance(locus, position)) == grid
+
+
+def recanonicalised_count(orbits, shift):
+    """Labels whose representative, shifted and put in canonical form, gives the label back."""
+    return sum(
+        canonical_form(tuple((x - 1 + shift) % orbits.k + 1 for x in orbits.rep(label)), orbits.group, orbits.k)
+        == label
+        for label in orbits.labels
+    )
+
+
+@pytest.mark.parametrize(
+    "family,kwargs,locus_args",
+    [
+        ("wcomp-csp", dict(n=4, k=3), ("X", 4, 3)),
+        ("necklace-X", dict(n=4, k=3), ("X", 4, 3)),
+        ("graph-X", dict(n=4, k=3), ("X", 4, 3)),
+        ("subset-csp", dict(n=3, k=6), ("Y", 3, 6)),
+        ("necklace-Y", dict(n=3, k=6), ("Y", 3, 6)),
+        ("graph-Z", dict(n=4, k=4), ("Z", 4, 4)),
+        ("tanisaki-trivial", dict(mu=(2, 1, 2, 1), a=2), ("tanisaki", 6, 4)),
+        ("tanisaki-necklace", dict(mu=(2, 1, 2, 1), a=2), ("tanisaki", 6, 4)),
+        ("tanisaki-graph", dict(mu=(2, 1, 2, 1), a=2), ("tanisaki", 6, 4)),
+        ("tanisaki-necklace", dict(mu=(2, 2, 2)), ("tanisaki", 6, 3)),
+    ],
+)
+def test_orbit_counts_equal_recanonicalised_counts(family, kwargs, locus_args):
+    inst = build_instance(family, **kwargs)
+    locus = enumerate_locus(*locus_args, mu=kwargs.get("mu"), a=kwargs.get("a"))
+    orbits = orbit_set(locus, inst.params["group"])
+    for shift in range(0, locus.k, locus.scaling_step):
+        assert orbits.count_shift_fixed(shift) == recanonicalised_count(orbits, shift)
+    for r in range(2 * inst.order_q + 1):
+        assert inst.fixed_count(r) == recanonicalised_count(orbits, locus.scaling_step * r % locus.k)
 
 
 # -- report structure ---------------------------------------------------------------------
