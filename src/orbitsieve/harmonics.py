@@ -3,21 +3,25 @@
 Words are embedded as points with root-of-unity coordinates (letter j becomes
 zeta_k^j), so value shifts act by scaling and position permutations by permuting
 coordinates.  The vanishing ideal I(X) comes from Buchberger-Moller interpolation
-(``interpolation``): elimination over F_p for primes p = 1 mod k, once for each
-primitive k-th root of unity mod p standing in for zeta_k, with the coefficients
-lifted to Q(zeta_k) by interpolation at those roots, CRT over primes and rational
-reconstruction.  A lifted basis is returned only after an exact certificate here
-(monic generators with standard tails, antichain leads, |X| standard monomials,
-vanishing at every point), which proves it is the reduced one.  If no prime
-yields a certified basis, the elimination runs over Q; that path is also the
-tests' reference.
+(``interpolation``): elimination over F_p for primes p = 1 mod k, with a
+primitive k-th root of unity mod p standing in for zeta_k.  A locus closed under
+scaling its letters by every unit mod k has a rational basis, and one root per
+prime gives it; any other locus is eliminated once for each primitive root and
+interpolated at those roots.  CRT over primes and rational reconstruction lift
+the coefficients to Q(zeta_k).  A lifted basis is returned only after an exact
+certificate here (monic generators with standard tails, antichain leads, |X|
+standard monomials, vanishing at every point), which proves it is the reduced
+one.  If no prime yields a certified basis, the elimination runs over Q; that
+path is also the tests' reference.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
 pass is needed; the standard monomials of T(X) give the Hilbert series and its
-permutation traces give the graded Frobenius image.  Buchberger's algorithm
-remains for the stated presentations, which are given by generators rather than
-by points.
+permutation traces give the graded Frobenius image.  The traces are read modulo
+a split prime: S_n preserves the locus (checked), so each is an integer no larger
+than its piece's dimension, and every class' traces must add up to the words its
+permutation fixes.  Buchberger's algorithm remains for the stated presentations,
+which are given by generators rather than by points.
 
 Every result is exact: modular arithmetic only proposes a basis, which exact
 arithmetic certifies.  The monomial order is graded reverse lexicographic
@@ -36,10 +40,12 @@ from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
 from .interpolation import (
     Exponents,
-    alive_monomials,
     grevlex_key,
     modular_lifts,
+    primitive_roots,
     rational_elimination,
+    split_primes,
+    successors,
 )
 from .loci import Locus
 from .qpoly import SparsePoly
@@ -236,7 +242,13 @@ class GroebnerBasis:
         self._leads = tuple(g.leading_term()[0] for g in self.gens)
         if any(g.terms[lt] != field.one for g, lt in zip(self.gens, self._leads)):
             raise InternalCheckError("Groebner basis generator is not monic")
+        self._tails = tuple(
+            tuple((e, c) for e, c in g.terms.items() if e != lt) for g, lt in zip(self.gens, self._leads)
+        )
         self._nf_cache: dict[Exponents, dict[Exponents, CycloElement]] = {}
+        # Per prime p: the tails mapped to F_p and their normal-form cache, or None
+        # when p divides a coefficient denominator.
+        self._nf_mod: dict[int, tuple | None] = {}
         self._qb: QuotientBasis | None = None
 
     def leading_exponents(self) -> tuple[Exponents, ...]:
@@ -253,7 +265,54 @@ class GroebnerBasis:
 
     def nf_monomial(self, e: Exponents) -> dict[Exponents, CycloElement]:
         """Normal form of x^e as a map from standard exponents to coefficients."""
-        cache = self._nf_cache
+        return self._normal_form_walk(e, self._tails, self._nf_cache, self.field.one, None)
+
+    def trace_prime(self, bound: int) -> int:
+        """The largest split prime p > bound that divides no coefficient denominator.
+
+        Primes are p = 1 mod k (``interpolation.split_primes``), so zeta_k maps to
+        omega, the first primitive k-th root mod p, and every coefficient has an
+        image in F_p.  ``nf_monomial_mod`` then reads normal forms modulo p.
+        """
+        for p in split_primes(self.field.order):
+            if p <= bound:
+                break
+            if p not in self._nf_mod:
+                self._nf_mod[p] = self._tails_mod(p)
+            if self._nf_mod[p] is not None:
+                return p
+        raise InternalCheckError(f"no split prime above {bound} for the field of order {self.field.order}")
+
+    def nf_monomial_mod(self, e: Exponents, p: int) -> dict[Exponents, int]:
+        """nf_monomial(e) mapped to F_p, for p from ``trace_prime``.
+
+        The generators are monic, so a reduction only adds and multiplies, and
+        the walk mod p gives the image of the exact normal form.
+        """
+        tails, cache = self._nf_mod[p]
+        return self._normal_form_walk(e, tails, cache, 1, p)
+
+    def _tails_mod(self, p: int):
+        """(tails with coefficients in F_p, empty cache), or None if p divides a denominator."""
+        omega = primitive_roots(self.field.order, p)[0]
+        powers = [pow(omega, i, p) for i in range(self.field.degree)]
+        tails = []
+        for tail in self._tails:
+            row = []
+            for te, tc in tail:
+                image = 0
+                for x, power in zip(tc.coords, powers):
+                    if x:
+                        num, den = int(x.numerator), int(x.denominator)
+                        if den % p == 0:
+                            return None
+                        image += num * pow(den, -1, p) * power
+                row.append((te, image % p))
+            tails.append(tuple(row))
+        return tuple(tails), {}
+
+    def _normal_form_walk(self, e: Exponents, tails, cache: dict, one, p: int | None) -> dict:
+        """Normal form of x^e from the generators' tails, exactly (p None) or modulo p."""
         stack = [e]
         while stack:
             cur = stack[-1]
@@ -262,36 +321,25 @@ class GroebnerBasis:
                 continue
             idx = self._divisor(cur)
             if idx is None:
-                cache[cur] = {cur: self.field.one}
+                cache[cur] = {cur: one}
                 stack.pop()
                 continue
-            g = self.gens[idx]
-            lt = self._leads[idx]
-            shift = tuple(a - b for a, b in zip(cur, lt))
+            shift = tuple(a - b for a, b in zip(cur, self._leads[idx]))
             # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
             # only the shifted tail survives.
-            deps = []
-            for te in g.terms:
-                if te != lt:
-                    deps.append(tuple(a + b for a, b in zip(shift, te)))
-            missing = [d for d in deps if d not in cache]
+            deps = [(tuple(a + b for a, b in zip(shift, te)), tc) for te, tc in tails[idx]]
+            missing = [d for d, _ in deps if d not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            acc: dict[Exponents, CycloElement] = {}
-            for te, tc in g.terms.items():
-                if te == lt:
-                    continue
-                sub = cache[tuple(a + b for a, b in zip(shift, te))]
-                for se, sc in sub.items():
+            acc: dict = {}
+            for d, tc in deps:
+                for se, sc in cache[d].items():
                     v = tc * sc
-                    curv = acc.get(se)
-                    val = curv - v if curv is not None else -v
-                    if val:
-                        acc[se] = val
-                    elif curv is not None:
-                        del acc[se]
-            cache[cur] = acc
+                    acc[se] = acc[se] - v if se in acc else -v
+            if p is not None:
+                acc = {se: c % p for se, c in acc.items()}
+            cache[cur] = {se: c for se, c in acc.items() if c}
             stack.pop()
         return cache[e]
 
@@ -366,23 +414,23 @@ class QuotientBasis:
 
 
 def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
+    """Standard monomials degree by degree: a monomial is standard when it is not
+    a leading exponent and its one-step predecessors are all standard."""
     leads = gb.leading_exponents()
     n = gb.nvars
     for i in range(n):
         if not any(all(e == 0 for j, e in enumerate(lt) if j != i) for lt in leads):
             raise DomainError("quotient is not finite-dimensional (no pure power in the leading terms)")
+    lead_set = set(leads)
     levels: list[tuple[Exponents, ...]] = []
     total = 0
-    d = 0
-    while True:
-        alive = tuple(alive_monomials(d, n, leads))
-        if not alive:
-            break
-        total += len(alive)
+    level = [e for e in [(0,) * n] if e not in lead_set]
+    while level:
+        total += len(level)
         if total > MAX_QUOTIENT_DIM:
             raise ResourceBudgetError(f"quotient dimension exceeds the budget {MAX_QUOTIENT_DIM}")
-        levels.append(alive)
-        d += 1
+        levels.append(tuple(level))
+        level = [e for e in successors(level, n) if e not in lead_set]
     return QuotientBasis(n, tuple(levels))
 
 
@@ -506,11 +554,14 @@ def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
 
     Grevlex refines total degree, so each top component keeps its generator's
     monic leading term and its tail stays standard; the components therefore form
-    the reduced basis of the graded ideal without a second Buchberger pass.
+    the reduced basis of the graded ideal without a second Buchberger pass.  With
+    the same leads, both bases have the same standard monomials, so gb's quotient
+    basis, if already enumerated, is passed on.
     """
     gb_t = GroebnerBasis(gb.field, gb.nvars, tuple(g.top_component() for g in gb.gens))
     if gb_t.leading_exponents() != gb.leading_exponents():
         raise InternalCheckError("top components changed the leading exponents")
+    gb_t._qb = gb._qb
     return gb_t
 
 
@@ -645,33 +696,42 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
 
 
 def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
-    """Trace of the variable permutation x_i -> x_{w(i)} on each graded piece."""
+    """Trace of the variable permutation x_i -> x_{w(i)} on each graded piece.
+
+    Each trace is taken modulo a split prime p above twice the largest piece
+    dimension (``GroebnerBasis.trace_prime``) and lifted to the residue of least
+    absolute value.  That lift is the exact trace when S_n preserves the ideal:
+    each piece is then an S_n-module, whose traces are integers of absolute value
+    at most its dimension.  A lift beyond the piece dimension raises
+    InternalCheckError; ``graded_frobenius`` checks the stability before and the
+    fixed-word sums after.
+    """
     if sorted(w) != list(range(gb_t.nvars)):
         raise DomainError("w must be a permutation of 0..n-1")
     qb = gb_t.quotient_basis()
-    out = SparsePoly.zero()
+    p = gb_t.trace_prime(2 * max(map(len, qb.by_degree), default=0))
+    terms = {}
     for d, level in enumerate(qb.by_degree):
         std_here = set(level)
-        tr = gb_t.field.zero
+        tr = 0
         for e in level:
             permuted = [0] * len(e)
             for i, exp in enumerate(e):
                 permuted[w[i]] = exp
             pe = tuple(permuted)
             if pe == e:
-                tr = tr + gb_t.field.one
-            elif pe in std_here:
-                continue
-            else:
-                coeff = gb_t.nf_monomial(pe).get(e)
-                if coeff is not None:
-                    tr = tr + coeff
-        if not tr.is_integer():
-            raise InternalCheckError("graded trace is not an integer; ideal is not stable")
-        value = tr.as_int()
-        if value:
-            out = out + SparsePoly.monomial(d, 0, value)
-    return out
+                tr += 1
+            elif pe not in std_here:
+                tr += gb_t.nf_monomial_mod(pe, p).get(e, 0)
+        value = tr % p
+        if value > p // 2:
+            value -= p
+        if abs(value) > len(level):
+            raise InternalCheckError(
+                "graded trace exceeds its piece's dimension; S_n does not preserve the ideal"
+            )
+        terms[(d, 0)] = value
+    return SparsePoly(terms)
 
 
 def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
@@ -683,8 +743,8 @@ def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-# Graded Frobenius images by locus key, oldest first; the oldest is evicted at the bound.
-_FROBENIUS_CACHE: dict[tuple, SchurVector] = {}
+# Graded Frobenius images by locus, oldest first; the oldest is evicted at the bound.
+_FROBENIUS_CACHE: dict[Locus, SchurVector] = {}
 _FROBENIUS_CACHE_SIZE = 256
 
 
@@ -697,16 +757,25 @@ def graded_frobenius(
     """Schur expansion of the graded quotient as a symmetric-group module.
 
     c_lambda(q) = sum over conjugacy classes of (|class|/n!) chi^lambda(class)
-    times the class' graded trace.  Coefficients are checked to be nonnegative
-    integers and the total dimension to be |X|.  Budgets are checked before the
-    cache is consulted, so a cached result never escapes a tighter budget.
+    times the class' graded trace.  The traces are read modulo a prime
+    (``graded_character``), which is exact because S_n preserves the locus: that
+    is checked by brute force first, and a locus it fails raises DomainError.
+    Since R/gr I(X) and C[X] are isomorphic S_n-modules, each class' traces must
+    sum over all degrees to the number of words its permutation fixes.
+    Coefficients are checked to be nonnegative integers and the total dimension
+    to be |X|.  Budgets are checked before the cache is consulted, so a cached
+    result never escapes a tighter budget.
     """
     _check_locus(locus, max_points, max_vars)
-    key = (locus.family, locus.n, locus.k, locus.mu, locus.a)
-    cached = _FROBENIUS_CACHE.get(key)
+    cached = _FROBENIUS_CACHE.get(locus)
     if cached is not None:
         return cached
 
+    n = locus.n
+    words = set(locus.words)
+    for w in locus.words:
+        if w[1:] + w[:1] not in words or (n > 1 and (w[1], w[0]) + w[2:] not in words):
+            raise DomainError("the symmetric group does not preserve the locus")
     gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
     gb_t = associated_graded(gb_i)
     qb = gb_t.quotient_basis()
@@ -715,10 +784,15 @@ def graded_frobenius(
             "graded quotient dimension differs from |X|; top components fail to generate"
         )
 
-    n = locus.n
-    traces = {
-        ct: graded_character(gb_t, _perm_of_cycle_type(ct)) for ct, _ in conjugacy_classes(n)
-    }
+    traces = {}
+    for ct, _ in conjugacy_classes(n):
+        perm = _perm_of_cycle_type(ct)
+        traces[ct] = graded_character(gb_t, perm)
+        fixed = sum(all(w[j] == w[i] for i, j in enumerate(perm)) for w in locus.words)
+        if sum(traces[ct].terms.values()) != fixed:
+            raise InternalCheckError(
+                f"graded traces of class {ct} do not sum to the {fixed} words its permutation fixes"
+            )
     n_fact = math.factorial(n)
     out: dict[tuple[int, ...], SparsePoly] = {}
     for lam in partitions(n):
@@ -748,7 +822,7 @@ def graded_frobenius(
         raise InternalCheckError("graded Frobenius dimensions do not add up to |X|")
     if len(_FROBENIUS_CACHE) >= _FROBENIUS_CACHE_SIZE:
         del _FROBENIUS_CACHE[next(iter(_FROBENIUS_CACHE))]
-    _FROBENIUS_CACHE[key] = frob
+    _FROBENIUS_CACHE[locus] = frob
     return frob
 
 

@@ -3,10 +3,11 @@
 Letter j of a word becomes zeta_k^j, so the value-shift action scales embedded
 points and evaluation vectors split into eigenspaces indexed by degree mod the
 shift order; each eigenspace is determined by the values at orbit
-representatives.  Monomials are visited in ascending grevlex order, skipping
-multiples of leading exponents already found; a monomial whose eigenclass vector
-depends on the earlier standard ones is a leading exponent, and the dependency
-gives its generator's tail.
+representatives.  Monomials are visited degree by degree in ascending grevlex
+order; the candidates of degree d + 1 are the monomials whose one-step
+predecessors were all standard at degree d, so no multiple of a leading exponent
+is visited.  A monomial whose eigenclass vector depends on the earlier standard
+ones is a leading exponent, and the dependency gives its generator's tail.
 
 Two eliminations produce the same data: a layout, listing for each generator its
 leading exponent and the standard monomials of its eigenclass found before it,
@@ -16,10 +17,14 @@ flattened in layout order.
 - ``modular_lifts`` eliminates over F_p for primes p = 1 mod k (Abbott, Bigatti,
   Kreuzer and Robbiano, "Computing ideals of points", 2000; Arnold, "Modular
   algorithms for computing Groebner bases", 2003).  Phi_k splits into linear
-  factors mod p, so each primitive k-th root omega mod p stands in for zeta_k
-  and a monomial gives one scalar row per omega.  Interpolation at the roots,
-  CRT over primes and rational reconstruction lift the coefficients.  A lift is
-  a candidate only: the caller must certify it.
+  factors mod p, so a primitive k-th root omega mod p stands in for zeta_k and a
+  monomial gives one scalar row per omega.  When scaling every letter by each
+  unit u mod k maps the locus to itself, each Galois map zeta -> zeta^u fixes
+  I(X), so the reduced basis is rational and one root per prime gives all of it.
+  Otherwise the elimination runs once for each primitive root and the
+  coefficients are interpolated at the roots.  CRT over primes and rational
+  reconstruction lift them.  A lift is a candidate only: the caller must certify
+  it.
 - ``rational_elimination`` eliminates over Q, each eigenclass vector flattened to
   phi(k) rational rows, one per power of zeta.  It is exact.
 
@@ -35,7 +40,6 @@ from .cyclotomic import cyclo_field
 from .errors import InternalCheckError
 from .loci import Locus
 from .rat import RAT, RAT_ZERO
-from .tableaux import weak_compositions
 
 Exponents = tuple[int, ...]
 
@@ -50,13 +54,37 @@ def grevlex_key(e: Exponents):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def alive_monomials(d: int, n: int, lead_exps) -> list[Exponents]:
-    """Degree-d exponents no leading exponent divides, in ascending grevlex order."""
-    return [
-        e
-        for e in sorted(weak_compositions(d, n), key=grevlex_key)
-        if not any(all(a >= b for a, b in zip(e, lt)) for lt in lead_exps)
-    ]
+def successors(level: list[Exponents], n: int) -> list[Exponents]:
+    """Exponents of degree d + 1 whose one-step predecessors all lie in ``level``.
+
+    With ``level`` the standard exponents of degree d, these are the degree-(d + 1)
+    exponents that no leading exponent of degree <= d divides, in ascending grevlex
+    order.  Each one is built once, from its predecessor at its first nonzero
+    position, and its other predecessors are looked up.
+    """
+    members = set(level)
+    out = []
+    for s in level:
+        first = next((i for i, x in enumerate(s) if x), n - 1)
+        for i in range(first + 1):
+            m = s[:i] + (s[i] + 1,) + s[i + 1 :]
+            if all(m[:j] + (m[j] - 1,) + m[j + 1 :] in members for j in range(first, n) if j != i and m[j]):
+                out.append(m)
+    out.sort(key=grevlex_key)
+    return out
+
+
+def unit_stable(locus: Locus) -> bool:
+    """Whether scaling every letter by each unit u mod k maps the locus to itself.
+
+    Brute force on the words.  Where it holds, each Galois map zeta -> zeta^u
+    sends I(X) to itself and so fixes its reduced basis, whose coefficients are
+    therefore rational.
+    """
+    kk = locus.k
+    words = set(locus.words)
+    units = [u for u in range(2, kk) if math.gcd(u, kk) == 1]
+    return all(tuple((u * x - 1) % kk + 1 for x in w) in words for u in units for w in locus.words)
 
 
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
@@ -203,13 +231,11 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
     stds: list[Exponents] = []
     gens: list[tuple] = []
-    lead_exps: list[Exponents] = []
+    level = [(0,) * n]
     d = 0
-    while True:
-        alive = alive_monomials(d, n, lead_exps)
-        if not alive:
-            break
-        for e in alive:
+    while level:
+        found = []
+        for e in level:
             t = [sum(a * b for a, b in zip(e, w)) % kk for w in reps]
             tails = []
             for pw, by_class in zip(powers, rows_by_root):
@@ -230,12 +256,13 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
                     rows.append((pivot, [-x * inv % p for x in vec], uses, inv))
             if len(tails) == len(roots):
                 gens.append((e, tuple(cls_stds[d % korder]), tails))
-                lead_exps.append(e)
             elif tails:
                 return None
             else:
                 cls_stds[d % korder].append(e)
-                stds.append(e)
+                found.append(e)
+        stds.extend(found)
+        level = successors(found, n)
         d += 1
         if d > locus.size + n * kk:
             raise InternalCheckError("point-ideal elimination failed to terminate")
@@ -245,23 +272,32 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
 def modular_lifts(locus: Locus):
     """Candidate (layout, coordinates) lifts from at most MODULAR_PRIMES split primes.
 
-    A prime whose roots disagree on the staircase is skipped.  Tail coefficients
-    at the phi(k) roots are interpolated to power-basis coordinates mod p and
-    combined over primes with the same staircase by CRT; every prime after which
-    all of them lift by rational reconstruction yields a candidate.
+    A unit-stable locus (see ``unit_stable``) is eliminated at one primitive root
+    per prime, and each tail coefficient c becomes the coordinates (c, 0, ..., 0).
+    Any other locus is eliminated at all phi(k) roots: a prime whose roots
+    disagree on the staircase is skipped, and the tail coefficients at the roots
+    are interpolated to power-basis coordinates mod p.  Coordinates are combined
+    over primes with the same staircase by CRT; every prime after which all of
+    them lift by rational reconstruction yields a candidate.
     """
     phi = cyclo_field(locus.k).degree
     reps = orbit_representatives(locus)
+    rational = unit_stable(locus)
     staircase = None  # (grevlex keys of the standard monomials, layout)
     residues: list[int] = []
     modulus = 1
     for p in islice(split_primes(locus.k), MODULAR_PRIMES):
         roots = primitive_roots(locus.k, p)
+        if rational:
+            roots = roots[:1]
         run = modular_elimination(locus, reps, p, roots)
         if run is None:
             continue
         stds, gens = run
-        vinv = inverse_mod([[pow(omega, j, p) for j in range(phi)] for omega in roots], p)
+        if rational:
+            vinv = [[1]] + [[0]] * (phi - 1)  # c -> (c, 0, ..., 0)
+        else:
+            vinv = inverse_mod([[pow(omega, j, p) for j in range(phi)] for omega in roots], p)
         coords: list[int] = []
         for _, _, tails in gens:
             for values in zip(*tails):
@@ -389,18 +425,16 @@ def rational_elimination(locus: Locus):
         return vec
 
     classes = [_EigenClass() for _ in range(korder)]
-    lead_exps: list[Exponents] = []
     layout: list[tuple] = []
     coords: list = []
     total_std = 0
 
+    level = [(0,) * n]
     d = 0
-    while True:
-        alive = alive_monomials(d, n, lead_exps)
-        if not alive:
-            break
+    while level:
         cls = classes[d % korder]
-        for e in alive:
+        found = []
+        for e in level:
             vec = flat_vector(e, 0)
             uses = cls.reduce(vec)
             if any(vec):
@@ -411,11 +445,12 @@ def rational_elimination(locus: Locus):
                     uj = cls.reduce(vj)
                     cls.insert(vj, uj, (local, j))
                 cls.stds.append(e)
-                total_std += 1
+                found.append(e)
             else:
                 layout.append((e, tuple(cls.stds)))
                 coords.extend(cls.tail_coordinates(uses, phi))
-                lead_exps.append(e)
+        total_std += len(found)
+        level = successors(found, n)
         d += 1
         if d > locus.size + n * kk:
             raise InternalCheckError("point-ideal elimination failed to terminate")

@@ -1,13 +1,16 @@
 """Vanishing ideals, Groebner machinery, and graded Frobenius images.
 
 ``vanishing_ideal`` eliminates over F_p for split primes p = 1 mod k, one
-scalar row per monomial and primitive root, and lifts the coefficients to
-Q(zeta_k) under an exact certificate; the rational eigenclass elimination it
-falls back to is kept and tested equal to it.  The oracle here is a
-deliberately naive Buchberger-Moller: dense evaluation vectors over the
-cyclotomic field, no eigenspace splitting, no modular arithmetic.  Reduced monic
-Groebner bases are unique, so all of them must agree exactly.  A second oracle
-builds I(X) as an iterated product of maximal ideals.
+scalar row per monomial and primitive root (one root only for loci closed under
+scaling letters by units), and lifts the coefficients to Q(zeta_k) under an
+exact certificate; the rational eigenclass elimination it falls back to is kept
+and tested equal to it.  The oracle here is a deliberately naive
+Buchberger-Moller: dense evaluation vectors over the cyclotomic field, no
+eigenspace splitting, no modular arithmetic.  Reduced monic Groebner bases are
+unique, so all of them must agree exactly.  A second oracle builds I(X) as an
+iterated product of maximal ideals.  Standard monomials are compared with a
+filter of every weak composition, and graded traces read modulo a prime with
+traces summed in exact Q(zeta_k).
 """
 
 from itertools import islice
@@ -15,9 +18,10 @@ from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitsieve import harmonics, interpolation
-from orbitsieve.characters import subgroup_elements
+from orbitsieve.characters import conjugacy_classes, sn_character
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
 from orbitsieve.harmonics import (
@@ -45,6 +49,32 @@ from orbitsieve.tableaux import weak_compositions
 from locus_strategies import shift_stable_loci
 
 
+def alive_monomials(d, n, lead_exps):
+    """Reference staircase: degree-d exponents no leading exponent divides, ascending grevlex."""
+    return [
+        e
+        for e in sorted(weak_compositions(d, n), key=grevlex_key)
+        if not any(all(a >= b for a, b in zip(e, lt)) for lt in lead_exps)
+    ]
+
+
+def exact_graded_character(gb_t, w):
+    """Reference graded trace: every coefficient summed in exact Q(zeta_k)."""
+    out = SparsePoly.zero()
+    for d, level in enumerate(gb_t.quotient_basis().by_degree):
+        tr = gb_t.field.zero
+        for e in level:
+            permuted = [0] * len(e)
+            for i, exp in enumerate(e):
+                permuted[w[i]] = exp
+            coeff = gb_t.nf_monomial(tuple(permuted)).get(e)
+            if coeff is not None:
+                tr = tr + coeff
+        assert tr.is_integer()
+        out = out + SparsePoly.monomial(d, 0, tr.as_int())
+    return out
+
+
 def naive_vanishing_ideal(locus):
     """Dense reference Buchberger-Moller over the cyclotomic field."""
     field = cyclo_field(locus.k)
@@ -58,11 +88,7 @@ def naive_vanishing_ideal(locus):
     stds, lead_exps, gens = [], [], []
     d = 0
     while True:
-        alive = [
-            e
-            for e in sorted(weak_compositions(d, n), key=grevlex_key)
-            if not any(all(a >= b for a, b in zip(e, lt)) for lt in lead_exps)
-        ]
+        alive = alive_monomials(d, n, lead_exps)
         if not alive:
             break
         for e in alive:
@@ -169,6 +195,24 @@ def _coords(gb):
 
 def _no_fallback(locus):
     raise AssertionError("the modular path gave no certified basis")
+
+
+def _root_counts(monkeypatch):
+    """Record how many roots each modular elimination runs at."""
+    counts = []
+    eliminate = interpolation.modular_elimination
+
+    def spy(locus, reps, p, roots):
+        counts.append(len(roots))
+        return eliminate(locus, reps, p, roots)
+
+    monkeypatch.setattr(interpolation, "modular_elimination", spy)
+    return counts
+
+
+# The tanisaki loci of ``suite --max-k 4`` whose content is not invariant under
+# scaling letters by the units mod k, so their bases are not rational.
+NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (1, 2, 1))]
 
 
 class TestVanishingIdeal:
@@ -305,6 +349,39 @@ class TestModularElimination:
         assert vanishing_ideal(locus) == modular
         assert calls == [locus]
 
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
+    def test_one_root_matches_all_roots(self, family, n, k, mu, monkeypatch):
+        locus = enumerate_locus(family, n, k, mu=mu)
+        assert interpolation.unit_stable(locus)
+        counts = _root_counts(monkeypatch)
+        one_root = vanishing_ideal(locus)
+        assert set(counts) == {1}
+        monkeypatch.setattr(interpolation, "unit_stable", lambda lc: False)
+        counts.clear()
+        assert vanishing_ideal(locus) == one_root
+        assert set(counts) == {cyclo_field(locus.k).degree}
+
+    @pytest.mark.parametrize("n,mu", NON_UNIT_STABLE_LOCI)
+    def test_non_stable_loci_take_every_root(self, n, mu, monkeypatch):
+        locus = enumerate_locus("tanisaki", n, mu=mu)
+        assert not interpolation.unit_stable(locus)
+        counts = _root_counts(monkeypatch)
+        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
+        gb = vanishing_ideal(locus)
+        assert counts and set(counts) == {cyclo_field(locus.k).degree}
+        assert any(not c.is_rational() for g in gb.gens for c in g.terms.values())
+
+    def test_root_count_reads_the_words_not_the_family(self, monkeypatch):
+        # The shift orbit of (1, 2, 3), named "X": scaling by the unit 2 mod 3
+        # swaps letters 1 and 2, and (2, 1, 3) is not in the set.
+        locus = Locus("X", 3, 3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+        assert not interpolation.unit_stable(locus)
+        counts = _root_counts(monkeypatch)
+        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
+        gb = vanishing_ideal(locus)
+        assert set(counts) == {2}
+        assert gb == naive_vanishing_ideal(locus)
+
     def test_rational_reconstruction(self):
         m = 1000003 * 998244353
         for a, b in [(0, 1), (1, 1), (-1, 1), (1, 2), (-96, 49), (12345, 678)]:
@@ -430,6 +507,29 @@ class TestBuchberger:
         with pytest.raises(ResourceBudgetError):
             gb.quotient_basis()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_standard_monomials_match_the_composition_filter(self, data):
+        # Random lead sets: the pure powers plus a few mixed exponents, reduced
+        # to their minimal elements.
+        n = data.draw(st.integers(1, 4))
+        exps = st.tuples(*[st.integers(0, 4)] * n)
+        leads = [tuple(data.draw(st.integers(1, 5)) if j == i else 0 for j in range(n)) for i in range(n)]
+        leads += data.draw(st.lists(exps.filter(any), max_size=6))
+        antichain = {
+            a for a in leads if not any(b != a and all(x >= y for x, y in zip(a, b)) for b in leads)
+        }
+        field = cyclo_field(1)
+        gb = GroebnerBasis(field, n, tuple(MultiPoly(field, n, {e: field.one}) for e in antichain))
+        expected = []
+        for d in range(5 * n + 1):
+            level = alive_monomials(d, n, antichain)
+            if not level:
+                break
+            expected.append(tuple(level))
+        assert gb.quotient_basis().by_degree == tuple(expected)
+        assert not alive_monomials(len(expected), n, antichain)
+
     def test_rejects_zero_input(self):
         field = cyclo_field(1)
         with pytest.raises(DomainError):
@@ -507,6 +607,27 @@ class TestGradedCharacter:
         with pytest.raises(DomainError):
             graded_character(gb_t, (0, 0))
 
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
+    def test_modular_traces_are_the_exact_ones(self, family, n, k, mu):
+        locus = enumerate_locus(family, n, k, mu=mu)
+        gb_t = associated_graded(vanishing_ideal(locus))
+        for ct, _ in conjugacy_classes(locus.n):
+            w = harmonics._perm_of_cycle_type(ct)
+            assert graded_character(gb_t, w) == exact_graded_character(gb_t, w), ct
+
+    def test_residue_beyond_the_piece_dimension_rejected(self):
+        # <x1 + 5 x2, x2^2> is not S_2-stable: the swap has trace -5 on the
+        # one-dimensional degree-1 piece spanned by x2.
+        field = cyclo_field(1)
+        gens = (
+            MultiPoly(field, 2, {(1, 0): field.one, (0, 1): field.from_int(5)}),
+            MultiPoly(field, 2, {(0, 2): field.one}),
+        )
+        gb_t = GroebnerBasis(field, 2, gens)
+        assert exact_graded_character(gb_t, (1, 0)) == SparsePoly({(0, 0): 1, (1, 0): -5})
+        with pytest.raises(InternalCheckError):
+            graded_character(gb_t, (1, 0))
+
 
 class TestGradedFrobenius:
     def test_grid_two_two(self):
@@ -533,8 +654,6 @@ class TestGradedFrobenius:
                 assert fr.coeff(lam) == fake_degree(lam)
 
     def test_dimensions_add_to_locus_size(self):
-        from orbitsieve.characters import sn_character
-
         for family, n, k, mu in SMALL_LOCI:
             locus = enumerate_locus(family, n, k, mu=mu)
             dims = graded_frobenius(locus).evaluate_at_one()
@@ -558,7 +677,42 @@ class TestGradedFrobenius:
             graded_frobenius(locus)
             assert len(harmonics._FROBENIUS_CACHE) <= 3
         # The oldest entries went first.
-        assert list(harmonics._FROBENIUS_CACHE) == [("X", 1, k, None, None) for k in (4, 5, 6)]
+        assert list(harmonics._FROBENIUS_CACHE) == loci[3:]
+
+    def test_cache_keyed_by_the_words(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        graded_frobenius(enumerate_locus("X", 2, 2))
+        diagonal = Locus("X", 2, 2, ((1, 1), (2, 2)))
+        dims = graded_frobenius(diagonal).evaluate_at_one()
+        assert sum(m * sn_character(lam, (1, 1)) for lam, m in dims.items()) == 2
+
+    def test_locus_not_preserved_by_the_symmetric_group(self, monkeypatch):
+        # Closed under the value shift, but not under the 3-cycle of positions.
+        locus = Locus("X", 3, 2, ((1, 1, 2), (2, 2, 1)))
+        def no_ideal(*args, **kwargs):
+            raise AssertionError("vanishing_ideal ran before the symmetry check")
+
+        monkeypatch.setattr(harmonics, "vanishing_ideal", no_ideal)
+        with pytest.raises(DomainError):
+            graded_frobenius(locus)
+
+    @pytest.mark.parametrize(
+        "family,n,k,mu", [("X", 2, 2, None), ("Z", 3, 2, None), ("springer", 3, None, None)]
+    )
+    def test_corrupted_trace_trips_the_fixed_word_sum(self, family, n, k, mu, monkeypatch):
+        # Every permutation given the identity's trace: the multiplicities stay
+        # nonnegative integers and the dimension stays |X|, so only the fixed
+        # words catch it.
+        locus = enumerate_locus(family, n, k, mu=mu)
+        trace = harmonics.graded_character
+
+        def corrupted(gb_t, w):
+            return trace(gb_t, tuple(range(len(w))))
+
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "graded_character", corrupted)
+        with pytest.raises(InternalCheckError, match="fixes"):
+            graded_frobenius(locus)
 
     def test_trivial_multiplicity_counts_orbits(self):
         from orbitsieve.loci import orbit_set
