@@ -2,7 +2,8 @@
 
 Elements are exact rational coordinate vectors on the power basis 1, x, ..., x^(phi(L)-1)
 modulo the L-th cyclotomic polynomial.  No floating point anywhere: evaluating a sieving
-polynomial at roots of unity reduces exponents mod L and sums power-basis vectors.
+polynomial at roots of unity sums its coefficients by exponent mod L and combines the
+power-basis vectors of the nonzero sums.
 """
 
 from __future__ import annotations
@@ -238,12 +239,15 @@ def eval_at_unity(
 ) -> CycloElement:
     """Evaluate p at q = zeta_L^((L/order_q) r), t = zeta_L^((L/order_t) s), exactly.
 
-    order_q and order_t must divide L; exponents reduce mod L before the table lookup.
+    order_q and order_t must divide L.  The integer coefficients are first summed into
+    L buckets by exponent mod L, so the rational work is one power-table row per
+    nonzero bucket, however many terms p has.
     """
     if order_q < 1 or order_t < 1 or L % order_q or L % order_t:
         raise DomainError("evaluation orders must divide the field order")
     step_q = (L // order_q) * r
     step_t = (L // order_t) * s
-    return cyclo_field(L).power_combination(
-        (c, step_q * eq + step_t * et) for (eq, et), c in p.terms.items()
-    )
+    buckets = [0] * L
+    for (eq, et), c in p.terms.items():
+        buckets[(step_q * eq + step_t * et) % L] += c
+    return cyclo_field(L).power_combination(zip(buckets, range(L)))

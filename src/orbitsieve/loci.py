@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, permutations, product
+from itertools import count, islice, permutations, product
 from typing import Iterable
 
 from .errors import DomainError, InternalCheckError
@@ -276,11 +277,78 @@ class OrbitSet:
         return fixed_points(self.shift_permutation(shift))
 
 
+def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
+    """The locus' necklace labels generated rather than found, or None if unproven.
+
+    Prenecklaces of length n over 1..k come in lex order by the iterative
+    Fredricksen-Kessler-Maiorana step: raise the last letter below k and repeat the
+    prefix up to it.  That prefix is the last Lyndon prefix; the word is a necklace
+    exactly when its length p divides n, and p is then the period.  A prenecklace
+    missing from locus.words skips every prenecklace that shares its prefix with no
+    locus word, so the walk follows the locus rather than all k^n words.
+
+    The necklaces found in locus.words are the labels of a canonical-form walk, each
+    its own first-met representative, once three checks hold: locus.words strictly
+    increases (so it holds |X| distinct words and meets each orbit at its least
+    rotation first), every rotation of every kept label is in it, and the periods sum
+    to |X| (so the kept orbits, disjoint and inside the locus, cover it).  No second
+    container of the words is built.
+    """
+    words, n, k = locus.words, locus.n, locus.k
+    if n < 1 or k < 1 or not all(map(operator.lt, words, islice(words, 1, None))):
+        return None
+    size = len(words)
+    labels = []
+    covered = 0
+    a, p = [1] * n, 1
+    while True:
+        word = tuple(a)
+        at = bisect_left(words, word)
+        if at == size:
+            break
+        found = words[at]
+        if found == word:
+            if n % p == 0:
+                doubled = word + word
+                for j in range(1, p):
+                    rotation = doubled[j : j + n]
+                    # A necklace's rotations all follow it in lex order.
+                    r = bisect_left(words, rotation, at + 1)
+                    if r == size or words[r] != rotation:
+                        return None
+                labels.append(found)  # the locus' own tuple, so no copy of it is kept
+                covered += p
+        else:
+            # No locus word lies strictly between this prenecklace and `found`, so
+            # skip every string sharing their first differing letter's prefix.
+            j = next((j for j, (x, y) in enumerate(zip(word, found)) if x != y), n)
+            a[j + 1 :] = [k] * (n - j - 1)
+        i = n - 1
+        while i >= 0 and a[i] == k:
+            i -= 1
+        if i < 0:
+            break
+        a[i] += 1
+        p = i + 1
+        a = a[:p] * (n // p) + a[: n % p]
+    return tuple(labels) if covered == size else None
+
+
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
+    """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
+
+    Cn labels of a sorted, rotation-closed locus are generated as necklaces
+    (`_generated_necklace_labels`); any other locus takes the canonical-form walk,
+    which gives the same labels and representatives.
+    """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")
     if group == "Hr" and locus.n % 2:
         raise DomainError("matching-stabilizer orbits need even n")
+    if group == "Cn":
+        labels = _generated_necklace_labels(locus)
+        if labels is not None:
+            return OrbitSet(group, locus.n, locus.k, labels, dict(zip(labels, labels)))
     reps: dict = {}
     for w in locus.words:
         label = canonical_form(w, group, locus.k)

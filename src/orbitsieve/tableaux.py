@@ -1,8 +1,10 @@
 """Partitions, tableaux and word combinatorics.
 
 Everything here is finite and exact: enumeration by backtracking, statistics by direct
-counting.  The graded statistics (maj, charge/cocharge, fake degrees) feed the sieving
-polynomials; the enumerations double as oracles for the polynomial identities.
+counting, except that the maj counts of words of a fixed content are read off MacMahon's
+q-multinomial coefficient instead of visiting the words.  The graded statistics (maj,
+charge/cocharge, fake degrees) feed the sieving polynomials; the enumerations double as
+oracles for the polynomial identities.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError
-from .qpoly import SparsePoly, q_factorial, q_int
+from .qpoly import SparsePoly, q_factorial, q_int, q_multinomial
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 WeakComposition = tuple[int, ...]  # nonnegative parts, order significant
@@ -375,9 +377,10 @@ def rsk(word: Word) -> tuple[Tableau, Tableau]:
 def count_maj_divisible(d: int, *, shape: Partition | None = None, content=None) -> int:
     """Count tableaux or words whose maj is divisible by d.
 
-    With shape: standard tableaux of that shape.  With content: words with the given
-    letter multiplicities (their maj distribution depends only on the multiset).
-    Exactly one of the two must be given.
+    With shape: standard tableaux of that shape, counted one by one.  With content:
+    words with the given letter multiplicities, read off MacMahon's theorem that
+    their maj generating function is the q-multinomial coefficient, so no word is
+    visited.  Exactly one of the two must be given.
     """
     if d < 1:
         raise DomainError("divisor must be positive")
@@ -386,4 +389,7 @@ def count_maj_divisible(d: int, *, shape: Partition | None = None, content=None)
     if shape is not None:
         return sum(1 for t in generate_syt(shape) if maj_des(t)[0] % d == 0)
     counts = tuple(int(c) for c in content)
-    return sum(1 for w in multiset_permutations(counts) if word_maj_des(w)[0] % d == 0)
+    if any(c < 0 for c in counts):
+        raise DomainError("negative multiplicity")
+    maj = q_multinomial(sum(counts), counts)
+    return sum(c for (e, _), c in maj.terms.items() if e % d == 0)

@@ -1,11 +1,13 @@
 """Exit codes, output formats, and determinism of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import orbitsieve
 from orbitsieve import cli
 from orbitsieve.cli import main
 from orbitsieve.errors import InternalCheckError
@@ -196,10 +198,14 @@ def test_suite_clamped_runs_all_criteria(capsys):
 
 
 def test_module_entry_point():
+    # The subprocess imports the package the tests import, however pytest found it.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(orbitsieve.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitsieve.cli", "poly", "--family", "comp-csp", "--n", "3", "--k", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + q\n"

@@ -143,3 +143,31 @@ def test_integer_equality_detects_non_integers():
     half = f5.element([RAT(1, 2), RAT(0), RAT(0), RAT(0)])
     assert half != 0
     assert f5.from_int(-3) == -3
+
+
+def termwise_eval(p, L, r, s, order_q, order_t):
+    """One power-table row per term of p: the evaluation before bucketing."""
+    step_q, step_t = (L // order_q) * r, (L // order_t) * s
+    return cyclo_field(L).power_combination((c, step_q * eq + step_t * et) for (eq, et), c in p.terms.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.dictionaries(st.tuples(st.integers(0, 60), st.integers(0, 60)), st.integers(-40, 40), max_size=25),
+)
+def test_eval_at_unity_matches_termwise_reference(L, terms):
+    p = SparsePoly(terms)
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    for order_q in divisors:
+        for order_t in divisors:
+            for r in range(order_q):
+                for s in range(order_t):
+                    expected = termwise_eval(p, L, r, s, order_q, order_t)
+                    assert eval_at_unity(p, L, r=r, s=s, order_q=order_q, order_t=order_t) == expected
+    for order in range(L + 2):
+        if order not in divisors:
+            with pytest.raises(DomainError):
+                eval_at_unity(p, L, r=1, order_q=order)
+            with pytest.raises(DomainError):
+                eval_at_unity(p, L, s=1, order_t=order)

@@ -9,7 +9,10 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orbitsieve import loci
 from orbitsieve.characters import subgroup_elements, subgroup_order
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.loci import (
@@ -242,3 +245,88 @@ class TestOrbitSets:
     def test_hr_requires_even_n(self):
         with pytest.raises(DomainError):
             orbit_set(enumerate_locus("X", 3, 2), "Hr")
+
+
+def canonical_walk(locus, group):
+    """Labels and first-met representatives from every word's canonical form (the reference)."""
+    reps = {}
+    for w in locus.words:
+        reps.setdefault(canonical_form(w, group, locus.k), w)
+    return tuple(sorted(reps)), reps
+
+
+def assert_labels_match_the_walk(locus):
+    labels, reps = canonical_walk(locus, "Cn")
+    orbits = orbit_set(locus, "Cn")
+    assert orbits.labels == labels
+    assert {label: orbits.rep(label) for label in orbits.labels} == reps
+
+
+@st.composite
+def hand_built_word_tuples(draw):
+    """Words of X(n, k), n <= 5, k <= 3: rotation-closed or not, sorted, shuffled or repeated.
+
+    A closed set may lose one word, or swap it for another word of X(n, k), which
+    keeps |X| and can keep the sum of the kept necklaces' periods equal to it.
+    """
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    word = st.tuples(*[st.integers(1, k)] * n)
+    words = set(draw(st.lists(word, max_size=10)))
+    closure = draw(st.sampled_from(["none", "closed", "drop one", "swap one"]))
+    if closure != "none":
+        words = {w[i:] + w[:i] for w in words for i in range(n)}
+        if words and closure != "closed":
+            words.discard(draw(st.sampled_from(sorted(words))))
+            if closure == "swap one":
+                words.add(draw(word))
+    words = sorted(words)
+    order = draw(st.sampled_from(["sorted", "shuffled", "repeated"]))
+    if order == "shuffled":
+        words = draw(st.permutations(words))
+    elif order == "repeated" and words:
+        words = sorted(words + draw(st.lists(st.sampled_from(words), min_size=1, max_size=3)))
+    return Locus("X", n, k, tuple(words))
+
+
+class TestNecklaceLabels:
+    """Generated necklace labels against the canonical-form walk they replace."""
+
+    @pytest.mark.parametrize("family", ["X", "Y", "Z"])
+    def test_families_match_the_walk(self, family):
+        for n in range(1, 7):
+            for k in range(1, 5):
+                locus = enumerate_locus(family, n, k)
+                assert_labels_match_the_walk(locus)
+                assert loci._generated_necklace_labels(locus) is not None
+
+    @pytest.mark.parametrize("mu,a", [((2, 2, 2, 2), None), ((2, 1, 2, 1), 2), ((1, 1, 1, 1, 1), None)])
+    def test_tanisaki_matches_the_walk(self, mu, a):
+        locus = enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a)
+        assert_labels_match_the_walk(locus)
+        assert loci._generated_necklace_labels(locus) is not None
+
+    def test_missing_rotation_replaced_by_a_foreign_word(self):
+        # (2, 1) is missing and (3, 2) stands in for it, so the periods still sum to |X|.
+        locus = Locus("X", 2, 3, ((1, 2), (3, 2)))
+        assert loci._generated_necklace_labels(locus) is None
+        assert orbit_set(locus, "Cn").labels == ((1, 2), (2, 3))
+        assert_labels_match_the_walk(locus)
+
+    def test_unsorted_and_repeated_words_take_the_walk(self):
+        unsorted = Locus("X", 2, 2, ((2, 1), (1, 1), (1, 2), (2, 2)))
+        repeated = Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2)))
+        for locus in (unsorted, repeated):
+            assert loci._generated_necklace_labels(locus) is None
+            assert_labels_match_the_walk(locus)
+        assert orbit_set(unsorted, "Cn").rep((1, 2)) == (2, 1)
+
+    def test_words_outside_the_alphabet_take_the_walk(self):
+        locus = Locus("X", 2, 2, ((1, 1), (1, 3), (3, 1)))
+        assert loci._generated_necklace_labels(locus) is None
+        assert_labels_match_the_walk(locus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_word_tuples())
+    @example(Locus("X", 3, 3, ((1, 1, 2), (1, 2, 1), (3, 1, 1))))
+    def test_hand_built_loci_match_the_walk(self, locus):
+        assert_labels_match_the_walk(locus)

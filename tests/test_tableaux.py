@@ -33,6 +33,7 @@ from orbitsieve.tableaux import (
     partitions_in_box,
     rsk,
     weak_compositions,
+    word_maj_des,
 )
 
 Q = SparsePoly.var_q()
@@ -192,6 +193,32 @@ def test_count_maj_divisible():
         count_maj_divisible(2, shape=(2,), content=(1, 1))
     with pytest.raises(DomainError):
         count_maj_divisible(2)
+
+
+def maj_walk_counts(content, divisors):
+    """Words of the content with maj divisible by each d, counted one word at a time."""
+    majs = [word_maj_des(w)[0] for w in multiset_permutations(content)]
+    return {d: sum(1 for m in majs if m % d == 0) for d in divisors}
+
+
+def test_content_maj_counts_match_the_word_walk():
+    divisors = range(1, 10)
+    for n in range(9):
+        for parts in range(1, 5):
+            for content in weak_compositions(n, parts):
+                expected = maj_walk_counts(content, divisors)
+                assert {d: count_maj_divisible(d, content=content) for d in divisors} == expected
+
+
+def test_content_maj_counts_edge_contents():
+    # zero parts change nothing: words 112, 121, 211 have maj 0, 2, 1
+    assert count_maj_divisible(3, content=(0, 2, 0, 1)) == count_maj_divisible(3, content=(2, 1)) == 1
+    for d in range(1, 5):
+        assert count_maj_divisible(d, content=()) == 1
+        assert count_maj_divisible(d, content=(0, 0)) == 1
+    for content in [(2, -1), (-1,), (0, -2, 3)]:
+        with pytest.raises(DomainError):
+            count_maj_divisible(2, content=content)
 
 
 def test_maj_divisible_rsk_identity():
