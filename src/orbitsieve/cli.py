@@ -33,14 +33,7 @@ from .harmonics import (
 )
 from .loci import FAMILIES, Locus, enumerate_locus
 from .qpoly import SparsePoly
-from .sieving import (
-    build_instance,
-    normalize_family,
-    oracle_csp_poly,
-    sieving_polynomial,
-    verify_bicsp,
-    verify_csp,
-)
+from .sieving import normalize_family, oracle_csp_poly, sieving_polynomial, verify_family
 from .suite import run_suite
 
 FORMATS = ("json", "csv", "latex", "pretty")
@@ -215,8 +208,7 @@ def _cmd_poly(ns) -> tuple[int, str]:
 
 
 def _cmd_verify(ns) -> tuple[int, str]:
-    inst = build_instance(ns.family, n=ns.n, k=ns.k, mu=ns.mu, a=ns.a)
-    report = verify_bicsp(inst) if inst.bivariate else verify_csp(inst)
+    report = verify_family(ns.family, n=ns.n, k=ns.k, mu=ns.mu, a=ns.a)
     return (0 if report.all_ok else 1), _render_report(report, ns.output)
 
 

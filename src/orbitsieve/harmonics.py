@@ -11,8 +11,8 @@ interpolated at those roots.  CRT over primes and rational reconstruction lift
 the coefficients to Q(zeta_k).  A lifted basis is returned only after an exact
 certificate here (monic generators with standard tails, antichain leads, |X|
 standard monomials, vanishing at every point), which proves it is the reduced
-one.  If no prime yields a certified basis, the elimination runs over Q; that
-path is also the tests' reference.
+one.  If none of the first ``interpolation.MODULAR_PRIMES`` split primes yields
+a certified basis, ResourceBudgetError names that prime budget.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
@@ -35,6 +35,7 @@ import math
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement
 
+from . import interpolation
 from .characters import SchurVector, conjugacy_classes, sn_character
 from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -43,7 +44,6 @@ from .interpolation import (
     grevlex_key,
     modular_lifts,
     primitive_roots,
-    rational_elimination,
     split_primes,
     successors,
 )
@@ -589,8 +589,9 @@ def vanishing_ideal(
 
     Buchberger-Moller per eigenspace of the value-shift action (see
     ``interpolation``), over F_p for split primes; each lifted candidate is
-    returned only if it passes the exact certificate.  If none does, the
-    elimination runs over Q.
+    returned only if it passes the exact certificate.  Raises
+    ResourceBudgetError if none of at most ``interpolation.MODULAR_PRIMES``
+    primes yields one.
     """
     if k is not None and k != locus.k:
         raise DomainError("root order must match the locus alphabet size")
@@ -600,16 +601,9 @@ def vanishing_ideal(
         gb = _basis(field, locus.n, layout, coords)
         if _certified(locus, gb):
             return gb
-    return _exact_vanishing_ideal(locus)
-
-
-def _exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
-    """vanishing_ideal by elimination over Q: the fallback, and the tests' reference."""
-    field = cyclo_field(locus.k)
-    gb = _basis(field, locus.n, *rational_elimination(locus))
-    if not _vanishes_on(gb, locus):
-        raise InternalCheckError("basis element does not vanish on the locus")
-    return gb
+    raise ResourceBudgetError(
+        f"no certified basis within the prime budget of {interpolation.MODULAR_PRIMES} split primes"
+    )
 
 
 def _basis(field: CycloField, n: int, layout, coords) -> GroebnerBasis:
@@ -668,28 +662,6 @@ def _vanishes_on(gb: GroebnerBasis, locus: Locus) -> bool:
             if any(sum(s * row[m] for s, row in zip(at, powers)) for m in range(field.degree)):
                 return False
     return True
-
-
-def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
-    """I(X) as an iterated product of the points' maximal ideals (tiny loci only)."""
-    if locus.size == 0:
-        raise DomainError("empty locus")
-    if locus.size > max_points:
-        raise ResourceBudgetError(f"product construction capped at {max_points} points")
-    field = cyclo_field(locus.k)
-    n = locus.n
-    basis: GroebnerBasis | None = None
-    for w in locus.words:
-        linear = [
-            MultiPoly.variable(field, n, i) - MultiPoly.constant(field, n, field.root_power(w[i]))
-            for i in range(n)
-        ]
-        if basis is None:
-            gens = linear
-        else:
-            gens = [f * g for f in basis.gens for g in linear]
-        basis = buchberger(gens)
-    return basis
 
 
 # -- graded characters and Frobenius image ------------------------------------------

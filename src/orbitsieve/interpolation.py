@@ -9,24 +9,21 @@ predecessors were all standard at degree d, so no multiple of a leading exponent
 is visited.  A monomial whose eigenclass vector depends on the earlier standard
 ones is a leading exponent, and the dependency gives its generator's tail.
 
-Two eliminations produce the same data: a layout, listing for each generator its
-leading exponent and the standard monomials of its eigenclass found before it,
-and the power-basis coordinates in Q(zeta_k) of every tail coefficient on them,
-flattened in layout order.
+The elimination produces a layout, listing for each generator its leading
+exponent and the standard monomials of its eigenclass found before it, and the
+power-basis coordinates in Q(zeta_k) of every tail coefficient on them, flattened
+in layout order.
 
-- ``modular_lifts`` eliminates over F_p for primes p = 1 mod k (Abbott, Bigatti,
-  Kreuzer and Robbiano, "Computing ideals of points", 2000; Arnold, "Modular
-  algorithms for computing Groebner bases", 2003).  Phi_k splits into linear
-  factors mod p, so a primitive k-th root omega mod p stands in for zeta_k and a
-  monomial gives one scalar row per omega.  When scaling every letter by each
-  unit u mod k maps the locus to itself, each Galois map zeta -> zeta^u fixes
-  I(X), so the reduced basis is rational and one root per prime gives all of it.
-  Otherwise the elimination runs once for each primitive root and the
-  coefficients are interpolated at the roots.  CRT over primes and rational
-  reconstruction lift them.  A lift is a candidate only: the caller must certify
-  it.
-- ``rational_elimination`` eliminates over Q, each eigenclass vector flattened to
-  phi(k) rational rows, one per power of zeta.  It is exact.
+``modular_lifts`` eliminates over F_p for primes p = 1 mod k (Abbott, Bigatti,
+Kreuzer and Robbiano, "Computing ideals of points", 2000; Arnold, "Modular
+algorithms for computing Groebner bases", 2003).  Phi_k splits into linear factors
+mod p, so a primitive k-th root omega mod p stands in for zeta_k and a monomial
+gives one scalar row per omega.  When scaling every letter by each unit u mod k
+maps the locus to itself, each Galois map zeta -> zeta^u fixes I(X), so the
+reduced basis is rational and one root per prime gives all of it.  Otherwise the
+elimination runs once for each primitive root and the coefficients are
+interpolated at the roots.  CRT over at most MODULAR_PRIMES primes and rational
+reconstruction lift them.  A lift is a candidate only: the caller must certify it.
 
 No polynomial type appears here; ``harmonics`` assembles and certifies the bases.
 """
@@ -39,7 +36,7 @@ from itertools import islice
 from .cyclotomic import cyclo_field
 from .errors import InternalCheckError
 from .loci import Locus
-from .rat import RAT, RAT_ZERO
+from .rat import RAT
 
 Exponents = tuple[int, ...]
 
@@ -317,146 +314,3 @@ def modular_lifts(locus: Locus):
         lifted = [rational_reconstruction(r, modulus) for r in residues]
         if all(c is not None for c in lifted):
             yield staircase[1], lifted
-
-
-# -- elimination over Q ----------------------------------------------------------------
-
-
-class _EchelonRow:
-    __slots__ = ("vec", "pivot", "tag", "uses", "scale")
-
-    def __init__(self, vec, pivot, tag, uses, scale):
-        self.vec = vec
-        self.pivot = pivot
-        self.tag = tag  # (standard-monomial index in class, zeta power)
-        self.uses = uses  # [(coefficient, earlier row index)]
-        self.scale = scale
-
-
-class _EigenClass:
-    """Elimination state for one eigenvalue of the value-shift scaling action."""
-
-    __slots__ = ("rows", "stds")
-
-    def __init__(self):
-        self.rows: list[_EchelonRow] = []
-        self.stds: list[Exponents] = []
-
-    def reduce(self, vec):
-        """Eliminate pivots in place; returns the reduction trail."""
-        uses = []
-        for r_idx, row in enumerate(self.rows):
-            c = vec[row.pivot]
-            if c:
-                rv = row.vec
-                for i, b in enumerate(rv):
-                    if b:
-                        vec[i] -= c * b
-                vec[row.pivot] = 0
-                uses.append((c, r_idx))
-        return uses
-
-    def insert(self, vec, uses, tag):
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            raise InternalCheckError("eigenclass row collapsed during insertion")
-        scale = vec[pivot]
-        if scale != 1:
-            inv = RAT(1) / RAT(scale)
-            vec = [x * inv if x else 0 for x in vec]
-        self.rows.append(_EchelonRow(vec, pivot, tag, uses, scale))
-
-    def combos(self, needed: set[int]) -> dict[int, dict]:
-        """Expansion of the requested rows over the original (monomial, power) vectors."""
-        closure: set[int] = set()
-        stack = list(needed)
-        while stack:
-            idx = stack.pop()
-            if idx in closure:
-                continue
-            closure.add(idx)
-            stack.extend(r for _, r in self.rows[idx].uses)
-        memo: dict[int, dict] = {}
-        for idx in sorted(closure):
-            row = self.rows[idx]
-            combo = {row.tag: RAT(1)}
-            for c, r in row.uses:
-                for key, val in memo[r].items():
-                    cur = combo.get(key, RAT(0)) - c * val
-                    if cur:
-                        combo[key] = cur
-                    elif key in combo:
-                        del combo[key]
-            if row.scale != 1:
-                inv = RAT(1) / RAT(row.scale)
-                combo = {key: val * inv for key, val in combo.items()}
-            memo[idx] = combo
-        return memo
-
-    def tail_coordinates(self, uses, phi: int) -> list:
-        """Power-basis coordinates of the tail of a monomial whose vector reduced to zero."""
-        memo = self.combos({r for _, r in uses})
-        total: dict = {}
-        for c, r in uses:
-            for key, val in memo[r].items():
-                cur = total.get(key, RAT_ZERO) + c * val
-                if cur:
-                    total[key] = cur
-                elif key in total:
-                    del total[key]
-        return [-total.get((local, j), RAT_ZERO) for local in range(len(self.stds)) for j in range(phi)]
-
-
-def rational_elimination(locus: Locus):
-    """The exact (layout, coordinates) of the reduced basis, by elimination over Q."""
-    field = cyclo_field(locus.k)
-    n, kk = locus.n, locus.k
-    korder = locus.scaling_order
-    phi = field.degree
-    reps = orbit_representatives(locus)
-
-    power_rows = [field.power_vector(j) for j in range(kk)]
-
-    def flat_vector(e: Exponents, power_offset: int):
-        vec: list = []
-        for w in reps:
-            t = (sum(a * b for a, b in zip(e, w)) + power_offset) % kk
-            vec.extend(power_rows[t])
-        return vec
-
-    classes = [_EigenClass() for _ in range(korder)]
-    layout: list[tuple] = []
-    coords: list = []
-    total_std = 0
-
-    level = [(0,) * n]
-    d = 0
-    while level:
-        cls = classes[d % korder]
-        found = []
-        for e in level:
-            vec = flat_vector(e, 0)
-            uses = cls.reduce(vec)
-            if any(vec):
-                local = len(cls.stds)
-                cls.insert(vec, uses, (local, 0))
-                for j in range(1, phi):
-                    vj = flat_vector(e, j)
-                    uj = cls.reduce(vj)
-                    cls.insert(vj, uj, (local, j))
-                cls.stds.append(e)
-                found.append(e)
-            else:
-                layout.append((e, tuple(cls.stds)))
-                coords.extend(cls.tail_coordinates(uses, phi))
-        total_std += len(found)
-        level = successors(found, n)
-        d += 1
-        if d > locus.size + n * kk:
-            raise InternalCheckError("point-ideal elimination failed to terminate")
-
-    if total_std != locus.size:
-        raise InternalCheckError(
-            f"standard monomial count {total_std} differs from |X| = {locus.size}"
-        )
-    return layout, coords

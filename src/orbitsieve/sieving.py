@@ -509,16 +509,14 @@ def build_instance(family: str, n=None, k=None, mu=None, a=None) -> SievingInsta
         locus = enumerate_locus(family[-1], int(n), int(k))
         notes = (_Y_CONVENTION_NOTE,) if family == "word-bicsp-Y" else ()
         return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
-    mu_tuple = _need_mu(family, mu) if family.startswith("tanisaki") else None
-    if family == "tanisaki-bicsp":
+    if family.startswith("tanisaki"):
+        mu_tuple = _need_mu(family, mu)
         locus = enumerate_locus("tanisaki", sum(mu_tuple), len(mu_tuple), mu=mu_tuple, a=a)
-        note = f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}"
-        return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=(note,))
+        notes = (f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}",)
+        if family == "tanisaki-bicsp":
+            return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
+        return _orbit_instance(family, locus, _ORBIT_TABLE[family][1], polynomial, notes)
     locus_family, group = _ORBIT_TABLE[family]
-    if locus_family == "tanisaki":
-        locus = enumerate_locus("tanisaki", sum(mu_tuple), len(mu_tuple), mu=mu_tuple, a=a)
-        note = f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}"
-        return _orbit_instance(family, locus, group, polynomial, (note,))
     n, k = _need_nk(family, n, k)
     locus = enumerate_locus(locus_family, n, k)
     return _orbit_instance(family, locus, group, polynomial, ())

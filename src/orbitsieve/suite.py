@@ -232,7 +232,7 @@ def _crit_oracle(max_n, max_k):
                     cells.append((enumerate_locus("Y", n, k), group, sieving_polynomial(suffix + "Y", n=n, k=k)))
                 if k <= n:
                     cells.append((enumerate_locus("Z", n, k), group, sieving_polynomial(suffix + "Z", n=n, k=k)))
-    for mu in _tanisaki_mu_grid(min(4, max_n if max_n is not None else 4), max_k):
+    for mu in _tanisaki_mu_grid(_cap(4, max_n), max_k):
         n = sum(mu)
         locus = enumerate_locus("tanisaki", n, mu=mu)
         cells.append((locus, "Sn", sieving_polynomial("tanisaki-trivial", mu=mu)))

@@ -1,0 +1,194 @@
+"""Reference constructions of vanishing ideals, for the tests only.
+
+``exact_vanishing_ideal`` runs the eigenspace Buchberger-Moller of
+``orbitsieve.interpolation`` over Q instead of modulo split primes: each
+eigenclass vector is flattened to phi(k) rational rows, one per power of zeta,
+so the elimination is exact.  ``point_ideal_product`` builds I(X) as an iterated product of
+the points' maximal ideals, with Buchberger's algorithm after each factor.  Both
+are slow and independent of the modular path that ``harmonics.vanishing_ideal``
+takes; reduced monic Groebner bases are unique, so every construction must agree
+exactly.
+"""
+
+from __future__ import annotations
+
+from orbitsieve.cyclotomic import cyclo_field
+from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
+from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, _vanishes_on, buchberger
+from orbitsieve.interpolation import Exponents, orbit_representatives, successors
+from orbitsieve.loci import Locus
+from orbitsieve.rat import RAT, RAT_ZERO
+
+
+# -- elimination over Q ----------------------------------------------------------------
+
+
+class _EchelonRow:
+    __slots__ = ("vec", "pivot", "tag", "uses", "scale")
+
+    def __init__(self, vec, pivot, tag, uses, scale):
+        self.vec = vec
+        self.pivot = pivot
+        self.tag = tag  # (standard-monomial index in class, zeta power)
+        self.uses = uses  # [(coefficient, earlier row index)]
+        self.scale = scale
+
+
+class _EigenClass:
+    """Elimination state for one eigenvalue of the value-shift scaling action."""
+
+    __slots__ = ("rows", "stds")
+
+    def __init__(self):
+        self.rows: list[_EchelonRow] = []
+        self.stds: list[Exponents] = []
+
+    def reduce(self, vec):
+        """Eliminate pivots in place; returns the reduction trail."""
+        uses = []
+        for r_idx, row in enumerate(self.rows):
+            c = vec[row.pivot]
+            if c:
+                rv = row.vec
+                for i, b in enumerate(rv):
+                    if b:
+                        vec[i] -= c * b
+                vec[row.pivot] = 0
+                uses.append((c, r_idx))
+        return uses
+
+    def insert(self, vec, uses, tag):
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            raise InternalCheckError("eigenclass row collapsed during insertion")
+        scale = vec[pivot]
+        if scale != 1:
+            inv = RAT(1) / RAT(scale)
+            vec = [x * inv if x else 0 for x in vec]
+        self.rows.append(_EchelonRow(vec, pivot, tag, uses, scale))
+
+    def combos(self, needed: set[int]) -> dict[int, dict]:
+        """Expansion of the requested rows over the original (monomial, power) vectors."""
+        closure: set[int] = set()
+        stack = list(needed)
+        while stack:
+            idx = stack.pop()
+            if idx in closure:
+                continue
+            closure.add(idx)
+            stack.extend(r for _, r in self.rows[idx].uses)
+        memo: dict[int, dict] = {}
+        for idx in sorted(closure):
+            row = self.rows[idx]
+            combo = {row.tag: RAT(1)}
+            for c, r in row.uses:
+                for key, val in memo[r].items():
+                    cur = combo.get(key, RAT(0)) - c * val
+                    if cur:
+                        combo[key] = cur
+                    elif key in combo:
+                        del combo[key]
+            if row.scale != 1:
+                inv = RAT(1) / RAT(row.scale)
+                combo = {key: val * inv for key, val in combo.items()}
+            memo[idx] = combo
+        return memo
+
+    def tail_coordinates(self, uses, phi: int) -> list:
+        """Power-basis coordinates of the tail of a monomial whose vector reduced to zero."""
+        memo = self.combos({r for _, r in uses})
+        total: dict = {}
+        for c, r in uses:
+            for key, val in memo[r].items():
+                cur = total.get(key, RAT_ZERO) + c * val
+                if cur:
+                    total[key] = cur
+                elif key in total:
+                    del total[key]
+        return [-total.get((local, j), RAT_ZERO) for local in range(len(self.stds)) for j in range(phi)]
+
+
+def rational_elimination(locus: Locus):
+    """The exact (layout, coordinates) of the reduced basis, by elimination over Q."""
+    field = cyclo_field(locus.k)
+    n, kk = locus.n, locus.k
+    korder = locus.scaling_order
+    phi = field.degree
+    reps = orbit_representatives(locus)
+
+    power_rows = [field.power_vector(j) for j in range(kk)]
+
+    def flat_vector(e: Exponents, power_offset: int):
+        vec: list = []
+        for w in reps:
+            t = (sum(a * b for a, b in zip(e, w)) + power_offset) % kk
+            vec.extend(power_rows[t])
+        return vec
+
+    classes = [_EigenClass() for _ in range(korder)]
+    layout: list[tuple] = []
+    coords: list = []
+    total_std = 0
+
+    level = [(0,) * n]
+    d = 0
+    while level:
+        cls = classes[d % korder]
+        found = []
+        for e in level:
+            vec = flat_vector(e, 0)
+            uses = cls.reduce(vec)
+            if any(vec):
+                local = len(cls.stds)
+                cls.insert(vec, uses, (local, 0))
+                for j in range(1, phi):
+                    vj = flat_vector(e, j)
+                    uj = cls.reduce(vj)
+                    cls.insert(vj, uj, (local, j))
+                cls.stds.append(e)
+                found.append(e)
+            else:
+                layout.append((e, tuple(cls.stds)))
+                coords.extend(cls.tail_coordinates(uses, phi))
+        total_std += len(found)
+        level = successors(found, n)
+        d += 1
+        if d > locus.size + n * kk:
+            raise InternalCheckError("point-ideal elimination failed to terminate")
+
+    if total_std != locus.size:
+        raise InternalCheckError(
+            f"standard monomial count {total_std} differs from |X| = {locus.size}"
+        )
+    return layout, coords
+
+
+def exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
+    """The reduced basis of I(X) by elimination over Q, checked to vanish on the locus."""
+    field = cyclo_field(locus.k)
+    gb = _basis(field, locus.n, *rational_elimination(locus))
+    if not _vanishes_on(gb, locus):
+        raise InternalCheckError("basis element does not vanish on the locus")
+    return gb
+
+
+def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
+    """I(X) as an iterated product of the points' maximal ideals (tiny loci only)."""
+    if locus.size == 0:
+        raise DomainError("empty locus")
+    if locus.size > max_points:
+        raise ResourceBudgetError(f"product construction capped at {max_points} points")
+    field = cyclo_field(locus.k)
+    n = locus.n
+    basis: GroebnerBasis | None = None
+    for w in locus.words:
+        linear = [
+            MultiPoly.variable(field, n, i) - MultiPoly.constant(field, n, field.root_power(w[i]))
+            for i in range(n)
+        ]
+        if basis is None:
+            gens = linear
+        else:
+            gens = [f * g for f in basis.gens for g in linear]
+        basis = buchberger(gens)
+    return basis

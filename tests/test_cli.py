@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import orbitsieve
-from orbitsieve import cli
+from orbitsieve import cli, interpolation
 from orbitsieve.cli import main
 from orbitsieve.errors import InternalCheckError
 
@@ -77,6 +77,14 @@ def test_budget_exceeded_exit_code(capsys):
         capsys, "harmonics", "--family", "X", "--n", "4", "--k", "4", "--hilbert", "--max-points", "10"
     )
     assert code == 3
+    assert err.startswith("error:")
+
+
+def test_prime_budget_exceeded_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
+    code, out, err = run_cli(capsys, "harmonics", "--family", "X", "--n", "2", "--k", "2", "--hilbert")
+    assert code == 3
+    assert out == ""
     assert err.startswith("error:")
 
 

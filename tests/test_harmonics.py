@@ -3,14 +3,14 @@
 ``vanishing_ideal`` eliminates over F_p for split primes p = 1 mod k, one
 scalar row per monomial and primitive root (one root only for loci closed under
 scaling letters by units), and lifts the coefficients to Q(zeta_k) under an
-exact certificate; the rational eigenclass elimination it falls back to is kept
-and tested equal to it.  The oracle here is a deliberately naive
-Buchberger-Moller: dense evaluation vectors over the cyclotomic field, no
-eigenspace splitting, no modular arithmetic.  Reduced monic Groebner bases are
-unique, so all of them must agree exactly.  A second oracle builds I(X) as an
-iterated product of maximal ideals.  Standard monomials are compared with a
-filter of every weak composition, and graded traces read modulo a prime with
-traces summed in exact Q(zeta_k).
+exact certificate, within a budget of split primes.  Its references are the
+rational eigenclass elimination and the iterated product of maximal ideals in
+``reference_ideals``, and, here, a deliberately naive Buchberger-Moller: dense
+evaluation vectors over the cyclotomic field, no eigenspace splitting, no
+modular arithmetic.  Reduced monic Groebner bases are unique, so all of them
+must agree exactly.  Standard monomials are compared with a filter of every weak
+composition, and graded traces read modulo a prime with traces summed in exact
+Q(zeta_k).
 """
 
 from itertools import islice
@@ -36,7 +36,6 @@ from orbitsieve.harmonics import (
     grevlex_key,
     harmonics_json,
     hilbert_series,
-    point_ideal_product,
     stated_generators,
     vanishing_ideal,
     verify_presentation,
@@ -47,6 +46,7 @@ from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 from locus_strategies import shift_stable_loci
+from reference_ideals import exact_vanishing_ideal, point_ideal_product
 
 
 def alive_monomials(d, n, lead_exps):
@@ -193,10 +193,6 @@ def _coords(gb):
     return [x for g in gb.gens for c in g.terms.values() for x in c.coords]
 
 
-def _no_fallback(locus):
-    raise AssertionError("the modular path gave no certified basis")
-
-
 def _root_counts(monkeypatch):
     """Record how many roots each modular elimination runs at."""
     counts = []
@@ -239,7 +235,7 @@ class TestVanishingIdeal:
         locus = enumerate_locus(family, n, k, mu=mu)
         gb = vanishing_ideal(locus)
         assert gb == naive_vanishing_ideal(locus)
-        assert gb == harmonics._exact_vanishing_ideal(locus)
+        assert gb == exact_vanishing_ideal(locus)
 
     @pytest.mark.parametrize(
         "family,n,k,mu",
@@ -279,7 +275,7 @@ class TestModularElimination:
     @pytest.mark.parametrize("family,n,k,mu", ORACLE_MID_LOCI + [("Y", 4, 5, None), ("X", 4, 4, None)])
     def test_matches_exact_elimination(self, family, n, k, mu):
         locus = enumerate_locus(family, n, k, mu=mu)
-        assert vanishing_ideal(locus) == harmonics._exact_vanishing_ideal(locus)
+        assert vanishing_ideal(locus) == exact_vanishing_ideal(locus)
 
     def test_full_grid_is_the_power_ideal(self):
         # X(4, 5), 625 points: compared with <x_i^5 - 1> directly, since the
@@ -296,7 +292,7 @@ class TestModularElimination:
         assert RAT(-96, 49) in _coords(vanishing_ideal(RATIONAL_LOCUS))
 
     def test_small_primes_combine_by_crt(self, monkeypatch):
-        exact = harmonics._exact_vanishing_ideal(RATIONAL_LOCUS)
+        exact = exact_vanishing_ideal(RATIONAL_LOCUS)
         moduli = []
         reconstruct = interpolation.rational_reconstruction
 
@@ -306,7 +302,6 @@ class TestModularElimination:
 
         monkeypatch.setattr(interpolation, "PRIME_CEILING", 2**8)
         monkeypatch.setattr(interpolation, "rational_reconstruction", spy)
-        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
         assert vanishing_ideal(RATIONAL_LOCUS) == exact
         assert max(moduli) > 2**8  # a product of several primes
 
@@ -314,40 +309,40 @@ class TestModularElimination:
     def test_unlucky_prime_is_outvoted(self, order, monkeypatch):
         # Mod 13 both primitive sixth roots agree on a staircase that is not the
         # true one; whether 13 comes first or later, the least staircase wins.
-        exact = harmonics._exact_vanishing_ideal(UNLUCKY_13_LOCUS)
+        exact = exact_vanishing_ideal(UNLUCKY_13_LOCUS)
         reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
         roots = interpolation.primitive_roots(6, 13)
         stds, _ = interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots)
         assert sorted(stds) != sorted(exact.quotient_basis().all_monomials())
 
         monkeypatch.setattr(interpolation, "split_primes", lambda k: iter(order))
-        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
         assert vanishing_ideal(UNLUCKY_13_LOCUS) == exact
 
     @settings(max_examples=40, deadline=None)
     @given(shift_stable_loci())
     def test_tiny_primes_still_give_the_exact_basis(self, locus):
-        # Below 2^4 some primes are too small to reconstruct with, or their
-        # roots disagree on the staircase; more primes or the fallback still
-        # give the exact basis.
+        # Below 2^8 some primes are too small to reconstruct with, or their
+        # roots disagree on the staircase; the rest of the prime budget still
+        # gives the exact basis.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(interpolation, "PRIME_CEILING", 2**4)
-            assert vanishing_ideal(locus) == harmonics._exact_vanishing_ideal(locus)
+            mp.setattr(interpolation, "PRIME_CEILING", 2**8)
+            assert vanishing_ideal(locus) == exact_vanishing_ideal(locus)
 
-    def test_no_primes_falls_back_to_exact(self, monkeypatch):
-        locus = enumerate_locus("Z", 4, 3)
-        modular = vanishing_ideal(locus)
-        exact = harmonics._exact_vanishing_ideal
-        calls = []
-
-        def counted(lc):
-            calls.append(lc)
-            return exact(lc)
-
+    def test_prime_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
-        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", counted)
-        assert vanishing_ideal(locus) == modular
-        assert calls == [locus]
+        with pytest.raises(ResourceBudgetError, match="prime budget"):
+            vanishing_ideal(enumerate_locus("Z", 4, 3))
+
+    @pytest.mark.parametrize(
+        "family,n,k,mu",
+        SMALL_LOCI + ORACLE_MID_LOCI + [("tanisaki", n, None, mu) for n, mu in NON_UNIT_STABLE_LOCI],
+    )
+    def test_stock_loci_certify_at_the_first_prime(self, family, n, k, mu, monkeypatch):
+        # The first prime's lift passes the certificate, so these loci never
+        # come near the prime budget.
+        counts = _root_counts(monkeypatch)
+        vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        assert len(counts) == 1
 
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
     def test_one_root_matches_all_roots(self, family, n, k, mu, monkeypatch):
@@ -366,7 +361,6 @@ class TestModularElimination:
         locus = enumerate_locus("tanisaki", n, mu=mu)
         assert not interpolation.unit_stable(locus)
         counts = _root_counts(monkeypatch)
-        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
         gb = vanishing_ideal(locus)
         assert counts and set(counts) == {cyclo_field(locus.k).degree}
         assert any(not c.is_rational() for g in gb.gens for c in g.terms.values())
@@ -377,7 +371,6 @@ class TestModularElimination:
         locus = Locus("X", 3, 3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
         assert not interpolation.unit_stable(locus)
         counts = _root_counts(monkeypatch)
-        monkeypatch.setattr(harmonics, "_exact_vanishing_ideal", _no_fallback)
         gb = vanishing_ideal(locus)
         assert set(counts) == {2}
         assert gb == naive_vanishing_ideal(locus)
