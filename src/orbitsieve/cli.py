@@ -4,7 +4,8 @@ Five subcommands cover the library surface: ``locus`` enumerates a word family,
 ``poly`` prints a closed-form sieving polynomial, ``verify`` runs a fixed-point
 check and prints its report, ``harmonics`` drives the quotient-ring pipeline, and
 ``suite`` runs the whole acceptance matrix.  Every subcommand renders to json, csv,
-latex, or pretty text; identical invocations produce byte-identical output.
+latex, or pretty text through one renderer, ``_render``; identical invocations
+produce byte-identical output.
 
 Exit codes: 0 all checks pass, 1 a verification found a genuine discrepancy,
 2 usage or parameter error, 3 resource budget exceeded, 4 an internal check failed
@@ -96,65 +97,46 @@ def _build_parser() -> _Parser:
 # -- rendering ---------------------------------------------------------------------------
 
 
-def _table(fmt: str, header: list[str], rows: list[list]) -> str:
-    """A header and its rows as csv text or as a latex tabular."""
+def _render(fmt: str, data: dict, header: list[str] | None, rows: list[list] | None, text: str) -> str:
+    """One output in the chosen format; no other function picks among ``FORMATS``.
+
+    json dumps ``data``; csv and latex lay out ``header`` and ``rows``, latex with ``_``
+    escaped in every cell; pretty prints ``text``, and so do csv and latex when the
+    output has no table (``header`` is None).
+    """
+    if fmt == "json":
+        return json.dumps(data, indent=2)
+    if fmt == "pretty" or header is None:
+        return text
     if fmt == "csv":
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([header] + rows)
         return buffer.getvalue().rstrip("\n")
-    lines = ["\\begin{tabular}{" + "l" * len(header) + "}", "\\hline", " & ".join(header) + " \\\\", "\\hline"]
-    lines += [" & ".join(str(cell) for cell in row) + " \\\\" for row in rows]
-    lines += ["\\hline", "\\end{tabular}"]
-    return "\n".join(lines)
+    head, *body = [" & ".join(str(cell).replace("_", "\\_") for cell in row) + " \\\\" for row in [header] + rows]
+    rule = "\\hline"
+    return "\n".join(["\\begin{tabular}{" + "l" * len(header) + "}", rule, head, rule, *body, rule,
+                      "\\end{tabular}"])
 
 
 def _poly_terms(p: SparsePoly) -> list[list[int]]:
     return [[eq, et, coeff] for (eq, et), coeff in p.sorted_terms()]
 
 
-def _render_poly(data: dict, p: SparsePoly, fmt: str) -> str:
-    if fmt == "pretty":
-        return p.pretty()
+def _render_poly(fmt: str, data: dict, p: SparsePoly) -> str:
+    """A polynomial as its term table; latex prints the polynomial itself, not a tabular."""
     if fmt == "latex":
         return p.latex()
-    if fmt == "csv":
-        return _table(fmt, ["q_exponent", "t_exponent", "coefficient"], _poly_terms(p))
-    data = dict(data)
-    data["pretty"] = p.pretty()
-    data["terms"] = _poly_terms(p)
-    return json.dumps(data, indent=2)
+    pretty, terms = p.pretty(), _poly_terms(p)
+    data = {**data, "pretty": pretty, "terms": terms}
+    return _render(fmt, data, ["q_exponent", "t_exponent", "coefficient"], terms, pretty)
 
 
-def _render_report(report, fmt: str) -> str:
-    data = report.to_json_dict()
-    if fmt == "json":
-        return json.dumps(data, indent=2)
-    rows = [[row["r"], "" if row["s"] is None else row["s"], row["fixed"], row["value"],
-             "yes" if row["ok"] else "NO"] for row in data["rows"]]
-    if fmt in ("csv", "latex"):
-        return _table(fmt, ["r", "s", "fixed", "value", "ok"], rows)
-    lines = ["verify " + data["family"] + "  " + _params_text(data["params"])]
-    for side in ("q", "t"):
-        if side in data["binding"]:
-            b = data["binding"][side]
-            extras = ", ".join(f"{key} {b[key]}" for key in ("step", "order", "perm") if key in b)
-            lines.append(f"binding: {side} -> {b['action']} ({extras})")
-    for note in data["notes"]:
-        lines.append("note: " + note)
-    lines.append("r s fixed value ok")
-    for row in rows:
-        lines.append(" ".join(str(cell) for cell in row))
-    lines.append("all rows ok" if data["all_ok"] else "FAILED: some rows disagree")
-    return "\n".join(lines)
+def _value_text(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
 
 
 def _params_text(params: dict) -> str:
-    parts = []
-    for key, value in params.items():
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
+    return " ".join(f"{key}={_value_text(value)}" for key, value in params.items())
 
 
 # -- subcommands -------------------------------------------------------------------------
@@ -179,23 +161,15 @@ def _cmd_locus(ns) -> tuple[int, str]:
     if locus.infeasible:
         print("warning: the parameter range admits no words", file=sys.stderr)
     data = locus.describe()
-    data["size"] = locus.size
-    data["infeasible"] = locus.infeasible
+    lines = ["locus " + _params_text(data), f"size {locus.size}"]
+    data.update(size=locus.size, infeasible=locus.infeasible)
+    rows = [[key, _value_text(value)] for key, value in data.items()]
     if ns.list_words:
         data["words"] = [list(w) for w in locus.words]
-    fmt = ns.output
-    if fmt == "json":
-        return 0, json.dumps(data, indent=2)
-    if fmt in ("csv", "latex"):
-        rows = [[key, _params_text({key: val}).split("=", 1)[1]] for key, val in data.items() if key != "words"]
-        if ns.list_words:
-            words = [" ".join(str(x) for x in w) for w in locus.words]
-            rows += [["words", ";".join(words)]] if fmt == "csv" else [["word", w] for w in words]
-        return 0, _table(fmt, ["field", "value"], rows)
-    lines = ["locus " + _params_text(locus.describe()), f"size {locus.size}"]
-    if ns.list_words:
-        lines += [" ".join(str(x) for x in w) for w in locus.words]
-    return 0, "\n".join(lines)
+        words = [" ".join(str(x) for x in w) for w in locus.words]
+        rows += [["words", ";".join(words)]] if ns.output == "csv" else [["word", w] for w in words]
+        lines += words
+    return 0, _render(ns.output, data, ["field", "value"], rows, "\n".join(lines))
 
 
 def _cmd_poly(ns) -> tuple[int, str]:
@@ -204,12 +178,23 @@ def _cmd_poly(ns) -> tuple[int, str]:
     params = {key: val for key, val in (("n", ns.n), ("k", ns.k), ("a", ns.a)) if val is not None}
     if ns.mu is not None:
         params["mu"] = list(ns.mu)
-    return 0, _render_poly({"family": family, "params": params}, p, ns.output)
+    return 0, _render_poly(ns.output, {"family": family, "params": params}, p)
 
 
 def _cmd_verify(ns) -> tuple[int, str]:
     report = verify_family(ns.family, n=ns.n, k=ns.k, mu=ns.mu, a=ns.a)
-    return (0 if report.all_ok else 1), _render_report(report, ns.output)
+    data = report.to_json_dict()
+    rows = [[row["r"], "" if row["s"] is None else row["s"], row["fixed"], row["value"],
+             "yes" if row["ok"] else "NO"] for row in data["rows"]]
+    lines = ["verify " + data["family"] + "  " + _params_text(data["params"])]
+    for side, b in data["binding"].items():
+        extras = ", ".join(f"{key} {b[key]}" for key in ("step", "order", "perm") if key in b)
+        lines.append(f"binding: {side} -> {b['action']} ({extras})")
+    lines += ["note: " + note for note in data["notes"]]
+    lines += ["r s fixed value ok"] + [" ".join(str(cell) for cell in row) for row in rows]
+    lines.append("all rows ok" if report.all_ok else "FAILED: some rows disagree")
+    text = "\n".join(lines)
+    return (0 if report.all_ok else 1), _render(ns.output, data, ["r", "s", "fixed", "value", "ok"], rows, text)
 
 
 def _cmd_harmonics(ns) -> tuple[int, str]:
@@ -220,59 +205,39 @@ def _cmd_harmonics(ns) -> tuple[int, str]:
     if ns.check_presentation:
         matches = verify_presentation(locus, max_pairs=ns.max_pairs, **budgets)
         data = {"locus": locus.describe(), "presentation_matches": matches}
-        code = 0 if matches else 1
-        if ns.output == "json":
-            return code, json.dumps(data, indent=2)
-        if ns.output in ("csv", "latex"):
-            field = "presentation_matches" if ns.output == "csv" else "presentation\\_matches"
-            return code, _table(ns.output, ["field", "value"], [[field, str(matches).lower()]])
-        return code, "presentation matches" if matches else "FAILED: presentation does not match"
+        rows = [["presentation_matches", str(matches).lower()]]
+        text = "presentation matches" if matches else "FAILED: presentation does not match"
+        return (0 if matches else 1), _render(ns.output, data, ["field", "value"], rows, text)
     if ns.oracle:
         p = oracle_csp_poly(locus, ns.oracle, **budgets)
-        return 0, _render_poly({"locus": locus.describe(), "group": ns.oracle}, p, ns.output)
+        return 0, _render_poly(ns.output, {"locus": locus.describe(), "group": ns.oracle}, p)
     if ns.frobenius:
-        frob = graded_frobenius(locus, **budgets)
-        entries = [(list(lam), poly) for lam, poly in frob.items()]
-        if ns.output == "json":
-            data = {
-                "locus": locus.describe(),
-                "schur": [{"shape": lam, "pretty": poly.pretty(), "terms": _poly_terms(poly)}
-                          for lam, poly in entries],
-            }
-            return 0, json.dumps(data, indent=2)
-        rows = [[",".join(str(p) for p in lam), poly.pretty()] for lam, poly in entries]
-        if ns.output in ("csv", "latex"):
-            return 0, _table(ns.output, ["shape", "coefficient"], rows)
-        return 0, "\n".join(f"s[{shape}]: {coeff}" for shape, coeff in rows)
+        schur = [{"shape": list(lam), "pretty": poly.pretty(), "terms": _poly_terms(poly)}
+                 for lam, poly in graded_frobenius(locus, **budgets).items()]
+        rows = [[_value_text(entry["shape"]), entry["pretty"]] for entry in schur]
+        data = {"locus": locus.describe(), "schur": schur}
+        text = "\n".join(f"s[{shape}]: {coeff}" for shape, coeff in rows)
+        return 0, _render(ns.output, data, ["shape", "coefficient"], rows, text)
     gb_i = vanishing_ideal(locus, **budgets)
     gb_t = associated_graded(gb_i)
-    series = hilbert_series(gb_t.quotient_basis())
-    if ns.groebner:
-        if ns.output == "json":
-            return 0, json.dumps(harmonics_json(locus, gb_i, gb_t), indent=2)
-        lines = ["hilbert " + series.pretty()]
-        lines += ["point-ideal generator: " + g.pretty() for g in gb_i.gens]
-        lines += ["graded generator: " + g.pretty() for g in gb_t.gens]
-        return 0, "\n".join(lines)
-    return 0, _render_poly({"locus": locus.describe()}, series, ns.output)
+    if not ns.groebner:
+        return 0, _render_poly(ns.output, {"locus": locus.describe()}, hilbert_series(gb_t.quotient_basis()))
+    data = harmonics_json(locus, gb_i, gb_t)
+    lines = ["hilbert " + data["hilbert_series"]]
+    lines += ["point-ideal generator: " + g.pretty() for g in gb_i.gens]
+    lines += ["graded generator: " + g.pretty() for g in gb_t.gens]
+    return 0, _render(ns.output, data, None, None, "\n".join(lines))
 
 
 def _cmd_suite(ns) -> tuple[int, str]:
     results = run_suite(max_n=ns.max_n, max_k=ns.max_k)
     all_ok = all(r.ok for r in results)
-    code = 0 if all_ok else 1
-    if ns.output == "json":
-        data = {
-            "criteria": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-            "all_ok": all_ok,
-        }
-        return code, json.dumps(data, indent=2)
+    data = {"criteria": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results], "all_ok": all_ok}
     rows = [[r.name, "PASS" if r.ok else "FAIL", r.detail] for r in results]
-    if ns.output in ("csv", "latex"):
-        return code, _table(ns.output, ["criterion", "status", "detail"], rows)
     lines = [f"{status} {name}: {detail}" for name, status, detail in rows]
     lines.append("all criteria pass" if all_ok else "FAILED: some criteria did not pass")
-    return code, "\n".join(lines)
+    text = "\n".join(lines)
+    return (0 if all_ok else 1), _render(ns.output, data, ["criterion", "status", "detail"], rows, text)
 
 
 _COMMANDS = {

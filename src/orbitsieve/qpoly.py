@@ -80,9 +80,6 @@ class SparsePoly:
     def degree_q(self) -> int:
         return max((eq for eq, _ in self._terms), default=0)
 
-    def degree_t(self) -> int:
-        return max((et for _, et in self._terms), default=0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

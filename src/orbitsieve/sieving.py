@@ -366,10 +366,6 @@ def _shift_binding(step: int, order: int) -> dict:
     return {"action": "value-shift", "step": step, "order": order}
 
 
-def _rotation_binding(n: int) -> dict:
-    return {"action": "position-rotation", "order": n}
-
-
 class _Powers:
     """Powers of one permutation of indices, composed on demand.
 

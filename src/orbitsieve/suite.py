@@ -21,14 +21,12 @@ from .cyclotomic import cyclo_field, cyclotomic_polynomial
 from .errors import DomainError
 from .harmonics import graded_frobenius, verify_presentation
 from .loci import enumerate_locus, orbit_set, symmetry_steps
-from .qpoly import SparsePoly, q_binomial, q_factorial, q_int
+from .qpoly import SparsePoly, q_binomial
 from .sieving import oracle_csp_poly, sieving_polynomial, verify_family
 from .tableaux import (
-    b_stat,
     compositions,
     fake_degree,
     generate_syt,
-    hook_lengths,
     kostka_foulkes,
     m_of,
     maj_des,
@@ -248,12 +246,10 @@ def _crit_oracle(max_n, max_k):
 # -- criterion 9: property suites -----------------------------------------------------------
 
 
-def _fake_degree_hook_formula(lam):
-    n = sum(lam)
-    numerator = SparsePoly.monomial(b_stat(lam)) * q_factorial(n)
-    out = numerator
-    for h in hook_lengths(lam):
-        out = out.div_exact_q(q_int(h))
+def _syt_maj_generating_function(lam):
+    out = SparsePoly.zero()
+    for t in generate_syt(lam):
+        out = out + SparsePoly.monomial(maj_des(t)[0])
     return out
 
 
@@ -261,8 +257,8 @@ def _crit_properties(max_n, max_k):
     checks = 0
     for n in range(1, _cap(7, max_n) + 1):
         for lam in partitions(n):
-            if fake_degree(lam) != _fake_degree_hook_formula(lam):
-                return False, f"fake degree of {lam} disagrees with the hook formula"
+            if fake_degree(lam) != _syt_maj_generating_function(lam):
+                return False, f"fake degree of {lam} disagrees with the maj sum over SYT"
             checks += 1
     for n in range(1, _cap(5, max_n) + 1):
         for k in range(1, _cap(3, max_k) + 1):

@@ -1,10 +1,10 @@
 """Partitions, tableaux and word combinatorics.
 
 Everything here is finite and exact: enumeration by backtracking, statistics by direct
-counting, except that the maj counts of words of a fixed content are read off MacMahon's
-q-multinomial coefficient instead of visiting the words.  The graded statistics (maj,
-charge/cocharge, fake degrees) feed the sieving polynomials; the enumerations double as
-oracles for the polynomial identities.
+counting, except that maj counts are read off generating functions (the fake degree for
+standard tableaux, MacMahon's q-multinomial for words) instead of visiting each object.
+The graded statistics (maj, charge/cocharge, fake degrees) feed the sieving
+polynomials; the enumerations double as oracles for the polynomial identities.
 """
 
 from __future__ import annotations
@@ -197,12 +197,6 @@ class Tableau:
                     return False
         return True
 
-    def row_of(self, entry: int) -> int:
-        for i, row in enumerate(self.rows):
-            if entry in row:
-                return i
-        raise DomainError(f"entry {entry} not in tableau")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Tableau) and self.rows == other.rows
 
@@ -377,19 +371,21 @@ def rsk(word: Word) -> tuple[Tableau, Tableau]:
 def count_maj_divisible(d: int, *, shape: Partition | None = None, content=None) -> int:
     """Count tableaux or words whose maj is divisible by d.
 
-    With shape: standard tableaux of that shape, counted one by one.  With content:
-    words with the given letter multiplicities, read off MacMahon's theorem that
-    their maj generating function is the q-multinomial coefficient, so no word is
-    visited.  Exactly one of the two must be given.
+    Both counts are read off a maj generating function, so no tableau or word is
+    visited.  With shape: standard tableaux of that shape, whose maj generating
+    function is the fake degree.  With content: words with the given letter
+    multiplicities, whose maj generating function is the q-multinomial coefficient
+    (MacMahon).  Exactly one of the two must be given.
     """
     if d < 1:
         raise DomainError("divisor must be positive")
     if (shape is None) == (content is None):
         raise DomainError("give exactly one of shape= or content=")
     if shape is not None:
-        return sum(1 for t in generate_syt(shape) if maj_des(t)[0] % d == 0)
-    counts = tuple(int(c) for c in content)
-    if any(c < 0 for c in counts):
-        raise DomainError("negative multiplicity")
-    maj = q_multinomial(sum(counts), counts)
+        maj = fake_degree(check_partition(shape))
+    else:
+        counts = tuple(int(c) for c in content)
+        if any(c < 0 for c in counts):
+            raise DomainError("negative multiplicity")
+        maj = q_multinomial(sum(counts), counts)
     return sum(c for (e, _), c in maj.terms.items() if e % d == 0)

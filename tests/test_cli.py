@@ -11,6 +11,8 @@ import orbitsieve
 from orbitsieve import cli, interpolation
 from orbitsieve.cli import main
 from orbitsieve.errors import InternalCheckError
+from orbitsieve.sieving import Report
+from orbitsieve.suite import SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +131,71 @@ def test_latex_report_is_tabular(capsys):
     assert out.startswith("\\begin{tabular}")
     assert out.rstrip().endswith("\\end{tabular}")
     assert "0 & 0 & 2 & 2 & yes" in out
+
+
+_BAD_REPORT = Report(
+    family="graph-Z",
+    params={"family": "Z", "n": 2, "k": 2},
+    binding={"q": {"action": "position-rotation", "order": 2}},
+    rows=[
+        {"r": 0, "s": None, "fixed": 2, "value": 2, "ok": True},
+        {"r": 1, "s": None, "fixed": 1, "value": 0, "ok": False},
+    ],
+    all_ok=False,
+    notes=(),
+)
+
+_FAILING_SUITE = [
+    SuiteResult("orbit-csps", True, "12 grids, 18 rows exact", 0.0),
+    SuiteResult("property-suites", False, "fake degree of (2, 1) disagrees", 0.0),
+]
+
+_FAILURE_CASES = {
+    "verify": (
+        ("verify", "--family", "graph-Z", "--n", "2", "--k", "2"),
+        {
+            "pretty": "verify graph-Z  family=Z n=2 k=2\nbinding: q -> position-rotation (order 2)\n"
+                      "r s fixed value ok\n0  2 2 yes\n1  1 0 NO\nFAILED: some rows disagree\n",
+            "csv": "r,s,fixed,value,ok\n0,,2,2,yes\n1,,1,0,NO\n",
+            "latex": "\\begin{tabular}{lllll}\n\\hline\nr & s & fixed & value & ok \\\\\n\\hline\n"
+                     "0 &  & 2 & 2 & yes \\\\\n1 &  & 1 & 0 & NO \\\\\n\\hline\n\\end{tabular}\n",
+        },
+    ),
+    "suite": (
+        ("suite", "--max-n", "2", "--max-k", "2"),
+        {
+            "pretty": "PASS orbit-csps: 12 grids, 18 rows exact\nFAIL property-suites: fake degree of (2, 1) disagrees\n"
+                      "FAILED: some criteria did not pass\n",
+            "csv": 'criterion,status,detail\norbit-csps,PASS,"12 grids, 18 rows exact"\n'
+                   'property-suites,FAIL,"fake degree of (2, 1) disagrees"\n',
+            "latex": "\\begin{tabular}{lll}\n\\hline\ncriterion & status & detail \\\\\n\\hline\n"
+                     "orbit-csps & PASS & 12 grids, 18 rows exact \\\\\n"
+                     "property-suites & FAIL & fake degree of (2, 1) disagrees \\\\\n\\hline\n\\end{tabular}\n",
+        },
+    ),
+    "presentation": (
+        ("harmonics", "--family", "Z", "--n", "2", "--k", "2", "--check-presentation"),
+        {
+            "pretty": "FAILED: presentation does not match\n",
+            "csv": "field,value\npresentation_matches,false\n",
+            "latex": "\\begin{tabular}{ll}\n\\hline\nfield & value \\\\\n\\hline\n"
+                     "presentation\\_matches & false \\\\\n\\hline\n\\end{tabular}\n",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "latex"])
+@pytest.mark.parametrize("case", sorted(_FAILURE_CASES))
+def test_failed_checks_exit_one_with_their_failure_text(capsys, monkeypatch, case, fmt):
+    monkeypatch.setattr(cli, "verify_family", lambda *args, **kwargs: _BAD_REPORT)
+    monkeypatch.setattr(cli, "run_suite", lambda **kwargs: list(_FAILING_SUITE))
+    monkeypatch.setattr(cli, "verify_presentation", lambda *args, **kwargs: False)
+    argv, expected = _FAILURE_CASES[case]
+    code, out, err = run_cli(capsys, *argv, "--output", fmt)
+    assert code == 1
+    assert out == expected[fmt]
+    assert err == ""
 
 
 def test_output_written_to_file(tmp_path, capsys):

@@ -210,6 +210,15 @@ def test_content_maj_counts_match_the_word_walk():
                 assert {d: count_maj_divisible(d, content=content) for d in divisors} == expected
 
 
+
+def test_shape_maj_counts_match_the_tableau_walk():
+    divisors = range(1, 10)
+    for n in range(8):
+        for lam in partitions(n):
+            majs = [maj_des(t)[0] for t in generate_syt(lam)]
+            expected = {d: sum(1 for m in majs if m % d == 0) for d in divisors}
+            assert {d: count_maj_divisible(d, shape=lam) for d in divisors} == expected
+
 def test_content_maj_counts_edge_contents():
     # zero parts change nothing: words 112, 121, 211 have maj 0, 2, 1
     assert count_maj_divisible(3, content=(0, 2, 0, 1)) == count_maj_divisible(3, content=(2, 1)) == 1
