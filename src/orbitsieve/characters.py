@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 from .qpoly import SparsePoly
 from .rat import RAT, rat_as_int
 from .tableaux import (

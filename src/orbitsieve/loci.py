@@ -74,6 +74,8 @@ def enumerate_locus(
         raise DomainError(f"unknown locus family {family!r}")
     if n < 1:
         raise DomainError("word length n must be >= 1")
+    if family != "tanisaki" and (mu is not None or a is not None):
+        raise DomainError(f"family {family!r} takes no mu or a")
 
     if family == "springer":
         k = n if k is None else k

@@ -12,9 +12,12 @@ indices and checks that the set is closed under it (a generator is injective, so
 closure under the generators is closure under the group); every group element is
 then counted over the whole set on compositions of those index permutations.
 
-``oracle_csp_poly`` rebuilds a sieving polynomial from first principles (graded
-Frobenius of the associated-graded quotient, restricted to subgroup invariants) so the
-closed forms above can be cross-checked against an independent derivation.
+Every polynomial is read off the closed graded Frobenius image of its locus
+(``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
+the invariants of a position subgroup.  The X results and the Gaussian binomials are
+built directly, which is faster.  ``oracle_csp_poly`` derives the Frobenius image from
+the associated-graded quotient instead and restricts it the same way, so the closed
+forms can be cross-checked against an independent derivation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import invariant_hilbert
+from .characters import SchurVector, h_to_schur, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
@@ -43,28 +46,29 @@ from .tableaux import (
     partitions_in_box,
 )
 
-BICSP_FAMILIES = (
-    "word-bicsp-X",
-    "word-bicsp-Y",
-    "word-bicsp-Z",
-    "tanisaki-bicsp",
-    "springer-bicsp",
-)
-CSP_FAMILIES = (
-    "wcomp-csp",
-    "subset-csp",
-    "comp-csp",
-    "necklace-X",
-    "necklace-Y",
-    "necklace-Z",
-    "graph-X",
-    "graph-Y",
-    "graph-Z",
-    "tanisaki-trivial",
-    "tanisaki-necklace",
-    "tanisaki-graph",
-)
-SIEVING_FAMILIES = BICSP_FAMILIES + CSP_FAMILIES
+# Each result: the locus family it counts and how the Frobenius image is read off,
+# either paired with the rotation's fake degrees in t ("rotation") or restricted to
+# the invariants of a position subgroup.
+_FAMILIES = {
+    "word-bicsp-X": ("X", "rotation"),
+    "word-bicsp-Y": ("Y", "rotation"),
+    "word-bicsp-Z": ("Z", "rotation"),
+    "tanisaki-bicsp": ("tanisaki", "rotation"),
+    "springer-bicsp": ("springer", "rotation"),
+    "wcomp-csp": ("X", "Sn"),
+    "subset-csp": ("Y", "Sn"),
+    "comp-csp": ("Z", "Sn"),
+    "necklace-X": ("X", "Cn"),
+    "necklace-Y": ("Y", "Cn"),
+    "necklace-Z": ("Z", "Cn"),
+    "graph-X": ("X", "Hr"),
+    "graph-Y": ("Y", "Hr"),
+    "graph-Z": ("Z", "Hr"),
+    "tanisaki-trivial": ("tanisaki", "Sn"),
+    "tanisaki-necklace": ("tanisaki", "Cn"),
+    "tanisaki-graph": ("tanisaki", "Hr"),
+}
+SIEVING_FAMILIES = tuple(_FAMILIES)
 
 _BINDING_NOTE = "binding: q is evaluated on the value-shift side, t on the position side"
 _Y_CONVENTION_NOTE = (
@@ -84,141 +88,69 @@ def normalize_family(name: str) -> str:
 # -- polynomial constructors ------------------------------------------------------------
 
 
-def _content_partitions(n: int, k: int):
-    """Partitions indexing the content strata of length-n words over {1..k}."""
-    return partitions_in_box(n, k - 1)
+def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
+    """The graded Frobenius image of R/gr I(X) for a locus family, in closed form.
 
-
-def _syt_rows(n: int):
-    """(maj, des, shape) over all standard tableaux with n cells."""
-    for shape in partitions(n):
-        for t in generate_syt(shape):
-            maj, des = maj_des(t)
-            yield maj, des, shape
+    X: sum over m in the n x (k-1) box of q^|m| h_{m(m)}.  Y: [k choose n]_q f^lambda(q).
+    Z: sum over T in SYT(lambda) of q^maj(T) [n-des(T)-1 choose n-k]_q.  tanisaki: the
+    modified Kostka-Foulkes polynomials of mu.  springer: Y with k = n.
+    """
+    if family == "X":
+        total = SchurVector(n, {})
+        for m in partitions_in_box(n, k - 1):
+            total = total + h_to_schur(m_of(m, n, k)).scale(SparsePoly.monomial(sum(m)))
+        return total
+    if family == "Z":
+        acc = {lam: SparsePoly.zero() for lam in partitions(n)}
+        for lam in acc:
+            for t in generate_syt(lam):
+                maj, des = maj_des(t)
+                acc[lam] = acc[lam] + SparsePoly.monomial(maj) * q_binomial(n - des - 1, n - k)
+        return SchurVector(n, acc)
+    if family == "tanisaki":
+        content = tuple(sorted(mu, reverse=True))  # one kostka_foulkes cache entry per content
+        return SchurVector(n, {lam: kostka_foulkes(lam, content) for lam in partitions(n)})
+    if family in ("Y", "springer"):
+        factor = q_binomial(n if family == "springer" else k, n)
+        return SchurVector(n, {lam: factor * fake_degree(lam) for lam in partitions(n)})
+    raise DomainError(f"no closed Frobenius image for family {family!r}")
 
 
 def _poly_word_x(n: int, k: int) -> SparsePoly:
     total = SparsePoly.zero()
-    for mu in _content_partitions(n, k):
+    for mu in partitions_in_box(n, k - 1):
         total = total + SparsePoly.monomial(sum(mu)) * q_multinomial(n, m_of(mu, n, k)).swap_q_to_t()
-    return total
-
-
-def _poly_word_y(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        total = total + fake_degree(lam) * fake_degree(lam).swap_q_to_t()
-    return q_binomial(k, n) * total
-
-
-def _poly_word_z(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        fd_t = fake_degree(lam).swap_q_to_t()
-        for t in generate_syt(lam):
-            maj, des = maj_des(t)
-            total = total + SparsePoly.monomial(maj) * q_binomial(n - des - 1, n - k) * fd_t
     return total
 
 
 def _poly_necklace_x(n: int, k: int) -> SparsePoly:
     total = SparsePoly.zero()
-    for mu in _content_partitions(n, k):
+    for mu in partitions_in_box(n, k - 1):
         fixed_dim = count_maj_divisible(n, content=m_of(mu, n, k))
         total = total + SparsePoly.monomial(sum(mu), 0, fixed_dim)
     return total
 
 
-def _poly_necklace_y(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        total = total + fake_degree(lam) * SparsePoly.from_int(count_maj_divisible(n, shape=lam))
-    return q_binomial(k, n) * total
-
-
-def _poly_necklace_z(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        weight = count_maj_divisible(n, shape=lam)
-        if not weight:
-            continue
-        for t in generate_syt(lam):
-            maj, des = maj_des(t)
-            total = total + SparsePoly.monomial(maj, 0, weight) * q_binomial(n - des - 1, n - k)
-    return total
-
-
-def _require_even(n: int) -> None:
-    if n % 2:
-        raise DomainError("matching-stabilizer results need an even number of positions")
-
-
 def _poly_graph_x(n: int, k: int) -> SparsePoly:
-    _require_even(n)
     total = SparsePoly.zero()
     even_shapes = [lam for lam in partitions(n) if is_even_partition(lam)]
-    for mu in _content_partitions(n, k):
+    for mu in partitions_in_box(n, k - 1):
         content = m_of(mu, n, k)
         weight = sum(kostka_number(lam, content) for lam in even_shapes)
         total = total + SparsePoly.monomial(sum(mu), 0, weight)
     return total
 
 
-def _poly_graph_y(n: int, k: int) -> SparsePoly:
-    _require_even(n)
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        if is_even_partition(lam):
-            total = total + fake_degree(lam)
-    return q_binomial(k, n) * total
-
-
-def _poly_graph_z(n: int, k: int) -> SparsePoly:
-    _require_even(n)
-    total = SparsePoly.zero()
-    for maj, des, shape in _syt_rows(n):
-        if is_even_partition(shape):
-            total = total + SparsePoly.monomial(maj) * q_binomial(n - des - 1, n - k)
-    return total
-
-
-def _sorted_mu(mu) -> tuple[int, ...]:
-    return tuple(sorted((int(c) for c in mu), reverse=True))
-
-
-def _poly_tanisaki(mu) -> SparsePoly:
-    n = sum(mu)
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        total = total + kostka_foulkes(lam, _sorted_mu(mu)) * fake_degree(lam).swap_q_to_t()
-    return total
-
-
-def _poly_tanisaki_necklace(mu) -> SparsePoly:
-    n = sum(mu)
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        weight = count_maj_divisible(n, shape=lam)
-        if weight:
-            total = total + kostka_foulkes(lam, _sorted_mu(mu)) * SparsePoly.from_int(weight)
-    return total
-
-
-def _poly_tanisaki_graph(mu) -> SparsePoly:
-    n = sum(mu)
-    _require_even(n)
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        if is_even_partition(lam):
-            total = total + kostka_foulkes(lam, _sorted_mu(mu))
-    return total
-
-
-def _poly_springer(n: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for lam in partitions(n):
-        total = total + fake_degree(lam) * fake_degree(lam).swap_q_to_t()
-    return total
+# Direct forms of the pairings that are slow through the Frobenius image, keyed by
+# (locus family, group): the three X images and the three Gaussian binomials.
+_DIRECT_FORMS = {
+    ("X", "rotation"): _poly_word_x,
+    ("X", "Cn"): _poly_necklace_x,
+    ("X", "Hr"): _poly_graph_x,
+    ("X", "Sn"): lambda n, k: q_binomial(n + k - 1, n),
+    ("Y", "Sn"): lambda n, k: q_binomial(k, n),
+    ("Z", "Sn"): lambda n, k: q_binomial(n - 1, k - 1),
+}
 
 
 def _check_counting_poly(p: SparsePoly) -> SparsePoly:
@@ -253,13 +185,8 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
     q = t = 1 is the cardinality of the underlying set.
     """
     family = normalize_family(family)
-    if family == "springer-bicsp":
-        if n is None or n < 1:
-            raise DomainError("springer-bicsp needs a positive n")
-        if k is not None and k != n:
-            raise DomainError("springer-bicsp uses the alphabet {1..n}; omit k or set k = n")
-        return _check_counting_poly(_poly_springer(int(n)))
-    if family.startswith("tanisaki"):
+    locus_family, group = _FAMILIES[family]
+    if locus_family == "tanisaki":
         mu = _need_mu(family, mu)
         if n is not None and n != sum(mu):
             raise DomainError("n must equal the sum of mu")
@@ -267,29 +194,28 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
             raise DomainError("k must equal the length of mu")
         if a is not None and a not in symmetry_steps(mu):
             raise DomainError(f"mu is not invariant under an index shift by {a}")
-        builder = {
-            "tanisaki-bicsp": _poly_tanisaki,
-            "tanisaki-trivial": lambda _mu: SparsePoly.one(),
-            "tanisaki-necklace": _poly_tanisaki_necklace,
-            "tanisaki-graph": _poly_tanisaki_graph,
-        }[family]
-        return _check_counting_poly(builder(mu))
-    n, k = _need_nk(family, n, k)
-    builder = {
-        "word-bicsp-X": _poly_word_x,
-        "word-bicsp-Y": _poly_word_y,
-        "word-bicsp-Z": _poly_word_z,
-        "wcomp-csp": lambda n, k: q_binomial(n + k - 1, n),
-        "subset-csp": lambda n, k: q_binomial(k, n),
-        "comp-csp": lambda n, k: q_binomial(n - 1, k - 1),
-        "necklace-X": _poly_necklace_x,
-        "necklace-Y": _poly_necklace_y,
-        "necklace-Z": _poly_necklace_z,
-        "graph-X": _poly_graph_x,
-        "graph-Y": _poly_graph_y,
-        "graph-Z": _poly_graph_z,
-    }[family]
-    return _check_counting_poly(builder(n, k))
+        n, k = sum(mu), len(mu)
+    elif mu is not None or a is not None:
+        raise DomainError(f"family {family!r} takes no mu or a")
+    elif locus_family == "springer":
+        if n is None or n < 1:
+            raise DomainError("springer-bicsp needs a positive n")
+        if k is not None and k != n:
+            raise DomainError("springer-bicsp uses the alphabet {1..n}; omit k or set k = n")
+        n = k = int(n)
+    else:
+        n, k = _need_nk(family, n, k)
+    if group == "Hr" and n % 2:
+        raise DomainError("matching-stabilizer results need an even number of positions")
+    direct = _DIRECT_FORMS.get((locus_family, group))
+    if direct is not None:
+        return _check_counting_poly(direct(n, k))
+    frob = closed_frobenius(locus_family, n, k, mu)
+    if group == "rotation":
+        return _check_counting_poly(
+            sum((c * fake_degree(lam).swap_q_to_t() for lam, c in frob.items()), SparsePoly.zero())
+        )
+    return _check_counting_poly(invariant_hilbert(frob, group))
 
 
 # -- instances and reports --------------------------------------------------------------
@@ -478,44 +404,21 @@ def _orbit_instance(family: str, locus: Locus, group: str, polynomial: SparsePol
     )
 
 
-_ORBIT_TABLE = {
-    "wcomp-csp": ("X", "Sn"),
-    "subset-csp": ("Y", "Sn"),
-    "comp-csp": ("Z", "Sn"),
-    "necklace-X": ("X", "Cn"),
-    "necklace-Y": ("Y", "Cn"),
-    "necklace-Z": ("Z", "Cn"),
-    "graph-X": ("X", "Hr"),
-    "graph-Y": ("Y", "Hr"),
-    "graph-Z": ("Z", "Hr"),
-    "tanisaki-trivial": ("tanisaki", "Sn"),
-    "tanisaki-necklace": ("tanisaki", "Cn"),
-    "tanisaki-graph": ("tanisaki", "Hr"),
-}
-
-
 def build_instance(family: str, n=None, k=None, mu=None, a=None) -> SievingInstance:
     """Assemble the set, actions, and polynomial for one supported sieving result."""
     family = normalize_family(family)
     polynomial = sieving_polynomial(family, n=n, k=k, mu=mu, a=a)
-    if family == "springer-bicsp":
-        locus = enumerate_locus("springer", int(n))
-        return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial)
-    if family in ("word-bicsp-X", "word-bicsp-Y", "word-bicsp-Z"):
-        locus = enumerate_locus(family[-1], int(n), int(k))
-        notes = (_Y_CONVENTION_NOTE,) if family == "word-bicsp-Y" else ()
-        return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
-    if family.startswith("tanisaki"):
-        mu_tuple = _need_mu(family, mu)
-        locus = enumerate_locus("tanisaki", sum(mu_tuple), len(mu_tuple), mu=mu_tuple, a=a)
+    locus_family, group = _FAMILIES[family]
+    if locus_family == "tanisaki":
+        mu = _need_mu(family, mu)
+        locus = enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a)
         notes = (f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}",)
-        if family == "tanisaki-bicsp":
-            return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
-        return _orbit_instance(family, locus, _ORBIT_TABLE[family][1], polynomial, notes)
-    locus_family, group = _ORBIT_TABLE[family]
-    n, k = _need_nk(family, n, k)
-    locus = enumerate_locus(locus_family, n, k)
-    return _orbit_instance(family, locus, group, polynomial, ())
+    else:
+        locus = enumerate_locus(locus_family, int(n), int(k or n))
+        notes = (_Y_CONVENTION_NOTE,) if family == "word-bicsp-Y" else ()
+    if group == "rotation":
+        return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
+    return _orbit_instance(family, locus, group, polynomial, notes)
 
 
 # -- verification -------------------------------------------------------------------------

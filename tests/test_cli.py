@@ -74,6 +74,21 @@ def test_malformed_mu_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--family", "wcomp-csp", "--n", "2", "--k", "2", "--mu", "1,2", "--a", "3", "--output", "json"],
+        ["verify", "--family", "word-bicsp-X", "--n", "2", "--k", "2", "--a", "7"],
+        ["harmonics", "--family", "X", "--n", "2", "--k", "2", "--mu", "5,5", "--hilbert"],
+    ],
+)
+def test_unused_mu_or_a_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "takes no mu or a" in err
+
+
 def test_budget_exceeded_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "harmonics", "--family", "X", "--n", "4", "--k", "4", "--hilbert", "--max-points", "10"

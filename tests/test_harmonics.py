@@ -722,6 +722,18 @@ class TestPresentations:
         assert verify_presentation(enumerate_locus("Y", 2, 3), "complete-homogeneous")
         assert verify_presentation(enumerate_locus("Z", 3, 2), "mixed")
 
+    @pytest.mark.parametrize("family, n, k", [("X", 2, 3), ("Y", 2, 3), ("Z", 3, 2)])
+    def test_wrong_generators_are_rejected(self, monkeypatch, family, n, k):
+        # Dropping a generator shrinks the stated ideal and appending x_1 enlarges it.
+        # Z(3,2)'s last generator e_3 lies in the ideal of the others, so the first goes.
+        stated = harmonics.stated_generators
+        locus = enumerate_locus(family, n, k)
+        monkeypatch.setattr(harmonics, "stated_generators", lambda loc: stated(loc)[1:])
+        assert not verify_presentation(locus)
+        x1 = MultiPoly.variable(cyclo_field(k), n, 0)
+        monkeypatch.setattr(harmonics, "stated_generators", lambda loc: stated(loc) + [x1])
+        assert not verify_presentation(locus)
+
     def test_recipe_mismatch_rejected(self):
         with pytest.raises(DomainError):
             verify_presentation(enumerate_locus("X", 2, 2), "mixed")

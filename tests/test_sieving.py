@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitsieve import sieving
+from orbitsieve.characters import invariant_hilbert
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.loci import Action, Locus, apply_action, canonical_form, enumerate_locus, orbit_set
 from orbitsieve.qpoly import SparsePoly, q_binomial
@@ -14,6 +15,7 @@ from orbitsieve.sieving import (
     SIEVING_FAMILIES,
     SievingInstance,
     build_instance,
+    closed_frobenius,
     normalize_family,
     oracle_csp_poly,
     sieving_polynomial,
@@ -22,6 +24,7 @@ from orbitsieve.sieving import (
     verify_family,
     word_bicsp_instance,
 )
+from orbitsieve.tableaux import fake_degree
 
 from locus_strategies import shift_stable_loci
 
@@ -60,6 +63,27 @@ def test_orbit_csp_polynomials_are_gaussian_binomials():
     assert sieving_polynomial("subset-csp", n=2, k=4) == q_binomial(4, 2)
     assert sieving_polynomial("comp-csp", n=4, k=2) == q_binomial(3, 1)
     assert poly_dict(sieving_polynomial("wcomp-csp", n=2, k=2)) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+
+
+def test_direct_forms_equal_their_pairings():
+    # The X results and the Gaussian binomials skip the Frobenius image for speed;
+    # each must still be the pairing of that image it stands for.
+    for n in range(1, 7):
+        for k in range(1, 5):
+            frob_x = closed_frobenius("X", n, k)
+            rotation = sum((c * fake_degree(lam).swap_q_to_t() for lam, c in frob_x.items()), SparsePoly.zero())
+            assert sieving_polynomial("word-bicsp-X", n=n, k=k) == rotation, (n, k)
+            groups = {"wcomp-csp": "Sn", "necklace-X": "Cn"} | ({"graph-X": "Hr"} if n % 2 == 0 else {})
+            for family, group in groups.items():
+                assert sieving_polynomial(family, n=n, k=k) == invariant_hilbert(frob_x, group), (family, n, k)
+            if k >= n:
+                frob_y = closed_frobenius("Y", n, k)
+                assert sieving_polynomial("subset-csp", n=n, k=k) == invariant_hilbert(frob_y, "Sn"), (n, k)
+            if k <= n:
+                frob_z = closed_frobenius("Z", n, k)
+                assert sieving_polynomial("comp-csp", n=n, k=k) == invariant_hilbert(frob_z, "Sn"), (n, k)
+    with pytest.raises(DomainError):
+        closed_frobenius("W", 2, 2)
 
 
 def test_necklace_and_graph_polynomials_small():
@@ -156,6 +180,23 @@ def test_constructor_domain_errors():
         sieving_polynomial("word-bicsp-X", n=3)  # missing k
     with pytest.raises(DomainError):
         sieving_polynomial("wcomp-csp", n=0, k=2)
+    # mu and a belong to the tanisaki results only
+    for family, kwargs in [
+        ("wcomp-csp", dict(n=2, k=2, mu=(1, 2))),
+        ("wcomp-csp", dict(n=2, k=2, a=3)),
+        ("word-bicsp-X", dict(n=2, k=2, a=7)),
+        ("springer-bicsp", dict(n=2, mu=(1, 1))),
+    ]:
+        with pytest.raises(DomainError, match="takes no mu or a"):
+            sieving_polynomial(family, **kwargs)
+    for family, kwargs in [
+        ("X", dict(k=2, mu=(5, 5))),
+        ("Y", dict(k=3, a=1)),
+        ("Z", dict(k=2, a=1)),
+        ("springer", dict(mu=(1, 1))),
+    ]:
+        with pytest.raises(DomainError, match="takes no mu or a"):
+            enumerate_locus(family, 2, **kwargs)
 
 
 # -- verification grids -------------------------------------------------------------------
