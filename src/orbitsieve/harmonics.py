@@ -9,10 +9,11 @@ scaling its letters by every unit mod k has a rational basis, and one root per
 prime gives it; any other locus is eliminated once for each primitive root and
 interpolated at those roots.  CRT over primes and rational reconstruction lift
 the coefficients to Q(zeta_k).  A lifted basis is returned only after an exact
-certificate here (monic generators with standard tails, antichain leads, |X|
-standard monomials, vanishing at every point), which proves it is the reduced
-one.  If none of the first ``interpolation.MODULAR_PRIMES`` split primes yields
-a certified basis, ResourceBudgetError names that prime budget.
+certificate here (monic generators with standard tails, each generator within
+one eigenclass of the value shift, antichain leads, |X| standard monomials,
+vanishing at every value-shift orbit representative), which proves it is the
+reduced one.  If none of the first ``interpolation.MODULAR_PRIMES`` split primes
+yields a certified basis, ResourceBudgetError names that prime budget.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
@@ -626,21 +627,29 @@ def _certified(locus: Locus, gb: GroebnerBasis) -> bool:
     Monic generators (checked by GroebnerBasis), standard tails and antichain
     leads make it the reduced one.  Each lead is its generator's grevlex-largest
     term, so tails lie below their leads.
+
+    The value shift x -> zeta^step x fixes I(X) and so its reduced basis: all
+    terms of a generator g have degrees congruent to its lead's mod the shift
+    order, which is checked.  Then g(zeta^step x) = zeta^(step deg) g(x), so g
+    vanishes on X once it vanishes at the orbit representatives.
     """
     leads = gb.leading_exponents()
+    korder = locus.scaling_order
     for g, lt in zip(gb.gens, leads):
         if any(e != lt and not gb.is_standard(e) for e in g.terms):
+            return False
+        if any((sum(e) - sum(lt)) % korder for e in g.terms):
             return False
     for i, a in enumerate(leads):
         if any(j != i and all(x >= y for x, y in zip(a, b)) for j, b in enumerate(leads)):
             return False
     if gb.quotient_basis().total != locus.size:
         return False
-    return _vanishes_on(gb, locus)
+    return _vanishes_on(gb, interpolation.orbit_representatives(locus))
 
 
-def _vanishes_on(gb: GroebnerBasis, locus: Locus) -> bool:
-    """Whether every generator is zero at every embedded point, exactly.
+def _vanishes_on(gb: GroebnerBasis, words) -> bool:
+    """Whether every generator is zero at every embedded word, exactly.
 
     Each generator is scaled by the lcm of its coordinate denominators, so the
     sums run over integers: at each point the coefficients of each power of zeta
@@ -653,7 +662,7 @@ def _vanishes_on(gb: GroebnerBasis, locus: Locus) -> bool:
         terms = [
             (e, [(i, int(x * den)) for i, x in enumerate(c.coords) if x]) for e, c in g.terms.items()
         ]
-        for w in locus.words:
+        for w in words:
             at = [0] * field.order
             for e, coords in terms:
                 j = sum(a * b for a, b in zip(e, w))

@@ -25,6 +25,18 @@ elimination runs once for each primitive root and the coefficients are
 interpolated at the roots.  CRT over at most MODULAR_PRIMES primes and rational
 reconstruction lift them.  A lift is a candidate only: the caller must certify it.
 
+The rows over F_p are packed (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009): each echelon row,
+and the vector being reduced, is one Python int with one byte-aligned slot per
+orbit representative, so a row operation is one big-int multiply-add and a
+multiplier is one shift and mask.  Entries start below p and are reduced mod p
+only at the end; each operation adds less than p^2 and a class has at most
+#reps rows, so every entry stays below (#reps + 1) p^2, which fixes the slot
+width per prime and keeps slots from carrying.  Rows are built incrementally: a
+monomial's exponent dot products with the representatives are those of its
+predecessor at its first nonzero position, which is standard, plus one column of
+the representatives, so only the previous degree's table is kept.
+
 No polynomial type appears here; ``harmonics`` assembles and certifies the bases.
 """
 
@@ -219,38 +231,55 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     found before it, per root the tail coefficients mod p on them).
     """
     n, kk, korder = locus.n, locus.k, locus.scaling_order
-    powers = [[pow(omega, j, p) for j in range(kk)] for omega in roots]
-    # Per root and eigenclass: echelon rows (pivot, negated vector with pivot 1,
-    # trail, 1/scale), one per standard monomial of the class.  Row operations add
-    # without reducing mod p (each adds less than p^2 to an entry); only the entry
-    # read as the next multiplier is reduced, and the vector once at the end.
+    m = len(reps)
+    # Every entry stays below (m + 1) p^2 (see the module docstring), so slots of
+    # this many bytes never carry into each other.
+    width = (((m + 1) * p * p).bit_length() + 7) // 8
+    bits = 8 * width
+    size, mask = m * width, (1 << bits) - 1
+    slots = [[pow(omega, j, p).to_bytes(width, "little") for j in range(kk)] for omega in roots]
+    columns = [[w[i] for w in reps] for i in range(n)]
+    # Per root and eigenclass: echelon rows (pivot slot's bit offset, negated
+    # packed vector with pivot 1, trail, 1/scale), one per standard monomial of
+    # the class.  Row operations add without reducing mod p; only the slot read
+    # as the next multiplier is reduced, and the vector once at the end.
     rows_by_root = [[[] for _ in range(korder)] for _ in roots]
     cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
     stds: list[Exponents] = []
     gens: list[tuple] = []
     level = [(0,) * n]
+    # Exponent-word dot products mod k, per standard monomial of the last degree.
+    dots = {level[0]: [0] * m}
     d = 0
     while level:
         found = []
+        next_dots = {}
         for e in level:
-            t = [sum(a * b for a, b in zip(e, w)) % kk for w in reps]
+            if d:
+                i = next(i for i, x in enumerate(e) if x)
+                pred = dots[e[:i] + (e[i] - 1,) + e[i + 1 :]]
+                t = [(a + b) % kk for a, b in zip(pred, columns[i])]
+            else:
+                t = dots[e]
             tails = []
-            for pw, by_class in zip(powers, rows_by_root):
+            for sl, by_class in zip(slots, rows_by_root):
                 rows = by_class[d % korder]
-                vec = [pw[j] for j in t]
+                vec = int.from_bytes(b"".join([sl[j] for j in t]), "little")
                 uses = []
-                for r, (pivot, neg, _, _) in enumerate(rows):
-                    c = vec[pivot] % p
+                for r, (shift, neg, _, _) in enumerate(rows):
+                    c = (vec >> shift & mask) % p
                     if c:
-                        vec = [a + c * b for a, b in zip(vec, neg)]
+                        vec += c * neg
                         uses.append((c, r))
-                vec = [x % p for x in vec]
-                pivot = next((i for i, x in enumerate(vec) if x), None)
+                raw = vec.to_bytes(size, "little")
+                entries = [int.from_bytes(raw[j : j + width], "little") % p for j in range(0, size, width)]
+                pivot = next((j for j, x in enumerate(entries) if x), None)
                 if pivot is None:
                     tails.append(_tail_coefficients(rows, uses, p))
                 else:
-                    inv = pow(vec[pivot], -1, p)
-                    rows.append((pivot, [-x * inv % p for x in vec], uses, inv))
+                    inv = pow(entries[pivot], -1, p)
+                    neg = b"".join([(-x * inv % p).to_bytes(width, "little") for x in entries])
+                    rows.append((bits * pivot, int.from_bytes(neg, "little"), uses, inv))
             if len(tails) == len(roots):
                 gens.append((e, tuple(cls_stds[d % korder]), tails))
             elif tails:
@@ -258,8 +287,10 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
             else:
                 cls_stds[d % korder].append(e)
                 found.append(e)
+                next_dots[e] = t
         stds.extend(found)
         level = successors(found, n)
+        dots = next_dots
         d += 1
         if d > locus.size + n * kk:
             raise InternalCheckError("point-ideal elimination failed to terminate")

@@ -51,7 +51,8 @@ class Locus:
 
     @property
     def scaling_order(self) -> int:
-        return self.k // self.scaling_step
+        """Order of the declared value shift: k / gcd(k, step)."""
+        return self.k // math.gcd(self.k, self.scaling_step)
 
     def describe(self) -> dict:
         out = {"family": self.family, "n": self.n, "k": self.k}

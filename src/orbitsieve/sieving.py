@@ -108,8 +108,7 @@ def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
                 acc[lam] = acc[lam] + SparsePoly.monomial(maj) * q_binomial(n - des - 1, n - k)
         return SchurVector(n, acc)
     if family == "tanisaki":
-        content = tuple(sorted(mu, reverse=True))  # one kostka_foulkes cache entry per content
-        return SchurVector(n, {lam: kostka_foulkes(lam, content) for lam in partitions(n)})
+        return SchurVector(n, {lam: kostka_foulkes(lam, mu) for lam in partitions(n)})
     if family in ("Y", "springer"):
         factor = q_binomial(n if family == "springer" else k, n)
         return SchurVector(n, {lam: factor * fake_degree(lam) for lam in partitions(n)})

@@ -321,15 +321,19 @@ def cocharge(t: Tableau) -> int:
     return b_stat(content) - charge(t.reading_word())
 
 
-@lru_cache(maxsize=None)
-def kostka_foulkes(shape: Partition, content: Partition) -> SparsePoly:
+def kostka_foulkes(shape: Partition, content: tuple[int, ...]) -> SparsePoly:
     """Modified Kostka-Foulkes polynomial: cocharge generating function over SSYT.
 
     Normalized so that kostka_foulkes(lambda, (1,...,1)) equals fake_degree(lambda).
-    Content is sorted decreasingly (zero parts dropped) before use.
+    Content is sorted decreasingly (zero parts dropped) before the cache lookup,
+    so every rearrangement of one content shares a cache entry.
     """
+    return _kostka_foulkes(shape, tuple(sorted((c for c in content if c), reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _kostka_foulkes(shape: Partition, content: Partition) -> SparsePoly:
     shape = check_partition(shape)
-    content = tuple(sorted((c for c in content if c), reverse=True))
     out = SparsePoly.zero()
     for t in generate_ssyt(shape, content):
         out = out + SparsePoly.monomial(cocharge(t))

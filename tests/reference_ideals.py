@@ -3,19 +3,25 @@
 ``exact_vanishing_ideal`` runs the eigenspace Buchberger-Moller of
 ``orbitsieve.interpolation`` over Q instead of modulo split primes: each
 eigenclass vector is flattened to phi(k) rational rows, one per power of zeta,
-so the elimination is exact.  ``point_ideal_product`` builds I(X) as an iterated product of
+so the elimination is exact, and the result is checked to vanish at every word
+of the locus.  ``point_ideal_product`` builds I(X) as an iterated product of
 the points' maximal ideals, with Buchberger's algorithm after each factor.  Both
 are slow and independent of the modular path that ``harmonics.vanishing_ideal``
 takes; reduced monic Groebner bases are unique, so every construction must agree
 exactly.
+
+``list_elimination`` is the modular elimination with each row a list of
+residues, one entry per orbit representative, and each monomial's row built from
+its exponent dot products directly; ``interpolation.modular_elimination`` packs
+rows into integers and builds them incrementally, and must return the same.
 """
 
 from __future__ import annotations
 
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
-from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, _vanishes_on, buchberger
-from orbitsieve.interpolation import Exponents, orbit_representatives, successors
+from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
+from orbitsieve.interpolation import Exponents, _tail_coefficients, orbit_representatives, successors
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT, RAT_ZERO
 
@@ -167,9 +173,62 @@ def exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
     """The reduced basis of I(X) by elimination over Q, checked to vanish on the locus."""
     field = cyclo_field(locus.k)
     gb = _basis(field, locus.n, *rational_elimination(locus))
-    if not _vanishes_on(gb, locus):
-        raise InternalCheckError("basis element does not vanish on the locus")
+    for g in gb.gens:
+        for w in locus.words:
+            if g.evaluate_at_word(w):
+                raise InternalCheckError(f"basis element does not vanish at {w}")
     return gb
+
+
+# -- elimination over F_p on lists -------------------------------------------------------
+
+
+def list_elimination(locus: Locus, reps, p: int, roots: list[int]):
+    """``interpolation.modular_elimination`` with list rows: (stds, gens) or None."""
+    n, kk, korder = locus.n, locus.k, locus.scaling_order
+    powers = [[pow(omega, j, p) for j in range(kk)] for omega in roots]
+    # Per root and eigenclass: echelon rows (pivot, negated vector with pivot 1,
+    # trail, 1/scale), one per standard monomial of the class.
+    rows_by_root = [[[] for _ in range(korder)] for _ in roots]
+    cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
+    stds: list[Exponents] = []
+    gens: list[tuple] = []
+    level = [(0,) * n]
+    d = 0
+    while level:
+        found = []
+        for e in level:
+            t = [sum(a * b for a, b in zip(e, w)) % kk for w in reps]
+            tails = []
+            for pw, by_class in zip(powers, rows_by_root):
+                rows = by_class[d % korder]
+                vec = [pw[j] for j in t]
+                uses = []
+                for r, (pivot, neg, _, _) in enumerate(rows):
+                    c = vec[pivot] % p
+                    if c:
+                        vec = [a + c * b for a, b in zip(vec, neg)]
+                        uses.append((c, r))
+                vec = [x % p for x in vec]
+                pivot = next((i for i, x in enumerate(vec) if x), None)
+                if pivot is None:
+                    tails.append(_tail_coefficients(rows, uses, p))
+                else:
+                    inv = pow(vec[pivot], -1, p)
+                    rows.append((pivot, [-x * inv % p for x in vec], uses, inv))
+            if len(tails) == len(roots):
+                gens.append((e, tuple(cls_stds[d % korder]), tails))
+            elif tails:
+                return None
+            else:
+                cls_stds[d % korder].append(e)
+                found.append(e)
+        stds.extend(found)
+        level = successors(found, n)
+        d += 1
+        if d > locus.size + n * kk:
+            raise InternalCheckError("point-ideal elimination failed to terminate")
+    return stds, gens
 
 
 def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:

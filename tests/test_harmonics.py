@@ -13,7 +13,7 @@ composition, and graded traces read modulo a prime with traces summed in exact
 Q(zeta_k).
 """
 
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 
 import pytest
@@ -46,7 +46,7 @@ from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 from locus_strategies import shift_stable_loci
-from reference_ideals import exact_vanishing_ideal, point_ideal_product
+from reference_ideals import exact_vanishing_ideal, list_elimination, point_ideal_product
 
 
 def alive_monomials(d, n, lead_exps):
@@ -186,6 +186,21 @@ UNLUCKY_13_LOCUS = Locus(
         (5, 4, 4, 1), (5, 5, 1, 4), (5, 6, 4, 5), (6, 2, 1, 3), (6, 6, 5, 4),
     ),
     a=2,
+)
+
+# Three orbits of the shift by 1 in {1..10}^3: mod 11 the four primitive tenth
+# roots disagree on whether a monomial is standard.
+DISAGREE_11_LOCUS = Locus(
+    "X",
+    3,
+    10,
+    tuple(
+        sorted(
+            tuple((x - 1 + j) % 10 + 1 for x in w)
+            for w in [(1, 4, 5), (1, 8, 2), (1, 9, 1)]
+            for j in range(10)
+        )
+    ),
 )
 
 
@@ -409,6 +424,172 @@ class TestModularElimination:
             for omega in roots:
                 assert pow(omega, k, p) == 1
                 assert all(pow(omega, j, p) != 1 for j in range(1, k))
+
+
+def _same_as_list_rows(locus, p):
+    """Packed rows and the list reference give the same run at one root and at all."""
+    reps = interpolation.orbit_representatives(locus)
+    roots = interpolation.primitive_roots(locus.k, p)
+    for some in (roots[:1], roots):
+        assert interpolation.modular_elimination(locus, reps, p, some) == list_elimination(locus, reps, p, some)
+
+
+class TestPackedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(shift_stable_loci())
+    @example(DISAGREE_11_LOCUS)
+    @example(UNLUCKY_13_LOCUS)
+    def test_packed_rows_match_list_rows(self, locus):
+        # The largest split prime below 2^62, whose slots are widest, and the
+        # largest below 2^8.
+        with pytest.MonkeyPatch.context() as mp:
+            for ceiling in (2**62, 2**8):
+                mp.setattr(interpolation, "PRIME_CEILING", ceiling)
+                _same_as_list_rows(locus, next(interpolation.split_primes(locus.k)))
+
+    def test_prime_whose_roots_disagree_is_skipped(self, monkeypatch):
+        locus = DISAGREE_11_LOCUS
+        assert locus.size == 30 and not interpolation.unit_stable(locus)
+        reps = interpolation.orbit_representatives(locus)
+        roots = interpolation.primitive_roots(10, 11)
+        assert interpolation.modular_elimination(locus, reps, 11, roots) is None
+        assert list_elimination(locus, reps, 11, roots) is None
+
+        primes = interpolation.split_primes
+        monkeypatch.setattr(interpolation, "split_primes", lambda k: chain([11], primes(k)))
+        counts = _root_counts(monkeypatch)
+        assert vanishing_ideal(locus) == exact_vanishing_ideal(locus)
+        assert counts == [4, 4]  # 11 skipped, the next prime certified
+
+    def test_step_not_dividing_k(self):
+        # The shift by 2 in {1..5} has order 5, not 5 // 2: one orbit of five words.
+        locus = Locus("tanisaki", 2, 5, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1)), a=2)
+        assert locus.scaling_order == 5
+        assert interpolation.orbit_representatives(locus) == [(1, 2)]
+        assert vanishing_ideal(locus) == point_ideal_product(locus)
+
+    def test_shift_that_does_not_preserve_the_locus(self):
+        # The shift by 1 takes (1, 1) to (2, 2) and then to (3, 3), which is missing.
+        locus = Locus("X", 2, 3, ((1, 1), (2, 2)))
+        with pytest.raises(InternalCheckError, match="value-shift action is not free"):
+            interpolation.orbit_representatives(locus)
+        with pytest.raises(InternalCheckError, match="value-shift action is not free"):
+            vanishing_ideal(locus)
+
+
+# Z(3, 2): six points, shift order 2, three orbit representatives, and the
+# leads x3^2, x2^2, x1 x2, x1^2, each generator with rational tails.
+CERTIFIED_LOCUS = enumerate_locus("Z", 3, 2)
+
+
+def _lift_terms(layout, coords, phi):
+    """A lift as {lead: {tail monomial: power-basis coordinates}}."""
+    it = iter(coords)
+    return {e: {s: [next(it) for _ in range(phi)] for s in stds} for e, stds in layout}
+
+
+def _flatten(terms):
+    """The (layout, coordinates) that ``harmonics._basis`` reads, from lift terms."""
+    layout = [(e, tuple(tail)) for e, tail in terms.items()]
+    return layout, [x for tail in terms.values() for c in tail.values() for x in c]
+
+
+def _tail_divisible_by_a_lead(terms):
+    tail = terms[(1, 1, 0)]
+    tail[(0, 2, 0)] = tail.pop((0, 1, 1))  # x2 x3 becomes the lead x2^2, still below x1 x2
+
+
+def _lead_divisible_by_a_lead(terms):
+    terms[(0, 0, 3)] = {(0, 0, 1): [RAT(-1)]}  # x3^3 - x3 lies in I(X); x3^2 divides its lead
+
+
+def _dropped_generator(terms):
+    del terms[(1, 1, 0)]  # x1 x2 becomes standard: eight standard monomials
+
+
+def _changed_coordinate(terms):
+    terms[(2, 0, 0)][(0, 0, 0)][0] += 1
+
+
+def _tail_from_another_class(terms):
+    # x1 = zeta = -1 at every orbit representative, so adding x1 + 1 to x3^2 - 1
+    # keeps it zero there; x1 has odd degree and x3^2 even.
+    tail = terms[(0, 0, 2)]
+    tail[(0, 0, 0)][0] += 1
+    tail[(1, 0, 0)] = [RAT(1)]
+
+
+CORRUPTIONS = [
+    _tail_divisible_by_a_lead,
+    _lead_divisible_by_a_lead,
+    _dropped_generator,
+    _changed_coordinate,
+    _tail_from_another_class,
+]
+
+
+def _candidate(corrupt):
+    """The basis ``_basis`` assembles from the first lift of CERTIFIED_LOCUS, corrupted."""
+    field = cyclo_field(CERTIFIED_LOCUS.k)
+    layout, coords = next(interpolation.modular_lifts(CERTIFIED_LOCUS))
+    terms = _lift_terms(layout, coords, field.degree)
+    if corrupt is not None:
+        corrupt(terms)
+    return harmonics._basis(field, CERTIFIED_LOCUS.n, *_flatten(terms))
+
+
+class TestCertificate:
+    def test_the_true_lift_passes(self):
+        gb = _candidate(None)
+        assert harmonics._certified(CERTIFIED_LOCUS, gb)
+        assert gb == exact_vanishing_ideal(CERTIFIED_LOCUS)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_corrupted_lift_is_rejected(self, corrupt):
+        assert not harmonics._certified(CERTIFIED_LOCUS, _candidate(corrupt))
+
+    def test_tail_not_standard_is_its_only_fault(self):
+        gb = _candidate(_tail_divisible_by_a_lead)
+        assert gb.leading_exponents() == _candidate(None).leading_exponents()
+        assert any((0, 2, 0) in g.terms for g in gb.gens) and not gb.is_standard((0, 2, 0))
+
+    def test_extra_lead_is_its_only_fault(self):
+        gb = _candidate(_lead_divisible_by_a_lead)
+        assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
+        assert harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
+
+    def test_dropped_generator_changes_the_standard_count(self):
+        assert _candidate(_dropped_generator).quotient_basis().total == 8
+
+    def test_changed_coordinate_fails_at_an_orbit_representative(self):
+        reps = interpolation.orbit_representatives(CERTIFIED_LOCUS)
+        assert not harmonics._vanishes_on(_candidate(_changed_coordinate), reps)
+
+    def test_other_class_tail_vanishes_at_the_representatives_only(self):
+        # Only the eigenclass clause tells this candidate from I(X): evaluating at
+        # the orbit representatives alone would accept it.
+        gb = _candidate(_tail_from_another_class)
+        reps = interpolation.orbit_representatives(CERTIFIED_LOCUS)
+        assert {w[0] for w in reps} == {1}
+        assert harmonics._vanishes_on(gb, reps)
+        assert not harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
+        assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_corrupt_lifts_exhaust_the_prime_budget(self, corrupt, monkeypatch):
+        assemble = harmonics._basis
+        candidates = []
+
+        def corrupted(field, n, layout, coords):
+            terms = _lift_terms(layout, coords, field.degree)
+            corrupt(terms)
+            candidates.append(layout)
+            return assemble(field, n, *_flatten(terms))
+
+        monkeypatch.setattr(harmonics, "_basis", corrupted)
+        with pytest.raises(ResourceBudgetError, match="prime budget"):
+            vanishing_ideal(CERTIFIED_LOCUS)
+        assert len(candidates) == interpolation.MODULAR_PRIMES
 
 
 class TestAssociatedGraded:

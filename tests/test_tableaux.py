@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from orbitsieve import tableaux
 from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly, q_multinomial
 from orbitsieve.tableaux import (
@@ -155,6 +156,13 @@ def test_kostka_foulkes_specializations():
                 assert kf.evaluate() == kostka_number(lam, mu)
     # content sorted internally, zeros dropped
     assert kostka_foulkes((2, 1), (1, 0, 2)) == kostka_foulkes((2, 1), (2, 1))
+
+
+def test_kostka_foulkes_caches_one_entry_per_content():
+    tableaux._kostka_foulkes.cache_clear()
+    for mu in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+        assert kostka_foulkes((3, 1), mu) == Q + Q**2
+    assert tableaux._kostka_foulkes.cache_info().currsize == 1
 
 
 def test_rsk_small_example():
