@@ -97,7 +97,11 @@ def unit_stable(locus: Locus) -> bool:
 
 
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
-    """Sorted least words of the value-shift orbits; the action must be free."""
+    """Sorted least words of the value-shift orbits; the shift must preserve the locus.
+
+    The shift is free on words of length >= 1 (the first letter cycles with period
+    scaling_order), so orbits of that size that do not cover |X| mean a missing image.
+    """
     step, korder, kk = locus.scaling_step, locus.scaling_order, locus.k
     seen: set = set()
     reps: list[tuple[int, ...]] = []
@@ -109,7 +113,7 @@ def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
         reps.append(min(orbit))
     reps.sort()
     if len(reps) * korder != locus.size:
-        raise InternalCheckError("value-shift action is not free on the locus")
+        raise InternalCheckError("value shift does not preserve the locus")
     return reps
 
 

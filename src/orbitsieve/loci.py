@@ -5,6 +5,10 @@ position permutations.  Five families exist: all words (X), words with distinct 
 (Y), surjective words (Z), fixed-content words (tanisaki), and permutation words
 (springer).  Orbit sets quotient a locus by one of the three position subgroups and
 carry the induced value-shift action on canonical labels.
+
+The per-word passes stay at C level: the necklace labels of all of {1..k}^n (proved
+by counting) are read by base-k index, content labels key each word by its sorted
+letters, and a value shift maps letters through a cached table.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, islice, permutations, product
+from functools import lru_cache
+from itertools import chain, count, islice, permutations, product
 from typing import Iterable
 
 from .errors import DomainError, InternalCheckError
@@ -179,10 +184,11 @@ def apply_action(action: Action, w: Word, times: int = 1) -> Word:
     if times < 0:
         raise DomainError("negative action power")
     if action.kind == "value_shift":
-        shift = (action.step * times) % action.modulus
-        if any(not 1 <= x <= action.modulus for x in w):
-            raise DomainError("letters outside the action's alphabet")
-        return tuple((x - 1 + shift) % action.modulus + 1 for x in w)
+        table = _shift_table((action.step * times) % action.modulus, action.modulus)
+        try:
+            return tuple(map(table.__getitem__, w))
+        except (KeyError, TypeError):
+            raise DomainError("letters outside the action's alphabet") from None
     if action.kind == "position_rotation":
         n = len(w)
         r = (action.step * times) % n if n else 0
@@ -201,6 +207,12 @@ def apply_action(action: Action, w: Word, times: int = 1) -> Word:
                 out = apply_action(part, out)
         return out
     raise DomainError(f"unknown action kind {action.kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _shift_table(shift: int, k: int) -> dict[int, int]:
+    """Image of each letter 1..k under the value shift by `shift` (mod k)."""
+    return {x: (x - 1 + shift) % k + 1 for x in range(1, k + 1)}
 
 
 def count_fixed(locus: Locus, action: Action, times: int = 1) -> int:
@@ -235,14 +247,19 @@ def canonical_form(w: Word, group: str, k: int):
     if group == "Sn":
         return content_of_word(w, k)
     if group == "Cn":
-        n = len(w)
-        return min(w[i:] + w[:i] for i in range(n))
+        return min(map((w + w).__getitem__, _rotation_slices(len(w))))
     if group == "Hr":
         if len(w) % 2:
             raise DomainError("pair-multiset labels need even word length")
         pairs = [tuple(sorted((w[2 * i], w[2 * i + 1]))) for i in range(len(w) // 2)]
         return tuple(sorted(pairs))
     raise DomainError(f"unknown subgroup {group!r}")
+
+
+@lru_cache(maxsize=None)
+def _rotation_slices(n: int) -> tuple[slice, ...]:
+    """The n windows of length n in a doubled word of length 2n: its rotations."""
+    return tuple(slice(i, i + n) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -296,36 +313,52 @@ def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
     rotation first), every rotation of every kept label is in it, and the periods sum
     to |X| (so the kept orbits, disjoint and inside the locus, cover it).  No second
     container of the words is built.
+
+    When locus.words is all of {1..k}^n, which counting proves (k^n strictly
+    increasing words, each of length n over 1..k), it is that set in lex order: the
+    rotation proof is skipped and each necklace is the locus word at its base-k index.
     """
     words, n, k = locus.words, locus.n, locus.k
     if n < 1 or k < 1 or not all(map(operator.lt, words, islice(words, 1, None))):
         return None
     size = len(words)
+    cube = (
+        size == k**n
+        and set(map(len, words)) == {n}
+        and set(chain.from_iterable(words)) <= set(range(1, k + 1))
+    )
+    weights = [k ** (n - 1 - i) for i in range(n)]
+    offset = sum(weights)  # the base-k index of a is sum((a[i] - 1) * weights[i])
     labels = []
     covered = 0
     a, p = [1] * n, 1
     while True:
-        word = tuple(a)
-        at = bisect_left(words, word)
-        if at == size:
-            break
-        found = words[at]
-        if found == word:
+        if cube:
             if n % p == 0:
-                doubled = word + word
-                for j in range(1, p):
-                    rotation = doubled[j : j + n]
-                    # A necklace's rotations all follow it in lex order.
-                    r = bisect_left(words, rotation, at + 1)
-                    if r == size or words[r] != rotation:
-                        return None
-                labels.append(found)  # the locus' own tuple, so no copy of it is kept
+                labels.append(words[sum(map(operator.mul, a, weights)) - offset])
                 covered += p
         else:
-            # No locus word lies strictly between this prenecklace and `found`, so
-            # skip every string sharing their first differing letter's prefix.
-            j = next((j for j, (x, y) in enumerate(zip(word, found)) if x != y), n)
-            a[j + 1 :] = [k] * (n - j - 1)
+            word = tuple(a)
+            at = bisect_left(words, word)
+            if at == size:
+                break
+            found = words[at]
+            if found == word:
+                if n % p == 0:
+                    doubled = word + word
+                    for j in range(1, p):
+                        rotation = doubled[j : j + n]
+                        # A necklace's rotations all follow it in lex order.
+                        r = bisect_left(words, rotation, at + 1)
+                        if r == size or words[r] != rotation:
+                            return None
+                    labels.append(found)  # the locus' own tuple, so no copy of it is kept
+                    covered += p
+            else:
+                # No locus word lies strictly between this prenecklace and `found`, so
+                # skip every string sharing their first differing letter's prefix.
+                j = next((j for j, (x, y) in enumerate(zip(word, found)) if x != y), n)
+                a[j + 1 :] = [k] * (n - j - 1)
         i = n - 1
         while i >= 0 and a[i] == k:
             i -= 1
@@ -341,8 +374,9 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
     Cn labels of a sorted, rotation-closed locus are generated as necklaces
-    (`_generated_necklace_labels`); any other locus takes the canonical-form walk,
-    which gives the same labels and representatives.
+    (`_generated_necklace_labels`); Sn labels key each word by its sorted letters,
+    and only the distinct keys become content vectors.  Every other case takes the
+    canonical-form walk, which gives the same labels and representatives.
     """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")
@@ -352,6 +386,16 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
         labels = _generated_necklace_labels(locus)
         if labels is not None:
             return OrbitSet(group, locus.n, locus.k, labels, dict(zip(labels, labels)))
+    if group == "Sn":
+        # Read backwards, so the first word of each class is the last one stored.
+        firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))
+        try:
+            reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
+        except DomainError:
+            for w in locus.words:  # the walk's error names the first bad letter in locus order
+                content_of_word(w, locus.k)
+            raise
+        return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
     reps: dict = {}
     for w in locus.words:
         label = canonical_form(w, group, locus.k)

@@ -263,6 +263,12 @@ def q_multinomial(n: int, parts: Iterable[int]) -> SparsePoly:
         raise DomainError("q_multinomial with a negative part")
     if sum(parts) != n:
         raise DomainError(f"q_multinomial parts {parts} do not sum to {n}")
+    return _q_multinomial(n, tuple(sorted(parts)))
+
+
+@lru_cache(maxsize=None)
+def _q_multinomial(n: int, parts: tuple[int, ...]) -> SparsePoly:
+    """q_multinomial on sorted parts, so every rearrangement shares a cache entry."""
     out = q_factorial(n)
     for p in parts:
         out = out.div_exact_q(q_factorial(p))

@@ -471,9 +471,9 @@ class TestPackedRows:
     def test_shift_that_does_not_preserve_the_locus(self):
         # The shift by 1 takes (1, 1) to (2, 2) and then to (3, 3), which is missing.
         locus = Locus("X", 2, 3, ((1, 1), (2, 2)))
-        with pytest.raises(InternalCheckError, match="value-shift action is not free"):
+        with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
             interpolation.orbit_representatives(locus)
-        with pytest.raises(InternalCheckError, match="value-shift action is not free"):
+        with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
             vanishing_ideal(locus)
 
 
@@ -801,6 +801,37 @@ class TestGradedCharacter:
         assert exact_graded_character(gb_t, (1, 0)) == SparsePoly({(0, 0): 1, (1, 0): -5})
         with pytest.raises(InternalCheckError):
             graded_character(gb_t, (1, 0))
+
+
+class TestTracePrime:
+    """The split prime for graded traces skips denominators and can run out."""
+
+    @staticmethod
+    def basis_with_denominator(p):
+        # <x1 + x2 / p, x2^2> over Q(zeta_3): x2 / p has no image mod p.
+        field = cyclo_field(3)
+        gens = (
+            MultiPoly(field, 2, {(1, 0): field.one, (0, 1): field.element((RAT(1, p), 0))}),
+            MultiPoly(field, 2, {(0, 2): field.one}),
+        )
+        return GroebnerBasis(field, 2, gens)
+
+    def test_prime_dividing_a_denominator_is_skipped(self):
+        largest, second = islice(interpolation.split_primes(3), 2)
+        gb = self.basis_with_denominator(largest)
+        assert gb.trace_prime(0) == second
+        assert gb._nf_mod[largest] is None
+        assert gb.nf_monomial_mod((1, 0), second) == {(0, 1): -pow(largest, -1, second) % second}
+
+    def test_running_out_of_primes_raises(self, monkeypatch):
+        largest = next(interpolation.split_primes(3))
+        gb = self.basis_with_denominator(largest)
+        monkeypatch.setattr(harmonics, "split_primes", lambda k: iter([largest]))
+        with pytest.raises(InternalCheckError, match="no split prime above 0"):
+            gb.trace_prime(0)
+        monkeypatch.setattr(harmonics, "split_primes", lambda k: iter(()))
+        with pytest.raises(InternalCheckError, match="no split prime above 0"):
+            associated_graded(vanishing_ideal(enumerate_locus("X", 2, 3))).trace_prime(0)
 
 
 class TestGradedFrobenius:

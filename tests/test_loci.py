@@ -6,6 +6,7 @@ over explicitly enumerated position subgroups.
 """
 
 import math
+import re
 from itertools import product
 
 import pytest
@@ -144,8 +145,9 @@ class TestActions:
             count_fixed(broken, Action.value_shift(1, 2))
 
     def test_letters_outside_alphabet_rejected(self):
-        with pytest.raises(DomainError):
-            apply_action(Action.value_shift(1, 2), (1, 3))
+        for w in ((1, 3), (0, 1), (1, None), (1, [2])):
+            with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
+                apply_action(Action.value_shift(1, 2), w)
 
 
 class TestCanonicalForms:
@@ -255,9 +257,9 @@ def canonical_walk(locus, group):
     return tuple(sorted(reps)), reps
 
 
-def assert_labels_match_the_walk(locus):
-    labels, reps = canonical_walk(locus, "Cn")
-    orbits = orbit_set(locus, "Cn")
+def assert_labels_match_the_walk(locus, group="Cn"):
+    labels, reps = canonical_walk(locus, group)
+    orbits = orbit_set(locus, group)
     assert orbits.labels == labels
     assert {label: orbits.rep(label) for label in orbits.labels} == reps
 
@@ -330,3 +332,79 @@ class TestNecklaceLabels:
     @example(Locus("X", 3, 3, ((1, 1, 2), (1, 2, 1), (3, 1, 1))))
     def test_hand_built_loci_match_the_walk(self, locus):
         assert_labels_match_the_walk(locus)
+
+
+def spy_on_bisect(monkeypatch):
+    """Record every binary search of the necklace proof."""
+    calls = []
+    real = loci.bisect_left
+
+    def counting_bisect_left(words, word, *args):
+        calls.append(word)
+        return real(words, word, *args)
+
+    monkeypatch.setattr(loci, "bisect_left", counting_bisect_left)
+    return calls
+
+
+class TestCubeLabels:
+    """All of {1..k}^n, proved by counting, reads its necklaces by base-k index."""
+
+    def test_cube_matches_the_walk_without_a_search(self, monkeypatch):
+        calls = spy_on_bisect(monkeypatch)
+        for n in range(1, 7):
+            for k in range(1, 5):
+                assert_labels_match_the_walk(enumerate_locus("X", n, k))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "locus",
+        [
+            # k^n sorted words, all of length n, one holding the letter 0
+            Locus("X", 2, 2, ((0, 1), (1, 0), (1, 1), (2, 2))),
+            # ... one holding the letter k + 1
+            Locus("X", 2, 2, ((1, 1), (1, 3), (2, 2), (3, 1))),
+            # ... letters in 1..k, one word of the wrong length
+            Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))),
+            Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))),
+        ],
+    )
+    def test_near_cubes_take_the_proof(self, locus, monkeypatch):
+        assert locus.size == locus.k**locus.n
+        calls = spy_on_bisect(monkeypatch)
+        assert_labels_match_the_walk(locus)
+        assert calls
+
+
+class TestContentLabels:
+    """Sn labels from sorted letters against the canonical-form (content vector) walk."""
+
+    @pytest.mark.parametrize("family", ["X", "Y", "Z"])
+    def test_families_match_the_walk(self, family):
+        for n in range(1, 7):
+            for k in range(1, 5):
+                assert_labels_match_the_walk(enumerate_locus(family, n, k), "Sn")
+
+    @pytest.mark.parametrize("mu,a", [((2, 2, 2, 2), None), ((2, 1, 2, 1), 2), ((3, 0, 1), None)])
+    def test_tanisaki_and_springer_match_the_walk(self, mu, a):
+        assert_labels_match_the_walk(enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a), "Sn")
+        assert_labels_match_the_walk(enumerate_locus("springer", len(mu)), "Sn")
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_word_tuples())
+    def test_hand_built_loci_match_the_walk(self, locus):
+        assert_labels_match_the_walk(locus, "Sn")
+
+    @pytest.mark.parametrize(
+        "words,message",
+        [
+            (((1, 1), (1, 3), (0, 2)), "letter 3 outside 1..2"),
+            (((1, 1, 1), (2, 3, 0)), "letter 3 outside 1..2"),
+            (((2, 2, 0), (1, 1, 1)), "letter 0 outside 1..2"),
+        ],
+    )
+    def test_letter_outside_the_alphabet_names_the_walk_s_first(self, words, message):
+        locus = Locus("X", len(words[0]), 2, words)
+        for reach in (canonical_walk, orbit_set):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                reach(locus, "Sn")

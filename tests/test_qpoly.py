@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitsieve import qpoly
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.qpoly import SparsePoly, q_binomial, q_factorial, q_int, q_multinomial
 
@@ -62,6 +63,14 @@ def test_q_multinomial_matches_maj_oracle():
 def test_q_multinomial_part_order_irrelevant():
     assert q_multinomial(5, (3, 2)) == q_multinomial(5, (2, 3))
     assert q_multinomial(6, (3, 2, 1)) == q_multinomial(6, (1, 3, 2))
+
+
+def test_q_multinomial_rearrangements_share_one_cache_entry():
+    qpoly._q_multinomial.cache_clear()
+    values = [q_multinomial(6, parts) for parts in itertools.permutations((3, 2, 1, 0))]
+    assert all(v == values[0] for v in values)
+    info = qpoly._q_multinomial.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 23)
 
 
 def test_q_binomial_out_of_range_is_zero():
