@@ -4,6 +4,11 @@ Elements are exact rational coordinate vectors on the power basis 1, x, ..., x^(
 modulo the L-th cyclotomic polynomial.  No floating point anywhere: evaluating a sieving
 polynomial at roots of unity sums its coefficients by exponent mod L and combines the
 power-basis vectors of the nonzero sums.
+
+Integral coordinates are plain Python ints: zero, one, the roots of unity and every
+integer combination of them stay ints, and a rational (``rat.RAT``) appears only where
+a division makes one.  Equality and hashing do not see the difference, since an
+integral rational equals and hashes as its int.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from math import gcd
 
 from .errors import DomainError, InternalCheckError
 from .qpoly import SparsePoly
-from .rat import RAT, RAT_ONE, RAT_ZERO, rat_as_int
+from .rat import RAT, RAT_ONE, rat_as_int
 
 
 @lru_cache(maxsize=None)
@@ -49,8 +54,8 @@ class CycloField:
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1
         self._powers = self._build_powers()
-        self.zero = CycloElement(self, (RAT_ZERO,) * self.degree)
-        self.one = CycloElement(self, ((RAT_ONE,) + (RAT_ZERO,) * (self.degree - 1)))
+        self.zero = CycloElement(self, (0,) * self.degree)
+        self.one = self.from_int(1)
 
     def _build_powers(self) -> list[tuple[int, ...]]:
         d = self.degree
@@ -78,11 +83,11 @@ class CycloField:
 
     def root_power(self, j: int) -> "CycloElement":
         """zeta_L^j as a field element."""
-        return CycloElement(self, tuple(RAT(c) for c in self.power_vector(j)))
+        return CycloElement(self, self.power_vector(j))
 
     def power_combination(self, pairs) -> "CycloElement":
         """Sum of c * zeta_L^j over the (c, j) pairs, each zeta_L^j read from the power table."""
-        acc = [RAT_ZERO] * self.degree
+        acc = [0] * self.degree
         for c, j in pairs:
             if c:
                 for i, v in enumerate(self._powers[j % self.order]):
@@ -97,7 +102,7 @@ class CycloField:
         return CycloElement(self, coords)
 
     def from_int(self, n: int) -> "CycloElement":
-        return CycloElement(self, ((RAT(n),) + (RAT_ZERO,) * (self.degree - 1)))
+        return CycloElement(self, (n,) + (0,) * (self.degree - 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloField) and other.order == self.order
@@ -164,7 +169,7 @@ class CycloElement:
             return self.scale(other)
         self._check(other)
         d = self.field.degree
-        conv = [RAT_ZERO] * (2 * d - 1)
+        conv = [0] * (2 * d - 1)
         for i, a in enumerate(self.coords):
             if a:
                 for j, b in enumerate(other.coords):
@@ -223,7 +228,7 @@ class CycloElement:
         return rat_as_int(self.as_rational())
 
     def __repr__(self) -> str:
-        return f"CycloElement(L={self.field.order}, {list(self.coords)})"
+        return f"CycloElement(L={self.field.order}, [{', '.join(map(str, self.coords))}])"
 
 
 # -- root-of-unity evaluation --------------------------------------------------------

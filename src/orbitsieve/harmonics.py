@@ -24,6 +24,11 @@ than its piece's dimension, and every class' traces must add up to the words its
 permutation fixes.  Buchberger's algorithm remains for the stated presentations,
 which are given by generators rather than by points.
 
+``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
+point-ideal bases keyed by locus, so each locus is eliminated once however many
+checks read its quotient; both check their budgets before the lookup.
+``vanishing_ideal`` itself is not cached: every call eliminates afresh.
+
 Every result is exact: modular arithmetic only proposes a basis, which exact
 arithmetic certifies.  The monomial order is graded reverse lexicographic
 throughout; pivoting is first-nonzero with no size heuristics, so every run is
@@ -757,8 +762,7 @@ def graded_frobenius(
     for w in locus.words:
         if w[1:] + w[:1] not in words or (n > 1 and (w[1], w[0]) + w[2:] not in words):
             raise DomainError("the symmetric group does not preserve the locus")
-    gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
-    gb_t = associated_graded(gb_i)
+    gb_t = associated_graded(_point_basis(locus, max_points, max_vars))
     qb = gb_t.quotient_basis()
     if qb.total != locus.size:
         raise InternalCheckError(
@@ -801,10 +805,30 @@ def graded_frobenius(
     total = sum(mult * sn_character(lam, (1,) * n) for lam, mult in dims.items())
     if total != locus.size:
         raise InternalCheckError("graded Frobenius dimensions do not add up to |X|")
-    if len(_FROBENIUS_CACHE) >= _FROBENIUS_CACHE_SIZE:
-        del _FROBENIUS_CACHE[next(iter(_FROBENIUS_CACHE))]
-    _FROBENIUS_CACHE[locus] = frob
+    _remember(_FROBENIUS_CACHE, locus, frob)
     return frob
+
+
+# Reduced point-ideal bases by locus, bounded and evicted like _FROBENIUS_CACHE.  The
+# graded bases are rebuilt from them on each use, so their mod-p tables are not kept.
+_BASIS_CACHE: dict[Locus, GroebnerBasis] = {}
+
+
+def _remember(cache: dict, locus: Locus, value) -> None:
+    if len(cache) >= _FROBENIUS_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[locus] = value
+
+
+def _point_basis(locus: Locus, max_points: int, max_vars: int) -> GroebnerBasis:
+    """``vanishing_ideal(locus)``, computed once per locus.  The budgets are checked
+    before the lookup, so a cached basis never escapes a tighter budget."""
+    _check_locus(locus, max_points, max_vars)
+    gb_i = _BASIS_CACHE.get(locus)
+    if gb_i is None:
+        gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
+        _remember(_BASIS_CACHE, locus, gb_i)
+    return gb_i
 
 
 # -- stated presentations ------------------------------------------------------------
@@ -864,7 +888,7 @@ def verify_presentation(
         raise DomainError(f"family {locus.family!r} has no stated presentation")
     if recipe is not None and recipe != expected:
         raise DomainError(f"recipe {recipe!r} does not apply to family {locus.family!r}")
-    gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
+    gb_i = _point_basis(locus, max_points, max_vars)
     return buchberger(stated_generators(locus), max_pairs=max_pairs) == associated_graded(gb_i)
 
 

@@ -107,7 +107,7 @@ def enumerate_locus(
             a = steps[0]
         elif a not in steps:
             raise DomainError(f"a={a} is not a cyclic symmetry of mu={mu} (valid: {steps})")
-        words = tuple(sorted(multiset_permutations(mu)))
+        words = tuple(multiset_permutations(mu))  # already in lex order
         return Locus(family, n, k, words, mu=mu, a=a)
 
     if k is None or k < 1:

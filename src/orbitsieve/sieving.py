@@ -94,7 +94,14 @@ def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
     X: sum over m in the n x (k-1) box of q^|m| h_{m(m)}.  Y: [k choose n]_q f^lambda(q).
     Z: sum over T in SYT(lambda) of q^maj(T) [n-des(T)-1 choose n-k]_q.  tanisaki: the
     modified Kostka-Foulkes polynomials of mu.  springer: Y with k = n.
+    ``mu`` is read as a tuple before the cache lookup, so a list and a tuple share
+    one entry.
     """
+    return _closed_frobenius(family, n, k, None if mu is None else tuple(mu))
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -> SchurVector:
     if family == "X":
         total = SchurVector(n, {})
         for m in partitions_in_box(n, k - 1):

@@ -125,26 +125,29 @@ def content_of_word(w: Word, k: int) -> WeakComposition:
 
 
 def multiset_permutations(counts) -> Iterator[Word]:
-    """All words over 1..len(counts) in which letter i appears counts[i-1] times."""
+    """All words over 1..len(counts) in which letter i appears counts[i-1] times, in lex order.
+
+    Starts from the sorted word and steps to the next permutation in place: the
+    longest non-increasing suffix is passed over, the letter before it is swapped
+    with the last larger letter of the suffix, and the suffix is reversed.
+    """
     counts = list(counts)
     if any(c < 0 for c in counts):
         raise DomainError("negative multiplicity")
-    total = sum(counts)
-    word: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(word) == total:
-            yield tuple(word)
+    word = [letter for letter, c in enumerate(counts, start=1) for _ in range(c)]
+    n = len(word)
+    while True:
+        yield tuple(word)
+        i = n - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for letter in range(len(counts)):
-            if counts[letter]:
-                counts[letter] -= 1
-                word.append(letter + 1)
-                yield from rec()
-                word.pop()
-                counts[letter] += 1
-
-    yield from rec()
+        j = n - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 # -- tableaux -----------------------------------------------------------------------

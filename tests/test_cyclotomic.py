@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitsieve.cyclotomic import (
+    CycloElement,
     CycloField,
     cyclo_field,
     cyclotomic_polynomial,
@@ -171,3 +172,33 @@ def test_eval_at_unity_matches_termwise_reference(L, terms):
                 eval_at_unity(p, L, r=1, order_q=order)
             with pytest.raises(DomainError):
                 eval_at_unity(p, L, s=1, order_t=order)
+
+
+def test_integral_coordinates_are_ints():
+    # Roots of unity and their integer combinations keep int coordinates; only a
+    # division makes a rational.
+    f6 = cyclo_field(6)
+    values = [f6.zero, f6.one, f6.from_int(-4), f6.root_power(5), f6.power_combination([(3, 1), (-2, 4)])]
+    values.append(values[3] * values[4] + values[2] - values[1])
+    for value in values:
+        assert all(type(x) is int for x in value.coords), value
+    eval_coords = eval_at_unity(SparsePoly({(0, 0): 2, (3, 0): 5, (7, 0): -1}), 12, r=5, order_q=12).coords
+    assert all(type(x) is int for x in eval_coords)
+    assert f6.from_int(2).inverse() == f6.element([RAT(1, 2), 0])
+
+
+def test_int_and_rational_coordinates_are_equal_and_hash_equal():
+    f5 = cyclo_field(5)
+    for ints in [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 0, 7), (0, 0, 0, -3)]:
+        as_int = CycloElement(f5, ints)
+        as_rat = f5.element([RAT(x) for x in ints])
+        assert not any(type(x) is int for x in as_rat.coords)
+        assert as_int == as_rat
+        assert hash(as_int) == hash(as_rat)
+    assert len({f5.one, f5.element([RAT(1), 0, 0, 0])}) == 1
+
+
+def test_repr_prints_each_coordinate_with_str():
+    f4 = cyclo_field(4)
+    assert repr(f4.root_power(1)) == "CycloElement(L=4, [0, 1])"
+    assert repr(f4.element([RAT(1, 2), RAT(-3)])) == "CycloElement(L=4, [1/2, -3])"

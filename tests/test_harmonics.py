@@ -928,6 +928,40 @@ class TestGradedFrobenius:
             assert fr.coeff((locus.n,)).evaluate(1, 1) == orbit_set(locus, "Sn").size
 
 
+class TestBasisCache:
+    def test_budgets_checked_before_the_lookup(self):
+        locus = enumerate_locus("Y", 2, 4)
+        assert verify_presentation(locus)  # caches the basis
+        assert locus in harmonics._BASIS_CACHE
+        with pytest.raises(ResourceBudgetError):
+            verify_presentation(locus, max_points=locus.size - 1)
+        with pytest.raises(ResourceBudgetError):
+            verify_presentation(locus, max_vars=locus.n - 1)
+        assert verify_presentation(locus, max_points=locus.size)
+
+    def test_vanishing_ideal_eliminates_on_every_call(self, monkeypatch):
+        lifts = []
+        modular_lifts = harmonics.modular_lifts
+
+        def spy(locus):
+            lifts.append(locus)
+            return modular_lifts(locus)
+
+        monkeypatch.setattr(harmonics, "modular_lifts", spy)
+        locus = enumerate_locus("Z", 3, 2)
+        assert vanishing_ideal(locus) == vanishing_ideal(locus)
+        assert lifts == [locus, locus]
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE_SIZE", 3)
+        loci = [enumerate_locus("X", 1, k) for k in range(1, 7)]
+        for locus in loci:
+            assert verify_presentation(locus)
+            assert len(harmonics._BASIS_CACHE) <= 3
+        assert list(harmonics._BASIS_CACHE) == loci[3:]
+
+
 class TestPresentations:
     def test_stated_recipes_verify(self):
         assert verify_presentation(enumerate_locus("X", 2, 3))

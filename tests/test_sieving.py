@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from orbitsieve import sieving
 from orbitsieve.characters import invariant_hilbert
+from orbitsieve.cyclotomic import cyclo_field, eval_at_unity
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.loci import Action, Locus, apply_action, canonical_form, enumerate_locus, orbit_set
 from orbitsieve.qpoly import SparsePoly, q_binomial
+from orbitsieve.rat import RAT
 from orbitsieve.sieving import (
     SIEVING_FAMILIES,
     SievingInstance,
@@ -527,6 +529,20 @@ def test_non_integer_value_is_flagged_not_crashed():
     row = report.rows[1]
     assert not row["ok"]
     assert isinstance(row["value"], str) and row["value"].startswith("non-integer")
+
+
+def test_non_integer_value_text_does_not_depend_on_the_backend():
+    # Each coordinate prints with str, which reads the same for int, Fraction and mpq.
+    value = eval_at_unity(SparsePoly.monomial(1), 4, r=1, order_q=4)
+    assert sieving._value_field(value) == "non-integer: CycloElement(L=4, [0, 1])"
+    half = cyclo_field(4).element([RAT(1, 2), 1])
+    assert sieving._value_field(half) == "non-integer: CycloElement(L=4, [1/2, 1])"
+
+
+def test_closed_frobenius_reads_mu_as_a_tuple():
+    listed = closed_frobenius("tanisaki", 4, 2, [3, 1])
+    assert listed is closed_frobenius("tanisaki", 4, 2, (3, 1))
+    assert closed_frobenius("X", 2, 3) is closed_frobenius("X", 2, 3, None)
 
 
 def test_verifier_dispatch_mismatch():

@@ -1,10 +1,11 @@
-"""The failure details of the sieving-grid criteria: the first bad cell, named exactly."""
+"""The failure details of the criteria: the first bad cell, named exactly."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from orbitsieve import suite
+from orbitsieve import cli, harmonics, suite
+from orbitsieve.qpoly import SparsePoly
 
 BAD_ROW = {"r": 1, "s": 0, "fixed": 2, "value": "3", "ok": False}
 
@@ -41,3 +42,68 @@ def test_springer_grid_shape_is_checked(monkeypatch):
     result = suite.run_criterion("springer-bicsp", max_n=2)
     assert not result.ok
     assert result.detail == "springer-bicsp n=2: unexpected grid shape"
+
+
+def test_suite_eliminates_each_locus_once(monkeypatch):
+    # frobenius-coherence and oracle-coherence read the bases presentations computed.
+    monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
+    monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+    calls = []
+    compute = harmonics.vanishing_ideal
+
+    def spy(locus, *args, **kwargs):
+        calls.append(locus)
+        return compute(locus, *args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "vanishing_ideal", spy)
+    assert all(result.ok for result in suite.run_suite(max_k=4))
+    assert len(calls) == len(set(calls)) == 57
+
+
+def _wrong_closed_frobenius(monkeypatch):
+    closed = suite.closed_frobenius
+
+    def wrong(family, n, k, mu=None):
+        frob = closed(family, n, k, mu)
+        return frob.scale(SparsePoly.monomial(1)) if (family, n, k) == ("Z", 3, 2) else frob
+
+    monkeypatch.setattr(suite, "closed_frobenius", wrong)
+
+
+def _wrong_oracle(monkeypatch):
+    oracle = suite.oracle_csp_poly
+
+    def wrong(locus, group, **budgets):
+        poly = oracle(locus, group, **budgets)
+        return poly + SparsePoly.monomial(1) if (locus.family, locus.n, locus.k, group) == ("Y", 2, 3, "Cn") else poly
+
+    monkeypatch.setattr(suite, "oracle_csp_poly", wrong)
+
+
+def _wrong_stated_generators(monkeypatch):
+    stated = harmonics.stated_generators
+
+    def wrong(locus):
+        gens = stated(locus)
+        return gens[1:] if (locus.family, locus.n, locus.k) == ("Z", 3, 2) else gens
+
+    monkeypatch.setattr(harmonics, "stated_generators", wrong)
+
+
+@pytest.mark.parametrize(
+    "name, perturb, detail",
+    [
+        ("frobenius-coherence", _wrong_closed_frobenius, "Frobenius mismatch for {'family': 'Z', 'n': 3, 'k': 2}"),
+        ("oracle-coherence", _wrong_oracle, "oracle mismatch for {'family': 'Y', 'n': 2, 'k': 3} under Cn"),
+        ("presentations", _wrong_stated_generators, "presentation Z n=3 k=2 does not match"),
+    ],
+)
+def test_wrong_answer_fails_its_criterion_and_the_cli(monkeypatch, capsys, name, perturb, detail):
+    perturb(monkeypatch)
+    result = suite.run_criterion(name, max_k=4)
+    assert not result.ok
+    assert result.detail == detail
+    assert cli.main(["suite", "--max-k", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert failed == [f"FAIL {name}: {detail}", "FAILED: some criteria did not pass"]

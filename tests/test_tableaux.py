@@ -250,6 +250,46 @@ def test_maj_divisible_rsk_identity():
         assert lhs == rhs
 
 
+def recursive_multiset_permutations(counts):
+    """Reference: the words of a content by choosing each next letter in turn."""
+    counts = list(counts)
+    if any(c < 0 for c in counts):
+        raise DomainError("negative multiplicity")
+    total = sum(counts)
+    word = []
+
+    def rec():
+        if len(word) == total:
+            yield tuple(word)
+            return
+        for letter in range(len(counts)):
+            if counts[letter]:
+                counts[letter] -= 1
+                word.append(letter + 1)
+                yield from rec()
+                word.pop()
+                counts[letter] += 1
+
+    yield from rec()
+
+
+def test_multiset_permutations_match_the_recursive_walk():
+    # Every content with n <= 7 and k <= 4, zero parts and the empty content
+    # included; both walks are in lex order.
+    for k in range(5):
+        for n in range(8):
+            for content in weak_compositions(n, k):
+                words = list(multiset_permutations(content))
+                assert words == list(recursive_multiset_permutations(content)), content
+    assert list(multiset_permutations(())) == [()]
+    assert list(multiset_permutations([0, 2, 0])) == [(2, 2)]
+    for content in [(2, -1), (-1,), (0, -2, 3)]:
+        with pytest.raises(DomainError, match="negative multiplicity"):
+            list(recursive_multiset_permutations(content))
+        with pytest.raises(DomainError, match="negative multiplicity"):
+            list(multiset_permutations(content))
+
+
 def test_maj_gf_is_q_multinomial():
     for alpha in [(2, 1), (2, 2), (1, 1, 1), (3, 1)]:
         gf = SparsePoly.zero()
