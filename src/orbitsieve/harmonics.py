@@ -38,6 +38,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement
 
@@ -53,7 +54,7 @@ from .interpolation import (
     split_primes,
     successors,
 )
-from .loci import Locus
+from .loci import Action, Locus, act_on_words
 from .qpoly import SparsePoly
 from .tableaux import partitions
 
@@ -773,7 +774,7 @@ def graded_frobenius(
     for ct, _ in conjugacy_classes(n):
         perm = _perm_of_cycle_type(ct)
         traces[ct] = graded_character(gb_t, perm)
-        fixed = sum(all(w[j] == w[i] for i, j in enumerate(perm)) for w in locus.words)
+        fixed = sum(map(operator.eq, act_on_words(Action.permutation(perm), locus.words), locus.words))
         if sum(traces[ct].terms.values()) != fixed:
             raise InternalCheckError(
                 f"graded traces of class {ct} do not sum to the {fixed} words its permutation fixes"

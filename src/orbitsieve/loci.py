@@ -8,7 +8,8 @@ carry the induced value-shift action on canonical labels.
 
 The per-word passes stay at C level: the necklace labels of all of {1..k}^n (proved
 by counting) are read by base-k index, content labels key each word by its sorted
-letters, and a value shift maps letters through a cached table.
+letters, and a value shift maps letters through a cached table.  ``act_on_words``
+moves a whole list of words in such passes, and orbit labels are read in bulk too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, count, islice, permutations, product
-from typing import Iterable
+from itertools import chain, count, islice, permutations, product, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .tableaux import Word, content_of_word, multiset_permutations
@@ -209,6 +211,67 @@ def apply_action(action: Action, w: Word, times: int = 1) -> Word:
     raise DomainError(f"unknown action kind {action.kind!r}")
 
 
+def act_on_words(action: Action, words: Sequence[Word], times: int = 1) -> Iterator[Word]:
+    """``apply_action(action, w, times)`` for every w, in order, streamed from C-level passes.
+
+    Words of one length n >= 1 move in bulk: a value shift maps each column of letters
+    through one table, a rotation or permutation reads every word through one
+    ``itemgetter``, and a composite applies its parts in turn.  Words of mixed or zero
+    length, and powers of a composite other than the first, move word by word.  Errors
+    carry ``apply_action``'s messages.
+    """
+    if times < 0:
+        raise DomainError("negative action power")
+    lengths = set(map(len, words))
+    if len(lengths) != 1 or 0 in lengths or (action.kind == "composite" and times != 1):
+        return map(apply_action, repeat(action), words, repeat(times))
+    return _act(action, iter(words), times, lengths.pop())
+
+
+def _act(action: Action, images: Iterator[Word], times: int, n: int) -> Iterator[Word]:
+    if action.kind == "value_shift":
+        table = _shift_table((action.step * times) % action.modulus, action.modulus)
+        return _alphabet_checked(zip(*map(map, repeat(table.__getitem__), zip(*images))))
+    if action.kind == "position_rotation":
+        r = action.step * times % n
+        return _read_positions(images, (*range(r, n), *range(r)))
+    if action.kind == "permutation":
+        if len(action.perm) != n:
+            raise DomainError("permutation length does not match the word")
+        return _read_positions(images, _permutation_power(action.perm, times))
+    if action.kind == "composite":
+        for part in action.parts:
+            images = _act(part, images, 1, n)
+        return images
+    raise DomainError(f"unknown action kind {action.kind!r}")
+
+
+def _alphabet_checked(images: Iterator[Word]) -> Iterator[Word]:
+    try:
+        yield from images
+    except (KeyError, TypeError):
+        raise DomainError("letters outside the action's alphabet") from None
+
+
+def _read_positions(images: Iterator[Word], positions: tuple[int, ...]) -> Iterator[Word]:
+    """Each word read at the given positions; the identity (n = 1 included) reads nothing."""
+    if positions == tuple(range(len(positions))):
+        return images
+    return map(itemgetter(*positions), images)
+
+
+def _permutation_power(perm: tuple[int, ...], times: int) -> tuple[int, ...]:
+    """Positions read by ``perm`` applied ``times`` times, reduced by its own order."""
+    identity = tuple(range(len(perm)))
+    powers = [identity]
+    while len(powers) <= times:
+        power = tuple(map(powers[-1].__getitem__, perm))
+        if power == identity:
+            break
+        powers.append(power)
+    return powers[times % len(powers)]
+
+
 @lru_cache(maxsize=None)
 def _shift_table(shift: int, k: int) -> dict[int, int]:
     """Image of each letter 1..k under the value shift by `shift` (mod k)."""
@@ -247,7 +310,7 @@ def canonical_form(w: Word, group: str, k: int):
     if group == "Sn":
         return content_of_word(w, k)
     if group == "Cn":
-        return min(map((w + w).__getitem__, _rotation_slices(len(w))))
+        return min(w[i:] + w[:i] for i in range(len(w)))
     if group == "Hr":
         if len(w) % 2:
             raise DomainError("pair-multiset labels need even word length")
@@ -256,10 +319,22 @@ def canonical_form(w: Word, group: str, k: int):
     raise DomainError(f"unknown subgroup {group!r}")
 
 
-@lru_cache(maxsize=None)
-def _rotation_slices(n: int) -> tuple[slice, ...]:
-    """The n windows of length n in a doubled word of length 2n: its rotations."""
-    return tuple(slice(i, i + n) for i in range(n))
+def _labels(words: Sequence[Word], group: str, k: int) -> Iterator:
+    """``canonical_form(w, group, k)`` for every w, in order.
+
+    For words of one length n >= 2, a Cn label is the least of the n rotations, each
+    read by one ``itemgetter``, and an Hr label sorts the (min, max) letter pairs of
+    consecutive positions; each is a C-level pass over the words.
+    """
+    lengths = set(map(len, words))
+    n = lengths.pop() if len(lengths) == 1 else 0
+    if group == "Cn" and n > 1:
+        return map(min, words, *(map(itemgetter(*range(j, n), *range(j)), words) for j in range(1, n)))
+    if group == "Hr" and n > 1 and n % 2 == 0:
+        pairs = [itemgetter(i, i + 1) for i in range(0, n, 2)]
+        columns = (zip(map(min, map(pair, words)), map(max, map(pair, words))) for pair in pairs)
+        return map(tuple, map(sorted, zip(*columns)))
+    return map(canonical_form, words, repeat(group), repeat(k))
 
 
 @dataclass(frozen=True)
@@ -286,10 +361,15 @@ class OrbitSet:
         return canonical_form(shifted, self.group, self.k)
 
     def shift_permutation(self, shift: int) -> list[int]:
-        """Index of each label's image under the value shift; checks closure."""
-        position = {label: i for i, label in enumerate(self.labels)}
+        """Index of each label's image under the value shift; checks closure.
+
+        Every representative is shifted in one ``act_on_words`` pass and relabelled in bulk.
+        """
+        position = dict(zip(self.labels, range(len(self.labels))))
         try:
-            return [position[self.shifted_label(label, shift)] for label in self.labels]
+            reps = list(map(self._reps.__getitem__, self.labels))
+            shifted = list(act_on_words(Action.value_shift(shift % self.k, self.k), reps))
+            return list(map(position.__getitem__, _labels(shifted, self.group, self.k)))
         except KeyError:
             raise InternalCheckError("value shift does not preserve the orbit set") from None
 
@@ -375,8 +455,9 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
 
     Cn labels of a sorted, rotation-closed locus are generated as necklaces
     (`_generated_necklace_labels`); Sn labels key each word by its sorted letters,
-    and only the distinct keys become content vectors.  Every other case takes the
-    canonical-form walk, which gives the same labels and representatives.
+    and only the distinct keys become content vectors.  Every other case reads each
+    word's canonical form in bulk (`_labels`), which gives the same labels and
+    representatives as a word-by-word walk.
     """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")
@@ -396,10 +477,6 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
                 content_of_word(w, locus.k)
             raise
         return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
-    reps: dict = {}
-    for w in locus.words:
-        label = canonical_form(w, group, locus.k)
-        if label not in reps:
-            reps[label] = w
-    labels = tuple(sorted(reps))
-    return OrbitSet(group, locus.n, locus.k, labels, reps)
+    backwards = locus.words[::-1]  # so that each label keeps its first word
+    reps = dict(zip(_labels(backwards, group, locus.k), backwards))
+    return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)

@@ -36,6 +36,14 @@ class SparsePoly:
                         del clean[key]
         self._terms = clean
 
+    @classmethod
+    def _valid(cls, terms: dict[Term, int]) -> "SparsePoly":
+        """A polynomial from keys and coefficients already known to be valid ints, such as
+        the result of arithmetic on two polynomials; only zero entries are dropped."""
+        poly = cls.__new__(cls)
+        poly._terms = {key: c for key, c in terms.items() if c}
+        return poly
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -103,12 +111,12 @@ class SparsePoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return SparsePoly(out)
+        return SparsePoly._valid(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly({key: -c for key, c in self._terms.items()})
+        return SparsePoly._valid({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.from_int(-other))
@@ -120,7 +128,7 @@ class SparsePoly:
         if isinstance(other, int):
             if not other:
                 return SparsePoly()
-            return SparsePoly({key: c * other for key, c in self._terms.items()})
+            return SparsePoly._valid({key: c * other for key, c in self._terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         out: dict[Term, int] = {}
@@ -128,7 +136,7 @@ class SparsePoly:
             for (bq, bt), bc in other._terms.items():
                 key = (aq + bq, at + bt)
                 out[key] = out.get(key, 0) + ac * bc
-        return SparsePoly(out)
+        return SparsePoly._valid(out)
 
     __rmul__ = __mul__
 

@@ -10,7 +10,7 @@ polynomial, with no numerical tolerance anywhere.  Each generator's image of eve
 element of the set is computed once, which turns the generator into a permutation of
 indices and checks that the set is closed under it (a generator is injective, so
 closure under the generators is closure under the group); every group element is
-then counted over the whole set on compositions of those index permutations.
+then counted over the whole set on powers of those index permutations.
 
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +32,7 @@ from .characters import SchurVector, h_to_schur, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
-from .loci import Action, Locus, apply_action, enumerate_locus, fixed_points, orbit_set, symmetry_steps
+from .loci import Action, Locus, act_on_words, enumerate_locus, fixed_points, orbit_set, symmetry_steps
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
@@ -299,49 +300,52 @@ def _shift_binding(step: int, order: int) -> dict:
 
 
 class _Powers:
-    """Powers of one permutation of indices, composed on demand.
+    """Every power of one permutation of indices, up to its own order.
 
     Composition stops when the identity comes back, so the order used to reduce
     exponents is the permutation's own, never a declared ``Action.order``.
     """
 
     def __init__(self, perm: list[int]):
-        self._perm = perm
         self._powers = [list(range(len(perm)))]
-        self._order: int | None = None
+        while (power := list(map(perm.__getitem__, self._powers[-1]))) != self._powers[0]:
+            self._powers.append(power)
 
     def __getitem__(self, exponent: int) -> list[int]:
         if exponent < 0:
             raise DomainError("negative action power")
-        while self._order is None and len(self._powers) <= exponent:
-            power = [self._perm[i] for i in self._powers[-1]]
-            if power == self._powers[0]:
-                self._order = len(self._powers)
-            else:
-                self._powers.append(power)
-        return self._powers[exponent % self._order if self._order else exponent]
+        return self._powers[exponent % len(self._powers)]
+
+    def inverse(self, exponent: int) -> list[int]:
+        """The inverse of the exponent-th power."""
+        if exponent < 0:
+            raise DomainError("negative action power")
+        return self._powers[-exponent % len(self._powers)]
 
 
 def _word_grid(locus: Locus, action_q: Action, action_t: Action) -> tuple[Callable[..., int], Callable[[], bool]]:
     """``fixed_count`` and the commute check, on the generators as permutations of
-    word indices.  Each generator is applied once per word, on first use; closure
-    under both generators is closure under every element, as they are injective."""
+    word indices.  Each generator moves every word once (``act_on_words``), on first
+    use; closure under both generators is closure under every element, as they are
+    injective.  shift^r move^s fixes index i exactly when move^s(i) = shift^-r(i), so
+    each cell compares two stored powers index by index and composes nothing."""
 
     @functools.cache
     def generators() -> tuple[_Powers, _Powers]:
-        index = {w: i for i, w in enumerate(locus.words)}
+        words = locus.words
+        index = dict(zip(words, range(len(words))))
         try:
-            return tuple(_Powers([index[apply_action(a, w)] for w in locus.words]) for a in (action_q, action_t))
+            return tuple(_Powers(list(map(index.__getitem__, act_on_words(a, words)))) for a in (action_q, action_t))
         except KeyError:
             raise InternalCheckError("action does not preserve the locus") from None
 
     def fixed(r: int, s: int) -> int:
         shifts, moves = generators()
-        return fixed_points(map(shifts[r].__getitem__, moves[s]))
+        return sum(map(operator.eq, moves[s], shifts.inverse(r)))
 
     def commutes() -> bool:
         shift, move = (powers[1] for powers in generators())
-        return [shift[i] for i in move] == [move[i] for i in shift]
+        return list(map(shift.__getitem__, move)) == list(map(move.__getitem__, shift))
 
     return fixed, commutes
 

@@ -13,6 +13,7 @@ tests call; ``--max-n``/``--max-k`` clamp the grids without changing their shape
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .characters import subgroup_elements
 from .cyclotomic import cyclo_field, cyclotomic_polynomial
 from .errors import DomainError
 from .harmonics import graded_frobenius, verify_presentation
-from .loci import enumerate_locus, orbit_set, symmetry_steps
+from .loci import Action, act_on_words, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly
 from .sieving import closed_frobenius, oracle_csp_poly, sieving_polynomial, verify_family
 from .tableaux import (
@@ -265,9 +266,9 @@ def _crit_properties(max_n, max_k):
                 groups = ["Sn", "Cn"] + (["Hr"] if n % 2 == 0 else [])
                 for group in groups:
                     elements = subgroup_elements(group, n)
-                    total = 0
-                    for perm in elements:
-                        total += sum(1 for w in locus.words if tuple(w[perm[i]] for i in range(n)) == w)
+                    words = locus.words
+                    images = (act_on_words(Action.permutation(perm), words) for perm in elements)
+                    total = sum(sum(map(operator.eq, moved, words)) for moved in images)
                     if total % len(elements):
                         return False, f"Burnside sum not divisible for {family} n={n} k={k} {group}"
                     if total // len(elements) != orbit_set(locus, group).size:

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from orbitsieve import loci
 from orbitsieve.characters import subgroup_elements, subgroup_order
 from orbitsieve.errors import DomainError, InternalCheckError
+from locus_strategies import shift_stable_loci
 from orbitsieve.loci import (
     Action,
     Locus,
     OrbitSet,
+    act_on_words,
     apply_action,
     canonical_form,
     count_fixed,
@@ -148,6 +150,74 @@ class TestActions:
         for w in ((1, 3), (0, 1), (1, None), (1, [2])):
             with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
                 apply_action(Action.value_shift(1, 2), w)
+
+
+def actions_on(locus, data):
+    """A value shift, the rotation, a permutation and two composites of them, for the locus."""
+    shift = Action.value_shift(data.draw(st.integers(0, locus.k)), locus.k)
+    rotation = Action.position_rotation(locus.n)
+    perm = Action.permutation(data.draw(st.permutations(range(locus.n))))
+    nested = Action.composite([rotation, Action.composite([perm, shift])])
+    return [shift, rotation, perm], [Action.composite([shift, perm, rotation]), nested]
+
+
+def word_by_word(action, words, times=1):
+    return [apply_action(action, w, times) for w in words]
+
+
+class TestBulkActions:
+    """act_on_words against apply_action, one word at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shift_stable_loci(), st.data())
+    def test_images_equal_the_word_by_word_images(self, locus, data):
+        simple, composites = actions_on(locus, data)
+        large = data.draw(st.integers(3, 10**12))
+        for action in simple + composites:
+            # apply_action repeats a permutation or composite `times` times: their large
+            # powers stay small, but past every order here.
+            for times in (0, 1, 2, large if action.kind in ("value_shift", "position_rotation") else 13):
+                images = act_on_words(action, locus.words, times)
+                assert iter(images) is images
+                assert list(images) == word_by_word(action, locus.words, times)
+            assert list(act_on_words(action, [], large)) == []
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [(1,), (3,), (2,)],  # n = 1: a rotation or permutation moves nothing
+            [(2, 1, 3), (1, 1, 1), (3, 2, 2), (1, 1, 1)],  # repeated and unsorted
+            [(1,), (2, 1), (3, 1, 2)],  # mixed lengths move word by word
+            [(), ()],
+        ],
+    )
+    def test_special_word_lists(self, words):
+        n = len(words[0])
+        actions = [Action.value_shift(1, 3), Action.value_shift(2, 3, order=7), Action.position_rotation(max(n, 1))]
+        if len({len(w) for w in words}) == 1:
+            perm = Action.permutation(tuple(range(n))[::-1])
+            actions += [perm, Action.composite([perm, actions[0], actions[2]])]
+        for action in actions:
+            for times in (0, 1, 5, 10**9 + 7 if action.kind in ("value_shift", "position_rotation") else 13):
+                assert list(act_on_words(action, words, times)) == word_by_word(action, words, times)
+
+    @pytest.mark.parametrize("bad", [(1, 3), (0, 1), (1, None), (1, [2])])
+    def test_letters_outside_the_alphabet_rejected(self, bad):
+        shift = Action.value_shift(1, 2)
+        for action in (shift, Action.composite([Action.position_rotation(2), shift])):
+            with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
+                list(act_on_words(action, [(1, 1), bad, (2, 1)]))
+
+    def test_negative_power_and_wrong_length_rejected(self):
+        words = [(1, 2, 3), (3, 1, 2)]
+        for action in (Action.value_shift(1, 3), Action.position_rotation(3), Action.permutation((1, 0, 2))):
+            with pytest.raises(DomainError, match="^negative action power$"):
+                act_on_words(action, words, -1)
+            with pytest.raises(DomainError, match="^negative action power$"):
+                apply_action(action, words[0], -1)
+        for perm in ((1, 0), (1, 0, 3, 2)):
+            with pytest.raises(DomainError, match="^permutation length does not match the word$"):
+                list(act_on_words(Action.permutation(perm), words))
 
 
 class TestCanonicalForms:
@@ -408,3 +478,47 @@ class TestContentLabels:
         for reach in (canonical_walk, orbit_set):
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 reach(locus, "Sn")
+
+
+class TestBulkLabels:
+    """Labels read in bulk (Hr, Cn off the necklace path, shifted representatives)
+    against the canonical-form walk."""
+
+    @pytest.mark.parametrize("family", ["X", "Y", "Z"])
+    def test_hr_families_match_the_walk(self, family):
+        for n in (2, 4, 6):
+            for k in range(1, 5):
+                assert_labels_match_the_walk(enumerate_locus(family, n, k), "Hr")
+
+    def test_hr_tanisaki_and_springer_match_the_walk(self):
+        assert_labels_match_the_walk(enumerate_locus("tanisaki", 6, 4, mu=(2, 1, 2, 1), a=2), "Hr")
+        assert_labels_match_the_walk(enumerate_locus("springer", 4), "Hr")
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_word_tuples().filter(lambda locus: locus.n % 2 == 0))
+    def test_hr_hand_built_loci_match_the_walk(self, locus):
+        assert_labels_match_the_walk(locus, "Hr")
+
+    def test_odd_word_inside_an_even_locus_rejected(self):
+        locus = Locus("X", 2, 2, ((1, 1), (1, 2, 1)))
+        with pytest.raises(DomainError, match="^pair-multiset labels need even word length$"):
+            orbit_set(locus, "Hr")
+
+    @pytest.mark.parametrize(
+        "locus",
+        [
+            enumerate_locus("X", 4, 3),
+            enumerate_locus("Y", 4, 5),
+            enumerate_locus("Z", 4, 3),
+            enumerate_locus("tanisaki", 6, 4, mu=(2, 1, 2, 1), a=2),
+            enumerate_locus("X", 1, 3),
+        ],
+    )
+    def test_shift_permutation_equals_the_shifted_label_walk(self, locus):
+        step = locus.scaling_step
+        for group in ("Sn", "Cn", "Hr") if locus.n % 2 == 0 else ("Sn", "Cn"):
+            orbits = orbit_set(locus, group)
+            position = {label: i for i, label in enumerate(orbits.labels)}
+            for shift in range(-step, locus.k + 2 * step, step):
+                walk = [position[orbits.shifted_label(label, shift)] for label in orbits.labels]
+                assert orbits.shift_permutation(shift) == walk

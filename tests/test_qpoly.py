@@ -127,6 +127,47 @@ def test_evaluation_is_ring_hom(a, b, q0, t0):
     assert (a + b).evaluate(q0, t0) == a.evaluate(q0, t0) + b.evaluate(q0, t0)
 
 
+def validated(terms):
+    """The result rebuilt through the public, validating constructor."""
+    return SparsePoly(terms)
+
+
+def summed(*term_maps):
+    out = {}
+    for terms in term_maps:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, st.integers(-3, 3))
+def test_arithmetic_results_equal_the_validating_path(a, b, c):
+    # Arithmetic between valid polynomials skips re-validation; the results must not change.
+    pairs = itertools.product(a.terms.items(), b.terms.items())
+    product = summed(*({(aq + bq, at + bt): ac * bc} for ((aq, at), ac), ((bq, bt), bc) in pairs))
+    cases = [
+        (a + b, summed(a.terms, b.terms)),
+        (-a, {key: -v for key, v in a.terms.items()}),
+        (a - b, summed(a.terms, {key: -v for key, v in b.terms.items()})),
+        (a * c, {key: v * c for key, v in a.terms.items()}),
+        (a * b, product),
+    ]
+    for result, naive in cases:
+        assert result.terms == validated(naive).terms
+        assert 0 not in result.terms.values()
+        assert all(type(x) is int for key, v in result.terms.items() for x in (*key, v))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(DomainError, match="negative exponent"):
+        SparsePoly({(-1, 0): 1})
+    with pytest.raises(DomainError, match="negative exponent"):
+        SparsePoly({(0, -2): 3})
+    assert SparsePoly({(1, 0): 2, (2, 0): 0}).terms == {(1, 0): 2}
+    assert SparsePoly({(True, 0): 2.0}).terms == {(1, 0): 2}
+
+
 def test_pretty_and_latex_rendering():
     q, t = SparsePoly.var_q(), SparsePoly.var_t()
     assert (1 + q + q**2).pretty() == "1 + q + q^2"

@@ -10,7 +10,7 @@ from orbitsieve import sieving
 from orbitsieve.characters import invariant_hilbert
 from orbitsieve.cyclotomic import cyclo_field, eval_at_unity
 from orbitsieve.errors import DomainError, InternalCheckError
-from orbitsieve.loci import Action, Locus, apply_action, canonical_form, enumerate_locus, orbit_set
+from orbitsieve.loci import Action, Locus, act_on_words, apply_action, canonical_form, enumerate_locus, orbit_set
 from orbitsieve.qpoly import SparsePoly, q_binomial
 from orbitsieve.rat import RAT
 from orbitsieve.sieving import (
@@ -360,15 +360,15 @@ def test_word_grid_equals_brute_force(family, kwargs, locus_args):
 def test_each_generator_moves_each_word_once(monkeypatch):
     moved = []
 
-    def counting_apply_action(action, w, times=1):
-        moved.append(times)
-        return apply_action(action, w, times)
+    def counting_act_on_words(action, words, times=1):
+        moved.append((times, len(words)))
+        return act_on_words(action, words, times)
 
-    monkeypatch.setattr(sieving, "apply_action", counting_apply_action)
+    monkeypatch.setattr(sieving, "act_on_words", counting_act_on_words)
     inst = build_instance("word-bicsp-Z", n=4, k=3)
     assert moved == []
     verify_bicsp(inst)
-    assert moved == [1] * (2 * inst.size)
+    assert moved == [(1, inst.size)] * 2
 
 
 @pytest.mark.parametrize(
@@ -406,6 +406,18 @@ def test_negative_exponents_rejected():
             inst.fixed_count(r, s)
     with pytest.raises(DomainError):
         build_instance("necklace-X", n=3, k=2).fixed_count(-1)
+
+
+def test_inverse_powers_use_the_permutation_s_own_order():
+    # Order 6; exponents past it are reduced by it, and each inverse undoes its power.
+    powers = sieving._Powers([1, 2, 0, 4, 3])
+    for r in range(20):
+        assert [powers[r][i] for i in powers.inverse(r)] == list(range(5))
+        assert powers.inverse(r) == powers[(6 - r % 6) % 6]
+    empty = sieving._Powers([])
+    assert empty.inverse(3) == empty[0] == []
+    with pytest.raises(DomainError, match="^negative action power$"):
+        powers.inverse(-1)
 
 
 def test_locus_not_preserved_by_the_value_shift_is_an_internal_error():

@@ -90,12 +90,56 @@ def _wrong_stated_generators(monkeypatch):
     monkeypatch.setattr(harmonics, "stated_generators", wrong)
 
 
+def _wrong_at(name, wrong_for, change):
+    """Perturb ``suite.<name>``: its result for the arguments ``wrong_for`` accepts is changed."""
+
+    def perturb(monkeypatch):
+        real = getattr(suite, name)
+
+        def wrong(*args):
+            result = real(*args)
+            return change(result) if wrong_for(*args) else result
+
+        monkeypatch.setattr(suite, name, wrong)
+
+    return perturb
+
+
 @pytest.mark.parametrize(
     "name, perturb, detail",
     [
         ("frobenius-coherence", _wrong_closed_frobenius, "Frobenius mismatch for {'family': 'Z', 'n': 3, 'k': 2}"),
         ("oracle-coherence", _wrong_oracle, "oracle mismatch for {'family': 'Y', 'n': 2, 'k': 3} under Cn"),
         ("presentations", _wrong_stated_generators, "presentation Z n=3 k=2 does not match"),
+        (
+            "property-suites",
+            _wrong_at("fake_degree", lambda lam: lam == (2, 1), lambda poly: poly + 1),
+            "fake degree of (2, 1) disagrees with the maj sum over SYT",
+        ),
+        (
+            "property-suites",
+            _wrong_at("rsk", lambda w: w == (2, 1), lambda pq: suite.rsk((1, 2))),
+            "rsk does not preserve maj on (2, 1)",
+        ),
+        (
+            "property-suites",
+            _wrong_at("kostka_foulkes", lambda lam, mu: lam == (2, 1), lambda poly: poly + 1),
+            "Kostka-Foulkes at content 1^3 disagrees for (2, 1)",
+        ),
+        (
+            "property-suites",
+            _wrong_at("cyclotomic_polynomial", lambda d: d == 6, lambda coeffs: (coeffs[0] + 1,) + tuple(coeffs[1:])),
+            "cyclotomic factors of x^6 - 1 do not multiply back",
+        ),
+        (
+            "property-suites",
+            _wrong_at(
+                "orbit_set",
+                lambda locus, group: (locus.family, locus.n, locus.k, group) == ("Y", 3, 3, "Cn"),
+                lambda orbits: SimpleNamespace(size=orbits.size + 1),
+            ),
+            "Burnside count mismatch for Y n=3 k=3 Cn",
+        ),
     ],
 )
 def test_wrong_answer_fails_its_criterion_and_the_cli(monkeypatch, capsys, name, perturb, detail):
