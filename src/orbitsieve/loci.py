@@ -211,37 +211,34 @@ def apply_action(action: Action, w: Word, times: int = 1) -> Word:
     raise DomainError(f"unknown action kind {action.kind!r}")
 
 
-def act_on_words(action: Action, words: Sequence[Word], times: int = 1) -> Iterator[Word]:
-    """``apply_action(action, w, times)`` for every w, in order, streamed from C-level passes.
+def act_on_words(action: Action, words: Sequence[Word]) -> Iterator[Word]:
+    """``apply_action(action, w)`` for every w, in order, streamed from C-level passes.
 
     Words of one length n >= 1 move in bulk: a value shift maps each column of letters
     through one table, a rotation or permutation reads every word through one
     ``itemgetter``, and a composite applies its parts in turn.  Words of mixed or zero
-    length, and powers of a composite other than the first, move word by word.  Errors
-    carry ``apply_action``'s messages.
+    length move word by word.  Errors carry ``apply_action``'s messages.
     """
-    if times < 0:
-        raise DomainError("negative action power")
     lengths = set(map(len, words))
-    if len(lengths) != 1 or 0 in lengths or (action.kind == "composite" and times != 1):
-        return map(apply_action, repeat(action), words, repeat(times))
-    return _act(action, iter(words), times, lengths.pop())
+    if len(lengths) != 1 or 0 in lengths:
+        return map(apply_action, repeat(action), words)
+    return _act(action, iter(words), lengths.pop())
 
 
-def _act(action: Action, images: Iterator[Word], times: int, n: int) -> Iterator[Word]:
+def _act(action: Action, images: Iterator[Word], n: int) -> Iterator[Word]:
     if action.kind == "value_shift":
-        table = _shift_table((action.step * times) % action.modulus, action.modulus)
+        table = _shift_table(action.step % action.modulus, action.modulus)
         return _alphabet_checked(zip(*map(map, repeat(table.__getitem__), zip(*images))))
     if action.kind == "position_rotation":
-        r = action.step * times % n
+        r = action.step % n
         return _read_positions(images, (*range(r, n), *range(r)))
     if action.kind == "permutation":
         if len(action.perm) != n:
             raise DomainError("permutation length does not match the word")
-        return _read_positions(images, _permutation_power(action.perm, times))
+        return _read_positions(images, action.perm)
     if action.kind == "composite":
         for part in action.parts:
-            images = _act(part, images, 1, n)
+            images = _act(part, images, n)
         return images
     raise DomainError(f"unknown action kind {action.kind!r}")
 
@@ -258,18 +255,6 @@ def _read_positions(images: Iterator[Word], positions: tuple[int, ...]) -> Itera
     if positions == tuple(range(len(positions))):
         return images
     return map(itemgetter(*positions), images)
-
-
-def _permutation_power(perm: tuple[int, ...], times: int) -> tuple[int, ...]:
-    """Positions read by ``perm`` applied ``times`` times, reduced by its own order."""
-    identity = tuple(range(len(perm)))
-    powers = [identity]
-    while len(powers) <= times:
-        power = tuple(map(powers[-1].__getitem__, perm))
-        if power == identity:
-            break
-        powers.append(power)
-    return powers[times % len(powers)]
 
 
 @lru_cache(maxsize=None)
@@ -356,8 +341,7 @@ class OrbitSet:
 
     def shifted_label(self, label, shift: int):
         """Label of the orbit after shifting every value by `shift`."""
-        w = self._reps[label]
-        shifted = tuple((x - 1 + shift) % self.k + 1 for x in w)
+        shifted = apply_action(Action.value_shift(shift % self.k, self.k), self._reps[label])
         return canonical_form(shifted, self.group, self.k)
 
     def shift_permutation(self, shift: int) -> list[int]:

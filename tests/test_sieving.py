@@ -360,15 +360,15 @@ def test_word_grid_equals_brute_force(family, kwargs, locus_args):
 def test_each_generator_moves_each_word_once(monkeypatch):
     moved = []
 
-    def counting_act_on_words(action, words, times=1):
-        moved.append((times, len(words)))
-        return act_on_words(action, words, times)
+    def counting_act_on_words(action, words):
+        moved.append(len(words))
+        return act_on_words(action, words)
 
     monkeypatch.setattr(sieving, "act_on_words", counting_act_on_words)
     inst = build_instance("word-bicsp-Z", n=4, k=3)
     assert moved == []
     verify_bicsp(inst)
-    assert moved == [(1, inst.size)] * 2
+    assert moved == [inst.size] * 2
 
 
 @pytest.mark.parametrize(
