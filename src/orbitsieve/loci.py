@@ -6,10 +6,11 @@ position permutations.  Five families exist: all words (X), words with distinct 
 (springer).  Orbit sets quotient a locus by one of the three position subgroups and
 carry the induced value-shift action on canonical labels.
 
-The per-word passes stay at C level: the necklace labels of all of {1..k}^n (proved
-by counting) are read by base-k index, content labels key each word by its sorted
-letters, and a value shift maps letters through a cached table.  ``act_on_words``
-moves a whole list of words in such passes, and orbit labels are read in bulk too.
+The per-word passes stay at C level: the orbit labels of all of {1..k}^n (proved by
+a word-by-word comparison with the cube) are generated, content labels elsewhere key
+each word by its sorted letters, and a value shift maps letters through a cached table.
+``act_on_words`` moves a whole list of words in such passes, and orbit labels are read
+in bulk too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, count, islice, permutations, product, repeat
+from itertools import chain, combinations_with_replacement, count, islice, permutations, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -125,8 +126,7 @@ def enumerate_locus(
     # Z: surjective words
     if k > n:
         return Locus(family, n, k, (), infeasible=True)
-    full = set(range(1, k + 1))
-    words = tuple(w for w in product(range(1, k + 1), repeat=n) if set(w) == full)
+    words = tuple(filter(frozenset(range(1, k + 1)).issubset, product(range(1, k + 1), repeat=n)))
     return Locus(family, n, k, words)
 
 
@@ -182,7 +182,8 @@ class Action:
 
 
 def apply_action(action: Action, w: Word, times: int = 1) -> Word:
-    """Apply an action `times` times (times may be any nonnegative integer)."""
+    """Apply an action `times` times (times may be any nonnegative integer).  A permutation
+    or composite reduces `times` by the orbit of w, never by a declared ``Action.order``."""
     if times < 0:
         raise DomainError("negative action power")
     if action.kind == "value_shift":
@@ -195,20 +196,22 @@ def apply_action(action: Action, w: Word, times: int = 1) -> Word:
         n = len(w)
         r = (action.step * times) % n if n else 0
         return w[r:] + w[:r]
-    if action.kind == "permutation":
-        if len(action.perm) != len(w):
-            raise DomainError("permutation length does not match the word")
-        out = w
-        for _ in range(times):
-            out = tuple(out[action.perm[i]] for i in range(len(w)))
-        return out
-    if action.kind == "composite":
-        out = w
-        for _ in range(times):
+    if action.kind not in ("permutation", "composite"):
+        raise DomainError(f"unknown action kind {action.kind!r}")
+    if action.kind == "permutation" and len(action.perm) != len(w):
+        raise DomainError("permutation length does not match the word")
+    orbit = [w]
+    for _ in range(times):
+        image = orbit[-1]
+        if action.kind == "permutation":
+            image = tuple(map(image.__getitem__, action.perm))
+        else:
             for part in action.parts:
-                out = apply_action(part, out)
-        return out
-    raise DomainError(f"unknown action kind {action.kind!r}")
+                image = apply_action(part, image)
+        if image == w:
+            return orbit[times % len(orbit)]
+        orbit.append(image)
+    return orbit[-1]
 
 
 def act_on_words(action: Action, words: Sequence[Word]) -> Iterator[Word]:
@@ -361,6 +364,14 @@ class OrbitSet:
         return fixed_points(self.shift_permutation(shift))
 
 
+def _is_cube(locus: Locus) -> bool:
+    """Whether locus.words is all of {1..k}^n in lex order, compared word by word
+    (``product`` reuses its result tuple, so this allocates almost nothing)."""
+    n, k, words = locus.n, locus.k, locus.words
+    cube = n >= 1 and k >= 1 and len(words) == k**n
+    return cube and all(map(operator.eq, words, product(range(1, k + 1), repeat=n)))
+
+
 def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
     """The locus' necklace labels generated rather than found, or None if unproven.
 
@@ -378,19 +389,15 @@ def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
     to |X| (so the kept orbits, disjoint and inside the locus, cover it).  No second
     container of the words is built.
 
-    When locus.words is all of {1..k}^n, which counting proves (k^n strictly
-    increasing words, each of length n over 1..k), it is that set in lex order: the
-    rotation proof is skipped and each necklace is the locus word at its base-k index.
+    When locus.words is all of {1..k}^n in lex order, which ``_is_cube`` proves by
+    comparing it word by word with the cube, the rotation proof is skipped and each
+    necklace is the locus word at its base-k index.
     """
     words, n, k = locus.words, locus.n, locus.k
-    if n < 1 or k < 1 or not all(map(operator.lt, words, islice(words, 1, None))):
+    cube = _is_cube(locus)
+    if not cube and (n < 1 or k < 1 or not all(map(operator.lt, words, islice(words, 1, None)))):
         return None
     size = len(words)
-    cube = (
-        size == k**n
-        and set(map(len, words)) == {n}
-        and set(chain.from_iterable(words)) <= set(range(1, k + 1))
-    )
     weights = [k ** (n - 1 - i) for i in range(n)]
     offset = sum(weights)  # the base-k index of a is sum((a[i] - 1) * weights[i])
     labels = []
@@ -438,10 +445,12 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
     Cn labels of a sorted, rotation-closed locus are generated as necklaces
-    (`_generated_necklace_labels`); Sn labels key each word by its sorted letters,
-    and only the distinct keys become content vectors.  Every other case reads each
-    word's canonical form in bulk (`_labels`), which gives the same labels and
-    representatives as a word-by-word walk.
+    (`_generated_necklace_labels`).  On a cube (`_is_cube`, a word-by-word proof) the
+    first word of each Sn or Hr orbit is generated: a non-decreasing word, or sorted
+    letter pairs in order.  Elsewhere Sn labels key each word by its sorted letters, and
+    only the distinct keys become content vectors; every other case reads each word's
+    canonical form in bulk (`_labels`).  Each gives the labels and representatives of a
+    word-by-word walk.
     """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")
@@ -451,6 +460,15 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
         labels = _generated_necklace_labels(locus)
         if labels is not None:
             return OrbitSet(group, locus.n, locus.k, labels, dict(zip(labels, labels)))
+    elif _is_cube(locus):
+        letters = range(1, locus.k + 1)
+        if group == "Sn":
+            firsts = combinations_with_replacement(letters, locus.n)
+            reps = {tuple(map(w.count, letters)): w for w in firsts}
+        else:
+            pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), locus.n // 2)
+            reps = {label: tuple(chain.from_iterable(label)) for label in pairs}
+        return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
     if group == "Sn":
         # Read backwards, so the first word of each class is the last one stored.
         firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))

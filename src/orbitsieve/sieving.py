@@ -23,6 +23,7 @@ forms can be cross-checked against an independent derivation.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import operator
 from dataclasses import dataclass
@@ -484,9 +485,20 @@ def verify_bicsp(inst: SievingInstance) -> Report:
 
 
 def verify_family(family: str, n=None, k=None, mu=None, a=None) -> Report:
-    """Build the instance for a named result and run the matching verifier."""
-    inst = build_instance(family, n=n, k=k, mu=mu, a=a)
-    return verify_bicsp(inst) if inst.bivariate else verify_csp(inst)
+    """Build the instance for a named result and run the matching verifier.
+
+    Cyclic GC is paused meanwhile, then restored: the word tuples, index dicts and
+    permutation lists made here form no cycles, and the few cycles made meanwhile
+    wait for the next collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        inst = build_instance(family, n=n, k=k, mu=mu, a=a)
+        return verify_bicsp(inst) if inst.bivariate else verify_csp(inst)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def oracle_csp_poly(

@@ -5,6 +5,7 @@ counts, multinomials); orbit counts are cross-checked against Burnside averaging
 over explicitly enumerated position subgroups.
 """
 
+import builtins
 import math
 import re
 from itertools import product
@@ -57,6 +58,13 @@ class TestEnumeration:
                 assert enumerate_locus("Z", n, k).size == surjection_count(n, k)
         empty = enumerate_locus("Z", 2, 3)
         assert empty.size == 0 and empty.infeasible
+
+    def test_z_words_are_the_surjective_words_in_order(self):
+        for n in range(1, 7):
+            for k in range(1, min(n, 4) + 1):
+                full = set(range(1, k + 1))
+                expected = tuple(w for w in product(range(1, k + 1), repeat=n) if set(w) == full)
+                assert enumerate_locus("Z", n, k).words == expected
 
     def test_tanisaki_words_and_symmetry(self):
         l = enumerate_locus("tanisaki", 2, mu=(1, 1))
@@ -150,6 +158,45 @@ class TestActions:
         for w in ((1, 3), (0, 1), (1, None), (1, [2])):
             with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
                 apply_action(Action.value_shift(1, 2), w)
+
+    def test_huge_powers_stop_at_the_orbit_of_the_word(self):
+        swap = Action.permutation((1, 0))
+        assert apply_action(swap, (1, 2), 10**12) == (1, 2)
+        assert apply_action(swap, (1, 2), 10**12 + 1) == (2, 1)
+        both = Action.composite([Action.value_shift(1, 3), Action.position_rotation(4)])
+        w = (1, 2, 3, 1)
+        assert apply_action(both, w, 10**12) == plain_power(both, w, 10**12 % 12)
+
+    def test_the_word_s_orbit_wins_over_a_wrong_declared_order(self):
+        cycle = Action.permutation((1, 2, 0), order=2)
+        assert apply_action(cycle, (1, 2, 3), 2) == (3, 1, 2)
+        assert apply_action(cycle, (1, 2, 3), 3) == (1, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shift_stable_loci(), st.data(), st.integers(0, 30))
+    def test_powers_match_the_plain_loop(self, locus, data, times):
+        w = data.draw(st.sampled_from(locus.words))
+        simple, composites = actions_on(locus, data)
+        for action in simple + composites:
+            assert apply_action(action, w, times) == plain_power(action, w, times)
+
+    def test_negative_power_rejected(self):
+        for action in (Action.permutation((1, 0)), Action.composite([Action.position_rotation(2)])):
+            with pytest.raises(DomainError, match="^negative action power$"):
+                apply_action(action, (1, 2), -1)
+
+
+def plain_power(action, w, times):
+    """action applied `times` times, one step at a time."""
+    for _ in range(times):
+        if action.kind == "permutation":
+            w = tuple(w[i] for i in action.perm)
+        elif action.kind == "composite":
+            for part in action.parts:
+                w = plain_power(part, w, 1)
+        else:
+            w = apply_action(action, w)
+    return w
 
 
 def actions_on(locus, data):
@@ -394,29 +441,51 @@ class TestNecklaceLabels:
         assert_labels_match_the_walk(locus)
 
 
-def spy_on_bisect(monkeypatch):
-    """Record every binary search of the necklace proof."""
+def spy_on(monkeypatch, name):
+    """Record the first argument of every call of ``loci.<name>`` (a builtin if loci binds none)."""
     calls = []
-    real = loci.bisect_left
+    real = getattr(loci, name, None) or getattr(builtins, name)
 
-    def counting_bisect_left(words, word, *args):
-        calls.append(word)
-        return real(words, word, *args)
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(loci, "bisect_left", counting_bisect_left)
+    monkeypatch.setattr(loci, name, spy, raising=False)
     return calls
 
 
+def word_paths_taken(locus, group, monkeypatch):
+    """Check orbit_set against the walk and name the word-by-word label paths it took:
+    the necklace proof's binary searches, the sorted-letter content keys (a sorted
+    word; the labels are sorted from a dict) and the bulk canonical forms.  Where the
+    walk raises, orbit_set must raise its error, and None is returned."""
+    try:
+        labels, reps = canonical_walk(locus, group)  # before the spies: the walk sorts letters too
+    except DomainError as error:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(error))}$"):
+            orbit_set(locus, group)
+        return None
+    calls = {name: spy_on(monkeypatch, name) for name in ("bisect_left", "sorted", "_labels")}
+    orbits = orbit_set(locus, group)
+    monkeypatch.undo()
+    assert orbits.labels == labels
+    assert {label: orbits.rep(label) for label in orbits.labels} == reps
+    calls["sorted"] = [arg for arg in calls["sorted"] if not isinstance(arg, dict)]
+    return {name for name, made in calls.items() if made}
+
+
 class TestCubeLabels:
-    """All of {1..k}^n, proved by counting, reads its necklaces by base-k index."""
+    """All of {1..k}^n in lex order, proved word by word, has its labels generated."""
 
-    def test_cube_matches_the_walk_without_a_search(self, monkeypatch):
-        calls = spy_on_bisect(monkeypatch)
-        for n in range(1, 7):
+    @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
+    def test_cube_matches_the_walk_without_a_word_path(self, group, monkeypatch):
+        for n in range(2, 7, 2) if group == "Hr" else range(1, 7):
             for k in range(1, 5):
-                assert_labels_match_the_walk(enumerate_locus("X", n, k))
-        assert calls == []
+                locus = enumerate_locus("X", n, k)
+                assert loci._is_cube(locus)
+                assert word_paths_taken(locus, group, monkeypatch) == set()
 
+    @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
     @pytest.mark.parametrize(
         "locus",
         [
@@ -427,13 +496,19 @@ class TestCubeLabels:
             # ... letters in 1..k, one word of the wrong length
             Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))),
             Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))),
+            # the whole cube out of lex order
+            Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2))),
+            # k^n sorted words, one repeated in place of a missing one
+            Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 2))),
         ],
     )
-    def test_near_cubes_take_the_proof(self, locus, monkeypatch):
+    def test_near_cubes_take_a_word_path(self, locus, group, monkeypatch):
         assert locus.size == locus.k**locus.n
-        calls = spy_on_bisect(monkeypatch)
-        assert_labels_match_the_walk(locus)
-        assert calls
+        assert not loci._is_cube(locus)
+        paths = word_paths_taken(locus, group, monkeypatch)
+        assert paths != set()
+        if group == "Cn" and list(locus.words) == sorted(set(locus.words)):
+            assert "bisect_left" in paths  # sorted words go through the rotation proof
 
 
 class TestContentLabels:

@@ -1,5 +1,6 @@
 """Sieving constructors and verifiers against hand-counted and independently derived values."""
 
+import gc
 import json
 
 import pytest
@@ -255,6 +256,31 @@ def test_csp_grids_pass():
     ]:
         report = verify_family(family, **kwargs)
         assert report.all_ok, (family, kwargs, [r for r in report.rows if not r["ok"]])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("family", ["necklace-X", "word-bicsp-Z", "no-such-family"])
+def test_verify_family_pauses_cyclic_gc_and_restores_its_state(monkeypatch, family, enabled):
+    seen = []
+    build = sieving.build_instance
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sieving, "build_instance", spy)
+    if not enabled:
+        gc.disable()
+    try:
+        if family == "no-such-family":
+            with pytest.raises(DomainError):
+                verify_family(family, n=3, k=2)
+        else:
+            assert verify_family(family, n=3, k=2).all_ok
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 def test_subset_csp_row_with_zero_fixed_points():

@@ -134,6 +134,20 @@ def _wrong_at(name, wrong_for, change):
         (
             "property-suites",
             _wrong_at(
+                "cyclo_field",
+                lambda level: level == 6,
+                lambda field: SimpleNamespace(zero=field.zero, root_power=lambda j: field.root_power(j + 1)),
+            ),
+            "power sum at L=6 m=0 is not 6",
+        ),
+        (
+            "property-suites",
+            _wrong_at("subgroup_elements", lambda group, n: (group, n) == ("Cn", 3), lambda perms: perms + perms[1:2]),
+            "Burnside sum not divisible for X n=3 k=2 Cn",
+        ),
+        (
+            "property-suites",
+            _wrong_at(
                 "orbit_set",
                 lambda locus, group: (locus.family, locus.n, locus.k, group) == ("Y", 3, 3, "Cn"),
                 lambda orbits: SimpleNamespace(size=orbits.size + 1),
