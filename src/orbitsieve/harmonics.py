@@ -21,8 +21,11 @@ pass is needed; the standard monomials of T(X) give the Hilbert series and its
 permutation traces give the graded Frobenius image.  The traces are read modulo
 a split prime: S_n preserves the locus (checked), so each is an integer no larger
 than its piece's dimension, and every class' traces must add up to the words its
-permutation fixes.  Buchberger's algorithm remains for the stated presentations,
-which are given by generators rather than by points.
+permutation fixes.  The normal forms behind them walk packed exponents
+(``GroebnerBasis``): one int per monomial with a guard bit above each variable's
+field, so a monomial product is one addition and a divisibility test one
+subtraction and one mask.  Buchberger's algorithm remains for the stated
+presentations, which are given by generators rather than by points.
 
 ``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
 point-ideal bases keyed by locus, so each locus is eliminated once however many
@@ -240,6 +243,17 @@ class GroebnerBasis:
 
     Every generator must be monic; reductions rely on it and never invert a
     leading coefficient.
+
+    Normal forms walk packed exponents (Monagan and Pearce): x^e is the int whose
+    field i, ``bits`` wide with one guard bit on top, holds e_i.  A product of
+    monomials is then one addition, and with G the guard bits x^lead divides x^e
+    exactly when ((e | G) - lead) & G == G: each field computes 2^bits + e_i -
+    lead_i, which never borrows from the next and keeps its guard bit iff e_i >=
+    lead_i.  The fields hold every exponent of total degree below 2^bits.  Tails lie
+    below their grevlex leads, so reducing x^e meets no monomial of degree above deg
+    e, and the width comes from the largest degree the basis has met: its leads and
+    every query so far.  A query beyond it widens the fields and drops the packed
+    normal-form caches.
     """
 
     def __init__(self, field: CycloField, nvars: int, gens: tuple[MultiPoly, ...]):
@@ -252,27 +266,63 @@ class GroebnerBasis:
         self._tails = tuple(
             tuple((e, c) for e, c in g.terms.items() if e != lt) for g, lt in zip(self.gens, self._leads)
         )
-        self._nf_cache: dict[Exponents, dict[Exponents, CycloElement]] = {}
-        # Per prime p: the tails mapped to F_p and their normal-form cache, or None
-        # when p divides a coefficient denominator.
+        # Per prime p: the packed tails mapped to F_p and their normal-form cache, or
+        # None when p divides a coefficient denominator.
         self._nf_mod: dict[int, tuple | None] = {}
+        self._max_degree = -1
+        self._fit(max(map(sum, self._leads), default=0))
         self._qb: QuotientBasis | None = None
+
+    def _fit(self, degree: int) -> None:
+        """Widen the fields to hold total degree `degree` if they are too narrow;
+        widening repacks the leads and tails and empties the packed caches."""
+        if degree <= self._max_degree:
+            return
+        bits = degree.bit_length()
+        self._max_degree = (1 << bits) - 1
+        self._shifts = tuple(range(0, self.nvars * (bits + 1), bits + 1))
+        self._guard = sum(1 << (s + bits) for s in self._shifts)
+        self._packed_leads = tuple(map(self._pack, self._leads))
+        self._packed_tails = tuple(tuple((self._pack(te), tc) for te, tc in tail) for tail in self._tails)
+        self._nf_cache: dict[int, dict[int, CycloElement]] = {}
+        for p, table in self._nf_mod.items():
+            if table is not None:
+                # The same tails in the same order: new exponents, the same images in F_p.
+                tails = zip(self._packed_tails, table[0])
+                self._nf_mod[p] = tuple(tuple((te, c) for (te, _), (_, c) in zip(*t)) for t in tails), {}
+
+    def _pack(self, e: Exponents) -> int:
+        return sum(map(operator.lshift, e, self._shifts))
+
+    def _unpack(self, packed: int) -> Exponents:
+        mask = self._max_degree
+        return tuple(packed >> s & mask for s in self._shifts)
+
+    def _packed(self, e: Exponents) -> int:
+        """x^e packed, the fields first widened to its degree if they are too narrow."""
+        if len(e) != self.nvars or min(e, default=0) < 0:
+            raise DomainError("exponents do not name a monomial of this basis' ring")
+        self._fit(sum(e))
+        return self._pack(e)
 
     def leading_exponents(self) -> tuple[Exponents, ...]:
         return self._leads
 
-    def _divisor(self, e: Exponents) -> int | None:
-        for idx, lt in enumerate(self._leads):
-            if all(a >= b for a, b in zip(e, lt)):
+    def _divisor(self, packed: int) -> int | None:
+        high, guard = packed | self._guard, self._guard
+        for idx, lead in enumerate(self._packed_leads):
+            if (high - lead) & guard == guard:
                 return idx
         return None
 
     def is_standard(self, e: Exponents) -> bool:
-        return self._divisor(e) is None
+        return self._divisor(self._packed(e)) is None
 
     def nf_monomial(self, e: Exponents) -> dict[Exponents, CycloElement]:
         """Normal form of x^e as a map from standard exponents to coefficients."""
-        return self._normal_form_walk(e, self._tails, self._nf_cache, self.field.one, None)
+        packed = self._packed(e)
+        nf = self._normal_form_walk(packed, self._packed_tails, self._nf_cache, self.field.one, None)
+        return {self._unpack(se): c for se, c in nf.items()}
 
     def trace_prime(self, bound: int) -> int:
         """The largest split prime p > bound that divides no coefficient denominator.
@@ -296,15 +346,16 @@ class GroebnerBasis:
         The generators are monic, so a reduction only adds and multiplies, and
         the walk mod p gives the image of the exact normal form.
         """
+        packed = self._packed(e)
         tails, cache = self._nf_mod[p]
-        return self._normal_form_walk(e, tails, cache, 1, p)
+        return {self._unpack(se): c for se, c in self._normal_form_walk(packed, tails, cache, 1, p).items()}
 
     def _tails_mod(self, p: int):
-        """(tails with coefficients in F_p, empty cache), or None if p divides a denominator."""
+        """(packed tails with coefficients in F_p, empty cache), or None if p divides a denominator."""
         omega = primitive_roots(self.field.order, p)[0]
         powers = [pow(omega, i, p) for i in range(self.field.degree)]
         tails = []
-        for tail in self._tails:
+        for tail in self._packed_tails:
             row = []
             for te, tc in tail:
                 image = 0
@@ -318,8 +369,9 @@ class GroebnerBasis:
             tails.append(tuple(row))
         return tuple(tails), {}
 
-    def _normal_form_walk(self, e: Exponents, tails, cache: dict, one, p: int | None) -> dict:
-        """Normal form of x^e from the generators' tails, exactly (p None) or modulo p."""
+    def _normal_form_walk(self, e: int, tails, cache: dict, one, p: int | None) -> dict:
+        """Normal form of packed x^e from the generators' packed tails, exactly (p None)
+        or modulo p.  The fields must hold deg e (``_packed``)."""
         stack = [e]
         while stack:
             cur = stack[-1]
@@ -331,10 +383,10 @@ class GroebnerBasis:
                 cache[cur] = {cur: one}
                 stack.pop()
                 continue
-            shift = tuple(a - b for a, b in zip(cur, self._leads[idx]))
+            shift = cur - self._packed_leads[idx]
             # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
             # only the shifted tail survives.
-            deps = [(tuple(a + b for a, b in zip(shift, te)), tc) for te, tc in tails[idx]]
+            deps = [(shift + te, tc) for te, tc in tails[idx]]
             missing = [d for d, _ in deps if d not in cache]
             if missing:
                 stack.extend(missing)
@@ -697,19 +749,21 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
         raise DomainError("w must be a permutation of 0..n-1")
     qb = gb_t.quotient_basis()
     p = gb_t.trace_prime(2 * max(map(len, qb.by_degree), default=0))
+    # Every permuted monomial keeps its level's degree, so the fields are widened once.
+    gb_t._fit(len(qb.by_degree) - 1)
+    pack = gb_t._pack
+    tails, cache = gb_t._nf_mod[p]
+    w_inv = sorted(range(gb_t.nvars), key=w.__getitem__)
     terms = {}
     for d, level in enumerate(qb.by_degree):
         std_here = set(level)
         tr = 0
         for e in level:
-            permuted = [0] * len(e)
-            for i, exp in enumerate(e):
-                permuted[w[i]] = exp
-            pe = tuple(permuted)
+            pe = tuple(map(e.__getitem__, w_inv))  # pe[w[i]] = e[i]
             if pe == e:
                 tr += 1
             elif pe not in std_here:
-                tr += gb_t.nf_monomial_mod(pe, p).get(e, 0)
+                tr += gb_t._normal_form_walk(pack(pe), tails, cache, 1, p).get(pack(e), 0)
         value = tr % p
         if value > p // 2:
             value -= p

@@ -43,7 +43,7 @@ No polynomial type appears here; ``harmonics`` assembles and certifies the bases
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 
 from .cyclotomic import cyclo_field
 from .errors import InternalCheckError
@@ -86,14 +86,22 @@ def successors(level: list[Exponents], n: int) -> list[Exponents]:
 def unit_stable(locus: Locus) -> bool:
     """Whether scaling every letter by each unit u mod k maps the locus to itself.
 
-    Brute force on the words.  Where it holds, each Galois map zeta -> zeta^u
-    sends I(X) to itself and so fixes its reduced basis, whose coefficients are
-    therefore rational.
+    Brute force on the words, which all have length n: for each unit, every column
+    of letters is mapped through one letter table and the images are checked
+    against the word set in one pass.  Where it holds, each Galois map zeta ->
+    zeta^u sends I(X) to itself and so fixes its reduced basis, whose coefficients
+    are therefore rational.
     """
     kk = locus.k
     words = set(locus.words)
-    units = [u for u in range(2, kk) if math.gcd(u, kk) == 1]
-    return all(tuple((u * x - 1) % kk + 1 for x in w) in words for u in units for w in locus.words)
+    columns = tuple(zip(*locus.words))
+    letters = set().union(*columns)
+    for u in range(2, kk):
+        if math.gcd(u, kk) == 1:
+            table = {x: (u * x - 1) % kk + 1 for x in letters}
+            if not words.issuperset(zip(*map(map, repeat(table.__getitem__), columns))):
+                return False
+    return True
 
 
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:

@@ -258,6 +258,7 @@ def generate_ssyt(shape: Partition, content: WeakComposition) -> list[Tableau]:
         rows[i][j] = 0
 
     rec(0)
+    del rec  # rec reaches itself through its closure cell; free it without the cyclic GC
     return found
 
 

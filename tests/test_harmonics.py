@@ -742,6 +742,59 @@ class TestNormalForms:
         for w in locus.words:
             assert p.evaluate_at_word(w) == nf.evaluate_at_word(w)
 
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
+    def test_generators_reduce_to_zero(self, family, n, k, mu):
+        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        for basis in (gb, associated_graded(gb)):
+            assert all(basis.normal_form(g).is_zero() for g in basis.gens)
+
+    def test_query_beyond_the_field_width_widens_it(self):
+        # Walks cached at the leads' width, then every monomial of three times
+        # that degree: the fields widen, the packed caches and tables are rebuilt,
+        # and every result matches a basis that only ever had the wide fields.
+        locus = enumerate_locus("Z", 3, 2)
+        gb = vanishing_ideal(locus)
+        p = gb.trace_prime(0)
+        low = (1, 1, 0)  # the lead of x1 x2 + x1 x3 + x2 x3 + 1
+        assert low in gb.leading_exponents()
+        low_nf, low_mod = gb.nf_monomial(low), gb.nf_monomial_mod(low, p)
+        highs = list(weak_compositions(3 * gb._max_degree, 3))
+        fresh = vanishing_ideal(locus)
+        expected = [fresh.nf_monomial(e) for e in highs]
+        assert fresh.trace_prime(0) == p
+        assert [gb.nf_monomial(e) for e in highs] == expected
+        assert [gb.nf_monomial_mod(e, p) for e in highs] == [fresh.nf_monomial_mod(e, p) for e in highs]
+        assert (gb.nf_monomial(low), gb.nf_monomial_mod(low, p)) == (low_nf, low_mod)
+        # Each x^e and its normal form agree as functions on the locus.
+        field = gb.field
+        for e, nf in zip(highs, expected):
+            for w in locus.words:
+                value = MultiPoly(field, 3, nf).evaluate_at_word(w)
+                assert value == field.root_power(sum(a * b for a, b in zip(e, w)))
+
+    def test_malformed_exponents_rejected(self):
+        gb = vanishing_ideal(enumerate_locus("X", 2, 2))
+        for e in [(1,), (1, 0, 0), (2, -1)]:
+            with pytest.raises(DomainError):
+                gb.nf_monomial(e)
+
+    @pytest.mark.parametrize("family,n,k,mu", [("X", 6, 2, None), ("tanisaki", 6, None, (3, 2, 1))])
+    def test_modular_normal_forms_are_the_exact_ones_mapped(self, family, n, k, mu):
+        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=100, max_vars=6)
+        p = gb.trace_prime(0)
+        omega = interpolation.primitive_roots(gb.field.order, p)[0]
+
+        def image(c):
+            return sum(
+                int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p)
+                for i, x in enumerate(c.coords)
+            ) % p
+
+        for d in range(5):
+            for e in weak_compositions(d, 6):
+                exact = {s: image(c) for s, c in gb.nf_monomial(e).items()}
+                assert gb.nf_monomial_mod(e, p) == {s: c for s, c in exact.items() if c}
+
 
 class TestHilbertSeries:
     def test_grid_product_formula(self):
@@ -918,6 +971,39 @@ class TestGradedFrobenius:
         monkeypatch.setattr(harmonics, "graded_character", corrupted)
         with pytest.raises(InternalCheckError, match="fixes"):
             graded_frobenius(locus)
+
+    def test_uneven_trace_trips_the_integrality_check(self, monkeypatch):
+        # One unit of the identity's degree-0 trace moved to degree 1: every
+        # class still sums to its fixed words, but the trivial module's degree-0
+        # multiplicity becomes 1/2.
+        trace = harmonics.graded_character
+
+        def moved(gb_t, w):
+            out = trace(gb_t, w)
+            if list(w) == sorted(w):
+                out = out + SparsePoly({(0, 0): -1, (1, 0): 1})
+            return out
+
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "graded_character", moved)
+        with pytest.raises(InternalCheckError, match="not an integer"):
+            graded_frobenius(enumerate_locus("X", 2, 2))
+
+    def test_trace_with_a_negative_module_trips_the_sign_check(self, monkeypatch):
+        # X(2,2) has no sign module in degree 0.  Moving the sign character's
+        # values from degree 0 to degree 1 keeps every multiplicity an integer and
+        # every fixed-word sum, but gives the sign module multiplicity -1 there.
+        classes = {harmonics._perm_of_cycle_type(ct): ct for ct, _ in conjugacy_classes(2)}
+        trace = harmonics.graded_character
+
+        def moved(gb_t, w):
+            chi = sn_character((1, 1), classes[tuple(w)])
+            return trace(gb_t, w) + SparsePoly({(0, 0): -chi, (1, 0): chi})
+
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "graded_character", moved)
+        with pytest.raises(InternalCheckError, match="negative"):
+            graded_frobenius(enumerate_locus("X", 2, 2))
 
     def test_trivial_multiplicity_counts_orbits(self):
         from orbitsieve.loci import orbit_set

@@ -5,6 +5,7 @@ counting identities (involutions, RSK pairing, maj enumeration), and are cross-c
 against the package's formula paths.
 """
 
+import gc
 import itertools
 import math
 
@@ -313,6 +314,18 @@ def test_even_partitions():
     assert is_even_partition((4, 2, 2))
     assert not is_even_partition((3, 1))
     assert is_even_partition(())
+
+
+def test_ssyt_leaves_no_reference_cycle():
+    # With cyclic GC paused, everything a call allocates must be freed by
+    # reference counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(generate_ssyt((3, 2, 1), (2, 2, 2))) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ssyt_respects_content_and_shape():
