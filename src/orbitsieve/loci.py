@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, count, islice, permutations, product, repeat
+from itertools import chain, combinations_with_replacement, count, permutations, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -373,84 +372,45 @@ def _is_cube(locus: Locus) -> bool:
 
 
 def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
-    """The locus' necklace labels generated rather than found, or None if unproven.
+    """The necklace labels of the cube {1..k}^n, generated, or None if the locus is
+    not all of {1..k}^n in lex order (``_is_cube``, a word-by-word proof).
 
     Prenecklaces of length n over 1..k come in lex order by the iterative
     Fredricksen-Kessler-Maiorana step: raise the last letter below k and repeat the
     prefix up to it.  That prefix is the last Lyndon prefix; the word is a necklace
-    exactly when its length p divides n, and p is then the period.  A prenecklace
-    missing from locus.words skips every prenecklace that shares its prefix with no
-    locus word, so the walk follows the locus rather than all k^n words.
-
-    The necklaces found in locus.words are the labels of a canonical-form walk, each
-    its own first-met representative, once three checks hold: locus.words strictly
-    increases (so it holds |X| distinct words and meets each orbit at its least
-    rotation first), every rotation of every kept label is in it, and the periods sum
-    to |X| (so the kept orbits, disjoint and inside the locus, cover it).  No second
-    container of the words is built.
-
-    When locus.words is all of {1..k}^n in lex order, which ``_is_cube`` proves by
-    comparing it word by word with the cube, the rotation proof is skipped and each
-    necklace is the locus word at its base-k index.
+    exactly when its length p divides n.  A necklace is the least word of its orbit,
+    so it is its own first-met representative; each is read as the locus word at its
+    base-k index, so no copy of it is kept.
     """
-    words, n, k = locus.words, locus.n, locus.k
-    cube = _is_cube(locus)
-    if not cube and (n < 1 or k < 1 or not all(map(operator.lt, words, islice(words, 1, None)))):
+    if not _is_cube(locus):
         return None
-    size = len(words)
+    words, n, k = locus.words, locus.n, locus.k
     weights = [k ** (n - 1 - i) for i in range(n)]
     offset = sum(weights)  # the base-k index of a is sum((a[i] - 1) * weights[i])
     labels = []
-    covered = 0
     a, p = [1] * n, 1
     while True:
-        if cube:
-            if n % p == 0:
-                labels.append(words[sum(map(operator.mul, a, weights)) - offset])
-                covered += p
-        else:
-            word = tuple(a)
-            at = bisect_left(words, word)
-            if at == size:
-                break
-            found = words[at]
-            if found == word:
-                if n % p == 0:
-                    doubled = word + word
-                    for j in range(1, p):
-                        rotation = doubled[j : j + n]
-                        # A necklace's rotations all follow it in lex order.
-                        r = bisect_left(words, rotation, at + 1)
-                        if r == size or words[r] != rotation:
-                            return None
-                    labels.append(found)  # the locus' own tuple, so no copy of it is kept
-                    covered += p
-            else:
-                # No locus word lies strictly between this prenecklace and `found`, so
-                # skip every string sharing their first differing letter's prefix.
-                j = next((j for j, (x, y) in enumerate(zip(word, found)) if x != y), n)
-                a[j + 1 :] = [k] * (n - j - 1)
+        if n % p == 0:
+            labels.append(words[sum(map(operator.mul, a, weights)) - offset])
         i = n - 1
         while i >= 0 and a[i] == k:
             i -= 1
         if i < 0:
-            break
+            return tuple(labels)
         a[i] += 1
         p = i + 1
         a = a[:p] * (n // p) + a[: n % p]
-    return tuple(labels) if covered == size else None
 
 
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
-    Cn labels of a sorted, rotation-closed locus are generated as necklaces
-    (`_generated_necklace_labels`).  On a cube (`_is_cube`, a word-by-word proof) the
-    first word of each Sn or Hr orbit is generated: a non-decreasing word, or sorted
-    letter pairs in order.  Elsewhere Sn labels key each word by its sorted letters, and
-    only the distinct keys become content vectors; every other case reads each word's
-    canonical form in bulk (`_labels`).  Each gives the labels and representatives of a
-    word-by-word walk.
+    On a cube (`_is_cube`, a word-by-word proof) the first word of each orbit is
+    generated: a necklace (`_generated_necklace_labels`), a non-decreasing word, or
+    sorted letter pairs in order.  Elsewhere Sn labels key each word by its sorted
+    letters, and only the distinct keys become content vectors; every other case reads
+    each word's canonical form in bulk (`_labels`).  Each gives the labels and
+    representatives of a word-by-word walk.
     """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")

@@ -7,6 +7,7 @@ q and t.  Univariate polynomials are simply polynomials that never touch t (or q
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -255,6 +256,30 @@ def q_factorial(n: int) -> SparsePoly:
     return q_factorial(n - 1) * q_int(n)
 
 
+def q_product_quotient(tops: Iterable[int], bottoms: Iterable[int]) -> SparsePoly:
+    """Prod (1 - q^a) over tops divided by prod (1 - q^b) over bottoms, exactly.
+
+    Common factors cancel; then a dense int list is multiplied by each (1 - q^a) and by
+    each 1/(1 - q^b) as a power series up to the numerator's degree.  The division is
+    exact iff no coefficient past the expected degree is nonzero, else InternalCheckError.
+    """
+    tops, bottoms = Counter(tops), Counter(bottoms)
+    common = tops & bottoms
+    tops, bottoms = tops - common, bottoms - common
+    size = sum(a * m for a, m in tops.items()) + 1
+    degree = size - 1 - sum(b * m for b, m in bottoms.items())
+    coeffs = [1] + [0] * (size - 1)
+    for a in tops.elements():
+        for i in range(size - 1, a - 1, -1):
+            coeffs[i] -= coeffs[i - a]
+    for b in bottoms.elements():
+        for i in range(b, size):
+            coeffs[i] += coeffs[i - b]
+    if any(coeffs[max(degree + 1, 0) :]):
+        raise InternalCheckError("inexact q-product quotient")
+    return SparsePoly._valid({(i, 0): c for i, c in enumerate(coeffs)})
+
+
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> SparsePoly:
     """Gaussian binomial [n over k]_q; zero when k is out of range."""
@@ -262,7 +287,8 @@ def q_binomial(n: int, k: int) -> SparsePoly:
         raise DomainError("q_binomial with negative n")
     if k < 0 or k > n:
         return SparsePoly.zero()
-    return q_factorial(n).div_exact_q(q_factorial(k) * q_factorial(n - k))
+    return q_product_quotient(range(n - k + 1, n + 1), range(1, k + 1))
+
 
 def q_multinomial(n: int, parts: Iterable[int]) -> SparsePoly:
     """[n over parts]_q, the maj generating function of words with these multiplicities."""
@@ -277,7 +303,4 @@ def q_multinomial(n: int, parts: Iterable[int]) -> SparsePoly:
 @lru_cache(maxsize=None)
 def _q_multinomial(n: int, parts: tuple[int, ...]) -> SparsePoly:
     """q_multinomial on sorted parts, so every rearrangement shares a cache entry."""
-    out = q_factorial(n)
-    for p in parts:
-        out = out.div_exact_q(q_factorial(p))
-    return out
+    return q_product_quotient(range(1, n + 1), (b for p in parts for b in range(1, p + 1)))

@@ -15,9 +15,11 @@ then counted over the whole set on powers of those index permutations.
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
 the invariants of a position subgroup.  The X results and the Gaussian binomials are
-built directly, which is faster.  ``oracle_csp_poly`` derives the Frobenius image from
-the associated-graded quotient instead and restricts it the same way, so the closed
-forms can be cross-checked against an independent derivation.
+built directly, which is faster.  No closed form lists tableaux: Kostka numbers and
+(maj, des) counts come from recursions in ``tableaux``, q-analogues from quotients of
+products of (1 - q^a).  ``oracle_csp_poly`` derives the Frobenius image from the
+associated-graded quotient instead and restricts it the same way, so the closed forms
+can be cross-checked against an independent derivation.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
     fake_degree,
-    generate_syt,
     is_even_partition,
     kostka_foulkes,
     kostka_number,
     m_of,
-    maj_des,
     partitions,
     partitions_in_box,
+    syt_maj_des,
 )
 
 # Each result: the locus family it counts and how the Frobenius image is read off,
@@ -112,9 +113,8 @@ def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -
     if family == "Z":
         acc = {lam: SparsePoly.zero() for lam in partitions(n)}
         for lam in acc:
-            for t in generate_syt(lam):
-                maj, des = maj_des(t)
-                acc[lam] = acc[lam] + SparsePoly.monomial(maj) * q_binomial(n - des - 1, n - k)
+            for (maj, des), count in syt_maj_des(lam):
+                acc[lam] = acc[lam] + SparsePoly.monomial(maj, 0, count) * q_binomial(n - des - 1, n - k)
         return SchurVector(n, acc)
     if family == "tanisaki":
         return SchurVector(n, {lam: kostka_foulkes(lam, mu) for lam in partitions(n)})

@@ -1,20 +1,24 @@
 """Partitions, tableaux and word combinatorics.
 
-Everything here is finite and exact: enumeration by backtracking, statistics by direct
-counting, except that maj counts are read off generating functions (the fake degree for
-standard tableaux, MacMahon's q-multinomial for words) instead of visiting each object.
-The graded statistics (maj, charge/cocharge, fake degrees) feed the sieving
-polynomials; the enumerations double as oracles for the polynomial identities.
+Everything here is finite and exact.  The counts that feed the closed forms visit no
+tableau: Kostka numbers come from the horizontal-strip recursion on a sorted content,
+the (maj, des) distribution of standard tableaux from removing the corner that holds n,
+fake degrees from Stanley's q-hook length formula, and maj counts of words from
+MacMahon's q-multinomial; all are cached by shape and content.  The backtracking
+enumerations (``generate_ssyt``, ``generate_syt``) stay as the independent oracles for
+those identities, and the cocharge sum over them is the Kostka-Foulkes polynomial.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .errors import DomainError
-from .qpoly import SparsePoly, q_factorial, q_int, q_multinomial
+from .qpoly import SparsePoly, q_multinomial, q_product_quotient
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 WeakComposition = tuple[int, ...]  # nonnegative parts, order significant
@@ -30,18 +34,11 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, largest part first."""
     if n < 0:
         raise DomainError("partitions of a negative integer")
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    return _partitions(n, n, n if max_part is None else min(n, max_part))
 
 
 def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
@@ -49,9 +46,16 @@ def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
     if max_len < 0 or max_part < 0:
         raise DomainError("negative box dimensions")
     for size in range(max_len * max_part + 1):
-        for lam in partitions(size, max_part):
-            if len(lam) <= max_len:
-                yield lam
+        yield from _partitions(size, max_len, max_part)
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, max_len: int, max_part: int) -> tuple[Partition, ...]:
+    """Partitions of n into at most max_len parts, each at most max_part, largest first."""
+    if n == 0 or max_len == 0:
+        return ((),) if n == 0 else ()
+    firsts = range(min(n, max_part), 0, -1)
+    return tuple((first,) + rest for first in firsts for rest in _partitions(n - first, max_len - 1, first))
 
 
 def weak_compositions(n: int, k: int) -> Iterator[WeakComposition]:
@@ -268,18 +272,65 @@ def generate_syt(shape: Partition) -> list[Tableau]:
 
 
 def kostka_number(shape: Partition, content: WeakComposition) -> int:
-    return len(generate_ssyt(shape, content))
+    """Number of semistandard tableaux of this shape and content, none listed.  It is
+    symmetric in the content (Bender-Knuth), so the content is sorted, zeros dropped."""
+    shape = check_partition(shape)
+    content = tuple(int(c) for c in content)
+    if any(c < 0 for c in content):
+        raise DomainError("negative content entry")
+    if sum(content) != sum(shape):
+        return 0
+    return _kostka(shape, tuple(sorted((c for c in content if c), reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape: Partition, content: Partition) -> int:
+    """The cells holding the largest letter form a horizontal strip of content[-1]
+    cells, so K(shape, content) sums K(nu, content[:-1]) over each nu with shape/nu
+    such a strip: nu_i lies between shape_{i+1} and shape_i."""
+    if not content:
+        return 1
+    slack = [range(p - q + 1) for p, q in zip(shape, shape[1:] + (0,))]
+    return sum(
+        _kostka(tuple(p - c for p, c in zip(shape, cut) if p > c), content[:-1])
+        for cut in product(*slack)
+        if sum(cut) == content[-1]
+    )
+
+
+@lru_cache(maxsize=None)
+def syt_maj_des(shape: Partition) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((maj, des), count) over the standard tableaux of this shape, none listed."""
+    counts = Counter()
+    for (_, maj, des), c in _syt_row_maj_des(check_partition(shape)).items():
+        counts[maj, des] += c
+    return tuple(counts.items())
+
+
+@lru_cache(maxsize=None)
+def _syt_row_maj_des(shape: Partition) -> Counter:
+    """Standard tableaux counted by (row of n, maj, des).  n sits in a corner; without
+    it the rest is a standard tableau of the smaller shape, and n - 1 is a descent
+    exactly when n sits in a strictly lower row than n - 1."""
+    if not shape:
+        return Counter({(0, 0, 0): 1})
+    n, counts = sum(shape), Counter()
+    for row, p in enumerate(shape):
+        if row + 1 < len(shape) and shape[row + 1] == p:
+            continue  # not a corner
+        smaller = shape[:row] + ((p - 1,) if p > 1 else ()) + shape[row + 1 :]
+        for (below, maj, des), c in _syt_row_maj_des(smaller).items():
+            counts[(row, maj + n - 1, des + 1) if row > below else (row, maj, des)] += c
+    return counts
 
 
 @lru_cache(maxsize=None)
 def fake_degree(shape: Partition) -> SparsePoly:
-    """f^lambda(q) = q^b(lambda) [n]!_q / prod of hook q-integers (exact division)."""
+    """f^lambda(q) = q^b(lambda) [n]!_q / prod of hook q-integers: Stanley's q-hook
+    length formula, as a quotient of products of (1 - q^a)."""
     shape = check_partition(shape)
-    n = sum(shape)
-    num = SparsePoly.monomial(b_stat(shape)) * q_factorial(n)
-    for h in hook_lengths(shape):
-        num = num.div_exact_q(q_int(h))
-    return num
+    quotient = q_product_quotient(range(1, sum(shape) + 1), hook_lengths(shape))
+    return SparsePoly.monomial(b_stat(shape)) * quotient
 
 
 # -- charge, cocharge and Kostka-Foulkes ---------------------------------------------

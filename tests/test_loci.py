@@ -398,7 +398,8 @@ def hand_built_word_tuples(draw):
 
 
 class TestNecklaceLabels:
-    """Generated necklace labels against the canonical-form walk they replace."""
+    """Necklace labels, generated on the cube and read in bulk elsewhere, against the
+    canonical-form walk."""
 
     @pytest.mark.parametrize("family", ["X", "Y", "Z"])
     def test_families_match_the_walk(self, family):
@@ -406,16 +407,17 @@ class TestNecklaceLabels:
             for k in range(1, 5):
                 locus = enumerate_locus(family, n, k)
                 assert_labels_match_the_walk(locus)
-                assert loci._generated_necklace_labels(locus) is not None
+                # Only the cube has its necklaces generated; Y(1, k) and Z(n, 1) are cubes.
+                assert (loci._generated_necklace_labels(locus) is not None) == loci._is_cube(locus)
 
     @pytest.mark.parametrize("mu,a", [((2, 2, 2, 2), None), ((2, 1, 2, 1), 2), ((1, 1, 1, 1, 1), None)])
     def test_tanisaki_matches_the_walk(self, mu, a):
         locus = enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a)
         assert_labels_match_the_walk(locus)
-        assert loci._generated_necklace_labels(locus) is not None
+        assert loci._generated_necklace_labels(locus) is None
 
     def test_missing_rotation_replaced_by_a_foreign_word(self):
-        # (2, 1) is missing and (3, 2) stands in for it, so the periods still sum to |X|.
+        # (2, 1) is missing and (3, 2) stands in for it: not closed under rotation.
         locus = Locus("X", 2, 3, ((1, 2), (3, 2)))
         assert loci._generated_necklace_labels(locus) is None
         assert orbit_set(locus, "Cn").labels == ((1, 2), (2, 3))
@@ -456,8 +458,8 @@ def spy_on(monkeypatch, name):
 
 def word_paths_taken(locus, group, monkeypatch):
     """Check orbit_set against the walk and name the word-by-word label paths it took:
-    the necklace proof's binary searches, the sorted-letter content keys (a sorted
-    word; the labels are sorted from a dict) and the bulk canonical forms.  Where the
+    the sorted-letter content keys (a sorted word; the labels are sorted from a dict)
+    and the bulk canonical forms.  Where the
     walk raises, orbit_set must raise its error, and None is returned."""
     try:
         labels, reps = canonical_walk(locus, group)  # before the spies: the walk sorts letters too
@@ -465,7 +467,7 @@ def word_paths_taken(locus, group, monkeypatch):
         with pytest.raises(DomainError, match=f"^{re.escape(str(error))}$"):
             orbit_set(locus, group)
         return None
-    calls = {name: spy_on(monkeypatch, name) for name in ("bisect_left", "sorted", "_labels")}
+    calls = {name: spy_on(monkeypatch, name) for name in ("sorted", "_labels")}
     orbits = orbit_set(locus, group)
     monkeypatch.undo()
     assert orbits.labels == labels
@@ -508,7 +510,7 @@ class TestCubeLabels:
         paths = word_paths_taken(locus, group, monkeypatch)
         assert paths != set()
         if group == "Cn" and list(locus.words) == sorted(set(locus.words)):
-            assert "bisect_left" in paths  # sorted words go through the rotation proof
+            assert "_labels" in paths  # necklaces off the cube are read in bulk
 
 
 class TestContentLabels:

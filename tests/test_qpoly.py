@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from orbitsieve import qpoly
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.qpoly import SparsePoly, q_binomial, q_factorial, q_int, q_multinomial
+from orbitsieve.tableaux import partitions
 
 
 def words_with_content(counts):
@@ -97,8 +98,46 @@ def test_domain_errors():
 
 
 def test_exact_division_rejects_inexact():
-    with pytest.raises(InternalCheckError):
-        (q_int(3)).div_exact_q(q_int(2))
+    with pytest.raises(InternalCheckError, match=r"^inexact polynomial division \(degree too small\)$"):
+        q_int(2).div_exact_q(q_int(3))
+    with pytest.raises(InternalCheckError, match="^inexact polynomial division$"):
+        SparsePoly.monomial(1).div_exact_q(SparsePoly.monomial(1, coeff=2))
+    with pytest.raises(InternalCheckError, match=r"^inexact polynomial division \(nonzero remainder\)$"):
+        q_int(3).div_exact_q(q_int(2))
+
+
+def test_q_product_quotient_rejects_inexact():
+    assert qpoly.q_product_quotient([2, 4], [1, 2]) == q_int(4)
+    assert qpoly.q_product_quotient([2, 4], [1, 1]) == q_int(2) * q_int(4)
+    for tops, bottoms in [([3], [2]), ([1], [2]), ([], [1]), ([2, 2], [1, 3])]:
+        with pytest.raises(InternalCheckError, match="^inexact q-product quotient$"):
+            qpoly.q_product_quotient(tops, bottoms)
+
+
+def q_binomial_by_division(n, k):
+    return q_factorial(n).div_exact_q(q_factorial(k) * q_factorial(n - k))
+
+
+def q_multinomial_by_division(n, parts):
+    out = q_factorial(n)
+    for p in parts:
+        out = out.div_exact_q(q_factorial(p))
+    return out
+
+
+def test_q_binomial_matches_the_long_division_formula():
+    for n in range(13):
+        assert q_binomial(n, -1).is_zero() and q_binomial(n, n + 1).is_zero()
+        for k in range(n + 1):
+            assert q_binomial(n, k) == q_binomial_by_division(n, k)
+
+
+def test_q_multinomial_matches_the_long_division_formula():
+    for n in range(13):
+        for parts in partitions(n):
+            assert q_multinomial(n, parts) == q_multinomial_by_division(n, parts)
+            rearranged = (0,) + parts[::-1]
+            assert q_multinomial(n, rearranged) == q_multinomial_by_division(n, rearranged)
 
 
 small_polys = st.dictionaries(

@@ -446,6 +446,12 @@ def test_inverse_powers_use_the_permutation_s_own_order():
         powers.inverse(-1)
 
 
+def test_negative_coefficient_is_an_internal_error():
+    assert sieving._check_counting_poly(q_binomial(4, 2)) == q_binomial(4, 2)
+    with pytest.raises(InternalCheckError, match="^sieving polynomial has a negative coefficient$"):
+        sieving._check_counting_poly(SparsePoly({(0, 0): 2, (1, 1): -1}))
+
+
 def test_locus_not_preserved_by_the_value_shift_is_an_internal_error():
     # {11} is closed under rotation, but the shift sends it to 22.
     inst = word_instance(Locus("X", 2, 2, ((1, 1),)), Action.position_rotation(2))

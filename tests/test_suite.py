@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orbitsieve import cli, harmonics, suite
+from orbitsieve import cli, harmonics, suite, tableaux
 from orbitsieve.qpoly import SparsePoly
 
 BAD_ROW = {"r": 1, "s": 0, "fixed": 2, "value": "3", "ok": False}
@@ -165,3 +165,37 @@ def test_wrong_answer_fails_its_criterion_and_the_cli(monkeypatch, capsys, name,
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if not line.startswith("PASS ")]
     assert failed == [f"FAIL {name}: {detail}", "FAILED: some criteria did not pass"]
+
+
+@pytest.fixture
+def fresh_tableau_caches(monkeypatch):
+    """Empty the caches a perturbed tableau source could fill, before and after."""
+    caches = (tableaux.fake_degree, tableaux._kostka_foulkes)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+_FAKE_DEGREE_FAILS = "fake degree of (1,) disagrees with the maj sum over SYT"
+
+
+@pytest.mark.parametrize(
+    "source, wrong, detail",
+    [
+        # The enumerated side of the fake-degree check: the hook formula must not follow it.
+        ("generate_ssyt", lambda real, *args: real(*args)[:-1], _FAKE_DEGREE_FAILS),
+        # The hook formula: the maj sum over SYT must not follow it.
+        ("q_product_quotient", lambda real, *args: real(*args) + 1, _FAKE_DEGREE_FAILS),
+        # The cocharge sum: Kostka-Foulkes at 1^n must not be read off the fake degree.
+        ("cocharge", lambda real, *args: real(*args) + 1, "Kostka-Foulkes at content 1^1 disagrees for (1,)"),
+    ],
+)
+def test_property_checks_compare_independent_derivations(monkeypatch, fresh_tableau_caches, source, wrong, detail):
+    """Break one side of a tableau identity at its source: its check must fail, which it
+    would not if the other side were derived from the same source."""
+    real = getattr(tableaux, source)
+    monkeypatch.setattr(tableaux, source, lambda *args: wrong(real, *args))
+    result = suite.run_criterion("property-suites", max_n=3, max_k=2)
+    assert (result.ok, result.detail) == (False, detail)

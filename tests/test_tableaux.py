@@ -8,16 +8,19 @@ against the package's formula paths.
 import gc
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from orbitsieve import tableaux
 from orbitsieve.errors import DomainError
-from orbitsieve.qpoly import SparsePoly, q_multinomial
+from orbitsieve.qpoly import SparsePoly, q_factorial, q_int, q_multinomial
 from orbitsieve.tableaux import (
     Tableau,
+    b_stat,
     charge,
     cocharge,
+    compositions,
     conjugate,
     content_of_word,
     count_maj_divisible,
@@ -34,6 +37,7 @@ from orbitsieve.tableaux import (
     partitions,
     partitions_in_box,
     rsk,
+    syt_maj_des,
     weak_compositions,
     word_maj_des,
 )
@@ -333,3 +337,67 @@ def test_ssyt_respects_content_and_shape():
         assert t.is_semistandard()
         assert t.shape == (3, 2)
         assert t.content() == (2, 2, 1)
+
+
+# -- closed forms by recursion against the enumerations they replace -----------------
+
+
+def test_kostka_recursion_matches_tableau_count():
+    for n in range(9):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert kostka_number(lam, mu) == len(generate_ssyt(lam, mu)), (lam, mu)
+
+
+def test_kostka_recursion_on_permuted_and_padded_contents():
+    for n in range(1, 6):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                for content in set(itertools.permutations(mu + (0,))):
+                    assert kostka_number(lam, content) == len(generate_ssyt(lam, content)), (lam, content)
+
+
+def test_kostka_number_checks_its_arguments():
+    assert kostka_number((2, 1), (1, 1)) == 0  # sizes differ
+    assert kostka_number((), ()) == kostka_number((), (0, 0)) == 1
+    with pytest.raises(DomainError, match="^negative content entry$"):
+        kostka_number((2, 1), (2, 2, -1))
+    with pytest.raises(DomainError, match=r"^not a partition: \(1, 2\)$"):
+        kostka_number((1, 2), (2, 1))
+
+
+def test_syt_maj_des_matches_enumeration():
+    for n in range(9):
+        for lam in partitions(n):
+            assert dict(syt_maj_des(lam)) == Counter(maj_des(t) for t in generate_syt(lam)), lam
+
+
+def test_fake_degree_matches_the_long_division_formula():
+    for n in range(13):
+        for lam in partitions(n):
+            by_division = SparsePoly.monomial(b_stat(lam)) * q_factorial(n)
+            for h in hook_lengths(lam):
+                by_division = by_division.div_exact_q(q_int(h))
+            assert fake_degree(lam) == by_division, lam
+
+
+def test_partitions_match_sorted_compositions():
+    for n in range(9):
+        for max_part in range(n + 1):
+            found = {tuple(sorted(c, reverse=True)) for k in range(n + 1) for c in compositions(n, k)}
+            expected = sorted((lam for lam in found if max(lam, default=0) <= max_part), reverse=True)
+            assert list(partitions(n, max_part)) == expected
+    with pytest.raises(DomainError):
+        partitions(-1)
+
+
+def test_partitions_in_box_match_filtered_partitions():
+    for max_len in range(6):
+        for max_part in range(6):
+            filtered = [
+                lam
+                for size in range(max_len * max_part + 1)
+                for lam in partitions(size, max_part)
+                if len(lam) <= max_len
+            ]
+            assert list(partitions_in_box(max_len, max_part)) == filtered
