@@ -21,8 +21,8 @@ from .harmonics import (
     vanishing_ideal,
     verify_presentation,
 )
-from .loci import Action, Locus, OrbitSet, apply_action, count_fixed, enumerate_locus, orbit_set
-from .qpoly import SparsePoly, q_binomial, q_factorial, q_int, q_multinomial
+from .loci import Action, Locus, OrbitSet, apply_action, enumerate_locus, orbit_set
+from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .sieving import (
     Report,
     SievingInstance,
@@ -55,7 +55,6 @@ __all__ = [
     "associated_graded",
     "buchberger",
     "build_instance",
-    "count_fixed",
     "cyclo_field",
     "enumerate_locus",
     "eval_at_unity",
@@ -65,8 +64,6 @@ __all__ = [
     "oracle_csp_poly",
     "orbit_set",
     "q_binomial",
-    "q_factorial",
-    "q_int",
     "q_multinomial",
     "run_criterion",
     "run_suite",

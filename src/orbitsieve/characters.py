@@ -3,8 +3,7 @@
 Irreducible characters come from the Murnaghan-Nakayama rule on beta-sets.  The three
 subgroup families whose invariants drive orbit counting are the full symmetric group,
 the cyclic group generated by the long cycle, and the stabilizer of a perfect matching
-(for even n).  Fixed-space dimensions have closed forms and an independent averaging
-path; tests require the two to agree.
+(for even n).  Fixed-space dimensions have closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterator
 
 from .errors import DomainError
 from .qpoly import SparsePoly
-from .rat import RAT, rat_as_int
 from .tableaux import (
     Partition,
     check_partition,
@@ -57,23 +55,6 @@ def conjugacy_classes(n: int) -> list[tuple[CycleType, int]]:
     return [(mu, fact // centralizer_order(mu)) for mu in partitions(n)]
 
 
-def cycle_type_of(perm: tuple[int, ...]) -> CycleType:
-    """Cycle type of a permutation given in one-line form on 0..n-1."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if not seen[start]:
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def sn_character(shape: Partition, cycle_type: CycleType) -> int:
     """Murnaghan-Nakayama: recursive border-strip removal via beta-sets."""
@@ -104,15 +85,6 @@ def sn_character(shape: Partition, cycle_type: CycleType) -> int:
 # -- the three subgroup families -------------------------------------------------------
 
 
-def cyclic_group_cycle_types(n: int) -> list[CycleType]:
-    """Cycle types of the n powers of an n-cycle."""
-    out = []
-    for j in range(n):
-        g = math.gcd(j, n)
-        out.append(tuple([n // g] * g))
-    return out
-
-
 def matching_group_elements(r: int) -> Iterator[tuple[int, ...]]:
     """The 2^r r! permutations of 0..2r-1 preserving the matching {{0,1},{2,3},...}.
 
@@ -131,20 +103,8 @@ def matching_group_elements(r: int) -> Iterator[tuple[int, ...]]:
             yield tuple(w)
 
 
-def subgroup_order(group: str, n: int) -> int:
-    check_subgroup(group)
-    if group == "Sn":
-        return math.factorial(n)
-    if group == "Cn":
-        return n
-    if n % 2:
-        raise DomainError("matching stabilizer needs even n")
-    r = n // 2
-    return 2**r * math.factorial(r)
-
-
 def subgroup_elements(group: str, n: int) -> list[tuple[int, ...]]:
-    """One-line permutations of 0..n-1 for the subgroup (for brute-force averaging)."""
+    """One-line permutations of 0..n-1 for the subgroup (for brute-force counts)."""
     check_subgroup(group)
     if group == "Sn":
         return [tuple(p) for p in permutations(range(n))]
@@ -173,26 +133,6 @@ def fixed_space_dim(shape: Partition, group: str) -> int:
     return 1 if is_even_partition(shape) else 0
 
 
-def fixed_space_dim_by_averaging(shape: Partition, group: str) -> int:
-    """(1/|G|) sum of character values over the subgroup; must match the closed form."""
-    shape = check_partition(shape)
-    check_subgroup(group)
-    n = sum(shape)
-    if group == "Sn":
-        total = sum(size * sn_character(shape, mu) for mu, size in conjugacy_classes(n))
-        order = math.factorial(n)
-    elif group == "Cn":
-        total = sum(sn_character(shape, ct) for ct in cyclic_group_cycle_types(n))
-        order = n
-    else:
-        total = sum(
-            sn_character(shape, cycle_type_of(w)) for w in subgroup_elements("Hr", n)
-        )
-        order = subgroup_order("Hr", n)
-    value = RAT(total, order)
-    return rat_as_int(value)
-
-
 # -- Schur expansions -------------------------------------------------------------------
 
 
@@ -217,9 +157,6 @@ class SchurVector:
 
     def items(self) -> list[tuple[Partition, SparsePoly]]:
         return sorted(self._coeffs.items(), key=lambda kv: kv[0], reverse=True)
-
-    def shapes(self) -> list[Partition]:
-        return [lam for lam, _ in self.items()]
 
     def __eq__(self, other) -> bool:
         return (

@@ -210,9 +210,6 @@ class CycloElement:
             raise InternalCheckError("cyclotomic inverse failed verification")
         return inv
 
-    def __truediv__(self, other: "CycloElement") -> "CycloElement":
-        return self * other.inverse()
-
     def is_rational(self) -> bool:
         return all(not c for c in self.coords[1:])
 

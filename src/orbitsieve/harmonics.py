@@ -81,20 +81,6 @@ class MultiPoly:
     def zero(cls, field: CycloField, nvars: int) -> "MultiPoly":
         return cls(field, nvars, {})
 
-    @classmethod
-    def constant(cls, field: CycloField, nvars: int, c) -> "MultiPoly":
-        if isinstance(c, int):
-            c = field.from_int(c)
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, field: CycloField, nvars: int, i: int) -> "MultiPoly":
-        if not 0 <= i < nvars:
-            raise DomainError("variable index out of range")
-        e = [0] * nvars
-        e[i] = 1
-        return cls(field, nvars, {tuple(e): field.one})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -175,17 +161,6 @@ class MultiPoly:
         d = self.degree
         return MultiPoly(self.field, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def evaluate_at_word(self, w: tuple[int, ...]) -> CycloElement:
-        """Value at the embedded point (zeta^w_1, ..., zeta^w_n)."""
-        if len(w) != self.nvars:
-            raise DomainError("word length does not match the variable count")
-        field = self.field
-        total = field.zero
-        for e, c in self.terms.items():
-            j = sum(a * b for a, b in zip(e, w)) % field.order
-            total = total + c * field.root_power(j)
-        return total
-
     def pretty(self) -> str:
         if not self.terms:
             return "0"
@@ -239,7 +214,7 @@ def complete_homogeneous(field: CycloField, nvars: int, d: int) -> MultiPoly:
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis under grevlex, with normal-form caching.
+    """A reduced, monic Groebner basis under grevlex, with normal forms mod p cached.
 
     Every generator must be monic; reductions rely on it and never invert a
     leading coefficient.
@@ -252,7 +227,7 @@ class GroebnerBasis:
     lead_i.  The fields hold every exponent of total degree below 2^bits.  Tails lie
     below their grevlex leads, so reducing x^e meets no monomial of degree above deg
     e, and the width comes from the largest degree the basis has met: its leads and
-    every query so far.  A query beyond it widens the fields and drops the packed
+    every query so far.  A query beyond it widens the fields and drops the
     normal-form caches.
     """
 
@@ -284,7 +259,6 @@ class GroebnerBasis:
         self._guard = sum(1 << (s + bits) for s in self._shifts)
         self._packed_leads = tuple(map(self._pack, self._leads))
         self._packed_tails = tuple(tuple((self._pack(te), tc) for te, tc in tail) for tail in self._tails)
-        self._nf_cache: dict[int, dict[int, CycloElement]] = {}
         for p, table in self._nf_mod.items():
             if table is not None:
                 # The same tails in the same order: new exponents, the same images in F_p.
@@ -293,10 +267,6 @@ class GroebnerBasis:
 
     def _pack(self, e: Exponents) -> int:
         return sum(map(operator.lshift, e, self._shifts))
-
-    def _unpack(self, packed: int) -> Exponents:
-        mask = self._max_degree
-        return tuple(packed >> s & mask for s in self._shifts)
 
     def _packed(self, e: Exponents) -> int:
         """x^e packed, the fields first widened to its degree if they are too narrow."""
@@ -318,18 +288,12 @@ class GroebnerBasis:
     def is_standard(self, e: Exponents) -> bool:
         return self._divisor(self._packed(e)) is None
 
-    def nf_monomial(self, e: Exponents) -> dict[Exponents, CycloElement]:
-        """Normal form of x^e as a map from standard exponents to coefficients."""
-        packed = self._packed(e)
-        nf = self._normal_form_walk(packed, self._packed_tails, self._nf_cache, self.field.one, None)
-        return {self._unpack(se): c for se, c in nf.items()}
-
     def trace_prime(self, bound: int) -> int:
         """The largest split prime p > bound that divides no coefficient denominator.
 
         Primes are p = 1 mod k (``interpolation.split_primes``), so zeta_k maps to
         omega, the first primitive k-th root mod p, and every coefficient has an
-        image in F_p.  ``nf_monomial_mod`` then reads normal forms modulo p.
+        image in F_p.  ``_normal_form_walk`` then reads normal forms modulo p.
         """
         for p in split_primes(self.field.order):
             if p <= bound:
@@ -339,16 +303,6 @@ class GroebnerBasis:
             if self._nf_mod[p] is not None:
                 return p
         raise InternalCheckError(f"no split prime above {bound} for the field of order {self.field.order}")
-
-    def nf_monomial_mod(self, e: Exponents, p: int) -> dict[Exponents, int]:
-        """nf_monomial(e) mapped to F_p, for p from ``trace_prime``.
-
-        The generators are monic, so a reduction only adds and multiplies, and
-        the walk mod p gives the image of the exact normal form.
-        """
-        packed = self._packed(e)
-        tails, cache = self._nf_mod[p]
-        return {self._unpack(se): c for se, c in self._normal_form_walk(packed, tails, cache, 1, p).items()}
 
     def _tails_mod(self, p: int):
         """(packed tails with coefficients in F_p, empty cache), or None if p divides a denominator."""
@@ -369,9 +323,14 @@ class GroebnerBasis:
             tails.append(tuple(row))
         return tuple(tails), {}
 
-    def _normal_form_walk(self, e: int, tails, cache: dict, one, p: int | None) -> dict:
-        """Normal form of packed x^e from the generators' packed tails, exactly (p None)
-        or modulo p.  The fields must hold deg e (``_packed``)."""
+    def _normal_form_walk(self, e: int, p: int) -> dict[int, int]:
+        """Normal form of packed x^e modulo p, for p from ``trace_prime``, as a map from
+        packed standard monomials to residues.  The fields must hold deg e.
+
+        The generators are monic, so a reduction only adds and multiplies, and the
+        walk mod p gives the image of the exact normal form.
+        """
+        tails, cache = self._nf_mod[p]
         stack = [e]
         while stack:
             cur = stack[-1]
@@ -380,7 +339,7 @@ class GroebnerBasis:
                 continue
             idx = self._divisor(cur)
             if idx is None:
-                cache[cur] = {cur: one}
+                cache[cur] = {cur: 1}
                 stack.pop()
                 continue
             shift = cur - self._packed_leads[idx]
@@ -396,26 +355,9 @@ class GroebnerBasis:
                 for se, sc in cache[d].items():
                     v = tc * sc
                     acc[se] = acc[se] - v if se in acc else -v
-            if p is not None:
-                acc = {se: c % p for se, c in acc.items()}
-            cache[cur] = {se: c for se, c in acc.items() if c}
+            cache[cur] = {se: r for se, c in acc.items() if (r := c % p)}
             stack.pop()
         return cache[e]
-
-    def normal_form(self, p: MultiPoly) -> MultiPoly:
-        if p.field != self.field or p.nvars != self.nvars:
-            raise DomainError("polynomial does not live in this basis' ring")
-        acc: dict[Exponents, CycloElement] = {}
-        for e, c in p.terms.items():
-            for se, sc in self.nf_monomial(e).items():
-                v = c * sc
-                curv = acc.get(se)
-                val = curv + v if curv is not None else v
-                if val:
-                    acc[se] = val
-                elif curv is not None:
-                    del acc[se]
-        return MultiPoly(self.field, self.nvars, acc)
 
     def quotient_basis(self) -> "QuotientBasis":
         if self._qb is None:
@@ -464,9 +406,6 @@ class QuotientBasis:
     @property
     def total(self) -> int:
         return sum(len(level) for level in self.by_degree)
-
-    def all_monomials(self) -> list[Exponents]:
-        return [e for level in self.by_degree for e in level]
 
     def __repr__(self) -> str:
         return f"QuotientBasis(dim {self.total}, top degree {len(self.by_degree) - 1})"
@@ -639,7 +578,6 @@ def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
 
 def vanishing_ideal(
     locus: Locus,
-    k: int | None = None,
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     max_vars: int = DEFAULT_MAX_VARS,
@@ -652,8 +590,6 @@ def vanishing_ideal(
     ResourceBudgetError if none of at most ``interpolation.MODULAR_PRIMES``
     primes yields one.
     """
-    if k is not None and k != locus.k:
-        raise DomainError("root order must match the locus alphabet size")
     _check_locus(locus, max_points, max_vars)
     field = cyclo_field(locus.k)
     for layout, coords in modular_lifts(locus):
@@ -752,7 +688,6 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
     # Every permuted monomial keeps its level's degree, so the fields are widened once.
     gb_t._fit(len(qb.by_degree) - 1)
     pack = gb_t._pack
-    tails, cache = gb_t._nf_mod[p]
     w_inv = sorted(range(gb_t.nvars), key=w.__getitem__)
     terms = {}
     for d, level in enumerate(qb.by_degree):
@@ -763,7 +698,7 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
             if pe == e:
                 tr += 1
             elif pe not in std_here:
-                tr += gb_t._normal_form_walk(pack(pe), tails, cache, 1, p).get(pack(e), 0)
+                tr += gb_t._normal_form_walk(pack(pe), p).get(pack(e), 0)
         value = tr % p
         if value > p // 2:
             value -= p
@@ -888,13 +823,6 @@ def _point_basis(locus: Locus, max_points: int, max_vars: int) -> GroebnerBasis:
 
 # -- stated presentations ------------------------------------------------------------
 
-PRESENTATION_RECIPES = {
-    "X": "powers",
-    "Y": "complete-homogeneous",
-    "Z": "mixed",
-}
-
-
 def stated_generators(locus: Locus) -> list[MultiPoly]:
     """Closed-form generating sets of the graded ideal for the three word families.
 
@@ -929,7 +857,6 @@ def stated_generators(locus: Locus) -> list[MultiPoly]:
 
 def verify_presentation(
     locus: Locus,
-    recipe: str | None = None,
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     max_vars: int = DEFAULT_MAX_VARS,
@@ -937,12 +864,10 @@ def verify_presentation(
 ) -> bool:
     """True iff the family's stated generators span the same ideal as the top
     components of the computed point-ideal basis.  Both sides are reduced, monic
-    grevlex bases, and an ideal has exactly one such basis."""
-    expected = PRESENTATION_RECIPES.get(locus.family)
-    if expected is None:
+    grevlex bases, and an ideal has exactly one such basis.  A family without a
+    stated presentation is refused before any elimination."""
+    if locus.family not in ("X", "Y", "Z"):
         raise DomainError(f"family {locus.family!r} has no stated presentation")
-    if recipe is not None and recipe != expected:
-        raise DomainError(f"recipe {recipe!r} does not apply to family {locus.family!r}")
     gb_i = _point_basis(locus, max_points, max_vars)
     return buchberger(stated_generators(locus), max_pairs=max_pairs) == associated_graded(gb_i)
 

@@ -134,83 +134,63 @@ def enumerate_locus(
 
 @dataclass(frozen=True)
 class Action:
-    """A bijection of words: value shift, position rotation, position permutation,
-    or a composite applied left to right.  `order` is the declared cyclic order used
-    for verification grids and root-of-unity bindings."""
+    """A bijection of words: value shift, position rotation or position permutation.
+
+    ``order`` is computed from the action itself, never declared: it sizes the
+    verification grids and the root-of-unity bindings."""
 
     kind: str
-    order: int
     step: int = 1
     modulus: int = 0
     perm: tuple[int, ...] | None = None
-    parts: tuple["Action", ...] | None = None
 
     @staticmethod
-    def value_shift(step: int, k: int, order: int | None = None) -> "Action":
+    def value_shift(step: int, k: int) -> "Action":
         if k < 1 or step < 0:
             raise DomainError("value shift needs k >= 1 and step >= 0")
-        if order is None:
-            order = k // math.gcd(step, k) if step else 1
-        return Action("value_shift", order, step=step, modulus=k)
+        return Action("value_shift", step=step, modulus=k)
 
     @staticmethod
     def position_rotation(n: int) -> "Action":
         if n < 1:
             raise DomainError("rotation needs n >= 1")
-        return Action("position_rotation", n, step=1)
+        return Action("position_rotation", step=1, modulus=n)
 
     @staticmethod
-    def permutation(perm: tuple[int, ...], order: int | None = None) -> "Action":
+    def permutation(perm: tuple[int, ...]) -> "Action":
         perm = tuple(perm)
         if sorted(perm) != list(range(len(perm))):
             raise DomainError("perm must be a permutation of 0..n-1")
-        if order is None:
-            order = 1
-            current = perm
-            identity = tuple(range(len(perm)))
-            while current != identity:
-                current = tuple(perm[i] for i in current)
-                order += 1
-        return Action("permutation", order, perm=perm)
+        return Action("permutation", perm=perm)
 
-    @staticmethod
-    def composite(parts: list["Action"]) -> "Action":
-        parts = tuple(parts)
-        order = math.lcm(*(p.order for p in parts)) if parts else 1
-        return Action("composite", order, parts=parts)
+    @property
+    def order(self) -> int:
+        """The least m >= 1 with action^m the identity; a rotation's is its n."""
+        if self.kind != "permutation":
+            return self.modulus // math.gcd(self.step, self.modulus)
+        order, current, identity = 1, self.perm, tuple(range(len(self.perm)))
+        while current != identity:
+            current = tuple(self.perm[i] for i in current)
+            order += 1
+        return order
 
 
-def apply_action(action: Action, w: Word, times: int = 1) -> Word:
-    """Apply an action `times` times (times may be any nonnegative integer).  A permutation
-    or composite reduces `times` by the orbit of w, never by a declared ``Action.order``."""
-    if times < 0:
-        raise DomainError("negative action power")
+def apply_action(action: Action, w: Word) -> Word:
+    """The image of one word under the action."""
     if action.kind == "value_shift":
-        table = _shift_table((action.step * times) % action.modulus, action.modulus)
+        table = _shift_table(action.step % action.modulus, action.modulus)
         try:
             return tuple(map(table.__getitem__, w))
         except (KeyError, TypeError):
             raise DomainError("letters outside the action's alphabet") from None
     if action.kind == "position_rotation":
-        n = len(w)
-        r = (action.step * times) % n if n else 0
+        r = action.step % len(w) if w else 0
         return w[r:] + w[:r]
-    if action.kind not in ("permutation", "composite"):
+    if action.kind != "permutation":
         raise DomainError(f"unknown action kind {action.kind!r}")
-    if action.kind == "permutation" and len(action.perm) != len(w):
+    if len(action.perm) != len(w):
         raise DomainError("permutation length does not match the word")
-    orbit = [w]
-    for _ in range(times):
-        image = orbit[-1]
-        if action.kind == "permutation":
-            image = tuple(map(image.__getitem__, action.perm))
-        else:
-            for part in action.parts:
-                image = apply_action(part, image)
-        if image == w:
-            return orbit[times % len(orbit)]
-        orbit.append(image)
-    return orbit[-1]
+    return tuple(map(w.__getitem__, action.perm))
 
 
 def act_on_words(action: Action, words: Sequence[Word]) -> Iterator[Word]:
@@ -218,8 +198,8 @@ def act_on_words(action: Action, words: Sequence[Word]) -> Iterator[Word]:
 
     Words of one length n >= 1 move in bulk: a value shift maps each column of letters
     through one table, a rotation or permutation reads every word through one
-    ``itemgetter``, and a composite applies its parts in turn.  Words of mixed or zero
-    length move word by word.  Errors carry ``apply_action``'s messages.
+    ``itemgetter``.  Words of mixed or zero length move word by word.  Errors carry
+    ``apply_action``'s messages.
     """
     lengths = set(map(len, words))
     if len(lengths) != 1 or 0 in lengths:
@@ -238,10 +218,6 @@ def _act(action: Action, images: Iterator[Word], n: int) -> Iterator[Word]:
         if len(action.perm) != n:
             raise DomainError("permutation length does not match the word")
         return _read_positions(images, action.perm)
-    if action.kind == "composite":
-        for part in action.parts:
-            images = _act(part, images, n)
-        return images
     raise DomainError(f"unknown action kind {action.kind!r}")
 
 
@@ -263,21 +239,6 @@ def _read_positions(images: Iterator[Word], positions: tuple[int, ...]) -> Itera
 def _shift_table(shift: int, k: int) -> dict[int, int]:
     """Image of each letter 1..k under the value shift by `shift` (mod k)."""
     return {x: (x - 1 + shift) % k + 1 for x in range(1, k + 1)}
-
-
-def count_fixed(locus: Locus, action: Action, times: int = 1) -> int:
-    """Number of locus words fixed by action^times; verifies closure as it scans."""
-    members = set(locus.words)
-    fixed = 0
-    for w in locus.words:
-        image = apply_action(action, w, times)
-        if image not in members:
-            raise InternalCheckError(
-                f"action does not preserve the locus: {w} -> {image}"
-            )
-        if image == w:
-            fixed += 1
-    return fixed
 
 
 def fixed_points(images: Iterable[int]) -> int:
@@ -338,14 +299,6 @@ class OrbitSet:
     def size(self) -> int:
         return len(self.labels)
 
-    def rep(self, label) -> Word:
-        return self._reps[label]
-
-    def shifted_label(self, label, shift: int):
-        """Label of the orbit after shifting every value by `shift`."""
-        shifted = apply_action(Action.value_shift(shift % self.k, self.k), self._reps[label])
-        return canonical_form(shifted, self.group, self.k)
-
     def shift_permutation(self, shift: int) -> list[int]:
         """Index of each label's image under the value shift; checks closure.
 
@@ -358,9 +311,6 @@ class OrbitSet:
             return list(map(position.__getitem__, _labels(shifted, self.group, self.k)))
         except KeyError:
             raise InternalCheckError("value shift does not preserve the orbit set") from None
-
-    def count_shift_fixed(self, shift: int) -> int:
-        return fixed_points(self.shift_permutation(shift))
 
 
 def _is_cube(locus: Locus) -> bool:

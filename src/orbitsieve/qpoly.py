@@ -63,14 +63,6 @@ class SparsePoly:
     def monomial(cls, eq: int, et: int = 0, coeff: int = 1) -> "SparsePoly":
         return cls({(eq, et): coeff})
 
-    @classmethod
-    def var_q(cls) -> "SparsePoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_t(cls) -> "SparsePoly":
-        return cls({(0, 1): 1})
-
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -237,23 +229,6 @@ class SparsePoly:
 
 
 # -- q-analogues ------------------------------------------------------------------
-
-
-def q_int(n: int) -> SparsePoly:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise DomainError("q_int of a negative integer")
-    return SparsePoly({(i, 0): 1 for i in range(n)})
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> SparsePoly:
-    """[n]!_q = [n]_q [n-1]_q ... [1]_q."""
-    if n < 0:
-        raise DomainError("q_factorial of a negative integer")
-    if n == 0:
-        return SparsePoly.one()
-    return q_factorial(n - 1) * q_int(n)
 
 
 def q_product_quotient(tops: Iterable[int], bottoms: Iterable[int]) -> SparsePoly:

@@ -303,8 +303,8 @@ def _shift_binding(step: int, order: int) -> dict:
 class _Powers:
     """Every power of one permutation of indices, up to its own order.
 
-    Composition stops when the identity comes back, so the order used to reduce
-    exponents is the permutation's own, never a declared ``Action.order``.
+    Composition stops when the identity comes back, so exponents are reduced by the
+    permutation's own order, which divides its action's ``Action.order``.
     """
 
     def __init__(self, perm: list[int]):

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from .characters import subgroup_elements
 from .cyclotomic import cyclo_field, cyclotomic_polynomial
 from .errors import DomainError
-from .harmonics import graded_frobenius, verify_presentation
+from .harmonics import DEFAULT_MAX_POINTS, graded_frobenius, verify_presentation
 from .loci import Action, act_on_words, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly
-from .sieving import closed_frobenius, oracle_csp_poly, sieving_polynomial, verify_family
+from .sieving import _FAMILIES, closed_frobenius, oracle_csp_poly, sieving_polynomial, verify_family
 from .tableaux import (
     compositions,
     fake_degree,
@@ -180,37 +180,31 @@ def _crit_frobenius(max_n, max_k):
 # -- criterion 8: independent oracle vs closed forms ---------------------------------------
 
 
+# The sieving result each (locus family, position subgroup) oracle polynomial must equal.
+_CLOSED_FORMS = {cell: family for family, cell in _FAMILIES.items()}
+
+
 def _crit_oracle(max_n, max_k):
+    """Each locus is enumerated once and compared under every group of its cell:
+    Sn for k <= 6, Cn and (for even n) Hr for k <= 5, all three for tanisaki."""
     cells = []
     for n in range(1, _cap(4, max_n) + 1):
+        cyclic = ["Cn", "Hr"] if n % 2 == 0 else ["Cn"]
         for k in range(1, _cap(6, max_k) + 1):
-            if k**n <= 720:
-                cells.append((enumerate_locus("X", n, k), "Sn", sieving_polynomial("wcomp-csp", n=n, k=k)))
-            if k >= n:
-                cells.append((enumerate_locus("Y", n, k), "Sn", sieving_polynomial("subset-csp", n=n, k=k)))
-            if k <= n:
-                cells.append((enumerate_locus("Z", n, k), "Sn", sieving_polynomial("comp-csp", n=n, k=k)))
-        for k in range(1, _cap(5, max_k) + 1):
-            groups = ["Cn"] + (["Hr"] if n % 2 == 0 else [])
-            for group in groups:
-                suffix = "necklace-" if group == "Cn" else "graph-"
-                if k**n <= 720:
-                    cells.append((enumerate_locus("X", n, k), group, sieving_polynomial(suffix + "X", n=n, k=k)))
-                if k >= n:
-                    cells.append((enumerate_locus("Y", n, k), group, sieving_polynomial(suffix + "Y", n=n, k=k)))
-                if k <= n:
-                    cells.append((enumerate_locus("Z", n, k), group, sieving_polynomial(suffix + "Z", n=n, k=k)))
+            groups = ["Sn"] + (cyclic if k <= _cap(5, max_k) else [])
+            present = (("X", k**n <= DEFAULT_MAX_POINTS), ("Y", k >= n), ("Z", k <= n))
+            cells += [(family, n, k, None, groups) for family, keep in present if keep]
     for mu in _tanisaki_mu_grid(_cap(4, max_n), max_k):
-        n = sum(mu)
-        locus = enumerate_locus("tanisaki", n, mu=mu)
-        cells.append((locus, "Sn", sieving_polynomial("tanisaki-trivial", mu=mu)))
-        cells.append((locus, "Cn", sieving_polynomial("tanisaki-necklace", mu=mu)))
-        if n % 2 == 0:
-            cells.append((locus, "Hr", sieving_polynomial("tanisaki-graph", mu=mu)))
-    for locus, group, closed in cells:
-        if oracle_csp_poly(locus, group) != closed:
-            return False, f"oracle mismatch for {locus.describe()} under {group}"
-    return True, f"{len(cells)} oracle comparisons exact"
+        cells.append(("tanisaki", sum(mu), None, mu, ["Sn", "Cn"] + (["Hr"] if sum(mu) % 2 == 0 else [])))
+    compared = 0
+    for family, n, k, mu, groups in cells:
+        locus = enumerate_locus(family, n, k, mu=mu)
+        params = {"mu": mu} if mu else {"n": n, "k": k}
+        for group in groups:
+            if oracle_csp_poly(locus, group) != sieving_polynomial(_CLOSED_FORMS[family, group], **params):
+                return False, f"oracle mismatch for {locus.describe()} under {group}"
+            compared += 1
+    return True, f"{compared} oracle comparisons exact"
 
 
 # -- criterion 9: property suites -----------------------------------------------------------

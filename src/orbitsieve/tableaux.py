@@ -34,11 +34,11 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n with parts bounded by max_part, largest part first."""
+def partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, largest part first."""
     if n < 0:
         raise DomainError("partitions of a negative integer")
-    return _partitions(n, n, n if max_part is None else min(n, max_part))
+    return _partitions(n, n, n)
 
 
 def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
@@ -190,19 +190,6 @@ class Tableau:
             for x in row:
                 counts[x - 1] += 1
         return tuple(counts)
-
-    def is_standard(self) -> bool:
-        entries = sorted(x for row in self.rows for x in row)
-        return entries == list(range(1, self.size + 1)) and self.is_semistandard()
-
-    def is_semistandard(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if j and row[j - 1] > x:
-                    return False
-                if i and self.rows[i - 1][j] >= x:
-                    return False
-        return True
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tableau) and self.rows == other.rows

@@ -18,12 +18,25 @@ rows into integers and builds them incrementally, and must return the same.
 
 from __future__ import annotations
 
-from orbitsieve.cyclotomic import cyclo_field
+from orbitsieve.cyclotomic import CycloElement, CycloField, cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
 from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
 from orbitsieve.interpolation import Exponents, _tail_coefficients, orbit_representatives, successors
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT, RAT_ZERO
+
+
+def variable(field: CycloField, n: int, i: int) -> MultiPoly:
+    """The polynomial x_(i+1) in n variables."""
+    return MultiPoly(field, n, {tuple(int(j == i) for j in range(n)): field.one})
+
+
+def evaluate_at_word(p: MultiPoly, w) -> CycloElement:
+    """Value of p at the embedded point (zeta^w_1, ..., zeta^w_n)."""
+    total = p.field.zero
+    for e, c in p.terms.items():
+        total = total + c * p.field.root_power(sum(a * b for a, b in zip(e, w)))
+    return total
 
 
 # -- elimination over Q ----------------------------------------------------------------
@@ -175,7 +188,7 @@ def exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
     gb = _basis(field, locus.n, *rational_elimination(locus))
     for g in gb.gens:
         for w in locus.words:
-            if g.evaluate_at_word(w):
+            if evaluate_at_word(g, w):
                 raise InternalCheckError(f"basis element does not vanish at {w}")
     return gb
 
@@ -241,10 +254,8 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
     n = locus.n
     basis: GroebnerBasis | None = None
     for w in locus.words:
-        linear = [
-            MultiPoly.variable(field, n, i) - MultiPoly.constant(field, n, field.root_power(w[i]))
-            for i in range(n)
-        ]
+        origin = MultiPoly(field, n, {(0,) * n: field.one})
+        linear = [variable(field, n, i) - origin.scale(field.root_power(w[i])) for i in range(n)]
         if basis is None:
             gens = linear
         else:

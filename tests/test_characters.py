@@ -2,7 +2,8 @@
 
 Character values are checked against structural identities (dimension, sign,
 orthogonality) computed independently, and fixed-space dimensions against
-brute-force averaging over explicitly enumerated subgroup elements.
+brute-force averaging over explicitly enumerated subgroup elements, whose cycle types
+and group orders are computed here.
 """
 
 import math
@@ -13,22 +14,45 @@ import pytest
 from orbitsieve.characters import (
     SchurVector,
     conjugacy_classes,
-    cycle_type_of,
-    cyclic_group_cycle_types,
     fixed_space_dim,
-    fixed_space_dim_by_averaging,
     h_to_schur,
     invariant_hilbert,
     matching_group_elements,
     sn_character,
     subgroup_elements,
-    subgroup_order,
 )
 from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly
 from orbitsieve.tableaux import generate_syt, partitions
 
-Q = SparsePoly.var_q()
+Q = SparsePoly.monomial(1)
+
+
+def cycle_type_of(perm):
+    """Cycle type of a permutation given in one-line form on 0..n-1."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def subgroup_order(group, n):
+    """|Sn| = n!, |Cn| = n, and the matching stabilizer of 2r points has 2^r r! elements."""
+    return {"Sn": math.factorial(n), "Cn": n, "Hr": 2 ** (n // 2) * math.factorial(n // 2)}[group]
+
+
+def fixed_space_dim_by_averaging(shape, group):
+    """(1/|G|) times the sum of the character over the subgroup's elements."""
+    elements = subgroup_elements(group, sum(shape))
+    total = sum(sn_character(shape, cycle_type_of(w)) for w in elements)
+    assert total % len(elements) == 0
+    return total // len(elements)
 
 
 def test_class_sizes_sum_to_group_order():
@@ -70,12 +94,6 @@ def test_character_orthogonality():
             for b in shapes:
                 dot = sum(size * sn_character(a, mu) * sn_character(b, mu) for mu, size in classes)
                 assert dot == (fact if a == b else 0)
-
-
-def test_cyclic_cycle_types():
-    assert cyclic_group_cycle_types(4) == [(1, 1, 1, 1), (4,), (2, 2), (4,)]
-    assert cyclic_group_cycle_types(6)[2] == (3, 3)
-    assert cyclic_group_cycle_types(6)[3] == (2, 2, 2)
 
 
 def test_matching_group_is_the_matching_stabilizer():
@@ -171,4 +189,4 @@ def test_schur_vector_validation():
     with pytest.raises(DomainError):
         SchurVector(3, {(2,): SparsePoly.one()})
     sv = SchurVector(3, {(2, 1): SparsePoly.zero()})
-    assert sv.shapes() == []
+    assert sv.items() == []

@@ -106,8 +106,8 @@ def test_inverse_round_trip(data):
 
 
 def test_eval_at_unity_small_cases():
-    q = SparsePoly.var_q()
-    t = SparsePoly.var_t()
+    q = SparsePoly.monomial(1)
+    t = SparsePoly.monomial(0, 1)
     # [3]_q at q = -1 is 1
     v = eval_at_unity(1 + q + q**2, L=2, r=1, order_q=2)
     assert v == 1
@@ -123,7 +123,7 @@ def test_eval_at_unity_small_cases():
 
 
 def test_eval_periodicity():
-    poly = 2 + 3 * SparsePoly.var_q() ** 4 + SparsePoly.var_q() * SparsePoly.var_t() ** 2
+    poly = 2 + 3 * SparsePoly.monomial(4) + SparsePoly.monomial(1, 2)
     for L, oq, ot in [(6, 2, 3), (12, 4, 6), (4, 4, 2)]:
         for r in range(oq):
             for s in range(ot):

@@ -15,6 +15,7 @@ Q(zeta_k).
 
 from itertools import chain, islice
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,12 +42,19 @@ from orbitsieve.harmonics import (
     verify_presentation,
 )
 from orbitsieve.loci import Locus, enumerate_locus
-from orbitsieve.qpoly import SparsePoly, q_int
+from orbitsieve.qpoly import SparsePoly
 from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 from locus_strategies import shift_stable_loci
-from reference_ideals import exact_vanishing_ideal, list_elimination, point_ideal_product
+from q_analogues import q_int
+from reference_ideals import (
+    evaluate_at_word,
+    exact_vanishing_ideal,
+    list_elimination,
+    point_ideal_product,
+    variable,
+)
 
 
 def alive_monomials(d, n, lead_exps):
@@ -59,15 +67,18 @@ def alive_monomials(d, n, lead_exps):
 
 
 def exact_graded_character(gb_t, w):
-    """Reference graded trace: every coefficient summed in exact Q(zeta_k)."""
+    """Reference graded trace: normal forms by long division, every coefficient summed
+    in exact Q(zeta_k)."""
     out = SparsePoly.zero()
+    field, gens = gb_t.field, list(gb_t.gens)
     for d, level in enumerate(gb_t.quotient_basis().by_degree):
-        tr = gb_t.field.zero
+        tr = field.zero
         for e in level:
             permuted = [0] * len(e)
             for i, exp in enumerate(e):
                 permuted[w[i]] = exp
-            coeff = gb_t.nf_monomial(tuple(permuted)).get(e)
+            monomial = MultiPoly(field, gb_t.nvars, {tuple(permuted): field.one})
+            coeff = harmonics._reduce_poly(monomial, gens).terms.get(e)
             if coeff is not None:
                 tr = tr + coeff
         assert tr.is_integer()
@@ -227,14 +238,8 @@ NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (
 
 
 class TestVanishingIdeal:
-    def test_single_point(self):
-        gb = vanishing_ideal(enumerate_locus("X", 1, 1))
-        field = cyclo_field(1)
-        x = MultiPoly.variable(field, 1, 0)
-        assert list(gb.gens) == [x - MultiPoly.constant(field, 1, 1)]
-
     def test_full_root_line(self):
-        for k in (2, 3, 4, 5):
+        for k in (1, 2, 3, 4, 5):
             gb = vanishing_ideal(enumerate_locus("X", 1, k))
             (g,) = gb.gens
             field = cyclo_field(k)
@@ -271,7 +276,7 @@ class TestVanishingIdeal:
         gb = vanishing_ideal(locus)
         for g in gb.gens:
             for w in locus.words:
-                assert not g.evaluate_at_word(w)
+                assert not evaluate_at_word(g, w)
 
     def test_budgets_and_domain(self):
         with pytest.raises(ResourceBudgetError):
@@ -280,8 +285,6 @@ class TestVanishingIdeal:
             vanishing_ideal(enumerate_locus("X", 3, 2), max_vars=2)
         with pytest.raises(DomainError):
             vanishing_ideal(enumerate_locus("Y", 3, 2))  # empty locus
-        with pytest.raises(DomainError):
-            vanishing_ideal(enumerate_locus("X", 2, 2), k=3)
         with pytest.raises(ResourceBudgetError):
             point_ideal_product(enumerate_locus("X", 2, 3))
 
@@ -328,7 +331,7 @@ class TestModularElimination:
         reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
         roots = interpolation.primitive_roots(6, 13)
         stds, _ = interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots)
-        assert sorted(stds) != sorted(exact.quotient_basis().all_monomials())
+        assert sorted(stds) != sorted(chain.from_iterable(exact.quotient_basis().by_degree))
 
         monkeypatch.setattr(interpolation, "split_primes", lambda k: iter(order))
         assert vanishing_ideal(UNLUCKY_13_LOCUS) == exact
@@ -476,6 +479,15 @@ class TestPackedRows:
         with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
             vanishing_ideal(locus)
 
+    def test_elimination_past_its_degree_bound_is_an_internal_error(self):
+        # |X| standard monomials form an order ideal, so a true locus ends by degree
+        # |X| + 1, inside the guard's |X| + n k.  A stand-in that states |X| = 0 for
+        # the point (1,) of {1, 2} passes that guard at degree 3.
+        locus = SimpleNamespace(n=1, k=2, scaling_order=2, size=0)
+        p = next(interpolation.split_primes(2))
+        with pytest.raises(InternalCheckError, match="^point-ideal elimination failed to terminate$"):
+            interpolation.modular_elimination(locus, [(1,)], p, interpolation.primitive_roots(2, p))
+
 
 # Z(3, 2): six points, shift order 2, three orbit representatives, and the
 # leads x3^2, x2^2, x1 x2, x1^2, each generator with rational tails.
@@ -620,7 +632,7 @@ class TestAssociatedGraded:
 
     def test_non_monic_generator_rejected(self):
         field = cyclo_field(3)
-        x = MultiPoly.variable(field, 2, 0)
+        x = variable(field, 2, 0)
         with pytest.raises(InternalCheckError):
             GroebnerBasis(field, 2, (x.scale(field.from_int(2)),))
         with pytest.raises(InternalCheckError):
@@ -662,14 +674,13 @@ class TestBuchberger:
                 if i != j:
                     assert not all(x >= y for x, y in zip(a, b))
         for i, g in enumerate(gb.gens):
-            others = GroebnerBasis(field, 3, gb.gens[:i] + gb.gens[i + 1 :])
-            assert others.normal_form(g) == g
+            assert harmonics._reduce_poly(g, list(gb.gens[:i] + gb.gens[i + 1 :])) == g
         assert gb.quotient_basis().total == 24  # [2]_q[3]_q[4]_q at q=1
 
     def test_pair_budget(self):
         field = cyclo_field(1)
-        x = MultiPoly.variable(field, 2, 0)
-        y = MultiPoly.variable(field, 2, 1)
+        x = variable(field, 2, 0)
+        y = variable(field, 2, 1)
         gens = [x * x + y, x * y + x]
         with pytest.raises(ResourceBudgetError):
             buchberger(gens, max_pairs=0)
@@ -711,25 +722,25 @@ class TestBuchberger:
 
     def test_non_artinian_quotient_rejected(self):
         field = cyclo_field(1)
-        gb = buchberger([MultiPoly.variable(field, 2, 0)])
+        gb = buchberger([variable(field, 2, 0)])
         with pytest.raises(DomainError):
             gb.quotient_basis()
 
 
 class TestNormalForms:
+    """Long division (``harmonics._reduce_poly``), the reference for graded traces."""
+
     def test_standard_monomial_fixed(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
         field = gb.field
         m = MultiPoly(field, 2, {(1, 1): field.one})
-        assert gb.normal_form(m) == m
+        assert harmonics._reduce_poly(m, list(gb.gens)) == m
 
     def test_ideal_members_reduce_to_zero(self):
         locus = enumerate_locus("Y", 3, 3)
         gb = vanishing_ideal(locus)
-        for g in gb.gens:
-            assert gb.normal_form(g).is_zero()
         # products of generators stay in the ideal
-        assert gb.normal_form(gb.gens[0] * gb.gens[-1]).is_zero()
+        assert harmonics._reduce_poly(gb.gens[0] * gb.gens[-1], list(gb.gens)).is_zero()
 
     def test_reduction_matches_evaluation(self):
         # The normal form is the unique standard-monomial combination agreeing
@@ -738,62 +749,22 @@ class TestNormalForms:
         gb = vanishing_ideal(locus)
         field = gb.field
         p = complete_homogeneous(field, 3, 2) * elementary_symmetric(field, 3, 1)
-        nf = gb.normal_form(p)
+        nf = harmonics._reduce_poly(p, list(gb.gens))
+        assert all(gb.is_standard(e) for e in nf.terms)
         for w in locus.words:
-            assert p.evaluate_at_word(w) == nf.evaluate_at_word(w)
+            assert evaluate_at_word(p, w) == evaluate_at_word(nf, w)
 
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
     def test_generators_reduce_to_zero(self, family, n, k, mu):
         gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
         for basis in (gb, associated_graded(gb)):
-            assert all(basis.normal_form(g).is_zero() for g in basis.gens)
-
-    def test_query_beyond_the_field_width_widens_it(self):
-        # Walks cached at the leads' width, then every monomial of three times
-        # that degree: the fields widen, the packed caches and tables are rebuilt,
-        # and every result matches a basis that only ever had the wide fields.
-        locus = enumerate_locus("Z", 3, 2)
-        gb = vanishing_ideal(locus)
-        p = gb.trace_prime(0)
-        low = (1, 1, 0)  # the lead of x1 x2 + x1 x3 + x2 x3 + 1
-        assert low in gb.leading_exponents()
-        low_nf, low_mod = gb.nf_monomial(low), gb.nf_monomial_mod(low, p)
-        highs = list(weak_compositions(3 * gb._max_degree, 3))
-        fresh = vanishing_ideal(locus)
-        expected = [fresh.nf_monomial(e) for e in highs]
-        assert fresh.trace_prime(0) == p
-        assert [gb.nf_monomial(e) for e in highs] == expected
-        assert [gb.nf_monomial_mod(e, p) for e in highs] == [fresh.nf_monomial_mod(e, p) for e in highs]
-        assert (gb.nf_monomial(low), gb.nf_monomial_mod(low, p)) == (low_nf, low_mod)
-        # Each x^e and its normal form agree as functions on the locus.
-        field = gb.field
-        for e, nf in zip(highs, expected):
-            for w in locus.words:
-                value = MultiPoly(field, 3, nf).evaluate_at_word(w)
-                assert value == field.root_power(sum(a * b for a, b in zip(e, w)))
+            assert all(harmonics._reduce_poly(g, list(basis.gens)).is_zero() for g in basis.gens)
 
     def test_malformed_exponents_rejected(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
         for e in [(1,), (1, 0, 0), (2, -1)]:
             with pytest.raises(DomainError):
-                gb.nf_monomial(e)
-
-    @pytest.mark.parametrize("family,n,k,mu", [("X", 6, 2, None), ("tanisaki", 6, None, (3, 2, 1))])
-    def test_modular_normal_forms_are_the_exact_ones_mapped(self, family, n, k, mu):
-        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=100, max_vars=6)
-        p = gb.trace_prime(0)
-        omega = interpolation.primitive_roots(gb.field.order, p)[0]
-
-        def image(c):
-            return sum(
-                int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p)
-                for i, x in enumerate(c.coords)
-            ) % p
-
-        for d in range(5):
-            for e in weak_compositions(d, 6):
-                exact = {s: image(c) for s, c in gb.nf_monomial(e).items()}
-                assert gb.nf_monomial_mod(e, p) == {s: c for s, c in exact.items() if c}
+                gb.is_standard(e)
 
 
 class TestHilbertSeries:
@@ -834,13 +805,25 @@ class TestGradedCharacter:
         with pytest.raises(DomainError):
             graded_character(gb_t, (0, 0))
 
-    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
+    # The tanisaki locus has coefficients outside Q, which map to F_p through omega.
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI + [("tanisaki", 4, None, (2, 1, 1))])
     def test_modular_traces_are_the_exact_ones(self, family, n, k, mu):
         locus = enumerate_locus(family, n, k, mu=mu)
         gb_t = associated_graded(vanishing_ideal(locus))
         for ct, _ in conjugacy_classes(locus.n):
             w = harmonics._perm_of_cycle_type(ct)
             assert graded_character(gb_t, w) == exact_graded_character(gb_t, w), ct
+
+    def test_traces_after_the_fields_widen(self):
+        # Y(3, 5): leads of degree at most 5 fit 3-bit fields, but the top standard
+        # monomial has degree 9, so each trace widens the fields after the F_p
+        # tails were packed at the narrow width.
+        gb_t = associated_graded(vanishing_ideal(enumerate_locus("Y", 3, 5)))
+        top = len(gb_t.quotient_basis().by_degree) - 1
+        assert gb_t._max_degree < top
+        for w in [(1, 0, 2), (1, 2, 0)]:
+            assert graded_character(gb_t, w) == exact_graded_character(gb_t, w)
+        assert gb_t._max_degree >= top
 
     def test_residue_beyond_the_piece_dimension_rejected(self):
         # <x1 + 5 x2, x2^2> is not S_2-stable: the swap has trace -5 on the
@@ -874,7 +857,8 @@ class TestTracePrime:
         gb = self.basis_with_denominator(largest)
         assert gb.trace_prime(0) == second
         assert gb._nf_mod[largest] is None
-        assert gb.nf_monomial_mod((1, 0), second) == {(0, 1): -pow(largest, -1, second) % second}
+        walk = gb._normal_form_walk(gb._pack((1, 0)), second)
+        assert walk == {gb._pack((0, 1)): -pow(largest, -1, second) % second}
 
     def test_running_out_of_primes_raises(self, monkeypatch):
         largest = next(interpolation.split_primes(3))
@@ -1049,10 +1033,10 @@ class TestBasisCache:
 
 
 class TestPresentations:
-    def test_stated_recipes_verify(self):
+    def test_stated_presentations_verify(self):
         assert verify_presentation(enumerate_locus("X", 2, 3))
-        assert verify_presentation(enumerate_locus("Y", 2, 3), "complete-homogeneous")
-        assert verify_presentation(enumerate_locus("Z", 3, 2), "mixed")
+        assert verify_presentation(enumerate_locus("Y", 2, 3))
+        assert verify_presentation(enumerate_locus("Z", 3, 2))
 
     @pytest.mark.parametrize("family, n, k", [("X", 2, 3), ("Y", 2, 3), ("Z", 3, 2)])
     def test_wrong_generators_are_rejected(self, monkeypatch, family, n, k):
@@ -1062,15 +1046,19 @@ class TestPresentations:
         locus = enumerate_locus(family, n, k)
         monkeypatch.setattr(harmonics, "stated_generators", lambda loc: stated(loc)[1:])
         assert not verify_presentation(locus)
-        x1 = MultiPoly.variable(cyclo_field(k), n, 0)
+        x1 = variable(cyclo_field(k), n, 0)
         monkeypatch.setattr(harmonics, "stated_generators", lambda loc: stated(loc) + [x1])
         assert not verify_presentation(locus)
 
-    def test_recipe_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            verify_presentation(enumerate_locus("X", 2, 2), "mixed")
-        with pytest.raises(DomainError):
-            verify_presentation(enumerate_locus("springer", 3))
+    def test_families_without_a_presentation_rejected_before_elimination(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("vanishing_ideal ran before the family was refused")
+
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
+        monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
+        for locus in (enumerate_locus("springer", 3), enumerate_locus("tanisaki", 3, mu=(2, 1))):
+            with pytest.raises(DomainError, match=f"^family '{locus.family}' has no stated presentation$"):
+                verify_presentation(locus)
         with pytest.raises(DomainError):
             stated_generators(enumerate_locus("Y", 3, 2))
 

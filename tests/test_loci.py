@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitsieve import loci
-from orbitsieve.characters import subgroup_elements, subgroup_order
+from orbitsieve.characters import subgroup_elements
 from orbitsieve.errors import DomainError, InternalCheckError
 from locus_strategies import shift_stable_loci
 from orbitsieve.loci import (
@@ -25,8 +25,8 @@ from orbitsieve.loci import (
     act_on_words,
     apply_action,
     canonical_form,
-    count_fixed,
     enumerate_locus,
+    fixed_points,
     orbit_set,
 )
 
@@ -113,7 +113,6 @@ class TestActions:
     def test_value_shift_wraps(self):
         g = Action.value_shift(1, 3)
         assert apply_action(g, (1, 2, 3)) == (2, 3, 1)
-        assert apply_action(g, (1, 2, 3), times=3) == (1, 2, 3)
         assert g.order == 3
         assert Action.value_shift(2, 4).order == 2
         assert Action.value_shift(0, 4).order == 1
@@ -121,7 +120,7 @@ class TestActions:
     def test_rotation(self):
         g = Action.position_rotation(4)
         assert apply_action(g, (1, 2, 3, 4)) == (2, 3, 4, 1)
-        assert apply_action(g, (1, 2, 3, 4), times=4) == (1, 2, 3, 4)
+        assert g.order == 4
 
     def test_permutation_order(self):
         g = Action.permutation((1, 2, 0))
@@ -130,82 +129,16 @@ class TestActions:
         with pytest.raises(DomainError):
             Action.permutation((0, 0, 1))
 
-    def test_composite_order_and_commutation(self):
-        shift = Action.value_shift(1, 3)
-        rot = Action.position_rotation(4)
-        both = Action.composite([shift, rot])
-        assert both.order == 12
-        for w in product(range(1, 4), repeat=4):
-            a = apply_action(rot, apply_action(shift, w))
-            b = apply_action(shift, apply_action(rot, w))
-            assert a == b == apply_action(both, w)
-
-    def test_count_fixed_grid(self):
-        l = enumerate_locus("X", 2, 2)
-        shift = Action.value_shift(1, 2)
-        rot = Action.position_rotation(2)
-        assert count_fixed(l, shift, 1) == 0
-        assert count_fixed(l, shift, 2) == 4
-        assert count_fixed(l, rot, 1) == 2
-        assert count_fixed(l, Action.composite([shift, rot]), 1) == 2  # (1,2),(2,1)
-
-    def test_count_fixed_detects_closure_violation(self):
-        broken = Locus("X", 2, 2, ((1, 1), (1, 2)))
-        with pytest.raises(InternalCheckError):
-            count_fixed(broken, Action.value_shift(1, 2))
-
     def test_letters_outside_alphabet_rejected(self):
         for w in ((1, 3), (0, 1), (1, None), (1, [2])):
             with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
                 apply_action(Action.value_shift(1, 2), w)
 
-    def test_huge_powers_stop_at_the_orbit_of_the_word(self):
-        swap = Action.permutation((1, 0))
-        assert apply_action(swap, (1, 2), 10**12) == (1, 2)
-        assert apply_action(swap, (1, 2), 10**12 + 1) == (2, 1)
-        both = Action.composite([Action.value_shift(1, 3), Action.position_rotation(4)])
-        w = (1, 2, 3, 1)
-        assert apply_action(both, w, 10**12) == plain_power(both, w, 10**12 % 12)
-
-    def test_the_word_s_orbit_wins_over_a_wrong_declared_order(self):
-        cycle = Action.permutation((1, 2, 0), order=2)
-        assert apply_action(cycle, (1, 2, 3), 2) == (3, 1, 2)
-        assert apply_action(cycle, (1, 2, 3), 3) == (1, 2, 3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(shift_stable_loci(), st.data(), st.integers(0, 30))
-    def test_powers_match_the_plain_loop(self, locus, data, times):
-        w = data.draw(st.sampled_from(locus.words))
-        simple, composites = actions_on(locus, data)
-        for action in simple + composites:
-            assert apply_action(action, w, times) == plain_power(action, w, times)
-
-    def test_negative_power_rejected(self):
-        for action in (Action.permutation((1, 0)), Action.composite([Action.position_rotation(2)])):
-            with pytest.raises(DomainError, match="^negative action power$"):
-                apply_action(action, (1, 2), -1)
-
-
-def plain_power(action, w, times):
-    """action applied `times` times, one step at a time."""
-    for _ in range(times):
-        if action.kind == "permutation":
-            w = tuple(w[i] for i in action.perm)
-        elif action.kind == "composite":
-            for part in action.parts:
-                w = plain_power(part, w, 1)
-        else:
-            w = apply_action(action, w)
-    return w
-
-
 def actions_on(locus, data):
-    """A value shift, the rotation, a permutation and two composites of them, for the locus."""
+    """A value shift, the rotation and a permutation, for the locus."""
     shift = Action.value_shift(data.draw(st.integers(0, locus.k)), locus.k)
-    rotation = Action.position_rotation(locus.n)
     perm = Action.permutation(data.draw(st.permutations(range(locus.n))))
-    nested = Action.composite([rotation, Action.composite([perm, shift])])
-    return [shift, rotation, perm], [Action.composite([shift, perm, rotation]), nested]
+    return [shift, Action.position_rotation(locus.n), perm]
 
 
 def word_by_word(action, words):
@@ -218,8 +151,7 @@ class TestBulkActions:
     @settings(max_examples=100, deadline=None)
     @given(shift_stable_loci(), st.data())
     def test_images_equal_the_word_by_word_images(self, locus, data):
-        simple, composites = actions_on(locus, data)
-        for action in simple + composites:
+        for action in actions_on(locus, data):
             images = act_on_words(action, locus.words)
             assert iter(images) is images
             assert list(images) == word_by_word(action, locus.words)
@@ -236,19 +168,16 @@ class TestBulkActions:
     )
     def test_special_word_lists(self, words):
         n = len(words[0])
-        actions = [Action.value_shift(1, 3), Action.value_shift(5, 3, order=7), Action.position_rotation(max(n, 1))]
+        actions = [Action.value_shift(1, 3), Action.value_shift(5, 3), Action.position_rotation(max(n, 1))]
         if len({len(w) for w in words}) == 1:
-            perm = Action.permutation(tuple(range(n))[::-1])
-            actions += [perm, Action.composite([perm, actions[0], actions[2]])]
+            actions.append(Action.permutation(tuple(range(n))[::-1]))
         for action in actions:
             assert list(act_on_words(action, words)) == word_by_word(action, words)
 
     @pytest.mark.parametrize("bad", [(1, 3), (0, 1), (1, None), (1, [2])])
     def test_letters_outside_the_alphabet_rejected(self, bad):
-        shift = Action.value_shift(1, 2)
-        for action in (shift, Action.composite([Action.position_rotation(2), shift])):
-            with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
-                list(act_on_words(action, [(1, 1), bad, (2, 1)]))
+        with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
+            list(act_on_words(Action.value_shift(1, 2), [(1, 1), bad, (2, 1)]))
 
     def test_wrong_permutation_length_rejected(self):
         words = [(1, 2, 3), (3, 1, 2)]
@@ -283,12 +212,10 @@ class TestCanonicalForms:
 
 class TestOrbitSets:
     def burnside_count(self, locus, group):
-        total = 0
-        for perm in subgroup_elements(group, locus.n):
-            total += count_fixed(locus, Action.permutation(perm))
-        order = subgroup_order(group, locus.n)
-        assert total % order == 0
-        return total // order
+        elements = subgroup_elements(group, locus.n)
+        total = sum(apply_action(Action.permutation(perm), w) == w for perm in elements for w in locus.words)
+        assert total % len(elements) == 0
+        return total // len(elements)
 
     @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
     def test_orbit_count_matches_burnside(self, group):
@@ -324,10 +251,10 @@ class TestOrbitSets:
     def test_induced_shift_action(self):
         orbits = orbit_set(enumerate_locus("X", 2, 2), "Cn")
         assert orbits.labels == ((1, 1), (1, 2), (2, 2))
-        assert orbits.shifted_label((1, 1), 1) == (2, 2)
-        assert orbits.shifted_label((1, 2), 1) == (1, 2)
-        assert orbits.count_shift_fixed(1) == 1
-        assert orbits.count_shift_fixed(2) == 3
+        assert shifted_label(orbits, (1, 1), 1) == (2, 2)
+        assert shifted_label(orbits, (1, 2), 1) == (1, 2)
+        assert fixed_points(orbits.shift_permutation(1)) == 1
+        assert fixed_points(orbits.shift_permutation(2)) == 3
 
     def test_shift_label_independent_of_representative(self):
         locus = enumerate_locus("X", 4, 3)
@@ -336,7 +263,7 @@ class TestOrbitSets:
             for w in locus.words:
                 label = canonical_form(w, group, 3)
                 shifted = tuple(x % 3 + 1 for x in w)
-                assert canonical_form(shifted, group, 3) == orbits.shifted_label(label, 1)
+                assert canonical_form(shifted, group, 3) == shifted_label(orbits, label, 1)
 
     def test_shift_permutation(self):
         orbits = orbit_set(enumerate_locus("X", 2, 2), "Cn")
@@ -345,15 +272,19 @@ class TestOrbitSets:
 
     def test_labels_not_closed_under_the_shift_rejected(self):
         orbits = OrbitSet("Cn", 2, 2, ((1, 1),), {(1, 1): (1, 1)})
-        assert orbits.count_shift_fixed(0) == 1
+        assert fixed_points(orbits.shift_permutation(0)) == 1
         with pytest.raises(InternalCheckError):
             orbits.shift_permutation(1)
-        with pytest.raises(InternalCheckError):
-            orbits.count_shift_fixed(1)
 
     def test_hr_requires_even_n(self):
         with pytest.raises(DomainError):
             orbit_set(enumerate_locus("X", 3, 2), "Hr")
+
+
+def shifted_label(orbits, label, shift):
+    """Reference: the label of the orbit after shifting every value of its representative."""
+    shifted = apply_action(Action.value_shift(shift % orbits.k, orbits.k), orbits._reps[label])
+    return canonical_form(shifted, orbits.group, orbits.k)
 
 
 def canonical_walk(locus, group):
@@ -368,7 +299,7 @@ def assert_labels_match_the_walk(locus, group="Cn"):
     labels, reps = canonical_walk(locus, group)
     orbits = orbit_set(locus, group)
     assert orbits.labels == labels
-    assert {label: orbits.rep(label) for label in orbits.labels} == reps
+    assert orbits._reps == reps
 
 
 @st.composite
@@ -429,7 +360,7 @@ class TestNecklaceLabels:
         for locus in (unsorted, repeated):
             assert loci._generated_necklace_labels(locus) is None
             assert_labels_match_the_walk(locus)
-        assert orbit_set(unsorted, "Cn").rep((1, 2)) == (2, 1)
+        assert orbit_set(unsorted, "Cn")._reps[(1, 2)] == (2, 1)
 
     def test_words_outside_the_alphabet_take_the_walk(self):
         locus = Locus("X", 2, 2, ((1, 1), (1, 3), (3, 1)))
@@ -471,7 +402,7 @@ def word_paths_taken(locus, group, monkeypatch):
     orbits = orbit_set(locus, group)
     monkeypatch.undo()
     assert orbits.labels == labels
-    assert {label: orbits.rep(label) for label in orbits.labels} == reps
+    assert orbits._reps == reps
     calls["sorted"] = [arg for arg in calls["sorted"] if not isinstance(arg, dict)]
     return {name for name, made in calls.items() if made}
 
@@ -587,12 +518,10 @@ class TestBulkLabels:
             orbits = orbit_set(locus, group)
             position = {label: i for i, label in enumerate(orbits.labels)}
             for shift in range(-step, locus.k + 2 * step, step):
-                walk = [position[orbits.shifted_label(label, shift)] for label in orbits.labels]
+                walk = [position[shifted_label(orbits, label, shift)] for label in orbits.labels]
                 assert orbits.shift_permutation(shift) == walk
 
-    def test_letters_outside_the_alphabet_rejected_by_both_shift_paths(self):
+    def test_letters_outside_the_alphabet_rejected_by_the_shift(self):
         orbits = OrbitSet("Cn", 2, 2, ((0, 1),), {(0, 1): (0, 1)})
-        with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
-            orbits.shifted_label((0, 1), 1)
         with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
             orbits.shift_permutation(1)
