@@ -96,6 +96,14 @@ def test_character_orthogonality():
                 assert dot == (fact if a == b else 0)
 
 
+def test_cyclic_cycle_types():
+    # subgroup_elements("Cn", n) lists the powers c^0, c^1, ... of the long cycle in order
+    assert [cycle_type_of(w) for w in subgroup_elements("Cn", 4)] == [(1, 1, 1, 1), (4,), (2, 2), (4,)]
+    six = [cycle_type_of(w) for w in subgroup_elements("Cn", 6)]
+    assert six[2] == (3, 3)
+    assert six[3] == (2, 2, 2)
+
+
 def test_matching_group_is_the_matching_stabilizer():
     # the enumerated elements are exactly the permutations preserving {{0,1},{2,3},...}
     for r in (1, 2, 3):

@@ -238,6 +238,12 @@ NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (
 
 
 class TestVanishingIdeal:
+    def test_single_point(self):
+        gb = vanishing_ideal(enumerate_locus("X", 1, 1))
+        field = cyclo_field(1)
+        one = MultiPoly(field, 1, {(0,): field.one})
+        assert list(gb.gens) == [variable(field, 1, 0) - one]
+
     def test_full_root_line(self):
         for k in (1, 2, 3, 4, 5):
             gb = vanishing_ideal(enumerate_locus("X", 1, k))
@@ -765,6 +771,56 @@ class TestNormalForms:
         for e in [(1,), (1, 0, 0), (2, -1)]:
             with pytest.raises(DomainError):
                 gb.is_standard(e)
+
+    def test_query_beyond_the_field_width_widens_it(self):
+        # Walks cached at the leads' width, then every monomial of three times
+        # that degree: the fields widen, the packed tails and caches are rebuilt,
+        # and every result matches a basis that only ever had the wide fields.
+        locus = enumerate_locus("Z", 3, 2)
+        gb = vanishing_ideal(locus)
+        p = gb.trace_prime(0)
+        low = (1, 1, 0)  # the lead of x1 x2 + x1 x3 + x2 x3 + 1
+        assert low in gb.leading_exponents()
+        low_nf = modular_normal_form(gb, low, p)
+        highs = list(weak_compositions(3 * gb._max_degree, 3))
+        fresh = vanishing_ideal(locus)
+        fresh._fit(3 * gb._max_degree)
+        assert fresh.trace_prime(0) == p
+        expected = [modular_normal_form(fresh, e, p) for e in highs]
+        assert [modular_normal_form(gb, e, p) for e in highs] == expected
+        assert modular_normal_form(gb, low, p) == low_nf
+        # Each x^e and its normal form agree as functions on the locus, read in F_p.
+        omega = interpolation.primitive_roots(gb.field.order, p)[0]
+        for e, nf in zip(highs, expected):
+            for w in locus.words:
+                value = sum(c * pow(omega, sum(a * b for a, b in zip(s, w)), p) for s, c in nf.items())
+                assert value % p == pow(omega, sum(a * b for a, b in zip(e, w)), p)
+
+    @pytest.mark.parametrize("family,n,k,mu", [("X", 6, 2, None), ("tanisaki", 6, None, (3, 2, 1))])
+    def test_modular_normal_forms_are_the_exact_ones_mapped(self, family, n, k, mu):
+        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=100, max_vars=6)
+        p = gb.trace_prime(0)
+        omega = interpolation.primitive_roots(gb.field.order, p)[0]
+
+        def image(c):
+            return sum(
+                int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p)
+                for i, x in enumerate(c.coords)
+            ) % p
+
+        gens = list(gb.gens)
+        for d in range(5):
+            for e in weak_compositions(d, 6):
+                monomial = MultiPoly(gb.field, 6, {e: gb.field.one})
+                exact = {s: image(c) for s, c in harmonics._reduce_poly(monomial, gens).terms.items()}
+                assert modular_normal_form(gb, e, p) == {s: c for s, c in exact.items() if c}
+
+
+def modular_normal_form(gb, e, p):
+    """``_normal_form_walk`` of x^e mod p, keyed by standard exponents instead of packed ints."""
+    walk = gb._normal_form_walk(gb._packed(e), p)
+    unpacked = {gb._pack(s): s for s in chain.from_iterable(gb.quotient_basis().by_degree)}
+    return {unpacked[s]: c for s, c in walk.items()}
 
 
 class TestHilbertSeries:

@@ -129,6 +129,22 @@ class TestActions:
         with pytest.raises(DomainError):
             Action.permutation((0, 0, 1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 30), st.integers(1, 7), st.data())
+    def test_orders_are_the_least_powers_returning_every_word(self, k, step, n, data):
+        # A word of distinct letters returns only under the identity, so its orbit
+        # length under each action is that action's order.
+        perm = data.draw(st.permutations(range(n)))
+        for action, w in [
+            (Action.value_shift(step, k), tuple(range(1, k + 1))),
+            (Action.position_rotation(n), tuple(range(n))),
+            (Action.permutation(perm), tuple(range(n))),
+        ]:
+            image, length = apply_action(action, w), 1
+            while image != w:
+                image, length = apply_action(action, image), length + 1
+            assert action.order == length
+
     def test_letters_outside_alphabet_rejected(self):
         for w in ((1, 3), (0, 1), (1, None), (1, [2])):
             with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):

@@ -427,6 +427,15 @@ def test_springer_grid_under_other_position_actions(n, position):
     assert verified_grid(word_instance(locus, position)) == expected
 
 
+def test_position_binding_carries_the_computed_order():
+    # (2, 1, 3, 0) is a 3-cycle with one fixed point: the grid has three columns.
+    locus = enumerate_locus("springer", 4)
+    report = verify_bicsp(word_instance(locus, Action.permutation((2, 1, 3, 0))))
+    assert report.binding["t"] == {"action": "position-permutation", "order": 3, "perm": [2, 1, 3, 0]}
+    assert sorted({row["s"] for row in report.rows}) == [0, 1, 2]
+    assert len(report.rows) == 3 * shift_of(locus).order
+
+
 def test_fixed_count_is_exact_beyond_the_orders():
     locus = enumerate_locus("springer", 4)
     position = Action.permutation((1, 2, 0, 3))

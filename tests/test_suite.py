@@ -60,6 +60,21 @@ def test_suite_eliminates_each_locus_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 57
 
 
+def test_oracle_enumerates_each_locus_once(monkeypatch):
+    calls = []
+    enumerate_locus = suite.enumerate_locus
+
+    def spy(family, n, k=None, **kwargs):
+        calls.append((family, n, k, kwargs.get("mu")))
+        return enumerate_locus(family, n, k, **kwargs)
+
+    monkeypatch.setattr(suite, "enumerate_locus", spy)
+    result = suite.run_criterion("oracle-coherence")
+    assert (result.ok, result.detail) == (True, "157 oracle comparisons exact")
+    assert len(calls) == len(set(calls))
+    assert ("X", 2, 2, None) in calls
+
+
 def _wrong_closed_frobenius(monkeypatch):
     closed = suite.closed_frobenius
 
