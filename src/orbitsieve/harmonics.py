@@ -592,9 +592,10 @@ def vanishing_ideal(
     """
     _check_locus(locus, max_points, max_vars)
     field = cyclo_field(locus.k)
-    for layout, coords in modular_lifts(locus):
+    reps = interpolation.orbit_representatives(locus)
+    for layout, coords in modular_lifts(locus, reps):
         gb = _basis(field, locus.n, layout, coords)
-        if _certified(locus, gb):
+        if _certified(locus, gb, reps):
             return gb
     raise ResourceBudgetError(
         f"no certified basis within the prime budget of {interpolation.MODULAR_PRIMES} split primes"
@@ -613,7 +614,7 @@ def _basis(field: CycloField, n: int, layout, coords) -> GroebnerBasis:
     return GroebnerBasis(field, n, tuple(gens))
 
 
-def _certified(locus: Locus, gb: GroebnerBasis) -> bool:
+def _certified(locus: Locus, gb: GroebnerBasis, reps) -> bool:
     """Exact check that gb, lifted from modular data, is the reduced basis of I(X).
 
     Generators that vanish on X put LT(gb) inside LT(I(X)); both leave |X|
@@ -625,7 +626,7 @@ def _certified(locus: Locus, gb: GroebnerBasis) -> bool:
     The value shift x -> zeta^step x fixes I(X) and so its reduced basis: all
     terms of a generator g have degrees congruent to its lead's mod the shift
     order, which is checked.  Then g(zeta^step x) = zeta^(step deg) g(x), so g
-    vanishes on X once it vanishes at the orbit representatives.
+    vanishes on X once it vanishes at the orbit representatives ``reps``.
     """
     leads = gb.leading_exponents()
     korder = locus.scaling_order
@@ -639,30 +640,33 @@ def _certified(locus: Locus, gb: GroebnerBasis) -> bool:
             return False
     if gb.quotient_basis().total != locus.size:
         return False
-    return _vanishes_on(gb, interpolation.orbit_representatives(locus))
+    return _vanishes_on(gb, reps)
 
 
 def _vanishes_on(gb: GroebnerBasis, words) -> bool:
     """Whether every generator is zero at every embedded word, exactly.
 
     Each generator is scaled by the lcm of its coordinate denominators, so the
-    sums run over integers: at each point the coefficients of each power of zeta
-    are gathered first, and the power table reduces them once.
+    sums run over integers.  At each word, power-basis coordinate i of the
+    coefficient of x^e lands on zeta^(i + e.w), so the integer coefficients of
+    each power of zeta are gathered first; the generator vanishes there when
+    every power-basis column of the power table is orthogonal to them.
     """
     field = gb.field
-    powers = [field.power_vector(j) for j in range(field.order)]
+    order = field.order
+    columns = list(zip(*map(field.power_vector, range(order))))
     for g in gb.gens:
         den = math.lcm(*(x.denominator for c in g.terms.values() for x in c.coords))
         terms = [
             (e, [(i, int(x * den)) for i, x in enumerate(c.coords) if x]) for e, c in g.terms.items()
         ]
         for w in words:
-            at = [0] * field.order
+            at = [0] * order
             for e, coords in terms:
-                j = sum(a * b for a, b in zip(e, w))
+                j = sum(map(operator.mul, e, w))
                 for i, x in coords:
-                    at[(i + j) % field.order] += x
-            if any(sum(s * row[m] for s, row in zip(at, powers)) for m in range(field.degree)):
+                    at[(i + j) % order] += x
+            if any(sum(map(operator.mul, at, col)) for col in columns):
                 return False
     return True
 

@@ -29,13 +29,17 @@ The rows over F_p are packed (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): each echelon row,
 and the vector being reduced, is one Python int with one byte-aligned slot per
 orbit representative, so a row operation is one big-int multiply-add and a
-multiplier is one shift and mask.  Entries start below p and are reduced mod p
-only at the end; each operation adds less than p^2 and a class has at most
-#reps rows, so every entry stays below (#reps + 1) p^2, which fixes the slot
-width per prime and keeps slots from carrying.  Rows are built incrementally: a
-monomial's exponent dot products with the representatives are those of its
-predecessor at its first nonzero position, which is standard, plus one column of
-the representatives, so only the previous degree's table is kept.
+multiplier is one shift and mask.  Stored rows have entries in (0, p] and the
+vector being reduced starts below p; each operation adds less than p^2 and a
+class has at most #reps rows, so every entry stays below (#reps + 1) p^2, which
+fixes the slot width per prime and keeps slots from carrying.  A finished vector
+is reduced mod p in every slot at once, without unpacking it, by folds and
+guard-bit subtractions (``_slot_reducer``; Lamport, "Multiple byte processing
+with full-word instructions", 1975): the split primes lie just below 2^62, so
+three folds and one subtraction suffice there.  Rows are built incrementally:
+a monomial's exponent dot products with the representatives are those of its
+predecessor at its first nonzero position, which is standard, plus one column
+of the representatives, so only the previous degree's table is kept.
 
 No polynomial type appears here; ``harmonics`` assembles and certifies the bases.
 """
@@ -233,6 +237,50 @@ def _tail_coefficients(rows: list[tuple], uses: list[tuple[int, int]], p: int) -
     return [-x % p for x in b]
 
 
+def fold_chain(p: int, top: int) -> tuple[int, int]:
+    """Folds and conditional subtractions of p that take slots of values <= top into [0, p).
+
+    With a = p.bit_length() and c = 2^a - p, a fold maps values at most B to values
+    at most (2^a - 1) + c floor(B / 2^a); folds are counted while that bound falls.
+    Once it stops falling, floor(B / 2^a) p <= 2^a - 1 < 2 p, so B <= p + 2 c - 1,
+    which is below 3 p as p > 2^(a - 1) > c: at most two subtractions follow.
+    """
+    a = p.bit_length()
+    c = (1 << a) - p
+    folds = 0
+    while (nxt := (1 << a) - 1 + c * (top >> a)) < top:
+        top = nxt
+        folds += 1
+    return folds, top // p
+
+
+def _slot_reducer(p: int, width: int, m: int):
+    """Reduction mod p of every slot of packed vectors of m slots with entries below (m + 1) p^2.
+
+    With a = p.bit_length() and c = 2^a - p = 2^a mod p, each fold maps every slot
+    x = q 2^a + r to r + c q, congruent and never larger; each subtraction adds
+    2^g - p to every slot, reads which slots reached the guard bit g, and
+    subtracts p from those.  No slot value grows, so slots never carry.
+    """
+    bits = 8 * width
+    a = p.bit_length()
+    c = (1 << a) - p
+    folds, subtractions = fold_chain(p, (m + 1) * p * p - 1)
+    guard = ((subtractions + 1) * p - 1).bit_length()
+    ones = int.from_bytes((1).to_bytes(width, "little") * m, "little")
+    low, high = ones * ((1 << a) - 1), ones * ((1 << (bits - a)) - 1)
+    offset = ones * ((1 << guard) - p)
+
+    def reduce(v: int) -> int:
+        for _ in range(folds):
+            v = (v & low) + c * ((v >> a) & high)
+        for _ in range(subtractions):
+            v -= (((v + offset) >> guard) & ones) * p
+        return v
+
+    return reduce
+
+
 def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     """Buchberger-Moller over F_p, run side by side for each zeta_k -> omega in roots.
 
@@ -248,13 +296,16 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     # this many bytes never carry into each other.
     width = (((m + 1) * p * p).bit_length() + 7) // 8
     bits = 8 * width
-    size, mask = m * width, (1 << bits) - 1
+    mask = (1 << bits) - 1
+    reduce = _slot_reducer(p, width, m)
+    full = int.from_bytes(p.to_bytes(width, "little") * m, "little")
     slots = [[pow(omega, j, p).to_bytes(width, "little") for j in range(kk)] for omega in roots]
     columns = [[w[i] for w in reps] for i in range(n)]
-    # Per root and eigenclass: echelon rows (pivot slot's bit offset, negated
-    # packed vector with pivot 1, trail, 1/scale), one per standard monomial of
-    # the class.  Row operations add without reducing mod p; only the slot read
-    # as the next multiplier is reduced, and the vector once at the end.
+    # Per root and eigenclass: echelon rows (pivot slot's bit offset, packed
+    # -vector / pivot with entries in (0, p], so p - 1 at the pivot, trail,
+    # 1/scale), one per standard monomial of the class.  Row operations add
+    # without reducing mod p; only the slot read as the next multiplier is
+    # reduced, and the vector once at the end, all slots at once.
     rows_by_root = [[[] for _ in range(korder)] for _ in roots]
     cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
     stds: list[Exponents] = []
@@ -283,15 +334,13 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
                     if c:
                         vec += c * neg
                         uses.append((c, r))
-                raw = vec.to_bytes(size, "little")
-                entries = [int.from_bytes(raw[j : j + width], "little") % p for j in range(0, size, width)]
-                pivot = next((j for j, x in enumerate(entries) if x), None)
-                if pivot is None:
+                vec = reduce(vec)
+                if not vec:
                     tails.append(_tail_coefficients(rows, uses, p))
                 else:
-                    inv = pow(entries[pivot], -1, p)
-                    neg = b"".join([(-x * inv % p).to_bytes(width, "little") for x in entries])
-                    rows.append((bits * pivot, int.from_bytes(neg, "little"), uses, inv))
+                    shift = ((vec & -vec).bit_length() - 1) // bits * bits
+                    inv = pow(vec >> shift & mask, -1, p)
+                    rows.append((shift, full - reduce(vec * inv), uses, inv))
             if len(tails) == len(roots):
                 gens.append((e, tuple(cls_stds[d % korder]), tails))
             elif tails:
@@ -309,7 +358,7 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     return stds, gens
 
 
-def modular_lifts(locus: Locus):
+def modular_lifts(locus: Locus, reps):
     """Candidate (layout, coordinates) lifts from at most MODULAR_PRIMES split primes.
 
     A unit-stable locus (see ``unit_stable``) is eliminated at one primitive root
@@ -318,10 +367,10 @@ def modular_lifts(locus: Locus):
     disagree on the staircase is skipped, and the tail coefficients at the roots
     are interpolated to power-basis coordinates mod p.  Coordinates are combined
     over primes with the same staircase by CRT; every prime after which all of
-    them lift by rational reconstruction yields a candidate.
+    them lift by rational reconstruction yields a candidate.  ``reps`` are the
+    locus' orbit representatives (``orbit_representatives``).
     """
     phi = cyclo_field(locus.k).degree
-    reps = orbit_representatives(locus)
     rational = unit_stable(locus)
     staircase = None  # (grevlex keys of the standard monomials, layout)
     residues: list[int] = []

@@ -352,6 +352,19 @@ class TestModularElimination:
             mp.setattr(interpolation, "PRIME_CEILING", 2**8)
             assert vanishing_ideal(locus) == exact_vanishing_ideal(locus)
 
+    def test_orbit_representatives_once_per_call(self, monkeypatch):
+        calls = []
+        represent = interpolation.orbit_representatives
+
+        def spy(locus):
+            calls.append(locus)
+            return represent(locus)
+
+        monkeypatch.setattr(interpolation, "orbit_representatives", spy)
+        locus = enumerate_locus("Z", 3, 2)
+        vanishing_ideal(locus)
+        assert calls == [locus]
+
     def test_prime_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
         with pytest.raises(ResourceBudgetError, match="prime budget"):
@@ -443,6 +456,84 @@ def _same_as_list_rows(locus, p):
         assert interpolation.modular_elimination(locus, reps, p, some) == list_elimination(locus, reps, p, some)
 
 
+def _first_split_prime(ceiling, k):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpolation, "PRIME_CEILING", ceiling)
+        return next(interpolation.split_primes(k))
+
+
+# The first split primes below 2^62 and 2^8, and primes whose c = 2^a - p lies
+# just below 2^(a - 1), where the fold chain is longest (131: c = 125).
+FOLD_PRIMES = [_first_split_prime(2**62, 1), _first_split_prime(2**8, 1), 3, 5, 17, 131, 257, 65537]
+
+
+def _slot_width(m, p):
+    """Bytes per slot in ``modular_elimination``: entries stay below (m + 1) p^2."""
+    return (((m + 1) * p * p).bit_length() + 7) // 8
+
+
+def _pack(values, width):
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
+
+
+def _unpack(v, width, m):
+    raw = v.to_bytes(m * width, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, m * width, width)]
+
+
+class TestSlotReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fold_matches_slotwise_reduction(self, data):
+        p = data.draw(st.sampled_from(FOLD_PRIMES))
+        m = data.draw(st.integers(1, 40))
+        top = (m + 1) * p * p - 1
+        width = _slot_width(m, p)
+        reduce = interpolation._slot_reducer(p, width, m)
+        drawn = data.draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+        for values in (drawn, [top] * m, [p] * m, [0] * m):
+            packed = _pack(values, width)
+            assert _unpack(reduce(packed), width, m) == [x % p for x in _unpack(packed, width, m)]
+        assert interpolation.fold_chain(p, top)[1] <= 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(shift_stable_loci())
+    @example(UNLUCKY_13_LOCUS)
+    def test_stored_rows_lie_in_zero_to_p(self, locus):
+        # Every class that gets a generator hands its echelon rows to
+        # _tail_coefficients: each stored row has slots in (0, p], p - 1 at its pivot.
+        reps = interpolation.orbit_representatives(locus)
+        m = len(reps)
+        seen = []
+        tail_coefficients = interpolation._tail_coefficients
+
+        def spy(rows, uses, p):
+            seen.append((rows, p))
+            return tail_coefficients(rows, uses, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interpolation, "_tail_coefficients", spy)
+            for ceiling in (2**62, 2**8):
+                mp.setattr(interpolation, "PRIME_CEILING", ceiling)
+                p = next(interpolation.split_primes(locus.k))
+                interpolation.modular_elimination(locus, reps, p, interpolation.primitive_roots(locus.k, p))
+        assert seen
+        for rows, p in seen:
+            width = _slot_width(m, p)
+            for shift, neg, _, _ in rows:
+                slots = _unpack(neg, width, m)
+                assert all(0 < x <= p for x in slots)
+                assert slots[shift // (8 * width)] == p - 1
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_split_primes_need_three_folds_and_one_subtraction(self, k):
+        # At 1,100 orbit representatives, beyond the default point budget; a
+        # prime ceiling far from a power of two would lengthen the chain.
+        for p in islice(interpolation.split_primes(k), interpolation.MODULAR_PRIMES):
+            folds, subtractions = interpolation.fold_chain(p, 1101 * p * p - 1)
+            assert folds <= 3 and subtractions <= 1
+
+
 class TestPackedRows:
     @settings(max_examples=40, deadline=None)
     @given(shift_stable_loci())
@@ -498,6 +589,7 @@ class TestPackedRows:
 # Z(3, 2): six points, shift order 2, three orbit representatives, and the
 # leads x3^2, x2^2, x1 x2, x1^2, each generator with rational tails.
 CERTIFIED_LOCUS = enumerate_locus("Z", 3, 2)
+CERTIFIED_REPS = interpolation.orbit_representatives(CERTIFIED_LOCUS)
 
 
 def _lift_terms(layout, coords, phi):
@@ -549,7 +641,7 @@ CORRUPTIONS = [
 def _candidate(corrupt):
     """The basis ``_basis`` assembles from the first lift of CERTIFIED_LOCUS, corrupted."""
     field = cyclo_field(CERTIFIED_LOCUS.k)
-    layout, coords = next(interpolation.modular_lifts(CERTIFIED_LOCUS))
+    layout, coords = next(interpolation.modular_lifts(CERTIFIED_LOCUS, CERTIFIED_REPS))
     terms = _lift_terms(layout, coords, field.degree)
     if corrupt is not None:
         corrupt(terms)
@@ -559,12 +651,12 @@ def _candidate(corrupt):
 class TestCertificate:
     def test_the_true_lift_passes(self):
         gb = _candidate(None)
-        assert harmonics._certified(CERTIFIED_LOCUS, gb)
+        assert harmonics._certified(CERTIFIED_LOCUS, gb, CERTIFIED_REPS)
         assert gb == exact_vanishing_ideal(CERTIFIED_LOCUS)
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_corrupted_lift_is_rejected(self, corrupt):
-        assert not harmonics._certified(CERTIFIED_LOCUS, _candidate(corrupt))
+        assert not harmonics._certified(CERTIFIED_LOCUS, _candidate(corrupt), CERTIFIED_REPS)
 
     def test_tail_not_standard_is_its_only_fault(self):
         gb = _candidate(_tail_divisible_by_a_lead)
@@ -580,16 +672,34 @@ class TestCertificate:
         assert _candidate(_dropped_generator).quotient_basis().total == 8
 
     def test_changed_coordinate_fails_at_an_orbit_representative(self):
-        reps = interpolation.orbit_representatives(CERTIFIED_LOCUS)
-        assert not harmonics._vanishes_on(_candidate(_changed_coordinate), reps)
+        assert not harmonics._vanishes_on(_candidate(_changed_coordinate), CERTIFIED_REPS)
+
+    def test_changed_irrational_coordinate_is_rejected(self):
+        # Over Q(i), the tail coordinates at index 1 are rotated by each word's
+        # exponent dot products before the power table reduces them.
+        locus = enumerate_locus("tanisaki", 5, mu=(2, 1, 1, 1))
+        assert not interpolation.unit_stable(locus)
+        field = cyclo_field(locus.k)
+        assert field.degree == 2
+        reps = interpolation.orbit_representatives(locus)
+        layout, coords = next(interpolation.modular_lifts(locus, reps))
+        terms = _lift_terms(layout, coords, field.degree)
+        gb = harmonics._basis(field, locus.n, *_flatten(terms))
+        assert harmonics._vanishes_on(gb, reps)
+        assert harmonics._certified(locus, gb, reps)
+        tail = next(c for tail in terms.values() for c in tail.values() if c[1])
+        tail[1] += 1
+        changed = harmonics._basis(field, locus.n, *_flatten(terms))
+        assert changed.leading_exponents() == gb.leading_exponents()
+        assert not harmonics._vanishes_on(changed, reps)
+        assert not harmonics._certified(locus, changed, reps)
 
     def test_other_class_tail_vanishes_at_the_representatives_only(self):
         # Only the eigenclass clause tells this candidate from I(X): evaluating at
         # the orbit representatives alone would accept it.
         gb = _candidate(_tail_from_another_class)
-        reps = interpolation.orbit_representatives(CERTIFIED_LOCUS)
-        assert {w[0] for w in reps} == {1}
-        assert harmonics._vanishes_on(gb, reps)
+        assert {w[0] for w in CERTIFIED_REPS} == {1}
+        assert harmonics._vanishes_on(gb, CERTIFIED_REPS)
         assert not harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
         assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
 
@@ -1069,9 +1179,9 @@ class TestBasisCache:
         lifts = []
         modular_lifts = harmonics.modular_lifts
 
-        def spy(locus):
+        def spy(locus, reps):
             lifts.append(locus)
-            return modular_lifts(locus)
+            return modular_lifts(locus, reps)
 
         monkeypatch.setattr(harmonics, "modular_lifts", spy)
         locus = enumerate_locus("Z", 3, 2)
