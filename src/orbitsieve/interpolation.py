@@ -29,17 +29,30 @@ The rows over F_p are packed (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): each echelon row,
 and the vector being reduced, is one Python int with one byte-aligned slot per
 orbit representative, so a row operation is one big-int multiply-add and a
-multiplier is one shift and mask.  Stored rows have entries in (0, p] and the
-vector being reduced starts below p; each operation adds less than p^2 and a
-class has at most #reps rows, so every entry stays below (#reps + 1) p^2, which
-fixes the slot width per prime and keeps slots from carrying.  A finished vector
-is reduced mod p in every slot at once, without unpacking it, by folds and
+multiplier is one shift and mask.  A stored row is the negated reduced vector,
+not normalised: its multiplier is the slot read at its pivot times the stored
+inverse of the pivot, mod p.  Stored rows have entries in (0, p] and the vector
+being reduced starts below p; each operation adds less than p^2 and a class has
+at most #reps rows, so every entry stays below (#reps + 1) p^2, which fixes the
+slot width per prime and keeps slots from carrying.  A finished vector is
+reduced mod p in every slot at once, without unpacking it, by folds and
 guard-bit subtractions (``_slot_reducer``; Lamport, "Multiple byte processing
-with full-word instructions", 1975): the split primes lie just below 2^62, so
-three folds and one subtraction suffice there.  Rows are built incrementally:
-a monomial's exponent dot products with the representatives are those of its
-predecessor at its first nonzero position, which is standard, plus one column
-of the representatives, so only the previous degree's table is kept.
+with full-word instructions", 1975): the split primes lie just below 2^30, so
+three folds and one subtraction suffice there.
+
+The split primes lie below PRIME_CEILING = 2^30 because the slot width grows
+with log p: for up to 1,100 representatives a slot takes 9 bytes, against 17
+below 2^62, and every residue, multiplier and pivot inverse fits in one 30-bit
+CPython digit.  The coefficient height, not the prime size, sets how many
+primes a lift needs (Arnold 2003): reconstruction mod one such prime recovers
+numerators and denominators up to sqrt(p/2), about 2^14.5, while the X, Y, Z
+and tanisaki bases with n <= 6 and at most 1,100 points have integer
+coefficients of absolute value at most 4, so one prime lifts each of them.
+
+Rows are built incrementally: a monomial's exponent dot products with the
+representatives are those of its predecessor at its first nonzero position,
+which is standard, plus one column of the representatives, so only the previous
+degree's table is kept.
 
 No polynomial type appears here; ``harmonics`` assembles and certifies the bases.
 """
@@ -56,7 +69,7 @@ from .rat import RAT
 
 Exponents = tuple[int, ...]
 
-PRIME_CEILING = 2**62
+PRIME_CEILING = 2**30
 MODULAR_PRIMES = 4
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SPLIT_PRIMES: dict[tuple[int, int], list[int]] = {}
@@ -221,10 +234,11 @@ def rational_reconstruction(r: int, m: int):
 def _tail_coefficients(rows: list[tuple], uses: list[tuple[int, int]], p: int) -> list[int]:
     """Coefficients mod p, on the class' standard monomials, of the tail of x^e.
 
-    x^e's vector is the sum of c * row r over its trail ``uses``.  Row q is
-    (v_q - sum of c * row r over its own trail) / scale_q, where v_q is the vector
-    of the q-th standard monomial, so unwinding the trails from the last row down
-    rewrites the sum over rows as a sum b_q v_q; the tail coefficients are -b_q.
+    x^e's vector plus the sum of c * row r over its trail ``uses`` is zero.  Row q
+    is -(v_q + sum of c * row r over its own trail) / pivot_q, where v_q is the
+    vector of the q-th standard monomial and 1/pivot_q is the row's last entry, so
+    unwinding the trails from the last row down rewrites the sum over rows as
+    -sum b_q v_q; x^e's vector is sum b_q v_q and the tail coefficients are -b_q.
     """
     b = [0] * len(rows)
     for c, r in uses:
@@ -302,8 +316,10 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     slots = [[pow(omega, j, p).to_bytes(width, "little") for j in range(kk)] for omega in roots]
     columns = [[w[i] for w in reps] for i in range(n)]
     # Per root and eigenclass: echelon rows (pivot slot's bit offset, packed
-    # -vector / pivot with entries in (0, p], so p - 1 at the pivot, trail,
-    # 1/scale), one per standard monomial of the class.  Row operations add
+    # -vector with entries in (0, p], trail, 1/pivot), one per standard monomial
+    # of the class.  The rows are not normalised: a row's multiplier is the slot
+    # read at its pivot times 1/pivot, so the trails record the slots read, as
+    # for the rows -vector / pivot of ``_tail_coefficients``.  Row operations add
     # without reducing mod p; only the slot read as the next multiplier is
     # reduced, and the vector once at the end, all slots at once.
     rows_by_root = [[[] for _ in range(korder)] for _ in roots]
@@ -329,18 +345,17 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
                 rows = by_class[d % korder]
                 vec = int.from_bytes(b"".join([sl[j] for j in t]), "little")
                 uses = []
-                for r, (shift, neg, _, _) in enumerate(rows):
+                for r, (shift, neg, _, inv) in enumerate(rows):
                     c = (vec >> shift & mask) % p
                     if c:
-                        vec += c * neg
+                        vec += c * inv % p * neg
                         uses.append((c, r))
                 vec = reduce(vec)
                 if not vec:
                     tails.append(_tail_coefficients(rows, uses, p))
                 else:
                     shift = ((vec & -vec).bit_length() - 1) // bits * bits
-                    inv = pow(vec >> shift & mask, -1, p)
-                    rows.append((shift, full - reduce(vec * inv), uses, inv))
+                    rows.append((shift, full - vec, uses, pow(vec >> shift & mask, -1, p)))
             if len(tails) == len(roots):
                 gens.append((e, tuple(cls_stds[d % korder]), tails))
             elif tails:

@@ -372,13 +372,17 @@ class TestModularElimination:
 
     @pytest.mark.parametrize(
         "family,n,k,mu",
-        SMALL_LOCI + ORACLE_MID_LOCI + [("tanisaki", n, None, mu) for n, mu in NON_UNIT_STABLE_LOCI],
+        SMALL_LOCI
+        + ORACLE_MID_LOCI
+        + [("tanisaki", n, None, mu) for n, mu in NON_UNIT_STABLE_LOCI]
+        # The largest cells that budgets of 1,024 points and 6 variables admit.
+        + [("X", 4, 5, None), ("X", 5, 4, None), ("Y", 6, 6, None)],
     )
     def test_stock_loci_certify_at_the_first_prime(self, family, n, k, mu, monkeypatch):
         # The first prime's lift passes the certificate, so these loci never
         # come near the prime budget.
         counts = _root_counts(monkeypatch)
-        vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=1024, max_vars=6)
         assert len(counts) == 1
 
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
@@ -428,17 +432,21 @@ class TestModularElimination:
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
         assert [n for n in range(limit) if interpolation.is_prime(n)] == [n for n in range(limit) if sieve[n]]
-        # Strong pseudoprimes to the bases 2..7 and 2..23, and numbers near the prime ceiling.
+        # Strong pseudoprimes to the bases 2..7 and 2..23, and numbers near the
+        # prime ceilings the tests run at.
         assert not interpolation.is_prime(3825123056546413051)
         assert not interpolation.is_prime(3215031751)
         assert interpolation.is_prime(2**61 - 1)
         assert not interpolation.is_prime(2**62 - 1)
+        assert interpolation.is_prime(2**31 - 1)
+        assert not interpolation.is_prime(2**30 - 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 12])
     def test_split_primes_and_their_roots(self, k):
         primes = list(islice(interpolation.split_primes(k), 3))
         assert primes == sorted(primes, reverse=True)
-        assert 2**61 < primes[-1] < primes[0] < 2**62
+        ceiling = interpolation.PRIME_CEILING
+        assert ceiling // 2 < primes[-1] < primes[0] < ceiling
         for p in primes:
             assert interpolation.is_prime(p) and (p - 1) % k == 0
             roots = interpolation.primitive_roots(k, p)
@@ -462,9 +470,14 @@ def _first_split_prime(ceiling, k):
         return next(interpolation.split_primes(k))
 
 
-# The first split primes below 2^62 and 2^8, and primes whose c = 2^a - p lies
+# The default prime ceiling; 2^62, whose split primes have the widest slots
+# the kernel is still checked at; and 2^8, whose primes are too small for some
+# lifts.
+CEILINGS = (interpolation.PRIME_CEILING, 2**62, 2**8)
+
+# The first split primes below each ceiling, and primes whose c = 2^a - p lies
 # just below 2^(a - 1), where the fold chain is longest (131: c = 125).
-FOLD_PRIMES = [_first_split_prime(2**62, 1), _first_split_prime(2**8, 1), 3, 5, 17, 131, 257, 65537]
+FOLD_PRIMES = [_first_split_prime(ceiling, 1) for ceiling in CEILINGS] + [3, 5, 17, 131, 257, 65537]
 
 
 def _slot_width(m, p):
@@ -501,7 +514,9 @@ class TestSlotReduction:
     @example(UNLUCKY_13_LOCUS)
     def test_stored_rows_lie_in_zero_to_p(self, locus):
         # Every class that gets a generator hands its echelon rows to
-        # _tail_coefficients: each stored row has slots in (0, p], p - 1 at its pivot.
+        # _tail_coefficients.  A stored row is the negated reduced vector, not
+        # normalised: its slots lie in (0, p], and its pivot slot times its
+        # stored inverse is -1 mod p.
         reps = interpolation.orbit_representatives(locus)
         m = len(reps)
         seen = []
@@ -513,17 +528,17 @@ class TestSlotReduction:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(interpolation, "_tail_coefficients", spy)
-            for ceiling in (2**62, 2**8):
+            for ceiling in CEILINGS:
                 mp.setattr(interpolation, "PRIME_CEILING", ceiling)
                 p = next(interpolation.split_primes(locus.k))
                 interpolation.modular_elimination(locus, reps, p, interpolation.primitive_roots(locus.k, p))
-        assert seen
+        assert len({p for _, p in seen}) == len(CEILINGS)
         for rows, p in seen:
             width = _slot_width(m, p)
-            for shift, neg, _, _ in rows:
+            for shift, neg, _, inv in rows:
                 slots = _unpack(neg, width, m)
                 assert all(0 < x <= p for x in slots)
-                assert slots[shift // (8 * width)] == p - 1
+                assert slots[shift // (8 * width)] * inv % p == p - 1
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_split_primes_need_three_folds_and_one_subtraction(self, k):
@@ -540,10 +555,8 @@ class TestPackedRows:
     @example(DISAGREE_11_LOCUS)
     @example(UNLUCKY_13_LOCUS)
     def test_packed_rows_match_list_rows(self, locus):
-        # The largest split prime below 2^62, whose slots are widest, and the
-        # largest below 2^8.
         with pytest.MonkeyPatch.context() as mp:
-            for ceiling in (2**62, 2**8):
+            for ceiling in CEILINGS:
                 mp.setattr(interpolation, "PRIME_CEILING", ceiling)
                 _same_as_list_rows(locus, next(interpolation.split_primes(locus.k)))
 
