@@ -362,14 +362,16 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
                 return None
             else:
                 cls_stds[d % korder].append(e)
+                # A class's rows are independent vectors of length m, so a correct
+                # run stays within this count, which also bounds the degrees.
+                if len(cls_stds[d % korder]) > m:
+                    raise InternalCheckError("point-ideal elimination failed to terminate")
                 found.append(e)
                 next_dots[e] = t
         stds.extend(found)
         level = successors(found, n)
         dots = next_dots
         d += 1
-        if d > locus.size + n * kk:
-            raise InternalCheckError("point-ideal elimination failed to terminate")
     return stds, gens
 
 

@@ -19,9 +19,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, count, permutations, product, repeat
+from itertools import chain, combinations_with_replacement, permutations, product, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .tableaux import Word, content_of_word, multiset_permutations
@@ -241,11 +241,6 @@ def _shift_table(shift: int, k: int) -> dict[int, int]:
     return {x: (x - 1 + shift) % k + 1 for x in range(1, k + 1)}
 
 
-def fixed_points(images: Iterable[int]) -> int:
-    """Number of indices i whose image (the i-th entry) is i."""
-    return sum(map(operator.eq, images, count()))
-
-
 # -- orbit sets --------------------------------------------------------------------------
 
 
@@ -382,12 +377,10 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     if group == "Sn":
         # Read backwards, so the first word of each class is the last one stored.
         firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))
-        try:
-            reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
-        except DomainError:
+        if not set(chain.from_iterable(firsts)) <= set(range(1, locus.k + 1)):
             for w in locus.words:  # the walk's error names the first bad letter in locus order
                 content_of_word(w, locus.k)
-            raise
+        reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
         return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
     backwards = locus.words[::-1]  # so that each label keeps its first word
     reps = dict(zip(_labels(backwards, group, locus.k), backwards))

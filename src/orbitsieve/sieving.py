@@ -5,12 +5,14 @@ position subgroup) with one or two commuting cyclic actions and a polynomial who
 root-of-unity evaluations must count fixed points.  The binding convention is fixed
 throughout and recorded in every report: q tracks the value-shift action, t tracks the
 position action.  Verification is exhaustive and exact: for every group element the
-fixed points are counted directly and compared with the cyclotomic evaluation of the
+fixed points are counted on the set and compared with the cyclotomic evaluation of the
 polynomial, with no numerical tolerance anywhere.  Each generator's image of every
 element of the set is computed once, which turns the generator into a permutation of
 indices and checks that the set is closed under it (a generator is injective, so
-closure under the generators is closure under the group); every group element is
-then counted over the whole set on powers of those index permutations.
+closure under the generators is closure under the group).  Each orbit of the group is
+then walked once and its stabilizer read off: a group element fixes exactly the
+points of the orbits whose stabilizer contains it (``_fixed_table``), so no count
+comes from the polynomial.
 
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import gc
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +36,7 @@ from .characters import SchurVector, h_to_schur, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
-from .loci import Action, Locus, act_on_words, enumerate_locus, fixed_points, orbit_set, symmetry_steps
+from .loci import Action, Locus, act_on_words, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
@@ -247,7 +248,6 @@ class SievingInstance:
         binding: dict,
         order_t: int | None = None,
         notes: tuple[str, ...] = (),
-        commutes: Callable[[], bool] | None = None,
     ):
         self.family = family
         self.params = dict(params)
@@ -257,7 +257,6 @@ class SievingInstance:
         self.fixed_count = fixed_count
         self.binding = binding
         self.notes = tuple(notes)
-        self._commutes = commutes
 
     @property
     def bivariate(self) -> bool:
@@ -300,55 +299,64 @@ def _shift_binding(step: int, order: int) -> dict:
     return {"action": "value-shift", "step": step, "order": order}
 
 
-class _Powers:
-    """Every power of one permutation of indices, up to its own order.
+def _fixed_table(a: list[int], b: list[int], p: int, q: int) -> Callable[[int, int], int]:
+    """``fixed(r, s)``: how many indices b^s a^r fixes, for index permutations a and b
+    with a^p = b^q = 1 that commute (checked first, in one C-level pass).
 
-    Composition stops when the identity comes back, so exponents are reduced by the
-    permutation's own order, which divides its action's ``Action.order``.
+    The group is abelian, so b^s a^r fixes all of an orbit of <a, b> or none of it:
+    all of it exactly when (r, s) stabilizes the orbit's first index i0.  Each orbit
+    is walked once: the b-cycle of i0, then a until a^r0(i0) = b^t0(i0) falls back
+    into that cycle, marking the r0 b-cycles met on the way.  The stabilizer is
+    then the cosets (m r0, -m t0 mod |cycle|), and the orbit has r0 |cycle| points.
     """
+    if list(map(a.__getitem__, b)) != list(map(b.__getitem__, a)):
+        raise DomainError("the two actions do not commute on this set")
+    table = [[0] * q for _ in range(p)]
+    seen = bytearray(len(a))
+    for i0 in range(len(a)):
+        if seen[i0]:
+            continue
+        cycle, j = {}, i0  # each point of the b-cycle of i0, with its step from i0
+        while j not in cycle:
+            cycle[j] = len(cycle)
+            j = b[j]
+        layer, j, r0 = list(cycle), a[i0], 1
+        while True:
+            for x in layer:
+                seen[x] = 1
+            if j in cycle:
+                break
+            layer, j, r0 = list(map(a.__getitem__, layer)), a[j], r0 + 1
+        c, t0 = len(cycle), cycle[j]
+        for m in range(p // r0):
+            row = table[m * r0]
+            for s in range(-m * t0 % c, q, c):
+                row[s] += r0 * c
 
-    def __init__(self, perm: list[int]):
-        self._powers = [list(range(len(perm)))]
-        while (power := list(map(perm.__getitem__, self._powers[-1]))) != self._powers[0]:
-            self._powers.append(power)
-
-    def __getitem__(self, exponent: int) -> list[int]:
-        if exponent < 0:
+    def fixed(r: int, s: int) -> int:
+        if r < 0 or s < 0:
             raise DomainError("negative action power")
-        return self._powers[exponent % len(self._powers)]
+        return table[r % p][s % q]
 
-    def inverse(self, exponent: int) -> list[int]:
-        """The inverse of the exponent-th power."""
-        if exponent < 0:
-            raise DomainError("negative action power")
-        return self._powers[-exponent % len(self._powers)]
+    return fixed
 
 
-def _word_grid(locus: Locus, action_q: Action, action_t: Action) -> tuple[Callable[..., int], Callable[[], bool]]:
-    """``fixed_count`` and the commute check, on the generators as permutations of
-    word indices.  Each generator moves every word once (``act_on_words``), on first
-    use; closure under both generators is closure under every element, as they are
-    injective.  shift^r move^s fixes index i exactly when move^s(i) = shift^-r(i), so
-    each cell compares two stored powers index by index and composes nothing."""
+def _word_grid(locus: Locus, action_q: Action, action_t: Action) -> Callable[[int, int], int]:
+    """``fixed_count`` on the generators as permutations of word indices.  Each
+    generator moves every word once (``act_on_words``), on first use; closure under
+    both generators is closure under every element, as they are injective."""
 
     @functools.cache
-    def generators() -> tuple[_Powers, _Powers]:
+    def table() -> Callable[[int, int], int]:
         words = locus.words
         index = dict(zip(words, range(len(words))))
         try:
-            return tuple(_Powers(list(map(index.__getitem__, act_on_words(a, words)))) for a in (action_q, action_t))
+            a, b = (list(map(index.__getitem__, act_on_words(x, words))) for x in (action_q, action_t))
         except KeyError:
             raise InternalCheckError("action does not preserve the locus") from None
+        return _fixed_table(a, b, action_q.order, action_t.order)
 
-    def fixed(r: int, s: int) -> int:
-        shifts, moves = generators()
-        return sum(map(operator.eq, moves[s], shifts.inverse(r)))
-
-    def commutes() -> bool:
-        shift, move = (powers[1] for powers in generators())
-        return list(map(shift.__getitem__, move)) == list(map(move.__getitem__, shift))
-
-    return fixed, commutes
+    return lambda r, s: table()(r, s)
 
 
 def word_bicsp_instance(
@@ -373,17 +381,15 @@ def word_bicsp_instance(
     all_notes = (_BINDING_NOTE,) + tuple(notes)
     if locus.infeasible:
         all_notes = all_notes + ("the parameter range admits no words; every row checks 0 = 0",)
-    fixed, commutes = _word_grid(locus, shift, position_action)
     return SievingInstance(
         family,
         locus.describe(),
         polynomial,
         shift.order,
-        fixed,
+        _word_grid(locus, shift, position_action),
         binding,
         order_t=position_action.order,
         notes=all_notes,
-        commutes=commutes,
     )
 
 
@@ -395,11 +401,11 @@ def _orbit_instance(family: str, locus: Locus, group: str, polynomial: SparsePol
     params["group"] = group
 
     @functools.cache
-    def shifts() -> _Powers:
-        return _Powers(orbits.shift_permutation(step))
+    def table() -> Callable[[int, int], int]:
+        return _fixed_table(orbits.shift_permutation(step), list(range(orbits.size)), order, 1)
 
     def fixed(r: int) -> int:
-        return fixed_points(shifts()[r])
+        return table()(r, 0)
 
     all_notes = (_BINDING_NOTE,) + tuple(notes)
     if locus.infeasible:
@@ -460,12 +466,10 @@ def verify_bicsp(inst: SievingInstance) -> Report:
     """Check a two-action instance over the full grid of exponent pairs.
 
     The two actions must commute pointwise on the set; otherwise the product group
-    is not defined and the request is rejected.
+    is not defined and the first count rejects the request.
     """
     if not inst.bivariate:
         raise DomainError("instance carries a single action; use verify_csp")
-    if inst._commutes is not None and not inst._commutes():
-        raise DomainError("the two actions do not commute on this set")
     level = math.lcm(inst.order_q, inst.order_t)
     rows = []
     for r in range(inst.order_q):
@@ -487,9 +491,9 @@ def verify_bicsp(inst: SievingInstance) -> Report:
 def verify_family(family: str, n=None, k=None, mu=None, a=None) -> Report:
     """Build the instance for a named result and run the matching verifier.
 
-    Cyclic GC is paused meanwhile, then restored: the word tuples, index dicts and
-    permutation lists made here form no cycles, and the few cycles made meanwhile
-    wait for the next collection.
+    Cyclic GC is paused meanwhile, then restored: the word tuples, index dicts,
+    index permutations and count table made here form no cycles, and the few
+    cycles made meanwhile wait for the next collection.
     """
     enabled = gc.isenabled()
     gc.disable()

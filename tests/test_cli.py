@@ -287,15 +287,22 @@ def test_suite_clamped_runs_all_criteria(capsys):
     assert all(cell["ok"] for cell in data["criteria"])
 
 
-def test_module_entry_point():
+def run_module(*args):
     # The subprocess imports the package the tests import, however pytest found it.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(orbitsieve.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitsieve.cli", "poly", "--family", "comp-csp", "--n", "3", "--k", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "orbitsieve.cli", *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = run_module("poly", "--family", "comp-csp", "--n", "3", "--k", "2")
     assert proc.returncode == 0
     assert proc.stdout == "1 + q\n"
+
+
+def test_module_entry_point_exits_with_main_s_code():
+    # 3 is main's own budget code, not one argparse could give.
+    proc = run_module("harmonics", "--family", "X", "--n", "4", "--k", "4", "--hilbert", "--max-points", "10")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: |X| = 256 exceeds the point budget 10\n"

@@ -15,7 +15,7 @@ from orbitsieve.cyclotomic import (
 )
 from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly
-from orbitsieve.rat import RAT
+from orbitsieve.rat import RAT, rat_as_int
 
 
 def int_poly_mul(a, b):
@@ -202,3 +202,9 @@ def test_repr_prints_each_coordinate_with_str():
     f4 = cyclo_field(4)
     assert repr(f4.root_power(1)) == "CycloElement(L=4, [0, 1])"
     assert repr(f4.element([RAT(1, 2), RAT(-3)])) == "CycloElement(L=4, [1/2, -3])"
+
+
+def test_rat_as_int_rejects_a_non_integral_rational():
+    assert rat_as_int(RAT(6, 3)) == 2
+    with pytest.raises(ValueError, match="^not an integer: 1/2$"):
+        rat_as_int(RAT(1, 2))

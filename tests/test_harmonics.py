@@ -13,9 +13,9 @@ composition, and graded traces read modulo a prime with traces summed in exact
 Q(zeta_k).
 """
 
+import time
 from itertools import chain, islice
 from math import isqrt
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -589,14 +589,18 @@ class TestPackedRows:
         with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
             vanishing_ideal(locus)
 
-    def test_elimination_past_its_degree_bound_is_an_internal_error(self):
-        # |X| standard monomials form an order ideal, so a true locus ends by degree
-        # |X| + 1, inside the guard's |X| + n k.  A stand-in that states |X| = 0 for
-        # the point (1,) of {1, 2} passes that guard at degree 3.
-        locus = SimpleNamespace(n=1, k=2, scaling_order=2, size=0)
-        p = next(interpolation.split_primes(2))
+    def test_elimination_past_its_count_bound_is_an_internal_error(self, monkeypatch):
+        # With every stored pivot inverse read as 0 no row reduces anything, so every
+        # monomial looks standard; the walk stops once a class has more standard
+        # monomials than the five orbit representatives.
+        reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
+        p = next(interpolation.split_primes(6))
+        roots = interpolation.primitive_roots(6, p)
+        monkeypatch.setattr(interpolation, "pow", lambda b, e, m: 0 if e == -1 else pow(b, e, m), raising=False)
+        start = time.perf_counter()
         with pytest.raises(InternalCheckError, match="^point-ideal elimination failed to terminate$"):
-            interpolation.modular_elimination(locus, [(1,)], p, interpolation.primitive_roots(2, p))
+            interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, p, roots)
+        assert time.perf_counter() - start < 5
 
 
 # Z(3, 2): six points, shift order 2, three orbit representatives, and the

@@ -26,9 +26,13 @@ from orbitsieve.loci import (
     apply_action,
     canonical_form,
     enumerate_locus,
-    fixed_points,
     orbit_set,
 )
+
+
+def fixed_points(images):
+    """Number of indices i whose image (the i-th entry) is i."""
+    return sum(x == i for i, x in enumerate(images))
 
 
 def surjection_count(n, k):

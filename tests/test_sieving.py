@@ -18,7 +18,6 @@ from orbitsieve.loci import (
     apply_action,
     canonical_form,
     enumerate_locus,
-    fixed_points,
     orbit_set,
 )
 from orbitsieve.qpoly import SparsePoly, q_binomial
@@ -458,16 +457,59 @@ def test_negative_exponents_rejected():
         build_instance("necklace-X", n=3, k=2).fixed_count(-1)
 
 
-def test_inverse_powers_use_the_permutation_s_own_order():
-    # Order 6; exponents past it are reduced by it, and each inverse undoes its power.
-    powers = sieving._Powers([1, 2, 0, 4, 3])
-    for r in range(20):
-        assert [powers[r][i] for i in powers.inverse(r)] == list(range(5))
-        assert powers.inverse(r) == powers[(6 - r % 6) % 6]
-    empty = sieving._Powers([])
-    assert empty.inverse(3) == empty[0] == []
-    with pytest.raises(DomainError, match="^negative action power$"):
-        powers.inverse(-1)
+def index_powers(perm, count):
+    """perm^0, ..., perm^(count - 1), each composed one step at a time."""
+    powers = [list(range(len(perm)))]
+    while len(powers) < count:
+        powers.append([perm[i] for i in powers[-1]])
+    return powers
+
+
+def assert_table_composes(a, b, p, q):
+    """Every cell of the tally, past p and q too, against b^s a^r composed directly."""
+    fixed = sieving._fixed_table(a, b, p, q)
+    for r, ar in enumerate(index_powers(a, 2 * p + 2)):
+        for s, bs in enumerate(index_powers(b, 2 * q + 2)):
+            assert fixed(r, s) == sum(bs[x] == i for i, x in enumerate(ar)), (r, s)
+
+
+def index_order(perm):
+    """The least m >= 1 with perm^m the identity."""
+    m, current = 1, list(perm)
+    while current != sorted(perm):
+        m, current = m + 1, [perm[i] for i in current]
+    return m
+
+
+@st.composite
+def commuting_pairs(draw):
+    """Powers of one random permutation on each of up to three disjoint index blocks,
+    so orbits with different stabilizers mix; p and q are multiples of the orders."""
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        powers = index_powers(draw(st.permutations(range(draw(st.integers(0, 6))))), 13)
+        a += [len(a) + x for x in powers[draw(st.integers(0, 12))]]
+        b += [len(b) + x for x in powers[draw(st.integers(0, 12))]]
+    p, q = (index_order(perm) * draw(st.integers(1, 3)) for perm in (a, b))
+    return a, b, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_pairs())
+def test_fixed_table_equals_direct_composition(pair):
+    assert_table_composes(*pair)
+
+
+def test_fixed_table_reduces_exponents_past_the_order():
+    # (0 1 2)(3 4) has order 6 and commutes with (3 4); a declared order of 12 is a multiple.
+    assert_table_composes([1, 2, 0, 4, 3], [0, 1, 2, 4, 3], 6, 2)
+    assert_table_composes([1, 2, 0, 4, 3], [0, 1, 2, 4, 3], 12, 4)
+    fixed = sieving._fixed_table([1, 2, 0, 4, 3], [0, 1, 2, 4, 3], 6, 2)
+    assert [fixed(r, 0) for r in range(20)] == [5, 0, 2, 3, 2, 0] * 3 + [5, 0]
+    assert sieving._fixed_table([], [], 1, 1)(3, 5) == 0
+    for r, s in [(-1, 0), (0, -1)]:
+        with pytest.raises(DomainError, match="^negative action power$"):
+            fixed(r, s)
 
 
 def test_negative_coefficient_is_an_internal_error():
@@ -488,12 +530,6 @@ def test_locus_not_preserved_by_the_position_action_is_an_internal_error():
     inst = word_instance(Locus("X", 3, 2, ((1, 1, 2), (2, 2, 1))), Action.position_rotation(3))
     with pytest.raises(InternalCheckError):
         verify_bicsp(inst)
-
-
-def test_commute_check_of_a_word_instance_runs():
-    inst = build_instance("word-bicsp-Z", n=4, k=3)
-    assert inst._commutes() is True
-    assert word_instance(enumerate_locus("springer", 4), Action.permutation((1, 2, 0, 3)))._commutes() is True
 
 
 def close_under(words, position):
@@ -550,7 +586,8 @@ def test_orbit_counts_equal_recanonicalised_counts(family, kwargs, locus_args):
     locus = enumerate_locus(*locus_args, mu=kwargs.get("mu"), a=kwargs.get("a"))
     orbits = orbit_set(locus, inst.params["group"])
     for shift in range(0, locus.k, locus.scaling_step):
-        assert fixed_points(orbits.shift_permutation(shift)) == recanonicalised_count(orbits, shift)
+        images = orbits.shift_permutation(shift)
+        assert sum(x == i for i, x in enumerate(images)) == recanonicalised_count(orbits, shift)
     for r in range(2 * inst.order_q + 1):
         assert inst.fixed_count(r) == recanonicalised_count(orbits, locus.scaling_step * r % locus.k)
 
@@ -621,28 +658,21 @@ def test_verifier_dispatch_mismatch():
 
 
 def test_non_commuting_actions_rejected():
+    # On X(3, 2) the swap of the first two positions does not commute with the rotation.
     locus = enumerate_locus("X", 3, 2)
-    rotation = Action.position_rotation(3)
-    swap = Action.permutation((1, 0, 2))
+    index = {w: i for i, w in enumerate(locus.words)}
+    swap, rotation = Action.permutation((1, 0, 2)), Action.position_rotation(3)
+    a, b = ([index[apply_action(g, w)] for w in locus.words] for g in (swap, rotation))
+    counted = []
 
-    def commutes():
-        return all(
-            apply_action(swap, apply_action(rotation, w)) == apply_action(rotation, apply_action(swap, w))
-            for w in locus.words
-        )
+    def fixed(r, s):
+        counted.append((r, s))
+        return sieving._fixed_table(a, b, swap.order, rotation.order)(r, s)
 
-    inst = SievingInstance(
-        "custom",
-        {"n": 3, "k": 2},
-        SparsePoly.one(),
-        swap.order,
-        lambda r, s: 0,
-        {},
-        order_t=rotation.order,
-        commutes=commutes,
-    )
-    with pytest.raises(DomainError):
+    inst = SievingInstance("custom", {"n": 3, "k": 2}, SparsePoly.one(), swap.order, fixed, {}, order_t=rotation.order)
+    with pytest.raises(DomainError, match="^the two actions do not commute on this set$"):
         verify_bicsp(inst)
+    assert counted == [(0, 0)]
 
 
 # -- independent derivation ---------------------------------------------------------------
