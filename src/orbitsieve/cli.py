@@ -26,6 +26,7 @@ from .harmonics import (
     DEFAULT_MAX_POINTS,
     DEFAULT_MAX_VARS,
     associated_graded,
+    check_budget,
     graded_frobenius,
     harmonics_json,
     hilbert_series,
@@ -198,6 +199,9 @@ def _cmd_verify(ns) -> tuple[int, str]:
 
 
 def _cmd_harmonics(ns) -> tuple[int, str]:
+    # Every budget is checked, also one the chosen mode does not read.
+    for value, name in ((ns.max_points, "point"), (ns.max_vars, "variable"), (ns.max_pairs, "Buchberger pair")):
+        check_budget(value, name)
     locus = _locus_from(ns)
     budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.groebner and not ns.hilbert:

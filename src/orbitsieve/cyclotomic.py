@@ -96,7 +96,7 @@ class CycloField:
         return CycloElement(self, tuple(acc))
 
     def element(self, coords) -> "CycloElement":
-        coords = tuple(RAT(c) for c in coords)
+        coords = tuple(c if isinstance(c, int) else RAT(c) for c in coords)
         if len(coords) != self.degree:
             raise DomainError("wrong coordinate length for this field")
         return CycloElement(self, coords)

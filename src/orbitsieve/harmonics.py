@@ -51,11 +51,11 @@ from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
 from .interpolation import (
     Exponents,
+    PackedMonomials,
     grevlex_key,
     modular_lifts,
     primitive_roots,
     split_primes,
-    successors,
 )
 from .loci import Action, Locus, act_on_words
 from .qpoly import SparsePoly
@@ -413,22 +413,25 @@ class QuotientBasis:
 
 def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
     """Standard monomials degree by degree: a monomial is standard when it is not
-    a leading exponent and its one-step predecessors are all standard."""
+    a leading exponent and its one-step predecessors are all standard.  A standard
+    e has e_i below the least pure power x_i^a among the leads, so the packed walk
+    visits no exponent above the largest such a."""
     leads = gb.leading_exponents()
     n = gb.nvars
-    for i in range(n):
-        if not any(all(e == 0 for j, e in enumerate(lt) if j != i) for lt in leads):
-            raise DomainError("quotient is not finite-dimensional (no pure power in the leading terms)")
-    lead_set = set(leads)
+    pure = [[lt[i] for lt in leads if sum(lt) == lt[i]] for i in range(n)]
+    if not all(pure):
+        raise DomainError("quotient is not finite-dimensional (no pure power in the leading terms)")
+    monos = PackedMonomials(n, max(map(min, pure), default=0))
+    lead_set = set(map(monos.pack, leads))
     levels: list[tuple[Exponents, ...]] = []
     total = 0
-    level = [e for e in [(0,) * n] if e not in lead_set]
+    level = [e for e in [monos.one] if e not in lead_set]
     while level:
         total += len(level)
         if total > MAX_QUOTIENT_DIM:
             raise ResourceBudgetError(f"quotient dimension exceeds the budget {MAX_QUOTIENT_DIM}")
-        levels.append(tuple(level))
-        level = [e for e in successors(level, n) if e not in lead_set]
+        levels.append(tuple(map(monos.unpack, level)))
+        level = [e for e in monos.successors(level) if e not in lead_set]
     return QuotientBasis(n, tuple(levels))
 
 
@@ -479,6 +482,7 @@ def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> 
     Classic pair processing with the coprime-criterion skip; a pair budget guards
     runaway inputs.
     """
+    check_budget(max_pairs, "Buchberger pair")
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
         raise DomainError("no nonzero generators")
@@ -566,8 +570,16 @@ def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
 # -- vanishing ideals of loci (Buchberger-Moller) -----------------------------------
 
 
+def check_budget(value: int, name: str) -> None:
+    """Refuse a negative budget: a usage error (DomainError), not an exceeded budget."""
+    if value < 0:
+        raise DomainError(f"the {name} budget must be nonnegative, not {value}")
+
+
 def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
-    """Refuse empty loci and loci beyond the point or variable budget."""
+    """Refuse negative budgets, empty loci and loci beyond the point or variable budget."""
+    check_budget(max_points, "point")
+    check_budget(max_vars, "variable")
     if locus.size == 0:
         raise DomainError("vanishing ideal of an empty locus")
     if locus.size > max_points:

@@ -9,6 +9,16 @@ predecessors were all standard at degree d, so no multiple of a leading exponent
 is visited.  A monomial whose eigenclass vector depends on the earlier standard
 ones is a leading exponent, and the dependency gives its generator's tail.
 
+The walk runs on packed monomials (``PackedMonomials``; Monagan and Pearce,
+2007): x^e is one int with deg e in its top field and M - e_i in field i below
+it, each b bits wide with M = 2^b - 1, variable n - 1 most significant.
+Ascending ints are then ascending grevlex, multiplying by x_i adds a constant,
+and the first variable with e_i > 0 holds the lowest set bit of the complement.
+The fields hold every exponent visited: until the walk ends, every degree it has
+passed holds a standard monomial, and past #reps in one eigenclass the
+elimination stops, so there are at most |X| of them and no exponent exceeds |X|
+(``walk_monomials``).  Exponent tuples appear only in the layout.
+
 The elimination produces a layout, listing for each generator its leading
 exponent and the standard monomials of its eigenclass found before it, and the
 power-basis coordinates in Q(zeta_k) of every tail coefficient on them, flattened
@@ -60,6 +70,7 @@ No polynomial type appears here; ``harmonics`` assembles and certifies the bases
 from __future__ import annotations
 
 import math
+import operator
 from itertools import islice, repeat
 
 from .cyclotomic import cyclo_field
@@ -80,24 +91,54 @@ def grevlex_key(e: Exponents):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def successors(level: list[Exponents], n: int) -> list[Exponents]:
-    """Exponents of degree d + 1 whose one-step predecessors all lie in ``level``.
+class PackedMonomials:
+    """Monomials in n variables with exponents at most ``bound``, as packed grevlex
+    ints (see the module docstring)."""
 
-    With ``level`` the standard exponents of degree d, these are the degree-(d + 1)
-    exponents that no leading exponent of degree <= d divides, in ascending grevlex
-    order.  Each one is built once, from its predecessor at its first nonzero
-    position, and its other predecessors are looked up.
-    """
-    members = set(level)
-    out = []
-    for s in level:
-        first = next((i for i, x in enumerate(s) if x), n - 1)
-        for i in range(first + 1):
-            m = s[:i] + (s[i] + 1,) + s[i + 1 :]
-            if all(m[:j] + (m[j] - 1,) + m[j + 1 :] in members for j in range(first, n) if j != i and m[j]):
-                out.append(m)
-    out.sort(key=grevlex_key)
-    return out
+    def __init__(self, n: int, bound: int):
+        self.n = n
+        self.bits = bits = max(bound, 1).bit_length()
+        self.full = (1 << bits) - 1
+        self.shifts = tuple(range(0, n * bits, bits))
+        # x_i times a monomial adds steps[i]: one to the degree, minus one to field i.
+        self.steps = tuple((1 << n * bits) - (1 << s) for s in self.shifts)
+        self.one = sum(self.full << s for s in self.shifts)
+
+    def pack(self, e: Exponents) -> int:
+        return self.one + sum(map(operator.mul, e, self.steps))
+
+    def unpack(self, m: int) -> Exponents:
+        full = self.full
+        return tuple([full - (m >> s & full) for s in self.shifts])
+
+    def first(self, m: int) -> int:
+        """The first variable with a nonzero exponent, or n - 1 for x^0."""
+        return min((((m + 1) & ~m).bit_length() - 1) // self.bits, self.n - 1)
+
+    def successors(self, level: list[int]) -> list[int]:
+        """Monomials of degree d + 1 whose one-step predecessors all lie in ``level``.
+
+        With ``level`` the standard monomials of degree d, these are the degree-(d + 1)
+        monomials that no leading monomial of degree <= d divides, ascending.  Each is
+        built once, from its predecessor at its first nonzero variable.
+        """
+        members = set(level)
+        full, shifts, steps = self.full, self.shifts, self.steps
+        out = []
+        for s in level:
+            first = self.first(s)
+            # The variables j >= first with e_j > 0, each giving m's predecessor
+            # m - steps[j] for every m = s + steps[i], i <= first.
+            down = [steps[j] for j in range(first, self.n) if (s >> shifts[j] & full) != full]
+            for i in range(first + 1):
+                m = s + steps[i]
+                for step in down:
+                    if m - step not in members:
+                        break
+                else:
+                    out.append(m)
+        out.sort()
+        return out
 
 
 def unit_stable(locus: Locus) -> bool:
@@ -216,7 +257,9 @@ def inverse_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
 
 
 def rational_reconstruction(r: int, m: int):
-    """The fraction a/b with a = b r (mod m) and |a|, b <= sqrt(m/2), or None (Wang)."""
+    """The fraction a/b with a = b r (mod m) and |a|, b <= sqrt(m/2), or None (Wang).
+
+    An integer a/1 is returned as the int a, so integral lifts make no rationals."""
     bound = math.isqrt(m // 2)
     r0, r1, s0, s1 = m, r % m, 0, 1
     while r1 > bound:
@@ -225,7 +268,7 @@ def rational_reconstruction(r: int, m: int):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return RAT(r1, s1)
+    return r1 * s1 if abs(s1) == 1 else RAT(r1, s1)
 
 
 # -- elimination over F_p --------------------------------------------------------------
@@ -295,6 +338,11 @@ def _slot_reducer(p: int, width: int, m: int):
     return reduce
 
 
+def walk_monomials(locus: Locus) -> PackedMonomials:
+    """The packing of the elimination's walk, whose exponents stay at most |X|."""
+    return PackedMonomials(locus.n, locus.size)
+
+
 def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     """Buchberger-Moller over F_p, run side by side for each zeta_k -> omega in roots.
 
@@ -302,7 +350,8 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     soon as the roots disagree on whether a monomial is standard.  Otherwise
     returns the standard monomials in the order found and, for every leading
     exponent e in the order found, (e, the standard monomials of e's eigenclass
-    found before it, per root the tail coefficients mod p on them).
+    found before it, per root the tail coefficients mod p on them), every
+    monomial packed by ``walk_monomials(locus)``.
     """
     n, kk, korder = locus.n, locus.k, locus.scaling_order
     m = len(reps)
@@ -323,20 +372,21 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
     # without reducing mod p; only the slot read as the next multiplier is
     # reduced, and the vector once at the end, all slots at once.
     rows_by_root = [[[] for _ in range(korder)] for _ in roots]
-    cls_stds: list[list[Exponents]] = [[] for _ in range(korder)]
-    stds: list[Exponents] = []
+    cls_stds: list[list[int]] = [[] for _ in range(korder)]
+    stds: list[int] = []
     gens: list[tuple] = []
-    level = [(0,) * n]
+    monos = walk_monomials(locus)
+    level = [monos.one]
     # Exponent-word dot products mod k, per standard monomial of the last degree.
-    dots = {level[0]: [0] * m}
+    dots = {monos.one: [0] * m}
     d = 0
     while level:
         found = []
         next_dots = {}
         for e in level:
             if d:
-                i = next(i for i, x in enumerate(e) if x)
-                pred = dots[e[:i] + (e[i] - 1,) + e[i + 1 :]]
+                i = monos.first(e)
+                pred = dots[e - monos.steps[i]]
                 t = [(a + b) % kk for a, b in zip(pred, columns[i])]
             else:
                 t = dots[e]
@@ -369,7 +419,7 @@ def modular_elimination(locus: Locus, reps, p: int, roots: list[int]):
                 found.append(e)
                 next_dots[e] = t
         stds.extend(found)
-        level = successors(found, n)
+        level = monos.successors(found)
         dots = next_dots
         d += 1
     return stds, gens
@@ -389,7 +439,8 @@ def modular_lifts(locus: Locus, reps):
     """
     phi = cyclo_field(locus.k).degree
     rational = unit_stable(locus)
-    staircase = None  # (grevlex keys of the standard monomials, layout)
+    unpack = walk_monomials(locus).unpack
+    staircase = None  # (packed standard monomials, layout)
     residues: list[int] = []
     modulus = 1
     for p in islice(split_primes(locus.k), MODULAR_PRIMES):
@@ -408,13 +459,14 @@ def modular_lifts(locus: Locus, reps):
         for _, _, tails in gens:
             for values in zip(*tails):
                 coords.extend(sum(a * v for a, v in zip(row, values)) % p for row in vinv)
-        key = [grevlex_key(e) for e in stds]
-        if staircase is None or key < staircase[0]:
+        if staircase is None or stds < staircase[0]:
             # Independence mod p implies independence over Q(zeta_k), so the true
             # staircase is the least one any prime shows: a smaller one restarts.
-            staircase = (key, [(e, cls_stds) for e, cls_stds, _ in gens])
+            exps = dict(zip(stds, map(unpack, stds)))
+            layout = [(unpack(e), tuple(map(exps.__getitem__, cls_stds))) for e, cls_stds, _ in gens]
+            staircase = (stds, layout)
             residues, modulus = coords, p
-        elif key == staircase[0]:
+        elif stds == staircase[0]:
             inv = pow(modulus, -1, p)
             residues = [r + modulus * ((c - r) * inv % p) for r, c in zip(residues, coords)]
             modulus *= p

@@ -1,8 +1,9 @@
 """Exact rational scalar type.
 
-gmpy2.mpq when available (much faster in the linear-algebra kernels), with
-fractions.Fraction as a drop-in fallback.  Both expose numerator/denominator and
-exact field arithmetic; everything downstream relies only on that surface.
+gmpy2.mpq when available, with fractions.Fraction as a drop-in fallback.  Both
+expose numerator/denominator and exact field arithmetic; everything downstream
+relies only on that surface.  The linear-algebra kernels run on ints mod p, and
+integral coordinates stay ints, so a rational appears only where one is not.
 """
 
 try:

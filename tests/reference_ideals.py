@@ -14,6 +14,9 @@ exactly.
 residues, one entry per orbit representative, and each monomial's row built from
 its exponent dot products directly; ``interpolation.modular_elimination`` packs
 rows into integers and builds them incrementally, and must return the same.
+
+Both eliminations here walk the staircase on exponent tuples (``successors``),
+so they share no staircase code with the packed walk of ``interpolation``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,25 @@ from __future__ import annotations
 from orbitsieve.cyclotomic import CycloElement, CycloField, cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
 from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
-from orbitsieve.interpolation import Exponents, _tail_coefficients, orbit_representatives, successors
+from orbitsieve.interpolation import Exponents, _tail_coefficients, grevlex_key, orbit_representatives
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT, RAT_ZERO
+
+
+def successors(level: list[Exponents], n: int) -> list[Exponents]:
+    """Exponents of degree d + 1 whose one-step predecessors all lie in ``level``, on
+    tuples: with ``level`` the standard exponents of degree d, the degree-(d + 1)
+    exponents that no leading exponent of degree <= d divides, ascending grevlex."""
+    members = set(level)
+    out = []
+    for s in level:
+        first = next((i for i, x in enumerate(s) if x), n - 1)
+        for i in range(first + 1):
+            m = s[:i] + (s[i] + 1,) + s[i + 1 :]
+            if all(m[:j] + (m[j] - 1,) + m[j + 1 :] in members for j in range(first, n) if j != i and m[j]):
+                out.append(m)
+    out.sort(key=grevlex_key)
+    return out
 
 
 def variable(field: CycloField, n: int, i: int) -> MultiPoly:

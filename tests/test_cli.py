@@ -97,6 +97,29 @@ def test_budget_exceeded_exit_code(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", ["--check-presentation", "--hilbert"])
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--max-points", "-5", "the point budget must be nonnegative, not -5"),
+        ("--max-vars", "-1", "the variable budget must be nonnegative, not -1"),
+        ("--max-pairs", "-1", "the Buchberger pair budget must be nonnegative, not -1"),
+    ],
+)
+def test_negative_budget_is_usage_error(capsys, mode, flag, value, message):
+    # The library raises the same message; a mode that never reads the budget
+    # still refuses it.
+    code, out, err = run_cli(capsys, "harmonics", "--family", "X", "--n", "3", "--k", "2", mode, flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_zero_pair_budget_is_legal_and_exceeded(capsys):
+    code, out, err = run_cli(
+        capsys, "harmonics", "--family", "Z", "--n", "3", "--k", "2", "--check-presentation", "--max-pairs", "0"
+    )
+    assert (code, out, err) == (3, "", "error: Buchberger pair budget 0 exceeded\n")
+
+
 def test_prime_budget_exceeded_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
     code, out, err = run_cli(capsys, "harmonics", "--family", "X", "--n", "2", "--k", "2", "--hilbert")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitsieve.cyclotomic import (
-    CycloElement,
     CycloField,
     cyclo_field,
     cyclotomic_polynomial,
@@ -190,11 +189,14 @@ def test_integral_coordinates_are_ints():
 def test_int_and_rational_coordinates_are_equal_and_hash_equal():
     f5 = cyclo_field(5)
     for ints in [(0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 0, 7), (0, 0, 0, -3)]:
-        as_int = CycloElement(f5, ints)
+        as_int = f5.element(ints)
         as_rat = f5.element([RAT(x) for x in ints])
+        assert all(type(x) is int for x in as_int.coords)
         assert not any(type(x) is int for x in as_rat.coords)
         assert as_int == as_rat
         assert hash(as_int) == hash(as_rat)
+        assert repr(as_int) == repr(as_rat)
+        assert as_int.is_integer() == as_rat.is_integer() == (ints[1:] == (0, 0, 0))
     assert len({f5.one, f5.element([RAT(1), 0, 0, 0])}) == 1
 
 

@@ -53,6 +53,7 @@ from reference_ideals import (
     exact_vanishing_ideal,
     list_elimination,
     point_ideal_product,
+    successors,
     variable,
 )
 
@@ -236,6 +237,14 @@ def _root_counts(monkeypatch):
 # scaling letters by the units mod k, so their bases are not rational.
 NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (1, 2, 1))]
 
+STOCK_LOCI = (
+    SMALL_LOCI
+    + ORACLE_MID_LOCI
+    + [("tanisaki", n, None, mu) for n, mu in NON_UNIT_STABLE_LOCI]
+    # The largest cells that budgets of 1,024 points and 6 variables admit.
+    + [("X", 4, 5, None), ("X", 5, 4, None), ("Y", 6, 6, None)]
+)
+
 
 class TestVanishingIdeal:
     def test_single_point(self):
@@ -294,6 +303,25 @@ class TestVanishingIdeal:
         with pytest.raises(ResourceBudgetError):
             point_ideal_product(enumerate_locus("X", 2, 3))
 
+    @pytest.mark.parametrize(
+        "budgets,message",
+        [
+            ({"max_points": -5}, "the point budget must be nonnegative, not -5"),
+            ({"max_vars": -1}, "the variable budget must be nonnegative, not -1"),
+            ({"max_pairs": -1}, "the Buchberger pair budget must be nonnegative, not -1"),
+        ],
+    )
+    def test_negative_budget_is_a_domain_error(self, budgets, message):
+        locus = enumerate_locus("X", 2, 2)
+        calls = [verify_presentation]
+        if "max_pairs" in budgets:
+            calls.append(lambda locus, **b: buchberger(stated_generators(locus), **b))
+        else:
+            calls += [vanishing_ideal, graded_frobenius]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(locus, **budgets)
+
 
 class TestModularElimination:
     @pytest.mark.parametrize("family,n,k,mu", ORACLE_MID_LOCI + [("Y", 4, 5, None), ("X", 4, 4, None)])
@@ -336,7 +364,7 @@ class TestModularElimination:
         exact = exact_vanishing_ideal(UNLUCKY_13_LOCUS)
         reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
         roots = interpolation.primitive_roots(6, 13)
-        stds, _ = interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots)
+        stds, _ = _unpacked(UNLUCKY_13_LOCUS, interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots))
         assert sorted(stds) != sorted(chain.from_iterable(exact.quotient_basis().by_degree))
 
         monkeypatch.setattr(interpolation, "split_primes", lambda k: iter(order))
@@ -370,14 +398,7 @@ class TestModularElimination:
         with pytest.raises(ResourceBudgetError, match="prime budget"):
             vanishing_ideal(enumerate_locus("Z", 4, 3))
 
-    @pytest.mark.parametrize(
-        "family,n,k,mu",
-        SMALL_LOCI
-        + ORACLE_MID_LOCI
-        + [("tanisaki", n, None, mu) for n, mu in NON_UNIT_STABLE_LOCI]
-        # The largest cells that budgets of 1,024 points and 6 variables admit.
-        + [("X", 4, 5, None), ("X", 5, 4, None), ("Y", 6, 6, None)],
-    )
+    @pytest.mark.parametrize("family,n,k,mu", STOCK_LOCI)
     def test_stock_loci_certify_at_the_first_prime(self, family, n, k, mu, monkeypatch):
         # The first prime's lift passes the certificate, so these loci never
         # come near the prime budget.
@@ -418,11 +439,18 @@ class TestModularElimination:
 
     def test_rational_reconstruction(self):
         m = 1000003 * 998244353
-        for a, b in [(0, 1), (1, 1), (-1, 1), (1, 2), (-96, 49), (12345, 678)]:
-            assert interpolation.rational_reconstruction(a * pow(b, -1, m) % m, m) == RAT(a, b)
+        for a, b in [(0, 1), (1, 1), (-1, 1), (-7, 1), (1, 2), (-96, 49), (12345, 678)]:
+            lifted = interpolation.rational_reconstruction(a * pow(b, -1, m) % m, m)
+            # An int exactly when the denominator is 1.
+            assert lifted == RAT(a, b) and type(lifted) is (int if b == 1 else RAT)
         # Modulo 7 only 0 and +-1 have numerator and denominator within sqrt(7/2).
         lifted = [interpolation.rational_reconstruction(r, 7) for r in range(7)]
         assert lifted == [0, 1, None, None, None, None, -1]
+
+    @pytest.mark.parametrize("family,n,k,mu", [c for c in SMALL_LOCI + ORACLE_MID_LOCI if c[0] in ("X", "Y", "Z")])
+    def test_integral_bases_keep_int_coordinates(self, family, n, k, mu):
+        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        assert all(type(x) is int for x in _coords(gb))
 
     def test_miller_rabin_matches_a_sieve(self):
         limit = 20000
@@ -456,12 +484,22 @@ class TestModularElimination:
                 assert all(pow(omega, j, p) != 1 for j in range(1, k))
 
 
+def _unpacked(locus, run):
+    """A ``modular_elimination`` run with its packed monomials as exponent tuples."""
+    if run is None:
+        return None
+    unpack = interpolation.walk_monomials(locus).unpack
+    stds, gens = run
+    return [unpack(e) for e in stds], [(unpack(e), tuple(map(unpack, c)), t) for e, c, t in gens]
+
+
 def _same_as_list_rows(locus, p):
     """Packed rows and the list reference give the same run at one root and at all."""
     reps = interpolation.orbit_representatives(locus)
     roots = interpolation.primitive_roots(locus.k, p)
     for some in (roots[:1], roots):
-        assert interpolation.modular_elimination(locus, reps, p, some) == list_elimination(locus, reps, p, some)
+        run = interpolation.modular_elimination(locus, reps, p, some)
+        assert _unpacked(locus, run) == list_elimination(locus, reps, p, some)
 
 
 def _first_split_prime(ceiling, k):
@@ -601,6 +639,77 @@ class TestPackedRows:
         with pytest.raises(InternalCheckError, match="^point-ideal elimination failed to terminate$"):
             interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, p, roots)
         assert time.perf_counter() - start < 5
+
+
+def _tuple_staircase(locus, leads):
+    """(standard monomials in the order found, layout) of the elimination's walk, on
+    tuples: each degree's candidates come from ``reference_ideals.successors``, each
+    is a lead or standard, and each lead is laid out with the standard monomials of
+    its eigenclass found before it."""
+    korder, lead_set = locus.scaling_order, set(leads)
+    cls_stds = [[] for _ in range(korder)]
+    stds, layout = [], []
+    level, d = [(0,) * locus.n], 0
+    while level:
+        found = []
+        for e in level:
+            if e in lead_set:
+                layout.append((e, tuple(cls_stds[d % korder])))
+            else:
+                cls_stds[d % korder].append(e)
+                found.append(e)
+        stds.extend(found)
+        level = successors(found, locus.n)
+        d += 1
+    return stds, layout
+
+
+class TestPackedWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_successors_match_the_tuple_walk(self, data):
+        # An order ideal: the monomials no lead divides, with a pure power of every
+        # variable among the leads so that it is finite.  Its exponents stay below
+        # 4, and any field width that holds 3 must give the same walk.
+        n = data.draw(st.integers(1, 6))
+        powers = data.draw(st.tuples(*[st.integers(1, 3)] * n))
+        leads = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+        leads += [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+        monos = interpolation.PackedMonomials(n, data.draw(st.integers(3, 2**12)))
+
+        def standard(e):
+            return not any(all(a >= b for a, b in zip(e, lt)) for lt in leads)
+
+        level = [e for e in [(0,) * n] if standard(e)]
+        while level:
+            assert [monos.unpack(m) for m in monos.successors(list(map(monos.pack, level)))] == (
+                expected := successors(level, n)
+            )
+            level = list(filter(standard, expected))
+
+    @pytest.mark.parametrize("family,n,k,mu", STOCK_LOCI)
+    def test_staircase_is_the_tuple_walk(self, family, n, k, mu):
+        locus = enumerate_locus(family, n, k, mu=mu)
+        reps = interpolation.orbit_representatives(locus)
+        p = next(interpolation.split_primes(locus.k))
+        roots = interpolation.primitive_roots(locus.k, p)
+        if interpolation.unit_stable(locus):
+            roots = roots[:1]
+        stds, gens = _unpacked(locus, interpolation.modular_elimination(locus, reps, p, roots))
+        gb = vanishing_ideal(locus, max_points=1024, max_vars=6)
+        expected = _tuple_staircase(locus, gb.leading_exponents())
+        assert (stds, [(e, c) for e, c, _ in gens]) == expected
+        assert next(interpolation.modular_lifts(locus, reps))[0] == expected[1]
+        assert list(chain.from_iterable(gb.quotient_basis().by_degree)) == stds
+
+    @pytest.mark.parametrize("k", [256, 300])
+    def test_walk_reaches_the_degree_bound(self, k):
+        # One variable and one orbit: the walk ends at degree |X| = k, the width
+        # bound itself; 256 needs a ninth bit.
+        gb = vanishing_ideal(enumerate_locus("X", 1, k), max_points=k)
+        field = cyclo_field(k)
+        assert list(gb.gens) == [MultiPoly(field, 1, {(k,): field.one, (0,): -field.one})]
+        assert gb.quotient_basis().by_degree == tuple(((d,),) for d in range(k))
 
 
 # Z(3, 2): six points, shift order 2, three orbit representatives, and the
