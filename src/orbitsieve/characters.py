@@ -176,9 +176,6 @@ class SchurVector:
     def scale(self, poly: SparsePoly) -> "SchurVector":
         return SchurVector(self.n, {lam: c * poly for lam, c in self._coeffs.items()})
 
-    def evaluate_at_one(self) -> dict[Partition, int]:
-        return {lam: c.evaluate() for lam, c in self.items()}
-
     def pretty(self) -> str:
         if not self._coeffs:
             return "0"

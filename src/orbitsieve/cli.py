@@ -202,10 +202,10 @@ def _cmd_harmonics(ns) -> tuple[int, str]:
     # Every budget is checked, also one the chosen mode does not read.
     for value, name in ((ns.max_points, "point"), (ns.max_vars, "variable"), (ns.max_pairs, "Buchberger pair")):
         check_budget(value, name)
-    locus = _locus_from(ns)
-    budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.groebner and not ns.hilbert:
         raise DomainError("--groebner accompanies --hilbert")
+    locus = _locus_from(ns)
+    budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.check_presentation:
         matches = verify_presentation(locus, max_pairs=ns.max_pairs, **budgets)
         data = {"locus": locus.describe(), "presentation_matches": matches}

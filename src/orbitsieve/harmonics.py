@@ -21,10 +21,9 @@ pass is needed; the standard monomials of T(X) give the Hilbert series and its
 permutation traces give the graded Frobenius image.  The traces are read modulo
 a split prime: S_n preserves the locus (checked), so each is an integer no larger
 than its piece's dimension, and every class' traces must add up to the words its
-permutation fixes.  The normal forms behind them walk packed exponents
-(``GroebnerBasis``): one int per monomial with a guard bit above each variable's
-field, so a monomial product is one addition and a divisibility test one
-subtraction and one mask.  Buchberger's algorithm remains for the stated
+permutation fixes.  The normal forms behind them (``GroebnerBasis``) walk the
+packed exponents of ``interpolation.PackedMonomials``, at a width each basis
+fixes when it is built.  Buchberger's algorithm remains for the stated
 presentations, which are given by generators rather than by points.
 
 ``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
@@ -219,74 +218,47 @@ class GroebnerBasis:
     Every generator must be monic; reductions rely on it and never invert a
     leading coefficient.
 
-    Normal forms walk packed exponents (Monagan and Pearce): x^e is the int whose
-    field i, ``bits`` wide with one guard bit on top, holds e_i.  A product of
-    monomials is then one addition, and with G the guard bits x^lead divides x^e
-    exactly when ((e | G) - lead) & G == G: each field computes 2^bits + e_i -
-    lead_i, which never borrows from the next and keeps its guard bit iff e_i >=
-    lead_i.  The fields hold every exponent of total degree below 2^bits.  Tails lie
-    below their grevlex leads, so reducing x^e meets no monomial of degree above deg
-    e, and the width comes from the largest degree the basis has met: its leads and
-    every query so far.  A query beyond it widens the fields and drops the
-    normal-form caches.
+    Normal forms walk packed exponents in one ``interpolation.PackedMonomials``
+    format, ``monomials``, fixed at construction: a product of monomials is one
+    addition and a divisibility test one subtraction and one mask.  Its fields hold
+    every exponent up to the highest lead degree, which bounds every generator
+    term, and, when each variable has a pure power x_i^a_i among the leads, up to
+    sum(a_i - 1), the top degree of a standard monomial.  Tails lie below their
+    grevlex leads, so reducing x^e meets no monomial of degree above deg e, and
+    every walk from a graded trace stays within the fields.
     """
 
     def __init__(self, field: CycloField, nvars: int, gens: tuple[MultiPoly, ...]):
         self.field = field
         self.nvars = nvars
         self.gens = tuple(sorted(gens, key=lambda g: grevlex_key(g.leading_term()[0])))
-        self._leads = tuple(g.leading_term()[0] for g in self.gens)
-        if any(g.terms[lt] != field.one for g, lt in zip(self.gens, self._leads)):
+        self._leads = leads = tuple(g.leading_term()[0] for g in self.gens)
+        if any(g.terms[lt] != field.one for g, lt in zip(self.gens, leads)):
             raise InternalCheckError("Groebner basis generator is not monic")
-        self._tails = tuple(
-            tuple((e, c) for e, c in g.terms.items() if e != lt) for g, lt in zip(self.gens, self._leads)
+        # The least a_i with x_i^a_i a lead, per variable, or None where a variable has none.
+        self._pure_powers = [min((lt[i] for lt in leads if sum(lt) == lt[i]), default=None) for i in range(nvars)]
+        width = max(map(sum, leads), default=0)
+        if None not in self._pure_powers:
+            width = max(width, sum(self._pure_powers) - nvars)
+        self.monomials = monos = PackedMonomials(nvars, width)
+        self._packed_leads = tuple(map(monos.pack, leads))
+        self._packed_tails = tuple(
+            tuple((monos.pack(e), c) for e, c in g.terms.items() if e != lt) for g, lt in zip(self.gens, leads)
         )
         # Per prime p: the packed tails mapped to F_p and their normal-form cache, or
         # None when p divides a coefficient denominator.
         self._nf_mod: dict[int, tuple | None] = {}
-        self._max_degree = -1
-        self._fit(max(map(sum, self._leads), default=0))
         self._qb: QuotientBasis | None = None
-
-    def _fit(self, degree: int) -> None:
-        """Widen the fields to hold total degree `degree` if they are too narrow;
-        widening repacks the leads and tails and empties the packed caches."""
-        if degree <= self._max_degree:
-            return
-        bits = degree.bit_length()
-        self._max_degree = (1 << bits) - 1
-        self._shifts = tuple(range(0, self.nvars * (bits + 1), bits + 1))
-        self._guard = sum(1 << (s + bits) for s in self._shifts)
-        self._packed_leads = tuple(map(self._pack, self._leads))
-        self._packed_tails = tuple(tuple((self._pack(te), tc) for te, tc in tail) for tail in self._tails)
-        for p, table in self._nf_mod.items():
-            if table is not None:
-                # The same tails in the same order: new exponents, the same images in F_p.
-                tails = zip(self._packed_tails, table[0])
-                self._nf_mod[p] = tuple(tuple((te, c) for (te, _), (_, c) in zip(*t)) for t in tails), {}
-
-    def _pack(self, e: Exponents) -> int:
-        return sum(map(operator.lshift, e, self._shifts))
-
-    def _packed(self, e: Exponents) -> int:
-        """x^e packed, the fields first widened to its degree if they are too narrow."""
-        if len(e) != self.nvars or min(e, default=0) < 0:
-            raise DomainError("exponents do not name a monomial of this basis' ring")
-        self._fit(sum(e))
-        return self._pack(e)
 
     def leading_exponents(self) -> tuple[Exponents, ...]:
         return self._leads
 
-    def _divisor(self, packed: int) -> int | None:
-        high, guard = packed | self._guard, self._guard
-        for idx, lead in enumerate(self._packed_leads):
-            if (high - lead) & guard == guard:
-                return idx
-        return None
-
     def is_standard(self, e: Exponents) -> bool:
-        return self._divisor(self._packed(e)) is None
+        if len(e) != self.nvars or min(e, default=0) < 0:
+            raise DomainError("exponents do not name a monomial of this basis' ring")
+        # Every lead exponent fits the fields, so clamping to them keeps divisibility.
+        monos = self.monomials
+        return monos.divisor(self._packed_leads, monos.pack([min(x, monos.full) for x in e])) is None
 
     def trace_prime(self, bound: int) -> int:
         """The largest split prime p > bound that divides no coefficient denominator.
@@ -325,24 +297,26 @@ class GroebnerBasis:
 
     def _normal_form_walk(self, e: int, p: int) -> dict[int, int]:
         """Normal form of packed x^e modulo p, for p from ``trace_prime``, as a map from
-        packed standard monomials to residues.  The fields must hold deg e.
+        packed standard monomials to residues.  The fields of ``monomials`` must
+        hold deg e.
 
         The generators are monic, so a reduction only adds and multiplies, and the
         walk mod p gives the image of the exact normal form.
         """
         tails, cache = self._nf_mod[p]
+        leads, divisor = self._packed_leads, self.monomials.divisor
         stack = [e]
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            idx = self._divisor(cur)
+            idx = divisor(leads, cur)
             if idx is None:
                 cache[cur] = {cur: 1}
                 stack.pop()
                 continue
-            shift = cur - self._packed_leads[idx]
+            shift = cur - leads[idx]
             # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
             # only the shifted tail survives.
             deps = [(shift + te, tc) for te, tc in tails[idx]]
@@ -413,16 +387,13 @@ class QuotientBasis:
 
 def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
     """Standard monomials degree by degree: a monomial is standard when it is not
-    a leading exponent and its one-step predecessors are all standard.  A standard
-    e has e_i below the least pure power x_i^a among the leads, so the packed walk
-    visits no exponent above the largest such a."""
-    leads = gb.leading_exponents()
-    n = gb.nvars
-    pure = [[lt[i] for lt in leads if sum(lt) == lt[i]] for i in range(n)]
-    if not all(pure):
+    a leading exponent and its one-step predecessors are all standard.  A visited
+    e has e_i at most the least pure power x_i^a among the leads, so the walk stays
+    within the basis' packed fields."""
+    if None in gb._pure_powers:
         raise DomainError("quotient is not finite-dimensional (no pure power in the leading terms)")
-    monos = PackedMonomials(n, max(map(min, pure), default=0))
-    lead_set = set(map(monos.pack, leads))
+    monos = gb.monomials
+    lead_set = set(gb._packed_leads)
     levels: list[tuple[Exponents, ...]] = []
     total = 0
     level = [e for e in [monos.one] if e not in lead_set]
@@ -432,7 +403,7 @@ def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
             raise ResourceBudgetError(f"quotient dimension exceeds the budget {MAX_QUOTIENT_DIM}")
         levels.append(tuple(map(monos.unpack, level)))
         level = [e for e in monos.successors(level) if e not in lead_set]
-    return QuotientBasis(n, tuple(levels))
+    return QuotientBasis(gb.nvars, tuple(levels))
 
 
 def hilbert_series(qb: QuotientBasis) -> SparsePoly:
@@ -561,8 +532,6 @@ def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
     basis, if already enumerated, is passed on.
     """
     gb_t = GroebnerBasis(gb.field, gb.nvars, tuple(g.top_component() for g in gb.gens))
-    if gb_t.leading_exponents() != gb.leading_exponents():
-        raise InternalCheckError("top components changed the leading exponents")
     gb_t._qb = gb._qb
     return gb_t
 
@@ -701,9 +670,7 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
         raise DomainError("w must be a permutation of 0..n-1")
     qb = gb_t.quotient_basis()
     p = gb_t.trace_prime(2 * max(map(len, qb.by_degree), default=0))
-    # Every permuted monomial keeps its level's degree, so the fields are widened once.
-    gb_t._fit(len(qb.by_degree) - 1)
-    pack = gb_t._pack
+    pack = gb_t.monomials.pack
     w_inv = sorted(range(gb_t.nvars), key=w.__getitem__)
     terms = {}
     for d, level in enumerate(qb.by_degree):
@@ -753,10 +720,11 @@ def graded_frobenius(
     (``graded_character``), which is exact because S_n preserves the locus: that
     is checked by brute force first, and a locus it fails raises DomainError.
     Since R/gr I(X) and C[X] are isomorphic S_n-modules, each class' traces must
-    sum over all degrees to the number of words its permutation fixes.
-    Coefficients are checked to be nonnegative integers and the total dimension
-    to be |X|.  Budgets are checked before the cache is consulted, so a cached
-    result never escapes a tighter budget.
+    sum over all degrees to the number of words its permutation fixes; for the
+    identity that is |X|, and by column orthogonality the dimensions of the Schur
+    coefficients add up to the identity's trace sum.  Coefficients are checked to
+    be nonnegative integers.  Budgets are checked before the cache is consulted,
+    so a cached result never escapes a tighter budget.
     """
     _check_locus(locus, max_points, max_vars)
     cached = _FROBENIUS_CACHE.get(locus)
@@ -769,12 +737,6 @@ def graded_frobenius(
         if w[1:] + w[:1] not in words or (n > 1 and (w[1], w[0]) + w[2:] not in words):
             raise DomainError("the symmetric group does not preserve the locus")
     gb_t = associated_graded(_point_basis(locus, max_points, max_vars))
-    qb = gb_t.quotient_basis()
-    if qb.total != locus.size:
-        raise InternalCheckError(
-            "graded quotient dimension differs from |X|; top components fail to generate"
-        )
-
     traces = {}
     for ct, _ in conjugacy_classes(n):
         perm = _perm_of_cycle_type(ct)
@@ -807,10 +769,6 @@ def graded_frobenius(
             out[lam] = SparsePoly(poly_terms)
 
     frob = SchurVector(n, out)
-    dims = frob.evaluate_at_one()
-    total = sum(mult * sn_character(lam, (1,) * n) for lam, mult in dims.items())
-    if total != locus.size:
-        raise InternalCheckError("graded Frobenius dimensions do not add up to |X|")
     _remember(_FROBENIUS_CACHE, locus, frob)
     return frob
 

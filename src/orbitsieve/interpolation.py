@@ -10,13 +10,18 @@ is visited.  A monomial whose eigenclass vector depends on the earlier standard
 ones is a leading exponent, and the dependency gives its generator's tail.
 
 The walk runs on packed monomials (``PackedMonomials``; Monagan and Pearce,
-2007): x^e is one int with deg e in its top field and M - e_i in field i below
-it, each b bits wide with M = 2^b - 1, variable n - 1 most significant.
-Ascending ints are then ascending grevlex, multiplying by x_i adds a constant,
-and the first variable with e_i > 0 holds the lowest set bit of the complement.
-The fields hold every exponent visited: until the walk ends, every degree it has
-passed holds a standard monomial, and past #reps in one eigenclass the
-elimination stops, so there are at most |X| of them and no exponent exceeds |X|
+2007), the one packed format of the package: x^e is one int with deg e in its
+top field and M - e_i in field i below it, each b bits wide with M = 2^b - 1
+under one guard bit that is zero in every monomial, variable n - 1 most
+significant.  Ascending ints are then ascending grevlex, and since packing is
+affine, multiplying by x_i adds a constant and x^e / x^l * x^t packs as
+pack(e) - pack(l) + pack(t).  With G the guard bits, x^l divides x^e exactly
+when ((pack(l) | G) - pack(e)) & G == G: field i computes 2^b + e_i - l_i, which
+never borrows from the next and keeps its guard bit iff e_i >= l_i.  The first
+variable with e_i > 0 holds the lowest zero bit of pack(e) | G.  The fields
+hold every exponent visited: until the walk ends, every degree it has passed
+holds a standard monomial, and past #reps in one eigenclass the elimination
+stops, so there are at most |X| of them and no exponent exceeds |X|
 (``walk_monomials``).  Exponent tuples appear only in the layout.
 
 The elimination produces a layout, listing for each generator its leading
@@ -93,15 +98,16 @@ def grevlex_key(e: Exponents):
 
 class PackedMonomials:
     """Monomials in n variables with exponents at most ``bound``, as packed grevlex
-    ints (see the module docstring)."""
+    ints with guard bits (see the module docstring)."""
 
     def __init__(self, n: int, bound: int):
         self.n = n
         self.bits = bits = max(bound, 1).bit_length()
         self.full = (1 << bits) - 1
-        self.shifts = tuple(range(0, n * bits, bits))
+        self.shifts = tuple(range(0, n * (bits + 1), bits + 1))
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
         # x_i times a monomial adds steps[i]: one to the degree, minus one to field i.
-        self.steps = tuple((1 << n * bits) - (1 << s) for s in self.shifts)
+        self.steps = tuple((1 << n * (bits + 1)) - (1 << s) for s in self.shifts)
         self.one = sum(self.full << s for s in self.shifts)
 
     def pack(self, e: Exponents) -> int:
@@ -113,7 +119,17 @@ class PackedMonomials:
 
     def first(self, m: int) -> int:
         """The first variable with a nonzero exponent, or n - 1 for x^0."""
-        return min((((m + 1) & ~m).bit_length() - 1) // self.bits, self.n - 1)
+        m |= self.guard
+        return min((((m + 1) & ~m).bit_length() - 1) // (self.bits + 1), self.n - 1)
+
+    def divisor(self, leads: tuple[int, ...], m: int) -> int | None:
+        """The index of the first of the packed ``leads`` that divides m, or None."""
+        guard = self.guard
+        low = m - guard  # lead - low is (lead | guard) - m: a lead's guard bits are zero
+        for idx, lead in enumerate(leads):
+            if (lead - low) & guard == guard:
+                return idx
+        return None
 
     def successors(self, level: list[int]) -> list[int]:
         """Monomials of degree d + 1 whose one-step predecessors all lie in ``level``.

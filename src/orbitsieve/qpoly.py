@@ -145,10 +145,6 @@ class SparsePoly:
             exp >>= 1
         return result
 
-    def evaluate(self, q: int = 1, t: int = 1) -> int:
-        """Exact evaluation at integer arguments (root-of-unity evaluation lives elsewhere)."""
-        return sum(c * q**eq * t**et for (eq, et), c in self._terms.items())
-
     def swap_q_to_t(self) -> "SparsePoly":
         """Rename the variable of a q-univariate polynomial to t."""
         if not self.is_univariate_q():

@@ -286,15 +286,25 @@ CRITERIA = {
 }
 
 
+def _check_clamps(max_n: int | None, max_k: int | None) -> None:
+    """Refuse a clamp below 1, which would empty every grid and check nothing."""
+    for value, name in ((max_n, "max_n"), (max_k, "max_k")):
+        if value is not None and value < 1:
+            raise DomainError(f"the suite clamp {name} must be at least 1, not {value}")
+
+
 def run_criterion(name: str, max_n: int | None = None, max_k: int | None = None) -> SuiteResult:
     if name not in CRITERIA:
         raise DomainError(f"unknown suite criterion {name!r}")
+    _check_clamps(max_n, max_k)
     start = time.perf_counter()
     ok, detail = CRITERIA[name](max_n, max_k)
     return SuiteResult(name, ok, detail, time.perf_counter() - start)
 
 
 def run_suite(names=None, max_n: int | None = None, max_k: int | None = None) -> list[SuiteResult]:
-    """Run the acceptance criteria in order, optionally clamping every grid."""
+    """Run the acceptance criteria in order, optionally clamping every grid to
+    n <= max_n and k <= max_k, each at least 1."""
+    _check_clamps(max_n, max_k)
     chosen = list(CRITERIA) if names is None else list(names)
     return [run_criterion(name, max_n=max_n, max_k=max_k) for name in chosen]

@@ -14,3 +14,8 @@ def q_factorial(n: int) -> SparsePoly:
     for i in range(1, n + 1):
         out = out * q_int(i)
     return out
+
+
+def evaluate(p: SparsePoly, q: int = 1, t: int = 1) -> int:
+    """Exact evaluation at integer arguments."""
+    return sum(c * q**eq * t**et for (eq, et), c in p.terms.items())

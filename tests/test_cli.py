@@ -290,6 +290,17 @@ def test_groebner_dump_requires_hilbert(capsys):
     assert err.startswith("error:")
 
 
+def test_groebner_without_hilbert_is_refused_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the locus was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_locus", refuse)
+    code, out, err = run_cli(
+        capsys, "harmonics", "--family", "X", "--n", "30", "--k", "9", "--oracle", "Sn", "--groebner"
+    )
+    assert (code, out, err) == (2, "", "error: --groebner accompanies --hilbert\n")
+
+
 def test_groebner_json_dump(capsys):
     code, out, _ = run_cli(
         capsys, "harmonics", "--family", "X", "--n", "1", "--k", "2", "--hilbert", "--groebner",
@@ -308,6 +319,13 @@ def test_suite_clamped_runs_all_criteria(capsys):
     assert data["all_ok"] is True
     assert len(data["criteria"]) == 9
     assert all(cell["ok"] for cell in data["criteria"])
+
+
+@pytest.mark.parametrize("flag, value", [("--max-n", "0"), ("--max-k", "-1")])
+def test_suite_clamp_below_one_is_a_usage_error(capsys, flag, value):
+    name = flag[2:].replace("-", "_")
+    code, out, err = run_cli(capsys, "suite", flag, value)
+    assert (code, out, err) == (2, "", f"error: the suite clamp {name} must be at least 1, not {value}\n")
 
 
 def run_module(*args):

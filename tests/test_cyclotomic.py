@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitsieve import cyclotomic
 from orbitsieve.cyclotomic import (
+    CycloElement,
     CycloField,
     cyclo_field,
     cyclotomic_polynomial,
     eval_at_unity,
 )
-from orbitsieve.errors import DomainError
+from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.qpoly import SparsePoly
 from orbitsieve.rat import RAT, rat_as_int
 
@@ -102,6 +104,23 @@ def test_inverse_round_trip(data):
         cyclo_field(3).zero.inverse()
     with pytest.raises(DomainError):
         cyclo_field(6).root_power(1).conjugate(2)
+
+
+def test_inverse_rejects_a_norm_that_is_not_rational(monkeypatch):
+    # With every conjugate replaced by the element itself, the "norm" of zeta_3 is
+    # zeta_3^2 = -1 - zeta_3, which is not rational.
+    zeta = cyclo_field(3).root_power(1)
+    monkeypatch.setattr(CycloElement, "conjugate", lambda self, j: self)
+    with pytest.raises(InternalCheckError, match="^cyclotomic norm is not a nonzero rational$"):
+        zeta.inverse()
+
+
+def test_inverse_is_verified_by_its_product(monkeypatch):
+    # Dividing 2 instead of 1 by the norm gives twice the inverse.
+    zeta = cyclo_field(3).root_power(1)
+    monkeypatch.setattr(cyclotomic, "RAT_ONE", RAT(2))
+    with pytest.raises(InternalCheckError, match="^cyclotomic inverse failed verification$"):
+        zeta.inverse()
 
 
 def test_eval_at_unity_small_cases():

@@ -13,6 +13,7 @@ composition, and graded traces read modulo a prime with traces summed in exact
 Q(zeta_k).
 """
 
+import re
 import time
 from itertools import chain, islice
 from math import isqrt
@@ -47,7 +48,7 @@ from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 from locus_strategies import shift_stable_loci
-from q_analogues import q_int
+from q_analogues import evaluate, q_int
 from reference_ideals import (
     evaluate_at_word,
     exact_vanishing_ideal,
@@ -687,6 +688,22 @@ class TestPackedWalk:
             )
             level = list(filter(standard, expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packed_divisibility_is_componentwise(self, data):
+        # Exponents up to the field maximum, where the guard bits are closest to a
+        # borrow; leading zero exponents put the first nonzero variable past field 0.
+        n = data.draw(st.integers(1, 6))
+        monos = interpolation.PackedMonomials(n, data.draw(st.integers(1, 2**12)))
+        exponents = st.tuples(*[st.integers(0, monos.full)] * n)
+        lead, e = data.draw(exponents), data.draw(exponents)
+        divides = monos.divisor((monos.pack(lead),), monos.pack(e)) == 0
+        assert divides == all(a >= b for a, b in zip(e, lead))
+        assert monos.divisor((monos.pack(e),), monos.pack(e)) == 0
+        zeros = data.draw(st.integers(0, n - 1))
+        e = (0,) * zeros + e[zeros:]
+        assert monos.first(monos.pack(e)) == next((i for i, a in enumerate(e) if a), n - 1)
+
     @pytest.mark.parametrize("family,n,k,mu", STOCK_LOCI)
     def test_staircase_is_the_tuple_walk(self, family, n, k, mu):
         locus = enumerate_locus(family, n, k, mu=mu)
@@ -875,9 +892,9 @@ class TestAssociatedGraded:
     def test_non_monic_generator_rejected(self):
         field = cyclo_field(3)
         x = variable(field, 2, 0)
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError, match="^Groebner basis generator is not monic$"):
             GroebnerBasis(field, 2, (x.scale(field.from_int(2)),))
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError, match="^Groebner basis generator is not monic$"):
             GroebnerBasis(field, 2, (x.scale(field.root_power(1)),))
 
 
@@ -1008,55 +1025,57 @@ class TestNormalForms:
             with pytest.raises(DomainError):
                 gb.is_standard(e)
 
-    def test_query_beyond_the_field_width_widens_it(self):
-        # Walks cached at the leads' width, then every monomial of three times
-        # that degree: the fields widen, the packed tails and caches are rebuilt,
-        # and every result matches a basis that only ever had the wide fields.
-        locus = enumerate_locus("Z", 3, 2)
-        gb = vanishing_ideal(locus)
+    def test_is_standard_past_the_field_width_is_tuple_divisibility(self):
+        # X(2, 3): leads x1^3, x2^3 and the top standard degree 4 fit 3-bit fields,
+        # and exponents past them must still answer as componentwise divisibility.
+        gb = vanishing_ideal(enumerate_locus("X", 2, 3))
+        assert gb.monomials.full == 7
+        leads = gb.leading_exponents()
+        for e in [(2, 2), (3, 0), (2, 7), (2, 8), (8, 2), (2, 1000), (1000, 2), (2**70, 0), (1, 2**70)]:
+            assert gb.is_standard(e) == (not any(all(a >= b for a, b in zip(e, lt)) for lt in leads)), e
+
+    def test_every_monomial_to_the_top_standard_degree_walks_to_its_normal_form(self):
+        # Y(3, 5): leads of degree at most 5, pure powers x1^3, x2^4, x3^5, so the
+        # fields hold sum(a_i - 1) = 9, the top standard degree, and every monomial
+        # up to it walks to its exact normal form mapped to F_p.
+        gb = vanishing_ideal(enumerate_locus("Y", 3, 5))
+        top = len(gb.quotient_basis().by_degree) - 1
+        assert max(map(sum, gb.leading_exponents())) < top == 9 <= gb.monomials.full
         p = gb.trace_prime(0)
-        low = (1, 1, 0)  # the lead of x1 x2 + x1 x3 + x2 x3 + 1
-        assert low in gb.leading_exponents()
-        low_nf = modular_normal_form(gb, low, p)
-        highs = list(weak_compositions(3 * gb._max_degree, 3))
-        fresh = vanishing_ideal(locus)
-        fresh._fit(3 * gb._max_degree)
-        assert fresh.trace_prime(0) == p
-        expected = [modular_normal_form(fresh, e, p) for e in highs]
-        assert [modular_normal_form(gb, e, p) for e in highs] == expected
-        assert modular_normal_form(gb, low, p) == low_nf
-        # Each x^e and its normal form agree as functions on the locus, read in F_p.
-        omega = interpolation.primitive_roots(gb.field.order, p)[0]
-        for e, nf in zip(highs, expected):
-            for w in locus.words:
-                value = sum(c * pow(omega, sum(a * b for a, b in zip(s, w)), p) for s, c in nf.items())
-                assert value % p == pow(omega, sum(a * b for a, b in zip(e, w)), p)
+        for d in range(top + 1):
+            for e in weak_compositions(d, 3):
+                assert modular_normal_form(gb, e, p) == exact_normal_form_mod(gb, e, p), e
 
     @pytest.mark.parametrize("family,n,k,mu", [("X", 6, 2, None), ("tanisaki", 6, None, (3, 2, 1))])
     def test_modular_normal_forms_are_the_exact_ones_mapped(self, family, n, k, mu):
         gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=100, max_vars=6)
         p = gb.trace_prime(0)
-        omega = interpolation.primitive_roots(gb.field.order, p)[0]
-
-        def image(c):
-            return sum(
-                int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p)
-                for i, x in enumerate(c.coords)
-            ) % p
-
-        gens = list(gb.gens)
         for d in range(5):
             for e in weak_compositions(d, 6):
-                monomial = MultiPoly(gb.field, 6, {e: gb.field.one})
-                exact = {s: image(c) for s, c in harmonics._reduce_poly(monomial, gens).terms.items()}
-                assert modular_normal_form(gb, e, p) == {s: c for s, c in exact.items() if c}
+                assert modular_normal_form(gb, e, p) == exact_normal_form_mod(gb, e, p)
 
 
 def modular_normal_form(gb, e, p):
     """``_normal_form_walk`` of x^e mod p, keyed by standard exponents instead of packed ints."""
-    walk = gb._normal_form_walk(gb._packed(e), p)
-    unpacked = {gb._pack(s): s for s in chain.from_iterable(gb.quotient_basis().by_degree)}
+    pack = gb.monomials.pack
+    walk = gb._normal_form_walk(pack(e), p)
+    unpacked = {pack(s): s for s in chain.from_iterable(gb.quotient_basis().by_degree)}
     return {unpacked[s]: c for s, c in walk.items()}
+
+
+def exact_normal_form_mod(gb, e, p):
+    """The normal form of x^e by long division, its nonzero coefficients mapped to F_p
+    through the first primitive root, as ``trace_prime`` maps them."""
+    omega = interpolation.primitive_roots(gb.field.order, p)[0]
+    monomial = MultiPoly(gb.field, gb.nvars, {e: gb.field.one})
+    out = {}
+    for s, c in harmonics._reduce_poly(monomial, list(gb.gens)).terms.items():
+        image = sum(
+            int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p) for i, x in enumerate(c.coords)
+        ) % p
+        if image:
+            out[s] = image
+    return out
 
 
 class TestHilbertSeries:
@@ -1106,16 +1125,14 @@ class TestGradedCharacter:
             w = harmonics._perm_of_cycle_type(ct)
             assert graded_character(gb_t, w) == exact_graded_character(gb_t, w), ct
 
-    def test_traces_after_the_fields_widen(self):
-        # Y(3, 5): leads of degree at most 5 fit 3-bit fields, but the top standard
-        # monomial has degree 9, so each trace widens the fields after the F_p
-        # tails were packed at the narrow width.
+    def test_traces_past_the_lead_degree(self):
+        # Y(3, 5): leads of degree at most 5, but the top standard monomial has
+        # degree 9; the fields fixed at construction hold it.
         gb_t = associated_graded(vanishing_ideal(enumerate_locus("Y", 3, 5)))
         top = len(gb_t.quotient_basis().by_degree) - 1
-        assert gb_t._max_degree < top
+        assert max(map(sum, gb_t.leading_exponents())) < top <= gb_t.monomials.full
         for w in [(1, 0, 2), (1, 2, 0)]:
             assert graded_character(gb_t, w) == exact_graded_character(gb_t, w)
-        assert gb_t._max_degree >= top
 
     def test_residue_beyond_the_piece_dimension_rejected(self):
         # <x1 + 5 x2, x2^2> is not S_2-stable: the swap has trace -5 on the
@@ -1127,7 +1144,8 @@ class TestGradedCharacter:
         )
         gb_t = GroebnerBasis(field, 2, gens)
         assert exact_graded_character(gb_t, (1, 0)) == SparsePoly({(0, 0): 1, (1, 0): -5})
-        with pytest.raises(InternalCheckError):
+        message = "graded trace exceeds its piece's dimension; S_n does not preserve the ideal"
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
             graded_character(gb_t, (1, 0))
 
 
@@ -1149,18 +1167,25 @@ class TestTracePrime:
         gb = self.basis_with_denominator(largest)
         assert gb.trace_prime(0) == second
         assert gb._nf_mod[largest] is None
-        walk = gb._normal_form_walk(gb._pack((1, 0)), second)
-        assert walk == {gb._pack((0, 1)): -pow(largest, -1, second) % second}
+        pack = gb.monomials.pack
+        walk = gb._normal_form_walk(pack((1, 0)), second)
+        assert walk == {pack((0, 1)): -pow(largest, -1, second) % second}
 
     def test_running_out_of_primes_raises(self, monkeypatch):
         largest = next(interpolation.split_primes(3))
         gb = self.basis_with_denominator(largest)
         monkeypatch.setattr(harmonics, "split_primes", lambda k: iter([largest]))
-        with pytest.raises(InternalCheckError, match="no split prime above 0"):
+        with pytest.raises(InternalCheckError, match=r"^no split prime above 0 for the field of order 3$"):
             gb.trace_prime(0)
         monkeypatch.setattr(harmonics, "split_primes", lambda k: iter(()))
         with pytest.raises(InternalCheckError, match="no split prime above 0"):
             associated_graded(vanishing_ideal(enumerate_locus("X", 2, 3))).trace_prime(0)
+
+
+def frobenius_dimension(frob):
+    """The dimension of the module a Schur expansion names: each coefficient at q = 1
+    times the dimension f^lambda of its irreducible."""
+    return sum(evaluate(c) * sn_character(lam, (1,) * frob.n) for lam, c in frob.items())
 
 
 class TestGradedFrobenius:
@@ -1190,9 +1215,7 @@ class TestGradedFrobenius:
     def test_dimensions_add_to_locus_size(self):
         for family, n, k, mu in SMALL_LOCI:
             locus = enumerate_locus(family, n, k, mu=mu)
-            dims = graded_frobenius(locus).evaluate_at_one()
-            total = sum(m * sn_character(lam, (1,) * locus.n) for lam, m in dims.items())
-            assert total == locus.size
+            assert frobenius_dimension(graded_frobenius(locus)) == locus.size
 
     def test_budgets_checked_before_the_cache(self):
         locus = enumerate_locus("X", 2, 3)
@@ -1217,8 +1240,7 @@ class TestGradedFrobenius:
         monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
         graded_frobenius(enumerate_locus("X", 2, 2))
         diagonal = Locus("X", 2, 2, ((1, 1), (2, 2)))
-        dims = graded_frobenius(diagonal).evaluate_at_one()
-        assert sum(m * sn_character(lam, (1, 1)) for lam, m in dims.items()) == 2
+        assert frobenius_dimension(graded_frobenius(diagonal)) == 2
 
     def test_locus_not_preserved_by_the_symmetric_group(self, monkeypatch):
         # Closed under the value shift, but not under the 3-cycle of positions.
@@ -1231,9 +1253,15 @@ class TestGradedFrobenius:
             graded_frobenius(locus)
 
     @pytest.mark.parametrize(
-        "family,n,k,mu", [("X", 2, 2, None), ("Z", 3, 2, None), ("springer", 3, None, None)]
+        "family,n,k,mu,message",
+        [
+            ("X", 2, 2, None, "graded traces of class (2,) do not sum to the 2 words its permutation fixes"),
+            ("Z", 3, 2, None, "graded traces of class (3,) do not sum to the 0 words its permutation fixes"),
+            ("springer", 3, None, None,
+             "graded traces of class (3,) do not sum to the 0 words its permutation fixes"),
+        ],
     )
-    def test_corrupted_trace_trips_the_fixed_word_sum(self, family, n, k, mu, monkeypatch):
+    def test_corrupted_trace_trips_the_fixed_word_sum(self, family, n, k, mu, message, monkeypatch):
         # Every permutation given the identity's trace: the multiplicities stay
         # nonnegative integers and the dimension stays |X|, so only the fixed
         # words catch it.
@@ -1245,7 +1273,7 @@ class TestGradedFrobenius:
 
         monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
         monkeypatch.setattr(harmonics, "graded_character", corrupted)
-        with pytest.raises(InternalCheckError, match="fixes"):
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
             graded_frobenius(locus)
 
     def test_uneven_trace_trips_the_integrality_check(self, monkeypatch):
@@ -1262,7 +1290,7 @@ class TestGradedFrobenius:
 
         monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
         monkeypatch.setattr(harmonics, "graded_character", moved)
-        with pytest.raises(InternalCheckError, match="not an integer"):
+        with pytest.raises(InternalCheckError, match="^graded multiplicity is not an integer$"):
             graded_frobenius(enumerate_locus("X", 2, 2))
 
     def test_trace_with_a_negative_module_trips_the_sign_check(self, monkeypatch):
@@ -1278,7 +1306,7 @@ class TestGradedFrobenius:
 
         monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
         monkeypatch.setattr(harmonics, "graded_character", moved)
-        with pytest.raises(InternalCheckError, match="negative"):
+        with pytest.raises(InternalCheckError, match="^graded multiplicity is negative$"):
             graded_frobenius(enumerate_locus("X", 2, 2))
 
     def test_trivial_multiplicity_counts_orbits(self):
@@ -1287,7 +1315,7 @@ class TestGradedFrobenius:
         for family, n, k, mu in [("X", 3, 2, None), ("Z", 4, 2, None), ("tanisaki", 4, 2, (2, 2))]:
             locus = enumerate_locus(family, n, k, mu=mu)
             fr = graded_frobenius(locus)
-            assert fr.coeff((locus.n,)).evaluate(1, 1) == orbit_set(locus, "Sn").size
+            assert evaluate(fr.coeff((locus.n,))) == orbit_set(locus, "Sn").size
 
 
 class TestBasisCache:

@@ -293,7 +293,7 @@ class TestOrbitSets:
     def test_labels_not_closed_under_the_shift_rejected(self):
         orbits = OrbitSet("Cn", 2, 2, ((1, 1),), {(1, 1): (1, 1)})
         assert fixed_points(orbits.shift_permutation(0)) == 1
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError, match="^value shift does not preserve the orbit set$"):
             orbits.shift_permutation(1)
 
     def test_hr_requires_even_n(self):

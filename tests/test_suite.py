@@ -1,10 +1,12 @@
 """The failure details of the criteria: the first bad cell, named exactly."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from orbitsieve import cli, harmonics, suite, tableaux
+from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly
 
 BAD_ROW = {"r": 1, "s": 0, "fixed": 2, "value": "3", "ok": False}
@@ -29,6 +31,22 @@ def test_first_bad_cell_is_reported(monkeypatch, name, failing_family, detail):
 
     monkeypatch.setattr(suite, "verify_family", fake_verify)
     assert suite.run_criterion(name).detail == detail
+
+
+@pytest.mark.parametrize("clamps, message", [
+    ({"max_n": 0}, "the suite clamp max_n must be at least 1, not 0"),
+    ({"max_k": -1}, "the suite clamp max_k must be at least 1, not -1"),
+    ({"max_n": 2, "max_k": 0}, "the suite clamp max_k must be at least 1, not 0"),
+])
+def test_clamp_below_one_is_a_usage_error(monkeypatch, clamps, message):
+    # Refused before any grid is built: no criterion runs.
+    monkeypatch.setattr(suite, "CRITERIA", {name: None for name in suite.CRITERIA})
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        suite.run_criterion("word-bicsp-grids", **clamps)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        suite.run_suite(**clamps)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        suite.run_suite([], **clamps)
 
 
 def test_springer_grid_shape_is_checked(monkeypatch):
