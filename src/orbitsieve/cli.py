@@ -199,8 +199,8 @@ def _cmd_verify(ns) -> tuple[int, str]:
 
 
 def _cmd_harmonics(ns) -> tuple[int, str]:
-    # Every budget is checked, also one the chosen mode does not read.
-    for value, name in ((ns.max_points, "point"), (ns.max_vars, "variable"), (ns.max_pairs, "Buchberger pair")):
+    # Every budget is checked, also one the mode does not read, in verify_presentation's order.
+    for value, name in ((ns.max_pairs, "Buchberger pair"), (ns.max_points, "point"), (ns.max_vars, "variable")):
         check_budget(value, name)
     if ns.groebner and not ns.hilbert:
         raise DomainError("--groebner accompanies --hilbert")

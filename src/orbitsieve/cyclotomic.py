@@ -205,7 +205,8 @@ class CycloElement:
         norm = others * self
         if norm.is_zero() or not norm.is_rational():
             raise InternalCheckError("cyclotomic norm is not a nonzero rational")
-        inv = others.scale(RAT_ONE / norm.coords[0])
+        scale = RAT_ONE / norm.coords[0]  # an integral scale stays an int, as in products
+        inv = others.scale(int(scale) if scale.denominator == 1 else scale)
         if (inv * self) != self.field.one:
             raise InternalCheckError("cyclotomic inverse failed verification")
         return inv

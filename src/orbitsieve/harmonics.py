@@ -24,7 +24,10 @@ than its piece's dimension, and every class' traces must add up to the words its
 permutation fixes.  The normal forms behind them (``GroebnerBasis``) walk the
 packed exponents of ``interpolation.PackedMonomials``, at a width each basis
 fixes when it is built.  Buchberger's algorithm remains for the stated
-presentations, which are given by generators rather than by points.
+presentations, which are given by generators rather than by points.  It takes
+pairs by the normal strategy, least lcm first, and skips those that Buchberger's
+criteria, coprime leads and the chain criterion, prove redundant (Buchberger,
+EUROSAM 1979; Gebauer and Moller, J. Symb. Comput. 6, 1988).
 
 ``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
 point-ideal bases keyed by locus, so each locus is eliminated once however many
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 
 from . import interpolation
@@ -123,13 +126,6 @@ class MultiPoly:
         if not c:
             return MultiPoly.zero(self.field, self.nvars)
         return MultiPoly(self.field, self.nvars, {e: ce * c for e, ce in self.terms.items()})
-
-    def monomial_shift(self, shift: Exponents, coeff: CycloElement) -> "MultiPoly":
-        """Multiply by coeff * x^shift."""
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, shift))] = c * coeff
-        return MultiPoly(self.field, self.nvars, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict[Exponents, CycloElement] = {}
@@ -415,43 +411,18 @@ def hilbert_series(qb: QuotientBasis) -> SparsePoly:
     return out
 
 
-def _reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
-    """Full normal form of p against a list of (monic) polynomials; long division."""
-    remainder: dict[Exponents, CycloElement] = {}
-    work = p
-    leads = [g.leading_term()[0] for g in basis]
-    while work.terms:
-        le, lc = work.leading_term()
-        hit = None
-        for idx, lt in enumerate(leads):
-            if all(a >= b for a, b in zip(le, lt)):
-                hit = idx
-                break
-        if hit is None:
-            remainder[le] = lc
-            work = MultiPoly(work.field, work.nvars, {e: c for e, c in work.terms.items() if e != le})
-            continue
-        shift = tuple(a - b for a, b in zip(le, leads[hit]))
-        work = work - basis[hit].monomial_shift(shift, lc)
-    return MultiPoly(p.field, p.nvars, remainder)
-
-
-def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial of two monic polynomials."""
-    ltf = f.leading_term()[0]
-    ltg = g.leading_term()[0]
-    gamma = tuple(max(a, b) for a, b in zip(ltf, ltg))
-    one = f.field.one
-    lhs = f.monomial_shift(tuple(a - b for a, b in zip(gamma, ltf)), one)
-    rhs = g.monomial_shift(tuple(a - b for a, b in zip(gamma, ltg)), one)
-    return lhs - rhs
-
-
 def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GroebnerBasis:
     """Reduced monic grevlex Groebner basis of the ideal the generators span.
 
-    Classic pair processing with the coprime-criterion skip; a pair budget guards
-    runaway inputs.
+    Each element is kept once, as its lead exponent L and negated monic tail T, so
+    x^L = T modulo it.  Pairs leave a heap in ascending grevlex order of their lcm
+    (the normal strategy).  Buchberger's first criterion skips a pair with coprime
+    leads; his second, the chain criterion, one whose lcm a third lead divides when
+    that lead's pairs with both have left the queue (Buchberger, EUROSAM 1979;
+    Gebauer and Moller, J. Symb. Comput. 6, 1988).  Each other S-polynomial is built
+    from the two tails and reduced by ``_reduce``; a nonzero remainder joins the
+    basis.  Every pair taken from the queue counts against ``max_pairs``.  Last,
+    elements whose lead another lead divides are dropped, the other tails reduced.
     """
     check_budget(max_pairs, "Buchberger pair")
     nonzero = [g for g in gens if g.terms]
@@ -461,65 +432,93 @@ def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> 
     for g in nonzero:
         if g.field != field or g.nvars != nvars:
             raise DomainError("generators live in different rings")
-    basis: list[MultiPoly] = []
-    for g in nonzero:
-        _, lc = g.leading_term()
-        basis.append(g.scale(lc.inverse()))
-
+    one = field.one
+    leads: list[Exponents] = []
+    tails: list[list[tuple[Exponents, CycloElement]]] = []
+    done: list[set[int]] = []  # per element, those whose pair with it has left the queue
     heap: list[tuple] = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            _push_pair(heap, basis, i, j)
+
+    def admit(lead: Exponents, terms, lc: CycloElement) -> None:
+        """Add the element with lead x^lead, coefficient lc and the other terms."""
+        j = len(leads)
+        for i, other in enumerate(leads):
+            gamma = tuple(map(max, other, lead))
+            heappush(heap, (grevlex_key(gamma), gamma, i, j))
+        inv = None if lc == one else lc.inverse()
+        leads.append(lead)
+        tails.append([(e, -c) if inv is None else (e, -c * inv) for e, c in terms])
+        done.append(set())
+
+    for g in nonzero:
+        lead = max(g.terms, key=grevlex_key)
+        admit(lead, [(e, c) for e, c in g.terms.items() if e != lead], g.terms[lead])
     processed = 0
     while heap:
         _, gamma, i, j = heappop(heap)
         processed += 1
         if processed > max_pairs:
             raise ResourceBudgetError(f"Buchberger pair budget {max_pairs} exceeded")
-        lti = basis[i].leading_term()[0]
-        ltj = basis[j].leading_term()[0]
-        if tuple(a + b for a, b in zip(lti, ltj)) == gamma:
-            continue  # coprime leading terms: s-polynomial reduces to zero
-        r = _reduce_poly(_spoly(basis[i], basis[j]), basis)
-        if r.terms:
-            _, lc = r.leading_term()
-            r = r.scale(lc.inverse())
-            new_idx = len(basis)
-            basis.append(r)
-            for idx in range(new_idx):
-                _push_pair(heap, basis, idx, new_idx)
+        done[i].add(j)
+        done[j].add(i)
+        if not any(map(min, leads[i], leads[j])):
+            continue  # coprime leads: the S-polynomial reduces to zero
+        if any(all(map(operator.ge, gamma, leads[k])) for k in done[i] & done[j]):
+            continue  # chain criterion
+        # S = x^(gamma - L_j) T_j - x^(gamma - L_i) T_i, its cancelled terms left zero.
+        si, sj = (tuple(map(operator.sub, gamma, leads[x])) for x in (i, j))
+        spoly = {tuple(map(operator.add, e, sj)): c for e, c in tails[j]}
+        for e, c in tails[i]:
+            m = tuple(map(operator.add, e, si))
+            spoly[m] = spoly[m] - c if m in spoly else -c
+        rem = _reduce(spoly, leads, tails)
+        if rem:
+            lead = next(iter(rem))
+            lc = rem.pop(lead)
+            admit(lead, rem.items(), lc)
 
-    return GroebnerBasis(field, nvars, tuple(_interreduce(basis)))
+    minimal = [
+        i for i, a in enumerate(leads)
+        if not any(j != i and all(map(operator.ge, a, b)) and (a != b or j < i) for j, b in enumerate(leads))
+    ]
+    leads, tails = [leads[i] for i in minimal], [tails[i] for i in minimal]
+    # x^L = T = NF(T) modulo the ideal, so x^L - NF(T) is the reduced element.
+    reduced = (
+        MultiPoly(field, nvars, {lead: one} | {e: -c for e, c in _reduce(dict(tail), leads, tails).items()})
+        for lead, tail in zip(leads, tails)
+    )
+    return GroebnerBasis(field, nvars, tuple(reduced))
 
 
-def _push_pair(heap, basis, i, j):
-    lti = basis[i].leading_term()[0]
-    ltj = basis[j].leading_term()[0]
-    gamma = tuple(max(a, b) for a, b in zip(lti, ltj))
-    heappush(heap, (grevlex_key(gamma), gamma, i, j))
-
-
-def _interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
-    # Minimalize: drop generators whose leading term another one divides.
-    kept: list[MultiPoly] = []
-    leads = [g.leading_term()[0] for g in basis]
-    for i, g in enumerate(basis):
-        lt = leads[i]
-        redundant = False
-        for j, other in enumerate(leads):
-            if i == j:
-                continue
-            if all(a >= b for a, b in zip(lt, other)) and (lt != other or j < i):
-                redundant = True
+def _reduce(terms: dict, leads: list[Exponents], tails: list) -> dict:
+    """Normal form of ``terms`` (exponent to coefficient) modulo the elements x^L - T
+    of ``leads`` and ``tails``, by long division in place.  The exponents wait on a
+    max-heap of grevlex keys; the largest left is either divisible by a lead L, and
+    replaced by its multiple of T, or a remainder term, unless it cancelled to zero.
+    The remainder comes in descending grevlex order, so its first key is its lead.
+    """
+    heap = [(-sum(e), e[::-1]) for e in terms]
+    heapify(heap)
+    rem = {}
+    while heap:
+        e = heappop(heap)[1][::-1]
+        c = terms.pop(e)
+        if not c:
+            continue
+        for lead, tail in zip(leads, tails):
+            if all(map(operator.ge, e, lead)):
                 break
-        if not redundant:
-            kept.append(g)
-    # Tail-reduce each against the rest; leading terms are now pairwise non-divisible.
-    reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        reduced.append(_reduce_poly(g, others) if others else g)
-    return reduced
+        else:
+            rem[e] = c
+            continue
+        shift = tuple(map(operator.sub, e, lead))
+        for te, tc in tail:
+            m = tuple(map(operator.add, te, shift))
+            if m in terms:
+                terms[m] += c * tc
+            else:
+                terms[m] = c * tc
+                heappush(heap, (-sum(m), m[::-1]))
+    return rem
 
 
 def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
@@ -805,6 +804,8 @@ def stated_generators(locus: Locus) -> list[MultiPoly]:
     """
     field = cyclo_field(locus.k)
     n, k = locus.n, locus.k
+    if (locus.family == "Y" and k < n) or (locus.family == "Z" and k > n):
+        raise DomainError("no stated presentation: the locus is empty")
     if locus.family == "X":
         gens = []
         for i in range(n):
@@ -813,12 +814,8 @@ def stated_generators(locus: Locus) -> list[MultiPoly]:
             gens.append(MultiPoly(field, n, {tuple(e): field.one}))
         return gens
     if locus.family == "Y":
-        if k < n:
-            raise DomainError("no stated presentation: the locus is empty")
         return [complete_homogeneous(field, n, d) for d in range(k - n + 1, k + 1)]
     if locus.family == "Z":
-        if k > n:
-            raise DomainError("no stated presentation: the locus is empty")
         gens = []
         for i in range(n):
             e = [0] * n
@@ -838,8 +835,9 @@ def verify_presentation(
 ) -> bool:
     """True iff the family's stated generators span the same ideal as the top
     components of the computed point-ideal basis.  Both sides are reduced, monic
-    grevlex bases, and an ideal has exactly one such basis.  A family without a
-    stated presentation is refused before any elimination."""
+    grevlex bases, and an ideal has exactly one such basis.  A negative pair budget
+    and a family without a stated presentation are refused before any elimination."""
+    check_budget(max_pairs, "Buchberger pair")
     if locus.family not in ("X", "Y", "Z"):
         raise DomainError(f"family {locus.family!r} has no stated presentation")
     gb_i = _point_basis(locus, max_points, max_vars)

@@ -468,13 +468,12 @@ def modular_lifts(locus: Locus, reps):
             continue
         stds, gens = run
         if rational:
-            vinv = [[1]] + [[0]] * (phi - 1)  # c -> (c, 0, ..., 0)
+            zeros = (0,) * (phi - 1)  # c -> (c, 0, ..., 0)
+            coords = [x for _, _, (tail,) in gens for c in tail for x in (c % p, *zeros)]
         else:
             vinv = inverse_mod([[pow(omega, j, p) for j in range(phi)] for omega in roots], p)
-        coords: list[int] = []
-        for _, _, tails in gens:
-            for values in zip(*tails):
-                coords.extend(sum(a * v for a, v in zip(row, values)) % p for row in vinv)
+            at_roots = (values for _, _, tails in gens for values in zip(*tails))
+            coords = [sum(a * v for a, v in zip(row, values)) % p for values in at_roots for row in vinv]
         if staircase is None or stds < staircase[0]:
             # Independence mod p implies independence over Q(zeta_k), so the true
             # staircase is the least one any prime shows: a smaller one restarts.

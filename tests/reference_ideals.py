@@ -17,13 +17,22 @@ rows into integers and builds them incrementally, and must return the same.
 
 Both eliminations here walk the staircase on exponent tuples (``successors``),
 so they share no staircase code with the packed walk of ``interpolation``.
+
+``pairwise_buchberger`` is Buchberger's algorithm on whole ``MultiPoly`` values:
+it skips only the pairs with coprime leads and reduces every other S-polynomial by
+``reduce_poly``, long division that recomputes the leading term at each step.
+``harmonics.buchberger`` also applies the chain criterion and divides in place, and
+must return the same reduced basis.  ``reduce_poly`` is also the tests' exact normal
+form, the reference for graded traces.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from orbitsieve.cyclotomic import CycloElement, CycloField, cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
-from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
+from orbitsieve.harmonics import DEFAULT_MAX_PAIRS, GroebnerBasis, MultiPoly, _basis, buchberger, check_budget
 from orbitsieve.interpolation import Exponents, _tail_coefficients, grevlex_key, orbit_representatives
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT, RAT_ZERO
@@ -281,3 +290,121 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
             gens = [f * g for f in basis.gens for g in linear]
         basis = buchberger(gens)
     return basis
+
+
+# -- pairwise Buchberger ----------------------------------------------------------------
+
+
+def monomial_shift(p: MultiPoly, shift: Exponents, coeff: CycloElement) -> MultiPoly:
+    """Multiply by coeff * x^shift."""
+    out = {}
+    for e, c in p.terms.items():
+        out[tuple(a + b for a, b in zip(e, shift))] = c * coeff
+    return MultiPoly(p.field, p.nvars, out)
+
+
+def reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+    """Full normal form of p against a list of (monic) polynomials; long division."""
+    remainder: dict[Exponents, CycloElement] = {}
+    work = p
+    leads = [g.leading_term()[0] for g in basis]
+    while work.terms:
+        le, lc = work.leading_term()
+        hit = None
+        for idx, lt in enumerate(leads):
+            if all(a >= b for a, b in zip(le, lt)):
+                hit = idx
+                break
+        if hit is None:
+            remainder[le] = lc
+            work = MultiPoly(work.field, work.nvars, {e: c for e, c in work.terms.items() if e != le})
+            continue
+        shift = tuple(a - b for a, b in zip(le, leads[hit]))
+        work = work - monomial_shift(basis[hit], shift, lc)
+    return MultiPoly(p.field, p.nvars, remainder)
+
+
+def spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """S-polynomial of two monic polynomials."""
+    ltf = f.leading_term()[0]
+    ltg = g.leading_term()[0]
+    gamma = tuple(max(a, b) for a, b in zip(ltf, ltg))
+    one = f.field.one
+    lhs = monomial_shift(f, tuple(a - b for a, b in zip(gamma, ltf)), one)
+    rhs = monomial_shift(g, tuple(a - b for a, b in zip(gamma, ltg)), one)
+    return lhs - rhs
+
+
+def pairwise_buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GroebnerBasis:
+    """Reduced monic grevlex Groebner basis of the ideal the generators span.
+
+    Classic pair processing with the coprime-criterion skip; a pair budget guards
+    runaway inputs.  Every pair whose leads are not coprime is reduced.
+    """
+    check_budget(max_pairs, "Buchberger pair")
+    nonzero = [g for g in gens if g.terms]
+    if not nonzero:
+        raise DomainError("no nonzero generators")
+    field, nvars = nonzero[0].field, nonzero[0].nvars
+    for g in nonzero:
+        if g.field != field or g.nvars != nvars:
+            raise DomainError("generators live in different rings")
+    basis: list[MultiPoly] = []
+    for g in nonzero:
+        _, lc = g.leading_term()
+        basis.append(g.scale(lc.inverse()))
+
+    heap: list[tuple] = []
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push_pair(heap, basis, i, j)
+    processed = 0
+    while heap:
+        _, gamma, i, j = heappop(heap)
+        processed += 1
+        if processed > max_pairs:
+            raise ResourceBudgetError(f"Buchberger pair budget {max_pairs} exceeded")
+        lti = basis[i].leading_term()[0]
+        ltj = basis[j].leading_term()[0]
+        if tuple(a + b for a, b in zip(lti, ltj)) == gamma:
+            continue  # coprime leading terms: s-polynomial reduces to zero
+        r = reduce_poly(spoly(basis[i], basis[j]), basis)
+        if r.terms:
+            _, lc = r.leading_term()
+            r = r.scale(lc.inverse())
+            new_idx = len(basis)
+            basis.append(r)
+            for idx in range(new_idx):
+                push_pair(heap, basis, idx, new_idx)
+
+    return GroebnerBasis(field, nvars, tuple(interreduce(basis)))
+
+
+def push_pair(heap, basis, i, j):
+    lti = basis[i].leading_term()[0]
+    ltj = basis[j].leading_term()[0]
+    gamma = tuple(max(a, b) for a, b in zip(lti, ltj))
+    heappush(heap, (grevlex_key(gamma), gamma, i, j))
+
+
+def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
+    # Minimalize: drop generators whose leading term another one divides.
+    kept: list[MultiPoly] = []
+    leads = [g.leading_term()[0] for g in basis]
+    for i, g in enumerate(basis):
+        lt = leads[i]
+        redundant = False
+        for j, other in enumerate(leads):
+            if i == j:
+                continue
+            if all(a >= b for a, b in zip(lt, other)) and (lt != other or j < i):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(g)
+    # Tail-reduce each against the rest; leading terms are now pairwise non-divisible.
+    reduced = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        reduced.append(reduce_poly(g, others) if others else g)
+    return reduced

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import orbitsieve
-from orbitsieve import cli, interpolation
+from orbitsieve import cli, harmonics, interpolation
 from orbitsieve.cli import main
-from orbitsieve.errors import InternalCheckError
+from orbitsieve.errors import DomainError, InternalCheckError
+from orbitsieve.loci import enumerate_locus
 from orbitsieve.sieving import Report
 from orbitsieve.suite import SuiteResult
 
@@ -111,6 +112,22 @@ def test_negative_budget_is_usage_error(capsys, mode, flag, value, message):
     # still refuses it.
     code, out, err = run_cli(capsys, "harmonics", "--family", "X", "--n", "3", "--k", "2", mode, flag, value)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_negative_pair_budget_is_refused_as_the_library_refuses_it(capsys, monkeypatch):
+    # X(5, 4) also exceeds the point budget; the CLI and verify_presentation both
+    # refuse the pair budget first, also beside a negative point budget, with one
+    # message, and eliminate nothing.
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("vanishing_ideal ran before the pair budget was refused")
+
+    monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
+    message = "the Buchberger pair budget must be nonnegative, not -1"
+    argv = ["harmonics", "--family", "X", "--n", "5", "--k", "4", "--check-presentation", "--max-pairs", "-1"]
+    for points in (720, -5):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            harmonics.verify_presentation(enumerate_locus("X", 5, 4), max_points=points, max_pairs=-1)
+        assert run_cli(capsys, *argv, "--max-points", str(points)) == (2, "", f"error: {message}\n")
 
 
 def test_zero_pair_budget_is_legal_and_exceeded(capsys):

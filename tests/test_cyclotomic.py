@@ -106,6 +106,15 @@ def test_inverse_round_trip(data):
         cyclo_field(6).root_power(1).conjugate(2)
 
 
+def test_integral_inverses_keep_int_coordinates():
+    # -1 and zeta_6 are units whose norms are +-1, so their inverses make no rational.
+    for e in (cyclo_field(3).from_int(-1), cyclo_field(6).root_power(1), cyclo_field(1).from_int(-1)):
+        inv = e.inverse()
+        assert e * inv == e.field.one
+        assert all(type(x) is int for x in inv.coords), inv
+    assert cyclo_field(3).from_int(2).inverse().coords == (RAT(1, 2), 0)
+
+
 def test_inverse_rejects_a_norm_that_is_not_rational(monkeypatch):
     # With every conjugate replaced by the element itself, the "norm" of zeta_3 is
     # zeta_3^2 = -1 - zeta_3, which is not rational.

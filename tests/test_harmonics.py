@@ -47,13 +47,16 @@ from orbitsieve.qpoly import SparsePoly
 from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
+import reference_ideals
 from locus_strategies import shift_stable_loci
 from q_analogues import evaluate, q_int
 from reference_ideals import (
     evaluate_at_word,
     exact_vanishing_ideal,
     list_elimination,
+    pairwise_buchberger,
     point_ideal_product,
+    reduce_poly,
     successors,
     variable,
 )
@@ -80,7 +83,7 @@ def exact_graded_character(gb_t, w):
             for i, exp in enumerate(e):
                 permuted[w[i]] = exp
             monomial = MultiPoly(field, gb_t.nvars, {tuple(permuted): field.one})
-            coeff = harmonics._reduce_poly(monomial, gens).terms.get(e)
+            coeff = reduce_poly(monomial, gens).terms.get(e)
             if coeff is not None:
                 tr = tr + coeff
         assert tr.is_integer()
@@ -299,8 +302,8 @@ class TestVanishingIdeal:
             vanishing_ideal(enumerate_locus("X", 3, 3), max_points=20)
         with pytest.raises(ResourceBudgetError):
             vanishing_ideal(enumerate_locus("X", 3, 2), max_vars=2)
-        with pytest.raises(DomainError):
-            vanishing_ideal(enumerate_locus("Y", 3, 2))  # empty locus
+        with pytest.raises(DomainError, match="^vanishing ideal of an empty locus$"):
+            vanishing_ideal(enumerate_locus("Y", 3, 2))
         with pytest.raises(ResourceBudgetError):
             point_ideal_product(enumerate_locus("X", 2, 3))
 
@@ -898,6 +901,30 @@ class TestAssociatedGraded:
             GroebnerBasis(field, 2, (x.scale(field.root_power(1)),))
 
 
+class TestPolynomials:
+    def test_zero_has_no_leading_term(self):
+        with pytest.raises(DomainError, match="^zero polynomial has no leading term$"):
+            MultiPoly.zero(cyclo_field(1), 2).leading_term()
+
+    def test_symmetric_degrees_out_of_range(self):
+        field = cyclo_field(1)
+        for d in (-1, 3):
+            with pytest.raises(DomainError, match="^elementary symmetric degree out of range$"):
+                elementary_symmetric(field, 2, d)
+        with pytest.raises(DomainError, match="^negative degree$"):
+            complete_homogeneous(field, 2, -1)
+
+
+def counted(function, calls: list, name: str):
+    """``function``, appending ``name`` to ``calls`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 class TestBuchberger:
     def test_monomial_ideal_idempotent(self):
         field = cyclo_field(1)
@@ -933,7 +960,7 @@ class TestBuchberger:
                 if i != j:
                     assert not all(x >= y for x, y in zip(a, b))
         for i, g in enumerate(gb.gens):
-            assert harmonics._reduce_poly(g, list(gb.gens[:i] + gb.gens[i + 1 :])) == g
+            assert reduce_poly(g, list(gb.gens[:i] + gb.gens[i + 1 :])) == g
         assert gb.quotient_basis().total == 24  # [2]_q[3]_q[4]_q at q=1
 
     def test_pair_budget(self):
@@ -943,6 +970,10 @@ class TestBuchberger:
         gens = [x * x + y, x * y + x]
         with pytest.raises(ResourceBudgetError):
             buchberger(gens, max_pairs=0)
+        # The one initial pair leaves a remainder, which queues two pairs more.
+        with pytest.raises(ResourceBudgetError, match="^Buchberger pair budget 1 exceeded$"):
+            buchberger(gens, max_pairs=1)
+        assert buchberger(gens, max_pairs=3) == pairwise_buchberger(gens)
 
     def test_quotient_dimension_budget(self, monkeypatch):
         field = cyclo_field(1)
@@ -976,30 +1007,103 @@ class TestBuchberger:
 
     def test_rejects_zero_input(self):
         field = cyclo_field(1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^no nonzero generators$"):
             buchberger([MultiPoly.zero(field, 2)])
+
+    def test_rejects_generators_of_different_rings(self):
+        for other in (variable(cyclo_field(3), 2, 0), variable(cyclo_field(1), 3, 0)):
+            with pytest.raises(DomainError, match="^generators live in different rings$"):
+                buchberger([variable(cyclo_field(1), 2, 0), other])
 
     def test_non_artinian_quotient_rejected(self):
         field = cyclo_field(1)
         gb = buchberger([variable(field, 2, 0)])
-        with pytest.raises(DomainError):
+        message = "quotient is not finite-dimensional (no pure power in the leading terms)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             gb.quotient_basis()
+
+    def test_non_monic_inputs(self):
+        # 2 x1 + 1 and (1 + zeta) x2 - x1 over Q(zeta_3): both leads need an inverse.
+        field = cyclo_field(3)
+        x1, x2 = variable(field, 2, 0), variable(field, 2, 1)
+        one = MultiPoly(field, 2, {(0, 0): field.one})
+        gens = [x1.scale(field.from_int(2)) + one, x2.scale(field.element((1, 1))) - x1]
+        gb = buchberger(gens)
+        assert gb == pairwise_buchberger(gens)
+        # x1 = -1/2 and x2 = -1 / (2 (1 + zeta)) = zeta / 2, since 1 + zeta = -zeta^2.
+        assert [g.terms for g in gb.gens] == [
+            {(0, 1): field.one, (0, 0): field.element((0, RAT(-1, 2)))},
+            {(1, 0): field.one, (0, 0): field.element((RAT(1, 2), 0))},
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_pairwise_reference(self, data):
+        # Non-homogeneous generators whose leading coefficients need not be one, so
+        # that both make them monic by a field inverse.
+        field = cyclo_field(data.draw(st.sampled_from([1, 3]), label="order"))
+        n = data.draw(st.integers(1, 3), label="n")
+        exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        coeffs = st.lists(st.integers(-3, 3), min_size=field.degree, max_size=field.degree).filter(any)
+        poly = st.dictionaries(exps, coeffs.map(field.element), min_size=1, max_size=4)
+        gens = [MultiPoly(field, n, terms) for terms in data.draw(st.lists(poly, min_size=1, max_size=3))]
+        assert buchberger(gens) == pairwise_buchberger(gens)
+
+    def test_stated_bases_match_the_pairwise_reference(self):
+        cells = [(f, n, k) for f in "XYZ" for n in range(1, 5) for k in range(1, 5)] + [("Y", 5, 6), ("Z", 5, 4)]
+        for family, n, k in cells:
+            locus = enumerate_locus(family, n, k)
+            if locus.size:
+                gens = stated_generators(locus)
+                assert buchberger(gens) == pairwise_buchberger(gens), (family, n, k)
+
+    def test_chain_criterion_spares_reductions(self, monkeypatch):
+        # Z(4, 4): the reference reduces 23 S-polynomials, the chain criterion leaves 6.
+        # Either run ends with one reduction per element of the reduced basis, so the
+        # long divisions are 27 and 10.
+        gens = stated_generators(enumerate_locus("Z", 4, 4))
+        calls = []
+        for module, name in ((harmonics, "_reduce"), (reference_ideals, "reduce_poly")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), calls, name))
+        gb = buchberger(gens)
+        assert gb == pairwise_buchberger(gens)
+        assert (calls.count("_reduce") - len(gb.gens), calls.count("reduce_poly") - len(gb.gens)) == (6, 23)
+
+    def test_pairs_skipped_by_a_criterion_count_against_the_budget(self, monkeypatch):
+        # <x1 x2, x2 x3, x1 x3>: three pairs with lcm x1 x2 x3.  The first two reduce
+        # to zero, and the chain criterion skips the third through the other two.
+        field = cyclo_field(1)
+        x = [variable(field, 3, i) for i in range(3)]
+        gens = [x[0] * x[1], x[1] * x[2], x[0] * x[2]]
+        calls = []
+        monkeypatch.setattr(harmonics, "_reduce", counted(harmonics._reduce, calls, "_reduce"))
+        with pytest.raises(ResourceBudgetError, match="^Buchberger pair budget 2 exceeded$"):
+            buchberger(gens, max_pairs=2)
+        calls.clear()
+        gb = buchberger(gens, max_pairs=3)
+        assert gb == pairwise_buchberger(gens)
+        assert len(calls) == 2 + len(gb.gens)
+        # Pure powers: every pair is skipped as coprime, and each one still counts.
+        powers = [g * g for g in x]
+        with pytest.raises(ResourceBudgetError, match="^Buchberger pair budget 2 exceeded$"):
+            buchberger(powers, max_pairs=2)
+        assert buchberger(powers, max_pairs=3) == pairwise_buchberger(powers)
 
 
 class TestNormalForms:
-    """Long division (``harmonics._reduce_poly``), the reference for graded traces."""
+    """Long division (``reference_ideals.reduce_poly``), the reference for graded traces."""
 
     def test_standard_monomial_fixed(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
         field = gb.field
         m = MultiPoly(field, 2, {(1, 1): field.one})
-        assert harmonics._reduce_poly(m, list(gb.gens)) == m
+        assert reduce_poly(m, list(gb.gens)) == m
 
     def test_ideal_members_reduce_to_zero(self):
         locus = enumerate_locus("Y", 3, 3)
         gb = vanishing_ideal(locus)
         # products of generators stay in the ideal
-        assert harmonics._reduce_poly(gb.gens[0] * gb.gens[-1], list(gb.gens)).is_zero()
+        assert reduce_poly(gb.gens[0] * gb.gens[-1], list(gb.gens)).is_zero()
 
     def test_reduction_matches_evaluation(self):
         # The normal form is the unique standard-monomial combination agreeing
@@ -1008,7 +1112,7 @@ class TestNormalForms:
         gb = vanishing_ideal(locus)
         field = gb.field
         p = complete_homogeneous(field, 3, 2) * elementary_symmetric(field, 3, 1)
-        nf = harmonics._reduce_poly(p, list(gb.gens))
+        nf = reduce_poly(p, list(gb.gens))
         assert all(gb.is_standard(e) for e in nf.terms)
         for w in locus.words:
             assert evaluate_at_word(p, w) == evaluate_at_word(nf, w)
@@ -1017,12 +1121,12 @@ class TestNormalForms:
     def test_generators_reduce_to_zero(self, family, n, k, mu):
         gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
         for basis in (gb, associated_graded(gb)):
-            assert all(harmonics._reduce_poly(g, list(basis.gens)).is_zero() for g in basis.gens)
+            assert all(reduce_poly(g, list(basis.gens)).is_zero() for g in basis.gens)
 
     def test_malformed_exponents_rejected(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
         for e in [(1,), (1, 0, 0), (2, -1)]:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="^exponents do not name a monomial of this basis' ring$"):
                 gb.is_standard(e)
 
     def test_is_standard_past_the_field_width_is_tuple_divisibility(self):
@@ -1069,7 +1173,7 @@ def exact_normal_form_mod(gb, e, p):
     omega = interpolation.primitive_roots(gb.field.order, p)[0]
     monomial = MultiPoly(gb.field, gb.nvars, {e: gb.field.one})
     out = {}
-    for s, c in harmonics._reduce_poly(monomial, list(gb.gens)).terms.items():
+    for s, c in reduce_poly(monomial, list(gb.gens)).terms.items():
         image = sum(
             int(x.numerator) * pow(int(x.denominator), -1, p) * pow(omega, i, p) for i, x in enumerate(c.coords)
         ) % p
@@ -1113,7 +1217,7 @@ class TestGradedCharacter:
 
     def test_rejects_non_permutation(self):
         gb_t = associated_graded(vanishing_ideal(enumerate_locus("X", 2, 2)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^w must be a permutation of 0\.\.n-1$"):
             graded_character(gb_t, (0, 0))
 
     # The tanisaki locus has coefficients outside Q, which map to F_p through omega.
@@ -1249,7 +1353,7 @@ class TestGradedFrobenius:
             raise AssertionError("vanishing_ideal ran before the symmetry check")
 
         monkeypatch.setattr(harmonics, "vanishing_ideal", no_ideal)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^the symmetric group does not preserve the locus$"):
             graded_frobenius(locus)
 
     @pytest.mark.parametrize(
@@ -1376,11 +1480,40 @@ class TestPresentations:
 
         monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
         monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
-        for locus in (enumerate_locus("springer", 3), enumerate_locus("tanisaki", 3, mu=(2, 1))):
-            with pytest.raises(DomainError, match=f"^family '{locus.family}' has no stated presentation$"):
+        for locus, message in [
+            (enumerate_locus("springer", 3), "family 'springer' has no stated presentation"),
+            (enumerate_locus("tanisaki", 3, mu=(2, 1)), "family 'tanisaki' has no stated presentation"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{message}$"):
                 verify_presentation(locus)
-        with pytest.raises(DomainError):
-            stated_generators(enumerate_locus("Y", 3, 2))
+
+    def test_negative_pair_budget_refused_before_elimination(self, monkeypatch):
+        # X(5, 4) exceeds the point budget, but the pair budget is refused first.
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("vanishing_ideal ran before the pair budget was refused")
+
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
+        monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
+        message = "the Buchberger pair budget must be nonnegative, not -1"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            verify_presentation(enumerate_locus("X", 5, 4), max_pairs=-1)
+
+    @pytest.mark.parametrize(
+        "family,n,k,mu,message",
+        [
+            ("Y", 3, 2, None, "no stated presentation: the locus is empty"),
+            ("Z", 2, 3, None, "no stated presentation: the locus is empty"),
+            ("springer", 3, None, None, "no stated presentation for family 'springer'"),
+            ("tanisaki", 3, None, (2, 1), "no stated presentation for family 'tanisaki'"),
+        ],
+    )
+    def test_stated_generators_refuse_loci_without_a_presentation(self, family, n, k, mu, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            stated_generators(enumerate_locus(family, n, k, mu=mu))
+
+    @pytest.mark.parametrize("family,n,k", [("Y", 5, 6), ("Z", 5, 4), ("Y", 6, 6)])
+    def test_larger_presentations_verify(self, family, n, k):
+        assert verify_presentation(enumerate_locus(family, n, k), max_points=720, max_vars=6, max_pairs=20000)
 
 
 class TestDumps:
