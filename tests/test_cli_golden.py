@@ -29,6 +29,9 @@ _INVOCATIONS = [
     ["verify", "--family", "word-bicsp-Y", "--n", "2", "--k", "3"],
     ["verify", "--family", "tanisaki-bicsp", "--mu", "2,1,1"],
     ["verify", "--family", "graph-Z", "--n", "4", "--k", "2"],
+    ["verify", "--family", "necklace-Y", "--n", "3", "--k", "2"],
+    ["verify", "--family", "word-bicsp-Z", "--n", "2", "--k", "3"],
+    ["verify", "--family", "tanisaki-necklace", "--mu", "2,1,2,1", "--a", "2"],
     ["harmonics", "--family", "Z", "--n", "4", "--k", "2", "--hilbert"],
     ["harmonics", "--family", "Z", "--n", "4", "--k", "2", "--hilbert", "--groebner"],
     ["harmonics", "--family", "Z", "--n", "4", "--k", "2", "--frobenius"],

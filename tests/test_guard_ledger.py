@@ -1,5 +1,5 @@
 """Every ``raise InternalCheckError(...)`` of the package, and every ``raise
-DomainError(...)`` of ``harmonics``, fires in a test.
+DomainError(...)`` of ``harmonics`` and ``sieving``, fires in a test.
 
 An internal check guards a state that correct code never reaches, so only a test
 that breaks something on purpose (a monkeypatch or a hand-built input) shows that
@@ -83,6 +83,10 @@ def test_every_internal_check_fires_in_a_test():
 
 def test_every_domain_error_of_harmonics_fires_in_a_test():
     assert unraised([SOURCE / "harmonics.py"], "DomainError") == []
+
+
+def test_every_domain_error_of_sieving_fires_in_a_test():
+    assert unraised([SOURCE / "sieving.py"], "DomainError") == []
 
 
 def test_the_ledger_reads_guards_and_tests():

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -209,6 +210,43 @@ def test_constructor_domain_errors():
     ]:
         with pytest.raises(DomainError, match="takes no mu or a"):
             enumerate_locus(family, 2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: normalize_family("bogus"), "unknown sieving family 'bogus'"),
+        (lambda: closed_frobenius("W", 2, 2), "no closed Frobenius image for family 'W'"),
+        (lambda: sieving_polynomial("wcomp-csp", n=2), "family 'wcomp-csp' needs both n and k"),
+        (lambda: sieving_polynomial("wcomp-csp", n=0, k=2), "n and k must be positive"),
+        (lambda: sieving_polynomial("tanisaki-bicsp"), "family 'tanisaki-bicsp' needs a content vector mu"),
+        (lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, 0)), "mu must be a nonempty vector of positive parts"),
+        (lambda: sieving_polynomial("tanisaki-bicsp", n=4, mu=(2, 1)), "n must equal the sum of mu"),
+        (lambda: sieving_polynomial("tanisaki-bicsp", k=3, mu=(2, 1)), "k must equal the length of mu"),
+        (lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, 1), a=1), "mu is not invariant under an index shift by 1"),
+        (lambda: sieving_polynomial("wcomp-csp", n=2, k=2, a=3), "family 'wcomp-csp' takes no mu or a"),
+        (lambda: sieving_polynomial("springer-bicsp"), "springer-bicsp needs a positive n"),
+        (
+            lambda: sieving_polynomial("springer-bicsp", n=3, k=2),
+            "springer-bicsp uses the alphabet {1..n}; omit k or set k = n",
+        ),
+        (
+            lambda: sieving_polynomial("graph-X", n=3, k=2),
+            "matching-stabilizer results need an even number of positions",
+        ),
+        (
+            lambda: verify_csp(build_instance("word-bicsp-X", n=2, k=2)),
+            "instance carries two actions; use verify_bicsp",
+        ),
+        (
+            lambda: verify_bicsp(build_instance("wcomp-csp", n=2, k=2)),
+            "instance carries a single action; use verify_csp",
+        ),
+    ],
+)
+def test_each_refusal_spells_out_its_reason(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- verification grids -------------------------------------------------------------------
