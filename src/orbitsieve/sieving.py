@@ -12,7 +12,9 @@ indices and checks that the set is closed under it (a generator is injective, so
 closure under the generators is closure under the group).  Each orbit of the group is
 then walked once and its stabilizer read off: a group element fixes exactly the
 points of the orbits whose stabilizer contains it (``_fixed_table``), so no count
-comes from the polynomial.
+comes from the polynomial.  A cyclic sieving instance is counted and checked as the
+bicyclic one with no position action: its second group is trivial, so its grid is
+the one column s = 0, reported as None.
 
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
@@ -169,21 +171,35 @@ def _check_counting_poly(p: SparsePoly) -> SparsePoly:
     return p
 
 
-def _need_nk(family: str, n, k) -> tuple[int, int]:
+def _parameters(family: str, n, k, mu, a) -> tuple[int, int, tuple[int, ...] | None]:
+    """(n, k, mu) of a result's locus, checked; only tanisaki takes mu or a."""
+    locus_family = _FAMILIES[family][0]
+    if locus_family == "tanisaki":
+        if mu is None:
+            raise DomainError(f"family {family!r} needs a content vector mu")
+        mu = tuple(int(c) for c in mu)
+        if not mu or any(c < 1 for c in mu):
+            raise DomainError("mu must be a nonempty vector of positive parts")
+        if n is not None and n != sum(mu):
+            raise DomainError("n must equal the sum of mu")
+        if k is not None and k != len(mu):
+            raise DomainError("k must equal the length of mu")
+        if a is not None and a not in symmetry_steps(mu):
+            raise DomainError(f"mu is not invariant under an index shift by {a}")
+        return sum(mu), len(mu), mu
+    if mu is not None or a is not None:
+        raise DomainError(f"family {family!r} takes no mu or a")
+    if locus_family == "springer":
+        if n is None or n < 1:
+            raise DomainError("springer-bicsp needs a positive n")
+        if k is not None and k != n:
+            raise DomainError("springer-bicsp uses the alphabet {1..n}; omit k or set k = n")
+        return int(n), int(n), None
     if n is None or k is None:
         raise DomainError(f"family {family!r} needs both n and k")
     if n < 1 or k < 1:
         raise DomainError("n and k must be positive")
-    return int(n), int(k)
-
-
-def _need_mu(family: str, mu) -> tuple[int, ...]:
-    if mu is None:
-        raise DomainError(f"family {family!r} needs a content vector mu")
-    mu = tuple(int(c) for c in mu)
-    if not mu or any(c < 1 for c in mu):
-        raise DomainError("mu must be a nonempty vector of positive parts")
-    return mu
+    return int(n), int(k), None
 
 
 def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePoly:
@@ -195,25 +211,7 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
     """
     family = normalize_family(family)
     locus_family, group = _FAMILIES[family]
-    if locus_family == "tanisaki":
-        mu = _need_mu(family, mu)
-        if n is not None and n != sum(mu):
-            raise DomainError("n must equal the sum of mu")
-        if k is not None and k != len(mu):
-            raise DomainError("k must equal the length of mu")
-        if a is not None and a not in symmetry_steps(mu):
-            raise DomainError(f"mu is not invariant under an index shift by {a}")
-        n, k = sum(mu), len(mu)
-    elif mu is not None or a is not None:
-        raise DomainError(f"family {family!r} takes no mu or a")
-    elif locus_family == "springer":
-        if n is None or n < 1:
-            raise DomainError("springer-bicsp needs a positive n")
-        if k is not None and k != n:
-            raise DomainError("springer-bicsp uses the alphabet {1..n}; omit k or set k = n")
-        n = k = int(n)
-    else:
-        n, k = _need_nk(family, n, k)
+    n, k, mu = _parameters(family, n, k, mu, a)
     if group == "Hr" and n % 2:
         raise DomainError("matching-stabilizer results need an even number of positions")
     direct = _DIRECT_FORMS.get((locus_family, group))
@@ -230,33 +228,23 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
 # -- instances and reports --------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class SievingInstance:
     """A finite set, its cyclic action(s), and the polynomial that should count them.
 
-    ``fixed_count`` takes one exponent for single-action instances and two (value
-    exponent first) for bivariate ones.  ``order_t`` is None exactly in the
-    single-action case.
+    ``fixed_count(r, s)`` counts the points fixed by the r-th power of the value
+    action and the s-th power of the position action.  A single-action instance has
+    no position action: its ``order_t`` is None, and it is asked at s = 0.
     """
 
-    def __init__(
-        self,
-        family: str,
-        params: dict,
-        polynomial: SparsePoly,
-        order_q: int,
-        fixed_count: Callable[..., int],
-        binding: dict,
-        order_t: int | None = None,
-        notes: tuple[str, ...] = (),
-    ):
-        self.family = family
-        self.params = dict(params)
-        self.polynomial = polynomial
-        self.order_q = order_q
-        self.order_t = order_t
-        self.fixed_count = fixed_count
-        self.binding = binding
-        self.notes = tuple(notes)
+    family: str
+    params: dict
+    polynomial: SparsePoly
+    order_q: int
+    fixed_count: Callable[[int, int], int]
+    binding: dict
+    order_t: int | None = None
+    notes: tuple[str, ...] = ()
 
     @property
     def bivariate(self) -> bool:
@@ -264,7 +252,7 @@ class SievingInstance:
 
     @property
     def size(self) -> int:
-        return self.fixed_count(0, 0) if self.bivariate else self.fixed_count(0)
+        return self.fixed_count(0, 0)
 
 
 @dataclass
@@ -341,22 +329,19 @@ def _fixed_table(a: list[int], b: list[int], p: int, q: int) -> Callable[[int, i
     return fixed
 
 
-def _word_grid(locus: Locus, action_q: Action, action_t: Action) -> Callable[[int, int], int]:
-    """``fixed_count`` on the generators as permutations of word indices.  Each
-    generator moves every word once (``act_on_words``), on first use; closure under
-    both generators is closure under every element, as they are injective."""
+def _lazy_table(permutations: Callable[[], tuple[list[int], list[int]]], p: int, q: int) -> Callable[[int, int], int]:
+    """``_fixed_table`` on the two index permutations ``permutations()`` makes, on the first count."""
 
     @functools.cache
     def table() -> Callable[[int, int], int]:
-        words = locus.words
-        index = dict(zip(words, range(len(words))))
-        try:
-            a, b = (list(map(index.__getitem__, act_on_words(x, words))) for x in (action_q, action_t))
-        except KeyError:
-            raise InternalCheckError("action does not preserve the locus") from None
-        return _fixed_table(a, b, action_q.order, action_t.order)
+        return _fixed_table(*permutations(), p, q)
 
     return lambda r, s: table()(r, s)
+
+
+def _notes(locus: Locus, notes) -> tuple[str, ...]:
+    empty = ("the parameter range admits no words; every row checks 0 = 0",) if locus.infeasible else ()
+    return (_BINDING_NOTE,) + tuple(notes) + empty
 
 
 def word_bicsp_instance(
@@ -370,7 +355,9 @@ def word_bicsp_instance(
 
     The value side is always the canonical shift preserving the locus; callers choose
     the position side (the long rotation for the standard grids, other permutations
-    for ad hoc checks).
+    for ad hoc checks).  Each generator moves every word once (``act_on_words``), on
+    the first count, and becomes a permutation of word indices; closure under both
+    generators is closure under every element, as they are injective.
     """
     shift = Action.value_shift(locus.scaling_step, locus.k)
     t_label = "position-permutation" if position_action.kind == "permutation" else "position-rotation"
@@ -378,46 +365,24 @@ def word_bicsp_instance(
     if position_action.perm is not None:
         t_binding["perm"] = list(position_action.perm)
     binding = {"q": _shift_binding(locus.scaling_step, shift.order), "t": t_binding}
-    all_notes = (_BINDING_NOTE,) + tuple(notes)
-    if locus.infeasible:
-        all_notes = all_notes + ("the parameter range admits no words; every row checks 0 = 0",)
+
+    def permutations() -> tuple[list[int], list[int]]:
+        words = locus.words
+        index = dict(zip(words, range(len(words))))
+        try:
+            return tuple(list(map(index.__getitem__, act_on_words(x, words))) for x in (shift, position_action))
+        except KeyError:
+            raise InternalCheckError("action does not preserve the locus") from None
+
     return SievingInstance(
         family,
         locus.describe(),
         polynomial,
         shift.order,
-        _word_grid(locus, shift, position_action),
+        _lazy_table(permutations, shift.order, position_action.order),
         binding,
         order_t=position_action.order,
-        notes=all_notes,
-    )
-
-
-def _orbit_instance(family: str, locus: Locus, group: str, polynomial: SparsePoly, notes) -> SievingInstance:
-    orbits = orbit_set(locus, group)
-    step = locus.scaling_step
-    order = locus.scaling_order
-    params = locus.describe()
-    params["group"] = group
-
-    @functools.cache
-    def table() -> Callable[[int, int], int]:
-        return _fixed_table(orbits.shift_permutation(step), list(range(orbits.size)), order, 1)
-
-    def fixed(r: int) -> int:
-        return table()(r, 0)
-
-    all_notes = (_BINDING_NOTE,) + tuple(notes)
-    if locus.infeasible:
-        all_notes = all_notes + ("the parameter range admits no words; every row checks 0 = 0",)
-    return SievingInstance(
-        family,
-        params,
-        polynomial,
-        order,
-        fixed,
-        {"q": _shift_binding(step, order)},
-        notes=all_notes,
+        notes=_notes(locus, notes),
     )
 
 
@@ -426,32 +391,46 @@ def build_instance(family: str, n=None, k=None, mu=None, a=None) -> SievingInsta
     family = normalize_family(family)
     polynomial = sieving_polynomial(family, n=n, k=k, mu=mu, a=a)
     locus_family, group = _FAMILIES[family]
+    n, k, mu = _parameters(family, n, k, mu, a)
+    locus = enumerate_locus(locus_family, n, k, mu=mu, a=a)
     if locus_family == "tanisaki":
-        mu = _need_mu(family, mu)
-        locus = enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a)
         notes = (f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}",)
     else:
-        locus = enumerate_locus(locus_family, int(n), int(k or n))
         notes = (_Y_CONVENTION_NOTE,) if family == "word-bicsp-Y" else ()
     if group == "rotation":
         return word_bicsp_instance(family, locus, Action.position_rotation(locus.n), polynomial, notes=notes)
-    return _orbit_instance(family, locus, group, polynomial, notes)
+    orbits = orbit_set(locus, group)
+    step = locus.scaling_step
+    order = locus.scaling_order
+    params = locus.describe()
+    params["group"] = group
+    return SievingInstance(
+        family,
+        params,
+        polynomial,
+        order,
+        _lazy_table(lambda: (orbits.shift_permutation(step), list(range(orbits.size))), order, 1),
+        {"q": _shift_binding(step, order)},
+        notes=_notes(locus, notes),
+    )
 
 
 # -- verification -------------------------------------------------------------------------
 
 
-def verify_csp(inst: SievingInstance) -> Report:
-    """Check a single-action instance: every power's fixed points against q-evaluations."""
-    if inst.bivariate:
-        raise DomainError("instance carries two actions; use verify_bicsp")
-    order = inst.order_q
+def _verify(inst: SievingInstance) -> Report:
+    """Each exponent pair's fixed points against the polynomial at roots of unity."""
+    order_t = inst.order_t or 1
+    level = math.lcm(inst.order_q, order_t)
     rows = []
-    for r in range(order):
-        fixed = inst.fixed_count(r)
-        value = eval_at_unity(inst.polynomial, order, r=r, order_q=order)
-        ok = value == fixed
-        rows.append({"r": r, "s": None, "fixed": fixed, "value": _value_field(value), "ok": ok})
+    for r in range(inst.order_q):
+        for s in range(order_t):
+            fixed = inst.fixed_count(r, s)
+            value = eval_at_unity(inst.polynomial, level, r=r, s=s, order_q=inst.order_q, order_t=order_t)
+            ok = value == fixed
+            rows.append(
+                {"r": r, "s": s if inst.bivariate else None, "fixed": fixed, "value": _value_field(value), "ok": ok}
+            )
     return Report(
         family=inst.family,
         params=inst.params,
@@ -460,6 +439,13 @@ def verify_csp(inst: SievingInstance) -> Report:
         all_ok=all(row["ok"] for row in rows),
         notes=inst.notes,
     )
+
+
+def verify_csp(inst: SievingInstance) -> Report:
+    """Check a single-action instance: every power's fixed points against q-evaluations."""
+    if inst.bivariate:
+        raise DomainError("instance carries two actions; use verify_bicsp")
+    return _verify(inst)
 
 
 def verify_bicsp(inst: SievingInstance) -> Report:
@@ -470,22 +456,7 @@ def verify_bicsp(inst: SievingInstance) -> Report:
     """
     if not inst.bivariate:
         raise DomainError("instance carries a single action; use verify_csp")
-    level = math.lcm(inst.order_q, inst.order_t)
-    rows = []
-    for r in range(inst.order_q):
-        for s in range(inst.order_t):
-            fixed = inst.fixed_count(r, s)
-            value = eval_at_unity(inst.polynomial, level, r=r, s=s, order_q=inst.order_q, order_t=inst.order_t)
-            ok = value == fixed
-            rows.append({"r": r, "s": s, "fixed": fixed, "value": _value_field(value), "ok": ok})
-    return Report(
-        family=inst.family,
-        params=inst.params,
-        binding=inst.binding,
-        rows=rows,
-        all_ok=all(row["ok"] for row in rows),
-        notes=inst.notes,
-    )
+    return _verify(inst)
 
 
 def verify_family(family: str, n=None, k=None, mu=None, a=None) -> Report:

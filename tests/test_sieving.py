@@ -493,7 +493,7 @@ def test_negative_exponents_rejected():
         with pytest.raises(DomainError):
             inst.fixed_count(r, s)
     with pytest.raises(DomainError):
-        build_instance("necklace-X", n=3, k=2).fixed_count(-1)
+        build_instance("necklace-X", n=3, k=2).fixed_count(-1, 0)
 
 
 def index_powers(perm, count):
@@ -628,7 +628,7 @@ def test_orbit_counts_equal_recanonicalised_counts(family, kwargs, locus_args):
         images = orbits.shift_permutation(shift)
         assert sum(x == i for i, x in enumerate(images)) == recanonicalised_count(orbits, shift)
     for r in range(2 * inst.order_q + 1):
-        assert inst.fixed_count(r) == recanonicalised_count(orbits, locus.scaling_step * r % locus.k)
+        assert inst.fixed_count(r, 0) == recanonicalised_count(orbits, locus.scaling_step * r % locus.k)
 
 
 # -- report structure ---------------------------------------------------------------------
