@@ -283,7 +283,7 @@ class GroebnerBasis:
                 image = 0
                 for x, power in zip(tc.coords, powers):
                     if x:
-                        num, den = int(x.numerator), int(x.denominator)
+                        num, den = x.numerator, x.denominator
                         if den % p == 0:
                             return None
                         image += num * pow(den, -1, p) * power

@@ -676,7 +676,7 @@ def test_non_integer_value_is_flagged_not_crashed():
 
 
 def test_non_integer_value_text_does_not_depend_on_the_backend():
-    # Each coordinate prints with str, which reads the same for int, Fraction and mpq.
+    # Each coordinate prints with str: an int as itself, a Fraction as p/q.
     value = eval_at_unity(SparsePoly.monomial(1), 4, r=1, order_q=4)
     assert sieving._value_field(value) == "non-integer: CycloElement(L=4, [0, 1])"
     half = cyclo_field(4).element([RAT(1, 2), 1])
