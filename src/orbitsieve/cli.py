@@ -150,8 +150,6 @@ def _locus_from(ns) -> Locus:
             raise DomainError("tanisaki needs --mu")
         if n is None:
             n = sum(ns.mu)
-    if ns.family == "springer" and n is None:
-        raise DomainError("springer needs --n")
     if n is None:
         raise DomainError(f"family {ns.family!r} needs --n")
     return enumerate_locus(ns.family, n, ns.k, mu=ns.mu, a=ns.a)

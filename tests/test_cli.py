@@ -49,6 +49,10 @@ def test_unknown_family_is_usage_error_before_computation(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_springer_without_n_is_refused_as_every_locus_family_is(capsys):
+    assert run_cli(capsys, "locus", "--family", "springer") == (2, "", "error: family 'springer' needs --n\n")
+
+
 def test_unknown_locus_family_rejected_by_parser(capsys):
     code, out, err = run_cli(capsys, "locus", "--family", "W", "--n", "2", "--k", "2")
     assert code == 2
