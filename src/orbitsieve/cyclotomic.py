@@ -130,7 +130,8 @@ class CycloElement:
         self.coords = coords
 
     def _check(self, other: "CycloElement"):
-        if self.field != other.field:
+        # cyclo_field hands out one field per order, so identity settles almost every call
+        if self.field is not other.field and self.field != other.field:
             raise DomainError("cyclotomic elements from different fields")
 
     def is_zero(self) -> bool:

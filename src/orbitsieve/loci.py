@@ -6,11 +6,14 @@ position permutations.  Five families exist: all words (X), words with distinct 
 (springer).  Orbit sets quotient a locus by one of the three position subgroups and
 carry the induced value-shift action on canonical labels.
 
-The per-word passes stay at C level: the orbit labels of all of {1..k}^n (proved by
-a word-by-word comparison with the cube) are generated, content labels elsewhere key
-each word by its sorted letters, and a value shift maps letters through a cached table.
-``act_on_words`` moves a whole list of words in such passes, and orbit labels are read
-in bulk too.
+The X locus ``enumerate_locus`` builds is all of {1..k}^n in lex order by construction,
+and it builds its k^n word tuples only when ``words`` is first read.  On such a cube
+(or a hand-built locus proved one by a word-by-word comparison) the orbit labels are
+generated, and the value shift and the rotation permute word indices by base-k digit
+arithmetic (``cube_index_permutations``), so neither reads a word.  Elsewhere the
+per-word passes stay at C level: content labels key each word by its sorted letters,
+and a value shift maps letters through a cached table.  ``act_on_words`` moves a whole
+list of words in such passes, and orbit labels are read in bulk too.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, permutations, product, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -35,9 +38,14 @@ def symmetry_steps(mu: tuple[int, ...]) -> list[int]:
     return [a for a in range(1, k + 1) if k % a == 0 and all(mu[i] == mu[(i + a) % k] for i in range(k))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Locus:
-    """A finite family of words, with the value-shift step that preserves it."""
+    """A finite family of words, with the value-shift step that preserves it.
+
+    Two loci are equal when their parameters and words are; the hash reads the
+    parameters and the size only, so a cube ``enumerate_locus`` built equals and
+    hashes like a locus handed the same word tuple, and neither builds words to hash.
+    """
 
     family: str
     n: int
@@ -46,6 +54,21 @@ class Locus:
     mu: tuple[int, ...] | None = None
     a: int | None = None
     infeasible: bool = False
+
+    def _key(self) -> tuple:
+        return (self.family, self.n, self.k, self.size, self.mu, self.a, self.infeasible)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Locus):
+            return NotImplemented
+        if self is other:
+            return True
+        if self._key() != other._key():
+            return False
+        return type(self) is type(other) is _Cube or self.words == other.words
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def size(self) -> int:
@@ -68,6 +91,23 @@ class Locus:
         if self.a is not None:
             out["a"] = self.a
         return out
+
+
+class _Cube(Locus):
+    """X(n, k) as ``enumerate_locus`` builds it: all of {1..k}^n in lex order by
+    construction.  Its k^n word tuples are built on the first read of ``words``, once;
+    the orbit sets and word grids of a cube read none of them."""
+
+    def __init__(self, n: int, k: int):
+        vars(self).update(family="X", n=n, k=k)  # mu, a and infeasible keep their defaults
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(product(range(1, self.k + 1), repeat=self.n))
+
+    @property
+    def size(self) -> int:
+        return self.k**self.n
 
 
 def enumerate_locus(
@@ -115,8 +155,7 @@ def enumerate_locus(
     if k is None or k < 1:
         raise DomainError("alphabet size k must be >= 1")
     if family == "X":
-        words = tuple(product(range(1, k + 1), repeat=n))
-        return Locus(family, n, k, words)
+        return _Cube(n, k)
     if family == "Y":
         if k < n:
             return Locus(family, n, k, (), infeasible=True)
@@ -241,6 +280,51 @@ def _shift_table(shift: int, k: int) -> dict[int, int]:
     return {x: (x - 1 + shift) % k + 1 for x in range(1, k + 1)}
 
 
+# -- the cube --------------------------------------------------------------------------
+
+
+def _is_cube(locus: Locus) -> bool:
+    """Whether locus.words is all of {1..k}^n in lex order: at once for a cube that
+    ``enumerate_locus`` built, else compared word by word (``product`` reuses its
+    result tuple, so the proof allocates almost nothing)."""
+    if isinstance(locus, _Cube):
+        return True
+    n, k, words = locus.n, locus.k, locus.words
+    cube = n >= 1 and k >= 1 and len(words) == k**n
+    return cube and all(map(operator.eq, words, product(range(1, k + 1), repeat=n)))
+
+
+def cube_index_permutations(locus: Locus, actions: Sequence[Action]) -> list[list[int]] | None:
+    """The index of each word's image under each action, by base-k digit arithmetic,
+    if the locus is the cube (``_is_cube``) and every action is a value shift mod k
+    or a rotation; else None.
+
+    The word w sits at its base-k value sum((w[i] - 1) k^(n-1-i)), so no word is built
+    or looked up.  A rotation by r reads the index A k^(n-r) + B, A its first r
+    digits, as B k^r + A: in index order the images are range(A, k^n, k^r) for each A.
+    A value shift moves each digit d to t[d] = (d + step) mod k.  The indices whose
+    top digit is d form block d, which goes to block t[d] while the digits below move
+    as on one fewer position, so each digit's table is the one below it with t[d] k^m
+    added, block by block, in C-level ``map(add, ...)`` passes.
+    """
+    n, k = locus.n, locus.k
+    digit_wise = (a.kind == "position_rotation" or (a.kind == "value_shift" and a.modulus == k) for a in actions)
+    if not (all(digit_wise) and _is_cube(locus)):
+        return None
+    out = []
+    for action in actions:
+        if action.kind == "position_rotation":
+            m = k ** (action.step % n)
+            out.append(list(chain.from_iterable(range(top, k**n, m) for top in range(m))))
+            continue
+        table = [0]
+        for m in range(n):
+            shifted = ((d + action.step) % k * k**m for d in range(k))
+            table = list(chain.from_iterable(map(add, table, repeat(c)) for c in shifted))
+        out.append(table)
+    return out
+
+
 # -- orbit sets --------------------------------------------------------------------------
 
 
@@ -308,35 +392,24 @@ class OrbitSet:
             raise InternalCheckError("value shift does not preserve the orbit set") from None
 
 
-def _is_cube(locus: Locus) -> bool:
-    """Whether locus.words is all of {1..k}^n in lex order, compared word by word
-    (``product`` reuses its result tuple, so this allocates almost nothing)."""
-    n, k, words = locus.n, locus.k, locus.words
-    cube = n >= 1 and k >= 1 and len(words) == k**n
-    return cube and all(map(operator.eq, words, product(range(1, k + 1), repeat=n)))
-
-
 def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
     """The necklace labels of the cube {1..k}^n, generated, or None if the locus is
-    not all of {1..k}^n in lex order (``_is_cube``, a word-by-word proof).
+    not all of {1..k}^n in lex order (``_is_cube``).
 
     Prenecklaces of length n over 1..k come in lex order by the iterative
     Fredricksen-Kessler-Maiorana step: raise the last letter below k and repeat the
     prefix up to it.  That prefix is the last Lyndon prefix; the word is a necklace
     exactly when its length p divides n.  A necklace is the least word of its orbit,
-    so it is its own first-met representative; each is read as the locus word at its
-    base-k index, so no copy of it is kept.
+    so it is its own first-met representative; no word of the locus is read.
     """
     if not _is_cube(locus):
         return None
-    words, n, k = locus.words, locus.n, locus.k
-    weights = [k ** (n - 1 - i) for i in range(n)]
-    offset = sum(weights)  # the base-k index of a is sum((a[i] - 1) * weights[i])
+    n, k = locus.n, locus.k
     labels = []
     a, p = [1] * n, 1
     while True:
         if n % p == 0:
-            labels.append(words[sum(map(operator.mul, a, weights)) - offset])
+            labels.append(tuple(a))
         i = n - 1
         while i >= 0 and a[i] == k:
             i -= 1
@@ -350,7 +423,7 @@ def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
-    On a cube (`_is_cube`, a word-by-word proof) the first word of each orbit is
+    On a cube (`_is_cube`) the first word of each orbit is
     generated: a necklace (`_generated_necklace_labels`), a non-decreasing word, or
     sorted letter pairs in order.  Elsewhere Sn labels key each word by its sorted
     letters, and only the distinct keys become content vectors; every other case reads

@@ -7,7 +7,6 @@ coordinates stay ints, so a rational appears only where one is not.
 
 from fractions import Fraction as RAT
 
-RAT_ZERO = RAT(0)
 RAT_ONE = RAT(1)
 
 

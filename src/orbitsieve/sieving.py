@@ -9,7 +9,10 @@ fixed points are counted on the set and compared with the cyclotomic evaluation 
 polynomial, with no numerical tolerance anywhere.  Each generator's image of every
 element of the set is computed once, which turns the generator into a permutation of
 indices and checks that the set is closed under it (a generator is injective, so
-closure under the generators is closure under the group).  Each orbit of the group is
+closure under the generators is closure under the group).  On the cube {1..k}^n under
+the value shift and the rotation, both permutations come from base-k digit arithmetic
+instead (``loci.cube_index_permutations``): the cube is closed under both, and no
+word is built.  Each orbit of the group is
 then walked once and its stabilizer read off: a group element fixes exactly the
 points of the orbits whose stabilizer contains it (``_fixed_table``), so no count
 comes from the polynomial.  A cyclic sieving instance is counted and checked as the
@@ -38,7 +41,7 @@ from .characters import SchurVector, h_to_schur, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
-from .loci import Action, Locus, act_on_words, enumerate_locus, orbit_set, symmetry_steps
+from .loci import Action, Locus, act_on_words, cube_index_permutations, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
@@ -357,7 +360,8 @@ def word_bicsp_instance(
     the position side (the long rotation for the standard grids, other permutations
     for ad hoc checks).  Each generator moves every word once (``act_on_words``), on
     the first count, and becomes a permutation of word indices; closure under both
-    generators is closure under every element, as they are injective.
+    generators is closure under every element, as they are injective.  On a cube
+    under a rotation the permutations are computed from the indices alone.
     """
     shift = Action.value_shift(locus.scaling_step, locus.k)
     t_label = "position-permutation" if position_action.kind == "permutation" else "position-rotation"
@@ -367,6 +371,9 @@ def word_bicsp_instance(
     binding = {"q": _shift_binding(locus.scaling_step, shift.order), "t": t_binding}
 
     def permutations() -> tuple[list[int], list[int]]:
+        arithmetic = cube_index_permutations(locus, (shift, position_action))
+        if arithmetic is not None:
+            return tuple(arithmetic)
         words = locus.words
         index = dict(zip(words, range(len(words))))
         try:

@@ -35,7 +35,7 @@ from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetErr
 from orbitsieve.harmonics import DEFAULT_MAX_PAIRS, GroebnerBasis, MultiPoly, _basis, buchberger, check_budget
 from orbitsieve.interpolation import Exponents, _tail_coefficients, grevlex_key, orbit_representatives
 from orbitsieve.loci import Locus
-from orbitsieve.rat import RAT, RAT_ZERO
+from orbitsieve.rat import RAT
 
 
 def successors(level: list[Exponents], n: int) -> list[Exponents]:
@@ -147,12 +147,12 @@ class _EigenClass:
         total: dict = {}
         for c, r in uses:
             for key, val in memo[r].items():
-                cur = total.get(key, RAT_ZERO) + c * val
+                cur = total.get(key, RAT(0)) + c * val
                 if cur:
                     total[key] = cur
                 elif key in total:
                     del total[key]
-        return [-total.get((local, j), RAT_ZERO) for local in range(len(self.stds)) for j in range(phi)]
+        return [-total.get((local, j), RAT(0)) for local in range(len(self.stds)) for j in range(phi)]
 
 
 def rational_elimination(locus: Locus):

@@ -1,5 +1,6 @@
 """Cyclotomic field tests: frozen small polynomials, product identities, exact evaluation."""
 
+import operator
 from math import gcd
 
 import pytest
@@ -130,6 +131,17 @@ def test_inverse_is_verified_by_its_product(monkeypatch):
     monkeypatch.setattr(cyclotomic, "RAT_ONE", RAT(2))
     with pytest.raises(InternalCheckError, match="^cyclotomic inverse failed verification$"):
         zeta.inverse()
+
+
+def test_elements_of_different_fields_do_not_mix():
+    a, b = cyclo_field(3).one, cyclo_field(4).one
+    for combine in (operator.add, operator.sub, operator.mul, operator.eq):
+        with pytest.raises(DomainError, match="^cyclotomic elements from different fields$"):
+            combine(a, b)
+    # A field built apart from cyclo_field equals the shared one of its order.
+    twin = CycloField(3).one
+    assert twin.field is not a.field
+    assert twin == a and (twin + a) * a == cyclo_field(3).from_int(2)
 
 
 def test_eval_at_unity_small_cases():

@@ -113,6 +113,39 @@ class TestEnumeration:
             enumerate_locus("X", 2, 0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: enumerate_locus("W", 2, 2), "unknown locus family 'W'"),
+        (lambda: enumerate_locus("X", 0, 2), "word length n must be >= 1"),
+        (lambda: enumerate_locus("springer", 3, k=4), "springer words use the alphabet of size n"),
+        (lambda: enumerate_locus("tanisaki", 2), "tanisaki locus needs a content vector mu"),
+        (lambda: enumerate_locus("tanisaki", 2, mu=(3, -1)), "mu must be a nonempty tuple of nonnegative integers"),
+        (lambda: enumerate_locus("tanisaki", 2, mu=()), "mu must be a nonempty tuple of nonnegative integers"),
+        (lambda: enumerate_locus("tanisaki", 2, 3, mu=(1, 1)), "alphabet size must equal the number of parts of mu"),
+        (lambda: enumerate_locus("tanisaki", 3, mu=(1, 1)), "mu (1, 1) does not sum to n=3"),
+        (
+            lambda: enumerate_locus("tanisaki", 6, mu=(2, 1, 2, 1), a=1),
+            "a=1 is not a cyclic symmetry of mu=(2, 1, 2, 1) (valid: [2, 4])",
+        ),
+        (lambda: enumerate_locus("X", 2, 0), "alphabet size k must be >= 1"),
+        (lambda: enumerate_locus("Y", 2), "alphabet size k must be >= 1"),
+        (lambda: Action.value_shift(1, 0), "value shift needs k >= 1 and step >= 0"),
+        (lambda: Action.value_shift(-1, 3), "value shift needs k >= 1 and step >= 0"),
+        (lambda: Action.position_rotation(0), "rotation needs n >= 1"),
+        (lambda: Action.permutation((0, 0, 1)), "perm must be a permutation of 0..n-1"),
+        (lambda: apply_action(Action("spin"), (1, 2)), "unknown action kind 'spin'"),
+        (lambda: act_on_words(Action("spin"), [(1, 2), (2, 1)]), "unknown action kind 'spin'"),
+        (lambda: canonical_form((1, 2), "Dn", 2), "unknown subgroup 'Dn'"),
+        (lambda: orbit_set(enumerate_locus("X", 2, 2), "Dn"), "unknown subgroup 'Dn'"),
+        (lambda: orbit_set(enumerate_locus("X", 3, 2), "Hr"), "matching-stabilizer orbits need even n"),
+    ],
+)
+def test_each_refusal_spells_out_its_reason(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestActions:
     def test_value_shift_wraps(self):
         g = Action.value_shift(1, 3)
@@ -462,6 +495,79 @@ class TestCubeLabels:
         assert paths != set()
         if group == "Cn" and list(locus.words) == sorted(set(locus.words)):
             assert "_labels" in paths  # necklaces off the cube are read in bulk
+
+
+def lookup_permutation(action, words):
+    """Each word's image located by a dictionary lookup: the reference for digit arithmetic."""
+    index = {w: i for i, w in enumerate(words)}
+    return [index[image] for image in act_on_words(action, words)]
+
+
+def digit_actions(n, k):
+    """Value shifts mod k by steps 0, 1, k - 1 and k + 1, and rotations by 0..n."""
+    shifts = [Action.value_shift(step, k) for step in sorted({0, 1, k - 1, k + 1})]
+    return shifts + [Action("position_rotation", step=r, modulus=n) for r in range(n + 1)]
+
+
+class TestCube:
+    """X(n, k) as enumerate_locus builds it: the cube by construction, words built on demand."""
+
+    CUBES = [(n, k) for n in range(1, 13) for k in range(1, 65) if k**n <= 4096]
+
+    def test_index_permutations_equal_the_dictionary_lookup(self):
+        assert (1, 64) in self.CUBES and (12, 2) in self.CUBES and (12, 1) in self.CUBES
+        for n, k in self.CUBES:
+            cube = enumerate_locus("X", n, k)
+            twin = Locus("X", n, k, tuple(product(range(1, k + 1), repeat=n)))
+            actions = digit_actions(n, k)
+            expected = [lookup_permutation(action, twin.words) for action in actions]
+            assert loci.cube_index_permutations(cube, actions) == expected
+            assert loci.cube_index_permutations(twin, actions) == expected
+
+    @pytest.mark.parametrize(
+        "locus,action",
+        [
+            (enumerate_locus("X", 3, 2), Action.permutation((1, 0, 2))),  # not digit-wise
+            (enumerate_locus("X", 3, 2), Action.value_shift(1, 3)),  # another alphabet
+            (enumerate_locus("Y", 3, 4), Action.position_rotation(3)),  # not the cube
+            (Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2))), Action.value_shift(1, 2)),  # out of lex order
+        ],
+    )
+    def test_other_actions_and_loci_get_none(self, locus, action):
+        assert loci.cube_index_permutations(locus, [Action.position_rotation(locus.n), action]) is None
+
+    def test_words_are_built_once_on_the_first_read(self, monkeypatch):
+        products = spy_on(monkeypatch, "product")
+        locus = enumerate_locus("X", 3, 2)
+        assert locus.size == 8 and loci._is_cube(locus) and products == []
+        words = locus.words
+        assert words == tuple(product(range(1, 3), repeat=3)) and type(words) is tuple
+        assert locus.words is words and len(products) == 1
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (3, 2), (4, 3)])
+    def test_equals_and_hashes_like_its_tuple_built_twin(self, n, k, monkeypatch):
+        cube = enumerate_locus("X", n, k)
+        twin = Locus("X", n, k, tuple(product(range(1, k + 1), repeat=n)))
+        products = spy_on(monkeypatch, "product")
+        assert hash(cube) == hash(twin) and cube == enumerate_locus("X", n, k)
+        assert products == []  # neither hashing nor comparing two cubes builds words
+        assert cube == twin and twin == cube and {twin: "basis"}[cube] == "basis"
+        assert cube.words == twin.words
+
+    def test_differs_from_every_other_locus(self):
+        cube = enumerate_locus("X", 2, 2)
+        words = tuple(product(range(1, 3), repeat=2))
+        others = [
+            enumerate_locus("X", 2, 3),
+            enumerate_locus("X", 3, 2),
+            Locus("X", 2, 2, words[:-1]),
+            Locus("X", 2, 2, words[:-1] + ((1, 1),)),
+            Locus("Z", 2, 2, words),
+            Locus("X", 2, 2, words, a=1),
+        ]
+        for other in others:
+            assert cube != other and other != cube
+        assert cube != words and cube != "X"
 
 
 class TestContentLabels:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitsieve import sieving
+from orbitsieve import loci, sieving
 from orbitsieve.characters import invariant_hilbert
 from orbitsieve.cyclotomic import cyclo_field, eval_at_unity
 from orbitsieve.errors import DomainError, InternalCheckError
@@ -449,6 +449,35 @@ def test_each_generator_moves_each_word_once(monkeypatch):
     assert moved == []
     verify_bicsp(inst)
     assert moved == [inst.size] * 2
+
+
+def tuple_built_twin(family, n, k=None, mu=None, a=None):
+    """``enumerate_locus``, with an X cube handed over as a tuple of words."""
+    locus = enumerate_locus(family, n, k, mu=mu, a=a)
+    return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)
+
+
+@pytest.mark.parametrize("family", ["word-bicsp-X", "wcomp-csp", "necklace-X", "graph-X"])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 3), (4, 2), (4, 3), (6, 2)])
+def test_cube_reports_equal_those_on_the_tuple_built_twin(family, n, k, monkeypatch):
+    expected = verify_family(family, n=n, k=k).to_json_dict()
+    assert expected["all_ok"]
+    monkeypatch.setattr(sieving, "enumerate_locus", tuple_built_twin)
+    assert verify_family(family, n=n, k=k).to_json_dict() == expected  # proved a cube word by word
+    monkeypatch.setattr(loci, "_is_cube", lambda locus: False)
+    assert verify_family(family, n=n, k=k).to_json_dict() == expected  # dictionary lookups and label walks
+
+
+@pytest.mark.parametrize("family", ["word-bicsp-X", "necklace-X", "wcomp-csp", "graph-X"])
+def test_cube_grids_build_no_word_tuple(family, monkeypatch):
+    def unread(locus):
+        raise AssertionError(f"the words of X({locus.n}, {locus.k}) were built")
+
+    monkeypatch.setattr(loci._Cube, "words", property(unread))
+    report = verify_family(family, n=8, k=3 if family == "graph-X" else 4)
+    assert report.all_ok
+    with pytest.raises(AssertionError, match=r"^the words of X\(8, 4\) were built$"):
+        enumerate_locus("X", 8, 4).words
 
 
 @pytest.mark.parametrize(
