@@ -13,7 +13,6 @@ from .harmonics import (
     GroebnerBasis,
     MultiPoly,
     associated_graded,
-    buchberger,
     graded_character,
     graded_frobenius,
     hilbert_series,
@@ -53,7 +52,6 @@ __all__ = [
     "SparsePoly",
     "apply_action",
     "associated_graded",
-    "buchberger",
     "build_instance",
     "cyclo_field",
     "enumerate_locus",

@@ -22,7 +22,6 @@ import sys
 
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
 from .harmonics import (
-    DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_POINTS,
     DEFAULT_MAX_VARS,
     associated_graded,
@@ -64,7 +63,6 @@ def _build_parser() -> _Parser:
     budgets = _Parser(add_help=False)
     budgets.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
     budgets.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS)
-    budgets.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
 
     parser = _Parser(prog="orbitsieve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,15 +195,15 @@ def _cmd_verify(ns) -> tuple[int, str]:
 
 
 def _cmd_harmonics(ns) -> tuple[int, str]:
-    # Every budget is checked, also one the mode does not read, in verify_presentation's order.
-    for value, name in ((ns.max_pairs, "Buchberger pair"), (ns.max_points, "point"), (ns.max_vars, "variable")):
+    # Both budgets are checked before the locus is enumerated, in the library's order.
+    for value, name in ((ns.max_points, "point"), (ns.max_vars, "variable")):
         check_budget(value, name)
     if ns.groebner and not ns.hilbert:
         raise DomainError("--groebner accompanies --hilbert")
     locus = _locus_from(ns)
     budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.check_presentation:
-        matches = verify_presentation(locus, max_pairs=ns.max_pairs, **budgets)
+        matches = verify_presentation(locus, **budgets)
         data = {"locus": locus.describe(), "presentation_matches": matches}
         rows = [["presentation_matches", str(matches).lower()]]
         text = "presentation matches" if matches else "FAILED: presentation does not match"

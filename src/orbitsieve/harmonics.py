@@ -23,11 +23,11 @@ a split prime: S_n preserves the locus (checked), so each is an integer no large
 than its piece's dimension, and every class' traces must add up to the words its
 permutation fixes.  The normal forms behind them (``GroebnerBasis``) walk the
 packed exponents of ``interpolation.PackedMonomials``, at a width each basis
-fixes when it is built.  Buchberger's algorithm remains for the stated
-presentations, which are given by generators rather than by points.  It takes
-pairs by the normal strategy, least lcm first, and skips those that Buchberger's
-criteria, coprime leads and the chain criterion, prove redundant (Buchberger,
-EUROSAM 1979; Gebauer and Moller, J. Symb. Comput. 6, 1988).
+fixes when it is built.  Buchberger's algorithm remains inside
+``verify_presentation``, with no budget of its own, for the stated presentations,
+which are given by generators rather than by points.  It takes pairs least lcm
+first and skips those that coprime leads or the chain criterion prove redundant
+(Buchberger, EUROSAM 1979; Gebauer and Moller, J. Symb. Comput. 6, 1988).
 
 ``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
 point-ideal bases keyed by locus, so each locus is eliminated once however many
@@ -65,12 +65,13 @@ from .tableaux import partitions
 
 DEFAULT_MAX_POINTS = 720
 DEFAULT_MAX_VARS = 5
-DEFAULT_MAX_PAIRS = 20000
 MAX_QUOTIENT_DIM = 100000
 
 
 class MultiPoly:
-    """Multivariate polynomial with CycloElement coefficients, zero terms dropped."""
+    """Multivariate polynomial with CycloElement coefficients, zero terms dropped.
+
+    The library only builds, reads and prints these; it does no arithmetic on them."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -78,16 +79,6 @@ class MultiPoly:
         self.field = field
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, field: CycloField, nvars: int) -> "MultiPoly":
-        return cls(field, nvars, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     @property
     def degree(self) -> int:
@@ -101,53 +92,6 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[Exponents, CycloElement]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
-    def _merge(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            val = (cur + c if sign > 0 else cur - c) if cur is not None else (c if sign > 0 else -c)
-            if val:
-                out[e] = val
-            elif cur is not None:
-                del out[e]
-        return MultiPoly(self.field, self.nvars, out)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._merge(other, +1)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c: CycloElement) -> "MultiPoly":
-        if not c:
-            return MultiPoly.zero(self.field, self.nvars)
-        return MultiPoly(self.field, self.nvars, {e: ce * c for e, ce in self.terms.items()})
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Exponents, CycloElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                cur = out.get(e)
-                val = cur + v if cur is not None else v
-                if val:
-                    out[e] = val
-                elif cur is not None:
-                    del out[e]
-        return MultiPoly(self.field, self.nvars, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def top_component(self) -> "MultiPoly":
         """Homogeneous part of highest total degree."""
@@ -411,8 +355,9 @@ def hilbert_series(qb: QuotientBasis) -> SparsePoly:
     return out
 
 
-def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GroebnerBasis:
-    """Reduced monic grevlex Groebner basis of the ideal the generators span.
+def buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
+    """Reduced monic grevlex Groebner basis of the ideal that nonzero generators of
+    one ring span; ``verify_presentation`` runs it on the stated generators.
 
     Each element is kept once, as its lead exponent L and negated monic tail T, so
     x^L = T modulo it.  Pairs leave a heap in ascending grevlex order of their lcm
@@ -421,17 +366,10 @@ def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> 
     that lead's pairs with both have left the queue (Buchberger, EUROSAM 1979;
     Gebauer and Moller, J. Symb. Comput. 6, 1988).  Each other S-polynomial is built
     from the two tails and reduced by ``_reduce``; a nonzero remainder joins the
-    basis.  Every pair taken from the queue counts against ``max_pairs``.  Last,
-    elements whose lead another lead divides are dropped, the other tails reduced.
+    basis.  Last, elements whose lead another lead divides are dropped, the other
+    tails reduced.
     """
-    check_budget(max_pairs, "Buchberger pair")
-    nonzero = [g for g in gens if g.terms]
-    if not nonzero:
-        raise DomainError("no nonzero generators")
-    field, nvars = nonzero[0].field, nonzero[0].nvars
-    for g in nonzero:
-        if g.field != field or g.nvars != nvars:
-            raise DomainError("generators live in different rings")
+    field, nvars = gens[0].field, gens[0].nvars
     one = field.one
     leads: list[Exponents] = []
     tails: list[list[tuple[Exponents, CycloElement]]] = []
@@ -449,15 +387,11 @@ def buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> 
         tails.append([(e, -c) if inv is None else (e, -c * inv) for e, c in terms])
         done.append(set())
 
-    for g in nonzero:
+    for g in gens:
         lead = max(g.terms, key=grevlex_key)
         admit(lead, [(e, c) for e, c in g.terms.items() if e != lead], g.terms[lead])
-    processed = 0
     while heap:
         _, gamma, i, j = heappop(heap)
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceBudgetError(f"Buchberger pair budget {max_pairs} exceeded")
         done[i].add(j)
         done[j].add(i)
         if not any(map(min, leads[i], leads[j])):
@@ -831,17 +765,17 @@ def verify_presentation(
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     max_vars: int = DEFAULT_MAX_VARS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> bool:
     """True iff the family's stated generators span the same ideal as the top
-    components of the computed point-ideal basis.  Both sides are reduced, monic
-    grevlex bases, and an ideal has exactly one such basis.  A negative pair budget
-    and a family without a stated presentation are refused before any elimination."""
-    check_budget(max_pairs, "Buchberger pair")
+    components of the computed point-ideal basis.  Buchberger's algorithm reduces
+    the stated generators; both sides are then reduced, monic grevlex bases, and an
+    ideal has exactly one such basis.  A family without a stated presentation is
+    refused before any elimination; the point and variable budgets bound the
+    elimination, and Buchberger's run has no budget of its own."""
     if locus.family not in ("X", "Y", "Z"):
         raise DomainError(f"family {locus.family!r} has no stated presentation")
     gb_i = _point_basis(locus, max_points, max_vars)
-    return buchberger(stated_generators(locus), max_pairs=max_pairs) == associated_graded(gb_i)
+    return buchberger(stated_generators(locus)) == associated_graded(gb_i)
 
 
 def harmonics_json(locus: Locus, gb_i: GroebnerBasis, gb_t: GroebnerBasis) -> dict:

@@ -24,6 +24,10 @@ it skips only the pairs with coprime leads and reduces every other S-polynomial 
 ``harmonics.buchberger`` also applies the chain criterion and divides in place, and
 must return the same reduced basis.  ``reduce_poly`` is also the tests' exact normal
 form, the reference for graded traces.
+
+The library builds and reads ``MultiPoly`` values but never combines them, so their
+arithmetic (``add``, ``sub``, ``scale``, ``mul``, ``equal``, ``zero``, ``is_zero``)
+lives here, as plain functions for these references and the tests.
 """
 
 from __future__ import annotations
@@ -32,10 +36,55 @@ from heapq import heappop, heappush
 
 from orbitsieve.cyclotomic import CycloElement, CycloField, cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
-from orbitsieve.harmonics import DEFAULT_MAX_PAIRS, GroebnerBasis, MultiPoly, _basis, buchberger, check_budget
+from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
 from orbitsieve.interpolation import Exponents, _tail_coefficients, grevlex_key, orbit_representatives
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT
+
+
+# -- MultiPoly arithmetic ----------------------------------------------------------------
+
+
+def zero(field: CycloField, nvars: int) -> MultiPoly:
+    return MultiPoly(field, nvars, {})
+
+
+def is_zero(p: MultiPoly) -> bool:
+    return not p.terms
+
+
+def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
+    """p + q or p - q; the constructor drops the terms that cancel."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        c = c if sign > 0 else -c
+        out[e] = out[e] + c if e in out else c
+    return MultiPoly(p.field, p.nvars, out)
+
+
+def add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return _merge(p, q, +1)
+
+
+def sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return _merge(p, q, -1)
+
+
+def scale(p: MultiPoly, c: CycloElement) -> MultiPoly:
+    return MultiPoly(p.field, p.nvars, {e: pc * c for e, pc in p.terms.items()})
+
+
+def mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    out: dict[Exponents, CycloElement] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return MultiPoly(p.field, p.nvars, out)
+
+
+def equal(p: MultiPoly, q: MultiPoly) -> bool:
+    return p.field == q.field and p.nvars == q.nvars and p.terms == q.terms
 
 
 def successors(level: list[Exponents], n: int) -> list[Exponents]:
@@ -283,11 +332,11 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
     basis: GroebnerBasis | None = None
     for w in locus.words:
         origin = MultiPoly(field, n, {(0,) * n: field.one})
-        linear = [variable(field, n, i) - origin.scale(field.root_power(w[i])) for i in range(n)]
+        linear = [sub(variable(field, n, i), scale(origin, field.root_power(w[i]))) for i in range(n)]
         if basis is None:
             gens = linear
         else:
-            gens = [f * g for f in basis.gens for g in linear]
+            gens = [mul(f, g) for f in basis.gens for g in linear]
         basis = buchberger(gens)
     return basis
 
@@ -320,7 +369,7 @@ def reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
             work = MultiPoly(work.field, work.nvars, {e: c for e, c in work.terms.items() if e != le})
             continue
         shift = tuple(a - b for a, b in zip(le, leads[hit]))
-        work = work - monomial_shift(basis[hit], shift, lc)
+        work = sub(work, monomial_shift(basis[hit], shift, lc))
     return MultiPoly(p.field, p.nvars, remainder)
 
 
@@ -332,27 +381,23 @@ def spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     one = f.field.one
     lhs = monomial_shift(f, tuple(a - b for a, b in zip(gamma, ltf)), one)
     rhs = monomial_shift(g, tuple(a - b for a, b in zip(gamma, ltg)), one)
-    return lhs - rhs
+    return sub(lhs, rhs)
 
 
-def pairwise_buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GroebnerBasis:
-    """Reduced monic grevlex Groebner basis of the ideal the generators span.
+# A cap on the pairs of one reference run, so that a runaway input fails a test
+# rather than hanging it.
+PAIRWISE_MAX_PAIRS = 20000
 
-    Classic pair processing with the coprime-criterion skip; a pair budget guards
-    runaway inputs.  Every pair whose leads are not coprime is reduced.
+
+def pairwise_buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
+    """Reduced monic grevlex Groebner basis of the ideal that nonzero generators of
+    one ring span.
+
+    Classic pair processing with the coprime-criterion skip; every pair whose leads
+    are not coprime is reduced.
     """
-    check_budget(max_pairs, "Buchberger pair")
-    nonzero = [g for g in gens if g.terms]
-    if not nonzero:
-        raise DomainError("no nonzero generators")
-    field, nvars = nonzero[0].field, nonzero[0].nvars
-    for g in nonzero:
-        if g.field != field or g.nvars != nvars:
-            raise DomainError("generators live in different rings")
-    basis: list[MultiPoly] = []
-    for g in nonzero:
-        _, lc = g.leading_term()
-        basis.append(g.scale(lc.inverse()))
+    field, nvars = gens[0].field, gens[0].nvars
+    basis = [scale(g, g.leading_term()[1].inverse()) for g in gens]
 
     heap: list[tuple] = []
     for i in range(len(basis)):
@@ -362,16 +407,15 @@ def pairwise_buchberger(gens: list[MultiPoly], *, max_pairs: int = DEFAULT_MAX_P
     while heap:
         _, gamma, i, j = heappop(heap)
         processed += 1
-        if processed > max_pairs:
-            raise ResourceBudgetError(f"Buchberger pair budget {max_pairs} exceeded")
+        if processed > PAIRWISE_MAX_PAIRS:
+            raise ResourceBudgetError(f"reference pair cap {PAIRWISE_MAX_PAIRS} exceeded")
         lti = basis[i].leading_term()[0]
         ltj = basis[j].leading_term()[0]
         if tuple(a + b for a, b in zip(lti, ltj)) == gamma:
             continue  # coprime leading terms: s-polynomial reduces to zero
         r = reduce_poly(spoly(basis[i], basis[j]), basis)
         if r.terms:
-            _, lc = r.leading_term()
-            r = r.scale(lc.inverse())
+            r = scale(r, r.leading_term()[1].inverse())
             new_idx = len(basis)
             basis.append(r)
             for idx in range(new_idx):

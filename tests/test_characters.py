@@ -7,6 +7,7 @@ and group orders are computed here.
 """
 
 import math
+import re
 from itertools import permutations
 
 import pytest
@@ -198,3 +199,24 @@ def test_schur_vector_validation():
         SchurVector(3, {(2,): SparsePoly.one()})
     sv = SchurVector(3, {(2, 1): SparsePoly.zero()})
     assert sv.items() == []
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: subgroup_elements("Dn", 3), "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')"),
+        (lambda: conjugacy_classes(-1), "negative n"),
+        (lambda: sn_character((2, 1), (2,)), "shape and cycle type must have equal size"),
+        (lambda: list(matching_group_elements(-1)), "negative r"),
+        (lambda: subgroup_elements("Hr", 3), "matching stabilizer needs even n"),
+        (lambda: fixed_space_dim((2, 1), "Hr"), "matching stabilizer needs even n"),
+        (lambda: SchurVector(3, {(2,): SparsePoly.one()}), "shape (2,) is not a partition of 3"),
+        (
+            lambda: SchurVector(2, {(2,): SparsePoly.one()}) + SchurVector(3, {(3,): SparsePoly.one()}),
+            "mixing Schur expansions of different degrees",
+        ),
+    ],
+)
+def test_each_refusal_spells_out_its_reason(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -8,10 +8,9 @@ import sys
 import pytest
 
 import orbitsieve
-from orbitsieve import cli, harmonics, interpolation
+from orbitsieve import cli, interpolation
 from orbitsieve.cli import main
-from orbitsieve.errors import DomainError, InternalCheckError
-from orbitsieve.loci import enumerate_locus
+from orbitsieve.errors import InternalCheckError
 from orbitsieve.sieving import Report
 from orbitsieve.suite import SuiteResult
 
@@ -108,7 +107,6 @@ def test_budget_exceeded_exit_code(capsys):
     [
         ("--max-points", "-5", "the point budget must be nonnegative, not -5"),
         ("--max-vars", "-1", "the variable budget must be nonnegative, not -1"),
-        ("--max-pairs", "-1", "the Buchberger pair budget must be nonnegative, not -1"),
     ],
 )
 def test_negative_budget_is_usage_error(capsys, mode, flag, value, message):
@@ -118,27 +116,12 @@ def test_negative_budget_is_usage_error(capsys, mode, flag, value, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_negative_pair_budget_is_refused_as_the_library_refuses_it(capsys, monkeypatch):
-    # X(5, 4) also exceeds the point budget; the CLI and verify_presentation both
-    # refuse the pair budget first, also beside a negative point budget, with one
-    # message, and eliminate nothing.
-    def no_elimination(*args, **kwargs):
-        raise AssertionError("vanishing_ideal ran before the pair budget was refused")
-
-    monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
-    message = "the Buchberger pair budget must be nonnegative, not -1"
-    argv = ["harmonics", "--family", "X", "--n", "5", "--k", "4", "--check-presentation", "--max-pairs", "-1"]
-    for points in (720, -5):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            harmonics.verify_presentation(enumerate_locus("X", 5, 4), max_points=points, max_pairs=-1)
-        assert run_cli(capsys, *argv, "--max-points", str(points)) == (2, "", f"error: {message}\n")
-
-
-def test_zero_pair_budget_is_legal_and_exceeded(capsys):
+def test_the_pair_budget_flag_is_gone(capsys):
+    # Buchberger's run has no budget of its own, so argparse refuses the old flag.
     code, out, err = run_cli(
-        capsys, "harmonics", "--family", "Z", "--n", "3", "--k", "2", "--check-presentation", "--max-pairs", "0"
+        capsys, "harmonics", "--family", "Z", "--n", "3", "--k", "2", "--check-presentation", "--max-pairs", "5"
     )
-    assert (code, out, err) == (3, "", "error: Buchberger pair budget 0 exceeded\n")
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --max-pairs 5\n")
 
 
 def test_prime_budget_exceeded_exit_code(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Every ``raise InternalCheckError(...)`` of the package, and every ``raise
-DomainError(...)`` of ``harmonics``, ``sieving`` and ``loci``, fires in a test.
+DomainError(...)`` of ``harmonics``, ``sieving``, ``loci``, ``characters`` and
+``suite``, fires in a test.
 
 An internal check guards a state that correct code never reaches, so only a test
 that breaks something on purpose (a monkeypatch or a hand-built input) shows that
@@ -66,14 +67,15 @@ def raised_messages(tree: ast.AST, error: str = "InternalCheckError") -> set[str
     return out
 
 
-def unraised(paths, error: str) -> list[str]:
+def unraised(paths, error: str, least: int = 11) -> list[str]:
     """``file:line`` of every ``raise error(...)`` in ``paths`` whose whole message no
-    test that expects ``error`` names."""
+    test that expects ``error`` names; ``paths`` must hold at least ``least`` raises,
+    so that a parser that finds none cannot pass."""
     raised = set().union(*(raised_messages(_parse(path), error) for path in TESTS.glob("*.py")))
     guards = [
         (f"{path.name}:{line}", pattern) for path in paths for line, pattern in guard_messages(_parse(path), error)
     ]
-    assert len(guards) > 10
+    assert len(guards) >= least
     return [where for where, pattern in guards if not any(re.fullmatch(pattern, text) for text in raised)]
 
 
@@ -91,6 +93,14 @@ def test_every_domain_error_of_sieving_fires_in_a_test():
 
 def test_every_domain_error_of_loci_fires_in_a_test():
     assert unraised([SOURCE / "loci.py"], "DomainError") == []
+
+
+def test_every_domain_error_of_characters_fires_in_a_test():
+    assert unraised([SOURCE / "characters.py"], "DomainError", least=8) == []
+
+
+def test_every_domain_error_of_suite_fires_in_a_test():
+    assert unraised([SOURCE / "suite.py"], "DomainError", least=2) == []
 
 
 def test_the_ledger_reads_guards_and_tests():

@@ -49,6 +49,14 @@ def test_clamp_below_one_is_a_usage_error(monkeypatch, clamps, message):
         suite.run_suite([], **clamps)
 
 
+def test_unknown_criterion_is_refused():
+    message = "unknown suite criterion 'bogus'"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        suite.run_criterion("bogus")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        suite.run_suite(["orbit-csps", "bogus"], max_n=1, max_k=1)
+
+
 def test_springer_grid_shape_is_checked(monkeypatch):
     good = {"r": 0, "s": 0, "fixed": 1, "value": "1", "ok": True}
     rows = {1: [good], 2: [good]}  # n=2 should give a 2x2 grid
