@@ -13,7 +13,9 @@ certificate here (monic generators with standard tails, each generator within
 one eigenclass of the value shift, antichain leads, |X| standard monomials,
 vanishing at every value-shift orbit representative), which proves it is the
 reduced one.  If none of the first ``interpolation.MODULAR_PRIMES`` split primes
-yields a certified basis, ResourceBudgetError names that prime budget.
+yields a certified basis, ResourceBudgetError names that prime budget.  When the
+words are the whole cube {1..k}^n, the basis x_i^k - 1 is known beforehand
+(``_cube_basis``); it passes the same certificate, and no elimination runs.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
@@ -30,9 +32,10 @@ first and skips those that coprime leads or the chain criterion prove redundant
 (Buchberger, EUROSAM 1979; Gebauer and Moller, J. Symb. Comput. 6, 1988).
 
 ``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
-point-ideal bases keyed by locus, so each locus is eliminated once however many
+point-ideal bases keyed by locus, so each locus's basis is found once however many
 checks read its quotient; both check their budgets before the lookup.
-``vanishing_ideal`` itself is not cached: every call eliminates afresh.
+``vanishing_ideal`` itself is not cached: every call finds and certifies its basis
+afresh.
 
 Every result is exact: modular arithmetic only proposes a basis, which exact
 arithmetic certifies.  The monomial order is graded reverse lexicographic
@@ -47,7 +50,7 @@ import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 
-from . import interpolation
+from . import interpolation, loci
 from .characters import SchurVector, conjugacy_classes, sn_character
 from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -479,9 +482,12 @@ def check_budget(value: int, name: str) -> None:
 
 
 def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
-    """Refuse negative budgets, empty loci and loci beyond the point or variable budget."""
+    """Refuse negative budgets, words of length below 1, empty loci and loci beyond
+    the point or variable budget."""
     check_budget(max_points, "point")
     check_budget(max_vars, "variable")
+    if locus.n < 1:
+        raise DomainError("word length n must be >= 1")
     if locus.size == 0:
         raise DomainError("vanishing ideal of an empty locus")
     if locus.size > max_points:
@@ -498,15 +504,21 @@ def vanishing_ideal(
 ) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal of the embedded locus.
 
-    Buchberger-Moller per eigenspace of the value-shift action (see
-    ``interpolation``), over F_p for split primes; each lifted candidate is
-    returned only if it passes the exact certificate.  Raises
+    When the words are the whole cube {1..k}^n (``loci._is_cube``), the candidate
+    is ``_cube_basis``, built from n and k alone.  Otherwise, or if that candidate
+    failed, Buchberger-Moller per eigenspace of the value-shift action (see
+    ``interpolation``), over F_p for split primes, proposes the candidates.  Each
+    is returned only if it passes the exact certificate.  Raises
     ResourceBudgetError if none of at most ``interpolation.MODULAR_PRIMES``
     primes yields one.
     """
     _check_locus(locus, max_points, max_vars)
     field = cyclo_field(locus.k)
     reps = interpolation.orbit_representatives(locus)
+    if loci._is_cube(locus):
+        gb = _cube_basis(field, locus.n)
+        if _certified(locus, gb, reps):
+            return gb
     for layout, coords in modular_lifts(locus, reps):
         gb = _basis(field, locus.n, layout, coords)
         if _certified(locus, gb, reps):
@@ -514,6 +526,19 @@ def vanishing_ideal(
     raise ResourceBudgetError(
         f"no certified basis within the prime budget of {interpolation.MODULAR_PRIMES} split primes"
     )
+
+
+def _cube_basis(field: CycloField, n: int) -> GroebnerBasis:
+    """x_i^k - 1 for i < n, k the field order.  The cube {1..k}^n embeds as the
+    product of n copies of the k-th roots of unity, and the ideal of a product of
+    finite sets has these univariate products as its reduced Groebner basis in
+    every monomial order (Alon, Combinatorial Nullstellensatz, CPC 8, 1999)."""
+    k, zero = field.order, (0,) * n
+    gens = (
+        MultiPoly(field, n, {tuple(k if j == i else 0 for j in range(n)): field.one, zero: -field.one})
+        for i in range(n)
+    )
+    return GroebnerBasis(field, n, tuple(gens))
 
 
 def _basis(field: CycloField, n: int, layout, coords) -> GroebnerBasis:

@@ -126,7 +126,8 @@ def test_the_pair_budget_flag_is_gone(capsys):
 
 def test_prime_budget_exceeded_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(interpolation, "MODULAR_PRIMES", 0)
-    code, out, err = run_cli(capsys, "harmonics", "--family", "X", "--n", "2", "--k", "2", "--hilbert")
+    # Not a cube: the basis of a cube certifies before any prime is tried.
+    code, out, err = run_cli(capsys, "harmonics", "--family", "Z", "--n", "3", "--k", "2", "--hilbert")
     assert code == 3
     assert out == ""
     assert err.startswith("error:")

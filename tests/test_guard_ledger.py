@@ -1,6 +1,6 @@
 """Every ``raise InternalCheckError(...)`` of the package, and every ``raise
-DomainError(...)`` of ``harmonics``, ``sieving``, ``loci``, ``characters`` and
-``suite``, fires in a test.
+DomainError(...)`` of ``harmonics``, ``sieving``, ``loci``, ``characters``,
+``qpoly`` and ``suite``, fires in a test.
 
 An internal check guards a state that correct code never reaches, so only a test
 that breaks something on purpose (a monkeypatch or a hand-built input) shows that
@@ -97,6 +97,10 @@ def test_every_domain_error_of_loci_fires_in_a_test():
 
 def test_every_domain_error_of_characters_fires_in_a_test():
     assert unraised([SOURCE / "characters.py"], "DomainError", least=8) == []
+
+
+def test_every_domain_error_of_qpoly_fires_in_a_test():
+    assert unraised([SOURCE / "qpoly.py"], "DomainError", least=8) == []
 
 
 def test_every_domain_error_of_suite_fires_in_a_test():

@@ -13,7 +13,10 @@ composition, and graded traces read modulo a prime with traces summed in exact
 Q(zeta_k).
 """
 
+import ast
+import pathlib
 import re
+import sys
 import time
 from itertools import chain, islice
 from math import isqrt
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitsieve import harmonics, interpolation
+from orbitsieve import harmonics, interpolation, loci
 from orbitsieve.characters import conjugacy_classes, sn_character
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -244,6 +247,11 @@ def _root_counts(monkeypatch):
     return counts
 
 
+def _without_cube_basis(monkeypatch):
+    """Send cubes down the Buchberger-Moller path too, as if no locus were a cube."""
+    monkeypatch.setattr(loci, "_is_cube", lambda locus: False)
+
+
 # The tanisaki loci of ``suite --max-k 4`` whose content is not invariant under
 # scaling letters by the units mod k, so their bases are not rational.
 NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (1, 2, 1))]
@@ -304,6 +312,12 @@ class TestVanishingIdeal:
         for g in gb.gens:
             for w in locus.words:
                 assert not evaluate_at_word(g, w)
+
+    def test_word_length_below_one_is_a_domain_error(self):
+        locus = Locus("X", 0, 1, ((),))
+        for call in (verify_presentation, vanishing_ideal, graded_frobenius):
+            with pytest.raises(DomainError, match="^word length n must be >= 1$"):
+                call(locus)
 
     def test_budgets_and_domain(self):
         with pytest.raises(ResourceBudgetError):
@@ -408,6 +422,7 @@ class TestModularElimination:
     def test_stock_loci_certify_at_the_first_prime(self, family, n, k, mu, monkeypatch):
         # The first prime's lift passes the certificate, so these loci never
         # come near the prime budget.
+        _without_cube_basis(monkeypatch)
         counts = _root_counts(monkeypatch)
         vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=1024, max_vars=6)
         assert len(counts) == 1
@@ -416,6 +431,7 @@ class TestModularElimination:
     def test_one_root_matches_all_roots(self, family, n, k, mu, monkeypatch):
         locus = enumerate_locus(family, n, k, mu=mu)
         assert interpolation.unit_stable(locus)
+        _without_cube_basis(monkeypatch)
         counts = _root_counts(monkeypatch)
         one_root = vanishing_ideal(locus)
         assert set(counts) == {1}
@@ -442,6 +458,25 @@ class TestModularElimination:
         gb = vanishing_ideal(locus)
         assert set(counts) == {2}
         assert gb == naive_vanishing_ideal(locus)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for family, n, k, _ in STOCK_LOCI if family == "X"])
+    def test_cube_basis_is_the_modular_basis(self, n, k, monkeypatch):
+        locus = enumerate_locus("X", n, k)
+        counts = _root_counts(monkeypatch)
+        cube = vanishing_ideal(locus, max_points=1024, max_vars=6)
+        assert counts == []
+        assert cube == harmonics._cube_basis(cyclo_field(k), n)
+        _without_cube_basis(monkeypatch)
+        assert vanishing_ideal(locus, max_points=1024, max_vars=6) == cube
+        assert counts == [1]
+
+    def test_only_the_whole_cube_in_lex_order_skips_elimination(self, monkeypatch):
+        counts = _root_counts(monkeypatch)
+        words = enumerate_locus("X", 2, 3).words
+        for listed in (words, words[::-1]):
+            counts.clear()
+            vanishing_ideal(Locus("X", 2, 3, listed))
+            assert counts == ([] if listed == words else [1])
 
     def test_rational_reconstruction(self):
         m = 1000003 * 998244353
@@ -787,6 +822,57 @@ CORRUPTIONS = [
 ]
 
 
+def _rejection_lines() -> set[tuple[str, int]]:
+    """(function, line) of every ``return False`` in ``_certified`` and ``_vanishes_on``."""
+    tree = ast.parse(pathlib.Path(harmonics.__file__).read_text(encoding="utf-8"))
+    return {
+        (node.name, sub.lineno)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_certified", "_vanishes_on")
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Constant) and sub.value.value is False
+    }
+
+
+def _rejections_hit(call) -> set[tuple[str, int]]:
+    """The ``_rejection_lines`` that ``call()`` executes, traced line by line."""
+    watched = {harmonics._certified.__code__, harmonics._vanishes_on.__code__}
+    hit = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add((frame.f_code.co_name, frame.f_lineno))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in watched else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return hit & _rejection_lines()
+
+
+def _pure_power(n, i, a):
+    return tuple(a if j == i else 0 for j in range(n))
+
+
+def _cube_with_other_constant(field, n):
+    """x_i^k - zeta: the leads of the cube basis, vanishing at no word."""
+    k, zeta = field.order, field.root_power(1)
+    gens = [MultiPoly(field, n, {_pure_power(n, i, k): field.one, (0,) * n: -zeta}) for i in range(n)]
+    return GroebnerBasis(field, n, tuple(gens))
+
+
+def _cube_with_a_higher_power(field, n):
+    """x_1^(k+1) - x_1 in place of x_1^k - 1: it vanishes on the cube, but leaves
+    k^(n-1) standard monomials too many."""
+    k, one = field.order, field.one
+    gens = [MultiPoly(field, n, {_pure_power(n, i, k): one, (0,) * n: -one}) for i in range(1, n)]
+    gens.append(MultiPoly(field, n, {_pure_power(n, 0, k + 1): one, _pure_power(n, 0, 1): -one}))
+    return GroebnerBasis(field, n, tuple(gens))
+
+
 def _candidate(corrupt):
     """The basis ``_basis`` assembles from the first lift of CERTIFIED_LOCUS, corrupted."""
     field = cyclo_field(CERTIFIED_LOCUS.k)
@@ -851,6 +937,35 @@ class TestCertificate:
         assert harmonics._vanishes_on(gb, CERTIFIED_REPS)
         assert not harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
         assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
+
+    def test_each_rejection_has_its_corruption(self):
+        # Each corruption trips exactly one ``return False`` of the certificate,
+        # and together they trip all five.
+        rejections = _rejection_lines()
+        assert len(rejections) == 5
+        tripped = []
+        for corrupt in [None, *CORRUPTIONS]:
+            gb = _candidate(corrupt)
+            tripped.append(_rejections_hit(lambda: harmonics._certified(CERTIFIED_LOCUS, gb, CERTIFIED_REPS)))
+        assert tripped[0] == set() and all(len(hit) == 1 for hit in tripped[1:])
+        assert set().union(*tripped) == rejections
+
+    @pytest.mark.parametrize("wrong", [_cube_with_other_constant, _cube_with_a_higher_power])
+    def test_wrong_cube_basis_falls_back_to_elimination(self, wrong, monkeypatch):
+        locus = enumerate_locus("X", 2, 3)
+        certify = harmonics._certified
+        verdicts = []
+
+        def spy(locus, gb, reps):
+            verdicts.append(certify(locus, gb, reps))
+            return verdicts[-1]
+
+        monkeypatch.setattr(harmonics, "_cube_basis", wrong)
+        monkeypatch.setattr(harmonics, "_certified", spy)
+        counts = _root_counts(monkeypatch)
+        assert vanishing_ideal(locus) == exact_vanishing_ideal(locus)
+        assert verdicts == [False, True]
+        assert counts == [1]
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_corrupt_lifts_exhaust_the_prime_budget(self, corrupt, monkeypatch):

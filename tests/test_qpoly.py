@@ -5,6 +5,7 @@ index over explicitly enumerated words), not from the package's own formulas.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -89,11 +90,22 @@ def test_q_analogues_at_one_count_objects():
             assert evaluate(q_binomial(n, k)) == math.comb(n, k)
 
 
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        q_multinomial(4, (2, 1))
-    with pytest.raises(DomainError):
-        q_multinomial(3, (4, -1))
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: SparsePoly({(0, -1): 1}), "negative exponent in SparsePoly"),
+        (lambda: SparsePoly.monomial(1) ** -1, "negative power of a polynomial"),
+        (lambda: SparsePoly.monomial(1, 1).swap_q_to_t(), "swap_q_to_t needs a polynomial univariate in q"),
+        (lambda: SparsePoly.monomial(2, 1).div_exact_q(SparsePoly.monomial(1)), "expected a polynomial univariate in q"),
+        (lambda: SparsePoly.one().div_exact_q(SparsePoly.zero()), "division by the zero polynomial"),
+        (lambda: q_binomial(-1, 0), "q_binomial with negative n"),
+        (lambda: q_multinomial(3, (4, -1)), "q_multinomial with a negative part"),
+        (lambda: q_multinomial(4, (2, 1)), "q_multinomial parts (2, 1) do not sum to 4"),
+    ],
+)
+def test_each_refusal_spells_out_its_reason(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_exact_division_rejects_inexact():
