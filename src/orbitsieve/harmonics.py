@@ -13,9 +13,11 @@ certificate here (monic generators with standard tails, each generator within
 one eigenclass of the value shift, antichain leads, |X| standard monomials,
 vanishing at every value-shift orbit representative), which proves it is the
 reduced one.  If none of the first ``interpolation.MODULAR_PRIMES`` split primes
-yields a certified basis, ResourceBudgetError names that prime budget.  When the
-words are the whole cube {1..k}^n, the basis x_i^k - 1 is known beforehand
-(``_cube_basis``); it passes the same certificate, and no elimination runs.
+yields a certified basis, ResourceBudgetError names that prime budget.  On the cube
+{1..k}^n that ``enumerate_locus`` builds for X(n, k) (``loci._is_cube``), the basis
+x_i^k - 1 is known beforehand (``_cube_basis``); it passes the same certificate, and
+no elimination runs.  A locus handed the words of a cube is eliminated like any
+other, and gives the same basis.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
@@ -504,13 +506,13 @@ def vanishing_ideal(
 ) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal of the embedded locus.
 
-    When the words are the whole cube {1..k}^n (``loci._is_cube``), the candidate
-    is ``_cube_basis``, built from n and k alone.  Otherwise, or if that candidate
-    failed, Buchberger-Moller per eigenspace of the value-shift action (see
-    ``interpolation``), over F_p for split primes, proposes the candidates.  Each
-    is returned only if it passes the exact certificate.  Raises
-    ResourceBudgetError if none of at most ``interpolation.MODULAR_PRIMES``
-    primes yields one.
+    On a cube ``enumerate_locus`` built (``loci._is_cube``), the candidate is
+    ``_cube_basis``, built from n and k alone.  On any other locus, one handed the
+    words of a cube included, or if that candidate failed, Buchberger-Moller per
+    eigenspace of the value-shift action (see ``interpolation``), over F_p for split
+    primes, proposes the candidates.  Each is returned only if it passes the exact
+    certificate.  Raises ResourceBudgetError if none of at most
+    ``interpolation.MODULAR_PRIMES`` primes yields one.
     """
     _check_locus(locus, max_points, max_vars)
     field = cyclo_field(locus.k)

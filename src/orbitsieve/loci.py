@@ -7,10 +7,11 @@ position permutations.  Five families exist: all words (X), words with distinct 
 carry the induced value-shift action on canonical labels.
 
 The X locus ``enumerate_locus`` builds is all of {1..k}^n in lex order by construction,
-and it builds its k^n word tuples only when ``words`` is first read.  On such a cube
-(or a hand-built locus proved one by a word-by-word comparison) the orbit labels are
-generated, and the value shift and the rotation permute word indices by base-k digit
-arithmetic (``cube_index_permutations``), so neither reads a word.  Elsewhere the
+and it builds its k^n word tuples only when ``words`` is first read.  On such a cube,
+and only there (``_is_cube`` is a type test), the orbit labels are generated, and the
+value shift and the rotation permute word indices by base-k digit arithmetic
+(``cube_index_permutations``), so neither reads a word.  A locus handed the words of a
+cube is not one: it takes the general paths, with the same results.  On those the
 per-word passes stay at C level: content labels key each word by its sorted letters,
 and a value shift maps letters through a cached table.  ``act_on_words`` moves a whole
 list of words in such passes, and orbit labels are read in bulk too.
@@ -19,7 +20,6 @@ list of words in such passes, and orbit labels are read in bulk too.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, permutations, product, repeat
@@ -284,20 +284,15 @@ def _shift_table(shift: int, k: int) -> dict[int, int]:
 
 
 def _is_cube(locus: Locus) -> bool:
-    """Whether locus.words is all of {1..k}^n in lex order: at once for a cube that
-    ``enumerate_locus`` built, else compared word by word (``product`` reuses its
-    result tuple, so the proof allocates almost nothing)."""
-    if isinstance(locus, _Cube):
-        return True
-    n, k, words = locus.n, locus.k, locus.words
-    cube = n >= 1 and k >= 1 and len(words) == k**n
-    return cube and all(map(operator.eq, words, product(range(1, k + 1), repeat=n)))
+    """Whether the locus is a cube ``enumerate_locus`` built.  A locus handed the same
+    words is not one: it takes the general paths, which give the same results."""
+    return isinstance(locus, _Cube)
 
 
 def cube_index_permutations(locus: Locus, actions: Sequence[Action]) -> list[list[int]] | None:
     """The index of each word's image under each action, by base-k digit arithmetic,
-    if the locus is the cube (``_is_cube``) and every action is a value shift mod k
-    or a rotation; else None.
+    if the locus is a cube ``enumerate_locus`` built (``_is_cube``) and every action is
+    a value shift mod k or a rotation; else None.
 
     The word w sits at its base-k value sum((w[i] - 1) k^(n-1-i)), so no word is built
     or looked up.  A rotation by r reads the index A k^(n-r) + B, A its first r
@@ -392,9 +387,8 @@ class OrbitSet:
             raise InternalCheckError("value shift does not preserve the orbit set") from None
 
 
-def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
-    """The necklace labels of the cube {1..k}^n, generated, or None if the locus is
-    not all of {1..k}^n in lex order (``_is_cube``).
+def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:
+    """The necklace labels of the cube {1..k}^n, generated in lex order.
 
     Prenecklaces of length n over 1..k come in lex order by the iterative
     Fredricksen-Kessler-Maiorana step: raise the last letter below k and repeat the
@@ -402,9 +396,6 @@ def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
     exactly when its length p divides n.  A necklace is the least word of its orbit,
     so it is its own first-met representative; no word of the locus is read.
     """
-    if not _is_cube(locus):
-        return None
-    n, k = locus.n, locus.k
     labels = []
     a, p = [1] * n, 1
     while True:
@@ -423,30 +414,29 @@ def _generated_necklace_labels(locus: Locus) -> tuple[Word, ...] | None:
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
-    On a cube (`_is_cube`) the first word of each orbit is
-    generated: a necklace (`_generated_necklace_labels`), a non-decreasing word, or
-    sorted letter pairs in order.  Elsewhere Sn labels key each word by its sorted
-    letters, and only the distinct keys become content vectors; every other case reads
-    each word's canonical form in bulk (`_labels`).  Each gives the labels and
+    On a cube ``enumerate_locus`` built (`_is_cube`) the first word of each orbit is
+    generated, the least of its orbit: a necklace (`_generated_necklace_labels`), a
+    non-decreasing word, or sorted letter pairs in order.  Any other locus, one handed
+    the words of a cube included, is read: Sn labels key each word by its sorted
+    letters, and only the distinct keys become content vectors; Cn and Hr labels are
+    each word's canonical form, read in bulk (`_labels`).  Each gives the labels and
     representatives of a word-by-word walk.
     """
     if group not in ("Sn", "Cn", "Hr"):
         raise DomainError(f"unknown subgroup {group!r}")
     if group == "Hr" and locus.n % 2:
         raise DomainError("matching-stabilizer orbits need even n")
-    if group == "Cn":
-        labels = _generated_necklace_labels(locus)
-        if labels is not None:
-            return OrbitSet(group, locus.n, locus.k, labels, dict(zip(labels, labels)))
-    elif _is_cube(locus):
-        letters = range(1, locus.k + 1)
-        if group == "Sn":
-            firsts = combinations_with_replacement(letters, locus.n)
-            reps = {tuple(map(w.count, letters)): w for w in firsts}
+    if _is_cube(locus):
+        n, k, letters = locus.n, locus.k, range(1, locus.k + 1)
+        if group == "Cn":
+            necklaces = _generated_necklace_labels(n, k)
+            reps = dict(zip(necklaces, necklaces))
+        elif group == "Sn":
+            reps = {tuple(map(w.count, letters)): w for w in combinations_with_replacement(letters, n)}
         else:
-            pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), locus.n // 2)
+            pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), n // 2)
             reps = {label: tuple(chain.from_iterable(label)) for label in pairs}
-        return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
+        return OrbitSet(group, n, k, tuple(sorted(reps)), reps)
     if group == "Sn":
         # Read backwards, so the first word of each class is the last one stored.
         firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))

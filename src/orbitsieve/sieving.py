@@ -9,11 +9,11 @@ fixed points are counted on the set and compared with the cyclotomic evaluation 
 polynomial, with no numerical tolerance anywhere.  Each generator's image of every
 element of the set is computed once, which turns the generator into a permutation of
 indices and checks that the set is closed under it (a generator is injective, so
-closure under the generators is closure under the group).  On the cube {1..k}^n under
-the value shift and the rotation, both permutations come from base-k digit arithmetic
-instead (``loci.cube_index_permutations``): the cube is closed under both, and no
-word is built.  Each orbit of the group is
-then walked once and its stabilizer read off: a group element fixes exactly the
+closure under the generators is closure under the group).  On the cube {1..k}^n that
+``enumerate_locus`` builds, under the value shift and the rotation, both permutations
+come from base-k digit arithmetic instead (``loci.cube_index_permutations``): the
+cube is closed under both, and no word is built.  Each orbit of the group is then
+walked once and its stabilizer read off: a group element fixes exactly the
 points of the orbits whose stabilizer contains it (``_fixed_table``), so no count
 comes from the polynomial.  A cyclic sieving instance is counted and checked as the
 bicyclic one with no position action: its second group is trivial, so its grid is

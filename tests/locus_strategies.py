@@ -1,4 +1,5 @@
-"""Hypothesis strategies for small loci, shared by the test modules."""
+"""Hypothesis strategies for small loci, and the tuple-built twin of a locus, shared by
+the test modules."""
 
 from hypothesis import strategies as st
 
@@ -18,3 +19,9 @@ def shift_stable_loci(draw):
         if len(words | orbit) <= 8:
             words |= orbit
     return Locus("tanisaki", n, k, tuple(sorted(words)), a=a)
+
+
+def tuple_built(locus: Locus) -> Locus:
+    """The locus handed its words as a tuple.  A cube ``enumerate_locus`` built becomes
+    a plain locus with the same words, which takes the general paths."""
+    return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitsieve import harmonics, interpolation, loci
+from orbitsieve import harmonics, interpolation
 from orbitsieve.characters import conjugacy_classes, sn_character
 from orbitsieve.cyclotomic import cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
@@ -51,7 +51,7 @@ from orbitsieve.rat import RAT
 from orbitsieve.tableaux import weak_compositions
 
 import reference_ideals
-from locus_strategies import shift_stable_loci
+from locus_strategies import shift_stable_loci, tuple_built
 from q_analogues import evaluate, q_int
 from reference_ideals import (
     add,
@@ -247,11 +247,6 @@ def _root_counts(monkeypatch):
     return counts
 
 
-def _without_cube_basis(monkeypatch):
-    """Send cubes down the Buchberger-Moller path too, as if no locus were a cube."""
-    monkeypatch.setattr(loci, "_is_cube", lambda locus: False)
-
-
 # The tanisaki loci of ``suite --max-k 4`` whose content is not invariant under
 # scaling letters by the units mod k, so their bases are not rational.
 NON_UNIT_STABLE_LOCI = [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 1, 1, 1)), (4, (1, 2, 1))]
@@ -421,17 +416,15 @@ class TestModularElimination:
     @pytest.mark.parametrize("family,n,k,mu", STOCK_LOCI)
     def test_stock_loci_certify_at_the_first_prime(self, family, n, k, mu, monkeypatch):
         # The first prime's lift passes the certificate, so these loci never
-        # come near the prime budget.
-        _without_cube_basis(monkeypatch)
+        # come near the prime budget.  Handed over as tuples, cubes are eliminated too.
         counts = _root_counts(monkeypatch)
-        vanishing_ideal(enumerate_locus(family, n, k, mu=mu), max_points=1024, max_vars=6)
+        vanishing_ideal(tuple_built(enumerate_locus(family, n, k, mu=mu)), max_points=1024, max_vars=6)
         assert len(counts) == 1
 
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
     def test_one_root_matches_all_roots(self, family, n, k, mu, monkeypatch):
-        locus = enumerate_locus(family, n, k, mu=mu)
+        locus = tuple_built(enumerate_locus(family, n, k, mu=mu))  # a cube is eliminated too
         assert interpolation.unit_stable(locus)
-        _without_cube_basis(monkeypatch)
         counts = _root_counts(monkeypatch)
         one_root = vanishing_ideal(locus)
         assert set(counts) == {1}
@@ -466,17 +459,19 @@ class TestModularElimination:
         cube = vanishing_ideal(locus, max_points=1024, max_vars=6)
         assert counts == []
         assert cube == harmonics._cube_basis(cyclo_field(k), n)
-        _without_cube_basis(monkeypatch)
-        assert vanishing_ideal(locus, max_points=1024, max_vars=6) == cube
+        assert vanishing_ideal(tuple_built(locus), max_points=1024, max_vars=6) == cube
         assert counts == [1]
 
-    def test_only_the_whole_cube_in_lex_order_skips_elimination(self, monkeypatch):
+    def test_only_the_built_cube_skips_elimination(self, monkeypatch):
+        # The whole cube handed over in lex order, or reversed, is eliminated at one
+        # prime and gives the cube basis.
         counts = _root_counts(monkeypatch)
-        words = enumerate_locus("X", 2, 3).words
-        for listed in (words, words[::-1]):
+        cube = enumerate_locus("X", 2, 3)
+        assert vanishing_ideal(cube) == harmonics._cube_basis(cyclo_field(3), 2) and counts == []
+        for listed in (cube.words, cube.words[::-1]):
             counts.clear()
-            vanishing_ideal(Locus("X", 2, 3, listed))
-            assert counts == ([] if listed == words else [1])
+            assert vanishing_ideal(Locus("X", 2, 3, listed)) == harmonics._cube_basis(cyclo_field(3), 2)
+            assert counts == [1]
 
     def test_rational_reconstruction(self):
         m = 1000003 * 998244353

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from orbitsieve import loci
 from orbitsieve.characters import subgroup_elements
 from orbitsieve.errors import DomainError, InternalCheckError
-from locus_strategies import shift_stable_loci
+from locus_strategies import shift_stable_loci, tuple_built
 from orbitsieve.loci import (
     Action,
     Locus,
@@ -386,39 +386,35 @@ class TestNecklaceLabels:
     canonical-form walk."""
 
     @pytest.mark.parametrize("family", ["X", "Y", "Z"])
-    def test_families_match_the_walk(self, family):
+    def test_families_match_the_walk(self, family, monkeypatch):
         for n in range(1, 7):
             for k in range(1, 5):
-                locus = enumerate_locus(family, n, k)
-                assert_labels_match_the_walk(locus)
-                # Only the cube has its necklaces generated; Y(1, k) and Z(n, 1) are cubes.
-                assert (loci._generated_necklace_labels(locus) is not None) == loci._is_cube(locus)
+                # Only the X cube has its necklaces generated; Y(1, k) and Z(n, 1) hold
+                # the words of a cube, and are read.
+                paths = word_paths_taken(enumerate_locus(family, n, k), "Cn", monkeypatch)
+                assert paths == (set() if family == "X" else {"_labels"})
 
     @pytest.mark.parametrize("mu,a", [((2, 2, 2, 2), None), ((2, 1, 2, 1), 2), ((1, 1, 1, 1, 1), None)])
-    def test_tanisaki_matches_the_walk(self, mu, a):
+    def test_tanisaki_matches_the_walk(self, mu, a, monkeypatch):
         locus = enumerate_locus("tanisaki", sum(mu), len(mu), mu=mu, a=a)
-        assert_labels_match_the_walk(locus)
-        assert loci._generated_necklace_labels(locus) is None
+        assert word_paths_taken(locus, "Cn", monkeypatch) == {"_labels"}
 
     def test_missing_rotation_replaced_by_a_foreign_word(self):
         # (2, 1) is missing and (3, 2) stands in for it: not closed under rotation.
         locus = Locus("X", 2, 3, ((1, 2), (3, 2)))
-        assert loci._generated_necklace_labels(locus) is None
         assert orbit_set(locus, "Cn").labels == ((1, 2), (2, 3))
         assert_labels_match_the_walk(locus)
 
-    def test_unsorted_and_repeated_words_take_the_walk(self):
+    def test_unsorted_and_repeated_words_take_the_walk(self, monkeypatch):
         unsorted = Locus("X", 2, 2, ((2, 1), (1, 1), (1, 2), (2, 2)))
         repeated = Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2)))
         for locus in (unsorted, repeated):
-            assert loci._generated_necklace_labels(locus) is None
-            assert_labels_match_the_walk(locus)
+            assert word_paths_taken(locus, "Cn", monkeypatch) == {"_labels"}
         assert orbit_set(unsorted, "Cn")._reps[(1, 2)] == (2, 1)
 
-    def test_words_outside_the_alphabet_take_the_walk(self):
+    def test_words_outside_the_alphabet_take_the_walk(self, monkeypatch):
         locus = Locus("X", 2, 2, ((1, 1), (1, 3), (3, 1)))
-        assert loci._generated_necklace_labels(locus) is None
-        assert_labels_match_the_walk(locus)
+        assert word_paths_taken(locus, "Cn", monkeypatch) == {"_labels"}
 
     @settings(max_examples=150, deadline=None)
     @given(hand_built_word_tuples())
@@ -461,7 +457,8 @@ def word_paths_taken(locus, group, monkeypatch):
 
 
 class TestCubeLabels:
-    """All of {1..k}^n in lex order, proved word by word, has its labels generated."""
+    """The cube enumerate_locus builds has its labels generated; any other locus, one
+    handed all of {1..k}^n in lex order included, is read."""
 
     @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
     def test_cube_matches_the_walk_without_a_word_path(self, group, monkeypatch):
@@ -470,6 +467,17 @@ class TestCubeLabels:
                 locus = enumerate_locus("X", n, k)
                 assert loci._is_cube(locus)
                 assert word_paths_taken(locus, group, monkeypatch) == set()
+
+    @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
+    def test_tuple_built_cube_is_read_to_the_cube_s_labels(self, group, monkeypatch):
+        for n in range(2, 7, 2) if group == "Hr" else range(1, 7):
+            for k in range(1, 5):
+                cube = enumerate_locus("X", n, k)
+                twin = tuple_built(cube)
+                assert not loci._is_cube(twin)
+                assert word_paths_taken(twin, group, monkeypatch) != set()
+                assert orbit_set(twin, group) == orbit_set(cube, group)
+                assert orbit_set(twin, group)._reps == orbit_set(cube, group)._reps
 
     @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
     @pytest.mark.parametrize(
@@ -490,7 +498,6 @@ class TestCubeLabels:
     )
     def test_near_cubes_take_a_word_path(self, locus, group, monkeypatch):
         assert locus.size == locus.k**locus.n
-        assert not loci._is_cube(locus)
         paths = word_paths_taken(locus, group, monkeypatch)
         assert paths != set()
         if group == "Cn" and list(locus.words) == sorted(set(locus.words)):
@@ -522,7 +529,7 @@ class TestCube:
             actions = digit_actions(n, k)
             expected = [lookup_permutation(action, twin.words) for action in actions]
             assert loci.cube_index_permutations(cube, actions) == expected
-            assert loci.cube_index_permutations(twin, actions) == expected
+            assert loci.cube_index_permutations(twin, actions) is None  # only a built cube
 
     @pytest.mark.parametrize(
         "locus,action",
@@ -531,6 +538,7 @@ class TestCube:
             (enumerate_locus("X", 3, 2), Action.value_shift(1, 3)),  # another alphabet
             (enumerate_locus("Y", 3, 4), Action.position_rotation(3)),  # not the cube
             (Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2))), Action.value_shift(1, 2)),  # out of lex order
+            (Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2))), Action.value_shift(1, 2)),  # handed the cube
         ],
     )
     def test_other_actions_and_loci_get_none(self, locus, action):

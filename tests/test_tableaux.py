@@ -8,6 +8,7 @@ against the package's formula paths.
 import gc
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -369,6 +370,30 @@ def test_kostka_recursion_on_permuted_and_padded_contents():
             for mu in partitions(n):
                 for content in set(itertools.permutations(mu + (0,))):
                     assert kostka_number(lam, content) == len(generate_ssyt(lam, content)), (lam, content)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: tableaux.check_partition((1, 2)), "not a partition: (1, 2)"),
+        (lambda: partitions(-1), "partitions of a negative integer"),
+        (lambda: list(partitions_in_box(-1, 2)), "negative box dimensions"),
+        (lambda: m_of((2,), 3, 2), "partition (2,) does not fit the (3 x 1) box"),
+        (lambda: content_of_word((1, 3), 2), "letter 3 outside 1..2"),
+        (lambda: list(multiset_permutations((1, -1))), "negative multiplicity"),
+        (lambda: Tableau([(1,), (2, 3)]), "rows do not form a partition shape"),
+        (lambda: generate_ssyt((1,), (-1, 2)), "negative content entry"),
+        (lambda: kostka_number((1,), (-1, 2)), "negative content entry"),
+        (lambda: charge((1, 3)), "charge needs partition content"),
+        (lambda: rsk((0, 1)), "letters must be positive"),
+        (lambda: count_maj_divisible(0, shape=(1,)), "divisor must be positive"),
+        (lambda: count_maj_divisible(2), "give exactly one of shape= or content="),
+        (lambda: count_maj_divisible(2, content=(-1,)), "negative multiplicity"),
+    ],
+)
+def test_each_refusal_spells_out_its_reason(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_kostka_number_checks_its_arguments():
