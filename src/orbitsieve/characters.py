@@ -29,9 +29,13 @@ CycleType = Partition
 SUBGROUPS = ("Sn", "Cn", "Hr")
 
 
-def check_subgroup(group: str) -> str:
+def check_subgroup(group: str, n: int) -> str:
+    """The one check of a position subgroup of S_n: one of ``SUBGROUPS``, and Hr only
+    for even n."""
     if group not in SUBGROUPS:
         raise DomainError(f"unknown subgroup {group!r}; expected one of {SUBGROUPS}")
+    if group == "Hr" and n % 2:
+        raise DomainError("matching stabilizer needs even n")
     return group
 
 
@@ -105,13 +109,11 @@ def matching_group_elements(r: int) -> Iterator[tuple[int, ...]]:
 
 def subgroup_elements(group: str, n: int) -> list[tuple[int, ...]]:
     """One-line permutations of 0..n-1 for the subgroup (for brute-force counts)."""
-    check_subgroup(group)
+    check_subgroup(group, n)
     if group == "Sn":
         return [tuple(p) for p in permutations(range(n))]
     if group == "Cn":
         return [tuple((i + j) % n for i in range(n)) for j in range(n)]
-    if n % 2:
-        raise DomainError("matching stabilizer needs even n")
     return list(matching_group_elements(n // 2))
 
 
@@ -122,14 +124,12 @@ def fixed_space_dim(shape: Partition, group: str) -> int:
     maj divisible by n; the matching stabilizer sees exactly the even-part shapes.
     """
     shape = check_partition(shape)
-    check_subgroup(group)
     n = sum(shape)
+    check_subgroup(group, n)
     if group == "Sn":
         return 1 if shape == (n,) else 0
     if group == "Cn":
         return count_maj_divisible(n, shape=shape)
-    if n % 2:
-        raise DomainError("matching stabilizer needs even n")
     return 1 if is_even_partition(shape) else 0
 
 
@@ -203,7 +203,7 @@ def h_to_schur(mu: Partition) -> SchurVector:
 
 def invariant_hilbert(frob: SchurVector, group: str) -> SparsePoly:
     """Hilbert series of the subgroup invariants of a module with this graded Frobenius."""
-    check_subgroup(group)
+    check_subgroup(group, frob.n)
     out = SparsePoly.zero()
     for lam, poly in frob.items():
         d = fixed_space_dim(lam, group)

@@ -32,7 +32,7 @@ from .harmonics import (
     vanishing_ideal,
     verify_presentation,
 )
-from .loci import FAMILIES, Locus, enumerate_locus
+from .loci import FAMILIES, enumerate_locus
 from .qpoly import SparsePoly
 from .sieving import normalize_family, oracle_csp_poly, sieving_polynomial, verify_family
 from .suite import run_suite
@@ -141,20 +141,8 @@ def _params_text(params: dict) -> str:
 # -- subcommands -------------------------------------------------------------------------
 
 
-def _locus_from(ns) -> Locus:
-    n = ns.n
-    if ns.family == "tanisaki":
-        if ns.mu is None:
-            raise DomainError("tanisaki needs --mu")
-        if n is None:
-            n = sum(ns.mu)
-    if n is None:
-        raise DomainError(f"family {ns.family!r} needs --n")
-    return enumerate_locus(ns.family, n, ns.k, mu=ns.mu, a=ns.a)
-
-
 def _cmd_locus(ns) -> tuple[int, str]:
-    locus = _locus_from(ns)
+    locus = enumerate_locus(ns.family, ns.n, ns.k, mu=ns.mu, a=ns.a)
     if locus.infeasible:
         print("warning: the parameter range admits no words", file=sys.stderr)
     data = locus.describe()
@@ -200,7 +188,7 @@ def _cmd_harmonics(ns) -> tuple[int, str]:
         check_budget(value, name)
     if ns.groebner and not ns.hilbert:
         raise DomainError("--groebner accompanies --hilbert")
-    locus = _locus_from(ns)
+    locus = enumerate_locus(ns.family, ns.n, ns.k, mu=ns.mu, a=ns.a)
     budgets = dict(max_points=ns.max_points, max_vars=ns.max_vars)
     if ns.check_presentation:
         matches = verify_presentation(locus, **budgets)

@@ -80,7 +80,7 @@ from itertools import islice, repeat
 
 from .cyclotomic import cyclo_field
 from .errors import InternalCheckError
-from .loci import Locus
+from .loci import Action, Locus, act_on_words
 from .rat import RAT
 
 Exponents = tuple[int, ...]
@@ -181,22 +181,16 @@ def unit_stable(locus: Locus) -> bool:
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
     """Sorted least words of the value-shift orbits; the shift must preserve the locus.
 
-    The shift is free on words of length >= 1 (the first letter cycles with period
-    scaling_order), so orbits of that size that do not cover |X| mean a missing image.
+    Closure is one pass: every shifted word is a word of the locus.  The shift is free
+    on words of length >= 1, and the first letter of an orbit runs through one residue
+    class mod g = k // scaling_order, so each orbit has exactly one word whose first
+    letter is at most g, and that word is its least.
     """
-    step, korder, kk = locus.scaling_step, locus.scaling_order, locus.k
-    seen: set = set()
-    reps: list[tuple[int, ...]] = []
-    for w in locus.words:
-        if w in seen:
-            continue
-        orbit = [tuple((x - 1 + step * j) % kk + 1 for x in w) for j in range(korder)]
-        seen.update(orbit)
-        reps.append(min(orbit))
-    reps.sort()
-    if len(reps) * korder != locus.size:
+    words = locus.words
+    if not set(words).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), words)):
         raise InternalCheckError("value shift does not preserve the locus")
-    return reps
+    g = locus.k // locus.scaling_order
+    return sorted(w for w in words if w[0] <= g)
 
 
 # -- arithmetic mod split primes -----------------------------------------------------

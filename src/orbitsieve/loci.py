@@ -26,6 +26,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 from operator import add, itemgetter
 from typing import Iterator, Sequence
 
+from .characters import check_subgroup
 from .errors import DomainError, InternalCheckError
 from .tableaux import Word, content_of_word, multiset_permutations
 
@@ -110,36 +111,42 @@ class _Cube(Locus):
         return self.k**self.n
 
 
-def enumerate_locus(
+def locus_parameters(
     family: str,
-    n: int,
+    n: int | None = None,
     k: int | None = None,
     mu: tuple[int, ...] | None = None,
     a: int | None = None,
-) -> Locus:
-    """Build a locus; infeasible (empty) parameter ranges set the warning flag."""
+) -> tuple[int, int, tuple[int, ...] | None, int | None]:
+    """The parameters (n, k, mu, a) of a locus family, checked and completed.
+
+    This is their one check: every command and library call that takes them reaches
+    it, so each refuses a bad input with the same message.  Only tanisaki takes mu
+    and a: mu is a nonempty vector of nonnegative parts, zero parts allowed anywhere,
+    n defaults to sum(mu), k to len(mu) and a to the least cyclic symmetry of mu.
+    springer's k defaults to n; X, Y and Z need both n and k.
+    """
     if family not in FAMILIES:
         raise DomainError(f"unknown locus family {family!r}")
-    if n < 1:
-        raise DomainError("word length n must be >= 1")
     if family != "tanisaki" and (mu is not None or a is not None):
         raise DomainError(f"family {family!r} takes no mu or a")
-
-    if family == "springer":
-        k = n if k is None else k
-        if k != n:
-            raise DomainError("springer words use the alphabet of size n")
-        words = tuple(sorted(tuple(p) for p in permutations(range(1, n + 1))))
-        return Locus(family, n, n, words)
-
     if family == "tanisaki":
         if mu is None:
             raise DomainError("tanisaki locus needs a content vector mu")
         mu = tuple(int(c) for c in mu)
         if not mu or any(c < 0 for c in mu):
             raise DomainError("mu must be a nonempty tuple of nonnegative integers")
-        if k is None:
-            k = len(mu)
+        n = sum(mu) if n is None else n
+    if n is None:
+        raise DomainError(f"family {family!r} needs n")
+    if n < 1:
+        raise DomainError("word length n must be >= 1")
+    if family == "springer":
+        k = n if k is None else k
+        if k != n:
+            raise DomainError("springer words use the alphabet of size n")
+    elif family == "tanisaki":
+        k = len(mu) if k is None else k
         if k != len(mu):
             raise DomainError("alphabet size must equal the number of parts of mu")
         if sum(mu) != n:
@@ -149,11 +156,28 @@ def enumerate_locus(
             a = steps[0]
         elif a not in steps:
             raise DomainError(f"a={a} is not a cyclic symmetry of mu={mu} (valid: {steps})")
+    elif k is None or k < 1:
+        raise DomainError("alphabet size k must be >= 1")
+    return n, k, mu, a
+
+
+def enumerate_locus(
+    family: str,
+    n: int | None = None,
+    k: int | None = None,
+    mu: tuple[int, ...] | None = None,
+    a: int | None = None,
+) -> Locus:
+    """Build a locus from parameters ``locus_parameters`` checks and completes (a
+    tanisaki n may be left to sum(mu)); an infeasible (empty) range of Y or Z sets
+    the warning flag."""
+    n, k, mu, a = locus_parameters(family, n, k, mu, a)
+    if family == "springer":
+        words = tuple(sorted(tuple(p) for p in permutations(range(1, n + 1))))
+        return Locus(family, n, n, words)
+    if family == "tanisaki":
         words = tuple(multiset_permutations(mu))  # already in lex order
         return Locus(family, n, k, words, mu=mu, a=a)
-
-    if k is None or k < 1:
-        raise DomainError("alphabet size k must be >= 1")
     if family == "X":
         return _Cube(n, k)
     if family == "Y":
@@ -329,16 +353,13 @@ def canonical_form(w: Word, group: str, k: int):
     Sn: the content vector.  Cn: the lexicographically least rotation.  Hr: the multiset
     of unordered letter pairs read off consecutive disjoint position pairs.
     """
+    check_subgroup(group, len(w))
     if group == "Sn":
         return content_of_word(w, k)
     if group == "Cn":
         return min(w[i:] + w[:i] for i in range(len(w)))
-    if group == "Hr":
-        if len(w) % 2:
-            raise DomainError("pair-multiset labels need even word length")
-        pairs = [tuple(sorted((w[2 * i], w[2 * i + 1]))) for i in range(len(w) // 2)]
-        return tuple(sorted(pairs))
-    raise DomainError(f"unknown subgroup {group!r}")
+    pairs = [tuple(sorted((w[2 * i], w[2 * i + 1]))) for i in range(len(w) // 2)]
+    return tuple(sorted(pairs))
 
 
 def _labels(words: Sequence[Word], group: str, k: int) -> Iterator:
@@ -422,10 +443,7 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     each word's canonical form, read in bulk (`_labels`).  Each gives the labels and
     representatives of a word-by-word walk.
     """
-    if group not in ("Sn", "Cn", "Hr"):
-        raise DomainError(f"unknown subgroup {group!r}")
-    if group == "Hr" and locus.n % 2:
-        raise DomainError("matching-stabilizer orbits need even n")
+    check_subgroup(group, locus.n)
     if _is_cube(locus):
         n, k, letters = locus.n, locus.k, range(1, locus.k + 1)
         if group == "Cn":

@@ -37,11 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import SchurVector, h_to_schur, invariant_hilbert
+from .characters import SchurVector, check_subgroup, h_to_schur, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
-from .loci import Action, Locus, act_on_words, cube_index_permutations, enumerate_locus, orbit_set, symmetry_steps
+from .loci import Action, Locus, act_on_words, cube_index_permutations, enumerate_locus, locus_parameters, orbit_set
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .tableaux import (
     count_maj_divisible,
@@ -174,49 +174,21 @@ def _check_counting_poly(p: SparsePoly) -> SparsePoly:
     return p
 
 
-def _parameters(family: str, n, k, mu, a) -> tuple[int, int, tuple[int, ...] | None]:
-    """(n, k, mu) of a result's locus, checked; only tanisaki takes mu or a."""
-    locus_family = _FAMILIES[family][0]
-    if locus_family == "tanisaki":
-        if mu is None:
-            raise DomainError(f"family {family!r} needs a content vector mu")
-        mu = tuple(int(c) for c in mu)
-        if not mu or any(c < 1 for c in mu):
-            raise DomainError("mu must be a nonempty vector of positive parts")
-        if n is not None and n != sum(mu):
-            raise DomainError("n must equal the sum of mu")
-        if k is not None and k != len(mu):
-            raise DomainError("k must equal the length of mu")
-        if a is not None and a not in symmetry_steps(mu):
-            raise DomainError(f"mu is not invariant under an index shift by {a}")
-        return sum(mu), len(mu), mu
-    if mu is not None or a is not None:
-        raise DomainError(f"family {family!r} takes no mu or a")
-    if locus_family == "springer":
-        if n is None or n < 1:
-            raise DomainError("springer-bicsp needs a positive n")
-        if k is not None and k != n:
-            raise DomainError("springer-bicsp uses the alphabet {1..n}; omit k or set k = n")
-        return int(n), int(n), None
-    if n is None or k is None:
-        raise DomainError(f"family {family!r} needs both n and k")
-    if n < 1 or k < 1:
-        raise DomainError("n and k must be positive")
-    return int(n), int(k), None
-
-
 def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePoly:
     """The closed-form polynomial attached to one sieving result.
 
     Bivariate families produce polynomials in q and t; single-action families are
     univariate in q.  Coefficients are nonnegative integers, and the value at
-    q = t = 1 is the cardinality of the underlying set.
+    q = t = 1 is the cardinality of the underlying set.  The parameters are those of
+    the result's locus family, checked by ``locus_parameters`` (so a tanisaki mu may
+    have zero parts, and its n and k may be left out), and a position subgroup by
+    ``check_subgroup``.
     """
     family = normalize_family(family)
     locus_family, group = _FAMILIES[family]
-    n, k, mu = _parameters(family, n, k, mu, a)
-    if group == "Hr" and n % 2:
-        raise DomainError("matching-stabilizer results need an even number of positions")
+    n, k, mu, _ = locus_parameters(locus_family, n, k, mu, a)
+    if group != "rotation":
+        check_subgroup(group, n)
     direct = _DIRECT_FORMS.get((locus_family, group))
     if direct is not None:
         return _check_counting_poly(direct(n, k))
@@ -398,7 +370,6 @@ def build_instance(family: str, n=None, k=None, mu=None, a=None) -> SievingInsta
     family = normalize_family(family)
     polynomial = sieving_polynomial(family, n=n, k=k, mu=mu, a=a)
     locus_family, group = _FAMILIES[family]
-    n, k, mu = _parameters(family, n, k, mu, a)
     locus = enumerate_locus(locus_family, n, k, mu=mu, a=a)
     if locus_family == "tanisaki":
         notes = (f"the value shift advances every letter by {locus.a} and has order {locus.scaling_order}",)
@@ -496,6 +467,8 @@ def oracle_csp_poly(
     locus and restricts to the invariants of the chosen position subgroup.  Up to
     the subgroup's order, this is the generating function the sieving results name
     explicitly, so it serves as an independent oracle for every constructor above.
+    The subgroup is checked first, so a bad one is refused before any elimination.
     """
+    check_subgroup(group, locus.n)
     frob = graded_frobenius(locus, max_points=max_points, max_vars=max_vars)
     return invariant_hilbert(frob, group)

@@ -14,6 +14,7 @@ import pytest
 
 from orbitsieve.characters import (
     SchurVector,
+    check_subgroup,
     conjugacy_classes,
     fixed_space_dim,
     h_to_schur,
@@ -210,6 +211,9 @@ def test_schur_vector_validation():
         (lambda: list(matching_group_elements(-1)), "negative r"),
         (lambda: subgroup_elements("Hr", 3), "matching stabilizer needs even n"),
         (lambda: fixed_space_dim((2, 1), "Hr"), "matching stabilizer needs even n"),
+        (lambda: check_subgroup("Hr", 5), "matching stabilizer needs even n"),
+        (lambda: check_subgroup("hr", 4), "unknown subgroup 'hr'; expected one of ('Sn', 'Cn', 'Hr')"),
+        (lambda: invariant_hilbert(SchurVector(3, {}), "Hr"), "matching stabilizer needs even n"),
         (lambda: SchurVector(3, {(2,): SparsePoly.one()}), "shape (2,) is not a partition of 3"),
         (
             lambda: SchurVector(2, {(2,): SparsePoly.one()}) + SchurVector(3, {(3,): SparsePoly.one()}),

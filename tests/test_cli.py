@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,8 +11,9 @@ import pytest
 import orbitsieve
 from orbitsieve import cli, interpolation
 from orbitsieve.cli import main
-from orbitsieve.errors import InternalCheckError
-from orbitsieve.sieving import Report
+from orbitsieve.errors import DomainError, InternalCheckError
+from orbitsieve.loci import enumerate_locus
+from orbitsieve.sieving import Report, build_instance, sieving_polynomial, verify_family
 from orbitsieve.suite import SuiteResult
 
 
@@ -49,11 +51,71 @@ def test_unknown_family_is_usage_error_before_computation(capsys):
 
 
 def test_springer_without_n_is_refused_as_every_locus_family_is(capsys):
-    assert run_cli(capsys, "locus", "--family", "springer") == (2, "", "error: family 'springer' needs --n\n")
+    assert run_cli(capsys, "locus", "--family", "springer") == (2, "", "error: family 'springer' needs n\n")
 
 
 def test_tanisaki_without_mu_is_refused(capsys):
-    assert run_cli(capsys, "locus", "--family", "tanisaki", "--n", "3") == (2, "", "error: tanisaki needs --mu\n")
+    expected = (2, "", "error: tanisaki locus needs a content vector mu\n")
+    assert run_cli(capsys, "locus", "--family", "tanisaki", "--n", "3") == expected
+
+
+# Bad parameters, each sent through every command that takes them and through the
+# library.  One check (``loci.locus_parameters``) refuses them all, so each entry
+# point exits 2 with the same message.  Rows: locus family (``locus``,
+# ``harmonics``), a result on that family (``poly``, ``verify``), parameters, message.
+BAD_PARAMETERS = [
+    ("X", "word-bicsp-X", dict(k=2), "family 'X' needs n"),
+    ("X", "wcomp-csp", dict(n=0, k=2), "word length n must be >= 1"),
+    ("Y", "necklace-Y", dict(n=2), "alphabet size k must be >= 1"),
+    ("Z", "comp-csp", dict(n=2, k=2, a=1), "family 'Z' takes no mu or a"),
+    ("springer", "springer-bicsp", dict(), "family 'springer' needs n"),
+    ("springer", "springer-bicsp", dict(n=3, k=4), "springer words use the alphabet of size n"),
+    ("tanisaki", "tanisaki-bicsp", dict(n=3), "tanisaki locus needs a content vector mu"),
+    ("tanisaki", "tanisaki-trivial", dict(mu=(2, -1)), "mu must be a nonempty tuple of nonnegative integers"),
+    ("tanisaki", "tanisaki-necklace", dict(n=3, mu=(1, 1)), "mu (1, 1) does not sum to n=3"),
+    ("tanisaki", "tanisaki-bicsp", dict(k=3, mu=(1, 1)), "alphabet size must equal the number of parts of mu"),
+    (
+        "tanisaki",
+        "tanisaki-graph",
+        dict(mu=(2, 1, 2, 1), a=1),
+        "a=1 is not a cyclic symmetry of mu=(2, 1, 2, 1) (valid: [2, 4])",
+    ),
+]
+
+
+@pytest.mark.parametrize("locus_family,result,params,message", BAD_PARAMETERS)
+def test_bad_parameters_are_refused_alike_by_every_entry_point(capsys, locus_family, result, params, message):
+    flags = [
+        text
+        for key, value in params.items()
+        for text in (f"--{key}", ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
+    ]
+    for argv in (
+        ["locus", "--family", locus_family],
+        ["harmonics", "--family", locus_family, "--hilbert"],
+        ["poly", "--family", result],
+        ["verify", "--family", result],
+    ):
+        assert run_cli(capsys, *argv, *flags) == (2, "", f"error: {message}\n"), argv
+    for call in (
+        lambda: enumerate_locus(locus_family, **params),
+        lambda: sieving_polynomial(result, **params),
+        lambda: build_instance(result, **params),
+        lambda: verify_family(result, **params),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_zero_parts_of_mu_are_accepted(capsys):
+    expected = sieving_polynomial("tanisaki-bicsp", mu=(2, 0, 2, 0)).pretty() + "\n"
+    assert run_cli(capsys, "poly", "--family", "tanisaki-bicsp", "--mu", "2,0,2,0") == (0, expected, "")
+
+
+def test_a_bad_group_is_refused_before_the_budget(capsys):
+    # X(3, 10) has 1000 points, beyond the default point budget (exit 3).
+    argv = ["harmonics", "--family", "X", "--n", "3", "--k", "10", "--oracle", "Hr"]
+    assert run_cli(capsys, *argv) == (2, "", "error: matching stabilizer needs even n\n")
 
 
 def test_unknown_locus_family_rejected_by_parser(capsys):

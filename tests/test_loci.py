@@ -118,6 +118,9 @@ class TestEnumeration:
     [
         (lambda: enumerate_locus("W", 2, 2), "unknown locus family 'W'"),
         (lambda: enumerate_locus("X", 0, 2), "word length n must be >= 1"),
+        (lambda: enumerate_locus("X", k=2), "family 'X' needs n"),
+        (lambda: enumerate_locus("springer"), "family 'springer' needs n"),
+        (lambda: enumerate_locus("tanisaki", mu=(0, 0)), "word length n must be >= 1"),
         (lambda: enumerate_locus("springer", 3, k=4), "springer words use the alphabet of size n"),
         (lambda: enumerate_locus("tanisaki", 2), "tanisaki locus needs a content vector mu"),
         (lambda: enumerate_locus("tanisaki", 2, mu=(3, -1)), "mu must be a nonempty tuple of nonnegative integers"),
@@ -136,9 +139,13 @@ class TestEnumeration:
         (lambda: Action.permutation((0, 0, 1)), "perm must be a permutation of 0..n-1"),
         (lambda: apply_action(Action("spin"), (1, 2)), "unknown action kind 'spin'"),
         (lambda: act_on_words(Action("spin"), [(1, 2), (2, 1)]), "unknown action kind 'spin'"),
-        (lambda: canonical_form((1, 2), "Dn", 2), "unknown subgroup 'Dn'"),
-        (lambda: orbit_set(enumerate_locus("X", 2, 2), "Dn"), "unknown subgroup 'Dn'"),
-        (lambda: orbit_set(enumerate_locus("X", 3, 2), "Hr"), "matching-stabilizer orbits need even n"),
+        (lambda: canonical_form((1, 2), "Dn", 2), "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')"),
+        (lambda: canonical_form((1, 2, 1), "Hr", 2), "matching stabilizer needs even n"),
+        (
+            lambda: orbit_set(enumerate_locus("X", 2, 2), "Dn"),
+            "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')",
+        ),
+        (lambda: orbit_set(enumerate_locus("X", 3, 2), "Hr"), "matching stabilizer needs even n"),
     ],
 )
 def test_each_refusal_spells_out_its_reason(call, message):
@@ -633,7 +640,7 @@ class TestBulkLabels:
 
     def test_odd_word_inside_an_even_locus_rejected(self):
         locus = Locus("X", 2, 2, ((1, 1), (1, 2, 1)))
-        with pytest.raises(DomainError, match="^pair-multiset labels need even word length$"):
+        with pytest.raises(DomainError, match="^matching stabilizer needs even n$"):
             orbit_set(locus, "Hr")
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from orbitsieve import loci, sieving
 from orbitsieve.characters import invariant_hilbert
 from orbitsieve.cyclotomic import cyclo_field, eval_at_unity
 from orbitsieve.errors import DomainError, InternalCheckError
+from orbitsieve.harmonics import graded_frobenius
 from orbitsieve.loci import (
     Action,
     Locus,
@@ -217,23 +218,28 @@ def test_constructor_domain_errors():
     [
         (lambda: normalize_family("bogus"), "unknown sieving family 'bogus'"),
         (lambda: closed_frobenius("W", 2, 2), "no closed Frobenius image for family 'W'"),
-        (lambda: sieving_polynomial("wcomp-csp", n=2), "family 'wcomp-csp' needs both n and k"),
-        (lambda: sieving_polynomial("wcomp-csp", n=0, k=2), "n and k must be positive"),
-        (lambda: sieving_polynomial("tanisaki-bicsp"), "family 'tanisaki-bicsp' needs a content vector mu"),
-        (lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, 0)), "mu must be a nonempty vector of positive parts"),
-        (lambda: sieving_polynomial("tanisaki-bicsp", n=4, mu=(2, 1)), "n must equal the sum of mu"),
-        (lambda: sieving_polynomial("tanisaki-bicsp", k=3, mu=(2, 1)), "k must equal the length of mu"),
-        (lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, 1), a=1), "mu is not invariant under an index shift by 1"),
-        (lambda: sieving_polynomial("wcomp-csp", n=2, k=2, a=3), "family 'wcomp-csp' takes no mu or a"),
-        (lambda: sieving_polynomial("springer-bicsp"), "springer-bicsp needs a positive n"),
+        (lambda: sieving_polynomial("wcomp-csp", n=2), "alphabet size k must be >= 1"),
+        (lambda: sieving_polynomial("wcomp-csp", k=2), "family 'X' needs n"),
+        (lambda: sieving_polynomial("wcomp-csp", n=0, k=2), "word length n must be >= 1"),
+        (lambda: sieving_polynomial("tanisaki-bicsp"), "tanisaki locus needs a content vector mu"),
         (
-            lambda: sieving_polynomial("springer-bicsp", n=3, k=2),
-            "springer-bicsp uses the alphabet {1..n}; omit k or set k = n",
+            lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, -1)),
+            "mu must be a nonempty tuple of nonnegative integers",
+        ),
+        (lambda: sieving_polynomial("tanisaki-bicsp", n=4, mu=(2, 1)), "mu (2, 1) does not sum to n=4"),
+        (
+            lambda: sieving_polynomial("tanisaki-bicsp", k=3, mu=(2, 1)),
+            "alphabet size must equal the number of parts of mu",
         ),
         (
-            lambda: sieving_polynomial("graph-X", n=3, k=2),
-            "matching-stabilizer results need an even number of positions",
+            lambda: sieving_polynomial("tanisaki-bicsp", mu=(2, 1), a=1),
+            "a=1 is not a cyclic symmetry of mu=(2, 1) (valid: [2])",
         ),
+        (lambda: sieving_polynomial("wcomp-csp", n=2, k=2, a=3), "family 'X' takes no mu or a"),
+        (lambda: sieving_polynomial("springer-bicsp"), "family 'springer' needs n"),
+        (lambda: sieving_polynomial("springer-bicsp", n=3, k=2), "springer words use the alphabet of size n"),
+        (lambda: sieving_polynomial("graph-X", n=3, k=2), "matching stabilizer needs even n"),
+        (lambda: sieving_polynomial("tanisaki-graph", mu=(2, 1)), "matching stabilizer needs even n"),
         (
             lambda: verify_csp(build_instance("word-bicsp-X", n=2, k=2)),
             "instance carries two actions; use verify_bicsp",
@@ -351,6 +357,46 @@ def test_tanisaki_symmetric_content_nontrivial_shift():
     assert report.params["a"] == 2
     assert report.binding["q"] == {"action": "value-shift", "step": 2, "order": 2}
     assert len(report.rows) == 2 * 6
+
+
+# Contents with zero parts, anywhere: the loci rule, which every result shares.
+ZERO_PART_CONTENTS = [(2, 0), (0, 2), (2, 0, 2, 0), (1, 0, 1, 0), (3, 0, 0), (2, 1, 0), (1, 1, 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "family,mu",
+    [
+        (family, mu)
+        for family in SIEVING_FAMILIES
+        if family.startswith("tanisaki")
+        for mu in ZERO_PART_CONTENTS
+        if family != "tanisaki-graph" or sum(mu) % 2 == 0
+    ],
+)
+def test_zero_parts_of_mu_pass_every_tanisaki_result(family, mu):
+    report = verify_family(family, mu=mu)
+    assert report.all_ok, (family, mu, [r for r in report.rows if not r["ok"]])
+    assert report.params["mu"] == list(mu) and report.params["n"] == sum(mu)
+    assert evaluate(sieving_polynomial(family, mu=mu)) == report.rows[0]["fixed"] > 0
+
+
+@pytest.mark.parametrize("mu", [(2, 0, 2, 0), (0, 1, 2)])
+def test_oracle_equals_the_closed_form_on_zero_parts(mu):
+    locus = enumerate_locus("tanisaki", mu=mu)
+    assert graded_frobenius(locus) == closed_frobenius("tanisaki", locus.n, locus.k, mu)
+    results = {"Sn": "tanisaki-trivial", "Cn": "tanisaki-necklace", "Hr": "tanisaki-graph"}
+    for group, family in results.items():
+        if group != "Hr" or locus.n % 2 == 0:
+            assert oracle_csp_poly(locus, group) == sieving_polynomial(family, mu=mu), group
+
+
+def test_a_bad_group_is_refused_before_any_elimination():
+    # X(3, 10) has 1000 points, beyond the point budget: any work would raise
+    # ResourceBudgetError before the group was looked at.
+    with pytest.raises(DomainError, match="^matching stabilizer needs even n$"):
+        oracle_csp_poly(enumerate_locus("X", 3, 10), "Hr")
+    with pytest.raises(DomainError, match=re.escape("unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')")):
+        oracle_csp_poly(enumerate_locus("X", 3, 10), "Dn")
 
 
 def test_springer_grid_values_against_fixed_counts():
