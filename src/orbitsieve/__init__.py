@@ -20,7 +20,7 @@ from .harmonics import (
     vanishing_ideal,
     verify_presentation,
 )
-from .loci import Action, Locus, OrbitSet, apply_action, enumerate_locus, orbit_set
+from .loci import Action, Locus, OrbitSet, enumerate_locus, orbit_set
 from .qpoly import SparsePoly, q_binomial, q_multinomial
 from .sieving import (
     Report,
@@ -50,7 +50,6 @@ __all__ = [
     "ResourceBudgetError",
     "SievingInstance",
     "SparsePoly",
-    "apply_action",
     "associated_graded",
     "build_instance",
     "cyclo_field",

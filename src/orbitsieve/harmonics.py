@@ -484,12 +484,10 @@ def check_budget(value: int, name: str) -> None:
 
 
 def _check_locus(locus: Locus, max_points: int, max_vars: int) -> None:
-    """Refuse negative budgets, words of length below 1, empty loci and loci beyond
-    the point or variable budget."""
+    """Refuse negative budgets, empty loci and loci beyond the point or variable
+    budget; the ``Locus`` constructor has refused n < 1."""
     check_budget(max_points, "point")
     check_budget(max_vars, "variable")
-    if locus.n < 1:
-        raise DomainError("word length n must be >= 1")
     if locus.size == 0:
         raise DomainError("vanishing ideal of an empty locus")
     if locus.size > max_points:
@@ -701,7 +699,7 @@ def graded_frobenius(
     for ct, _ in conjugacy_classes(n):
         perm = _perm_of_cycle_type(ct)
         traces[ct] = graded_character(gb_t, perm)
-        fixed = sum(map(operator.eq, act_on_words(Action.permutation(perm), locus.words), locus.words))
+        fixed = sum(map(operator.eq, act_on_words(Action.permutation(perm), locus.words, n), locus.words))
         if sum(traces[ct].terms.values()) != fixed:
             raise InternalCheckError(
                 f"graded traces of class {ct} do not sum to the {fixed} words its permutation fixes"

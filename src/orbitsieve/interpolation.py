@@ -187,7 +187,7 @@ def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
     letter is at most g, and that word is its least.
     """
     words = locus.words
-    if not set(words).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), words)):
+    if not set(words).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), words, locus.n)):
         raise InternalCheckError("value shift does not preserve the locus")
     g = locus.k // locus.scaling_order
     return sorted(w for w in words if w[0] <= g)

@@ -10,11 +10,13 @@ The X locus ``enumerate_locus`` builds is all of {1..k}^n in lex order by constr
 and it builds its k^n word tuples only when ``words`` is first read.  On such a cube,
 and only there (``_is_cube`` is a type test), the orbit labels are generated, and the
 value shift and the rotation permute word indices by base-k digit arithmetic
-(``cube_index_permutations``), so neither reads a word.  A locus handed the words of a
-cube is not one: it takes the general paths, with the same results.  On those the
-per-word passes stay at C level: content labels key each word by its sorted letters,
-and a value shift maps letters through a cached table.  ``act_on_words`` moves a whole
-list of words in such passes, and orbit labels are read in bulk too.
+(``cube_index_permutations``), so neither reads a word.  Any other locus is checked
+once, when it is made: n, k >= 1, and distinct words of length n over 1..k.  A locus
+handed the words of a cube passes that check but is not a cube: it takes the general
+paths, with the same results.  On those the per-word passes stay at C level: content
+labels key each word by its sorted letters, and a value shift maps letters through a
+cached table.  ``act_on_words`` moves a whole list of words in such passes, and orbit
+labels are read in bulk too.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ def symmetry_steps(mu: tuple[int, ...]) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Locus:
-    """A finite family of words, with the value-shift step that preserves it.
+    """A finite set of words, with the value-shift step that preserves it.
 
-    Two loci are equal when their parameters and words are; the hash reads the
-    parameters and the size only, so a cube ``enumerate_locus`` built equals and
-    hashes like a locus handed the same word tuple, and neither builds words to hash.
+    The constructor is the one check of the words, in C-level passes: n and k are at
+    least 1, every word has length n and letters in 1..k, no word is listed twice, and
+    a tanisaki locus names its step a.  Every path after it relies on that.  Two loci
+    are equal when their parameters and words are; the hash reads the parameters and
+    the size only, so a cube ``enumerate_locus`` built equals and hashes like a locus
+    handed the same word tuple, and neither builds words to hash.
     """
 
     family: str
@@ -55,6 +60,24 @@ class Locus:
     mu: tuple[int, ...] | None = None
     a: int | None = None
     infeasible: bool = False
+
+    def __post_init__(self):
+        n, k, words = self.n, self.k, self.words
+        _check_sizes(n, k)
+        if self.family == "tanisaki" and self.a is None:
+            raise DomainError("a tanisaki locus needs its value-shift step a")
+        if not set(map(len, words)) <= {n}:
+            raise DomainError(f"every word must have length n={n}")
+        alphabet = range(1, k + 1)
+        try:
+            in_alphabet = set(chain.from_iterable(words)) <= set(alphabet)
+        except TypeError:  # an unhashable letter
+            in_alphabet = False
+        if not in_alphabet:
+            letter = next(x for x in chain.from_iterable(words) if x not in alphabet)
+            raise DomainError(f"letter {letter} outside 1..{k}")
+        if len(set(words)) != len(words):
+            raise DomainError("a word is listed twice")
 
     def _key(self) -> tuple:
         return (self.family, self.n, self.k, self.size, self.mu, self.a, self.infeasible)
@@ -96,8 +119,9 @@ class Locus:
 
 class _Cube(Locus):
     """X(n, k) as ``enumerate_locus`` builds it: all of {1..k}^n in lex order by
-    construction.  Its k^n word tuples are built on the first read of ``words``, once;
-    the orbit sets and word grids of a cube read none of them."""
+    construction, so it skips the constructor's check.  Its k^n word tuples are built
+    on the first read of ``words``, once; the orbit sets and word grids of a cube read
+    none of them."""
 
     def __init__(self, n: int, k: int):
         vars(self).update(family="X", n=n, k=k)  # mu, a and infeasible keep their defaults
@@ -109,6 +133,15 @@ class _Cube(Locus):
     @property
     def size(self) -> int:
         return self.k**self.n
+
+
+def _check_sizes(n: int, k: int) -> None:
+    """Refuse a word length or an alphabet size below 1: the check of both, for
+    ``locus_parameters`` and the ``Locus`` constructor."""
+    if n < 1:
+        raise DomainError("word length n must be >= 1")
+    if k < 1:
+        raise DomainError("alphabet size k must be >= 1")
 
 
 def locus_parameters(
@@ -139,14 +172,13 @@ def locus_parameters(
         n = sum(mu) if n is None else n
     if n is None:
         raise DomainError(f"family {family!r} needs n")
-    if n < 1:
-        raise DomainError("word length n must be >= 1")
+    if k is None:  # springer's defaults to n and tanisaki's to len(mu); X, Y and Z need one
+        k = n if family == "springer" else len(mu) if family == "tanisaki" else 0
+    _check_sizes(n, k)
     if family == "springer":
-        k = n if k is None else k
         if k != n:
             raise DomainError("springer words use the alphabet of size n")
     elif family == "tanisaki":
-        k = len(mu) if k is None else k
         if k != len(mu):
             raise DomainError("alphabet size must equal the number of parts of mu")
         if sum(mu) != n:
@@ -156,8 +188,6 @@ def locus_parameters(
             a = steps[0]
         elif a not in steps:
             raise DomainError(f"a={a} is not a cyclic symmetry of mu={mu} (valid: {steps})")
-    elif k is None or k < 1:
-        raise DomainError("alphabet size k must be >= 1")
     return n, k, mu, a
 
 
@@ -238,57 +268,22 @@ class Action:
         return order
 
 
-def apply_action(action: Action, w: Word) -> Word:
-    """The image of one word under the action."""
+def act_on_words(action: Action, words: Sequence[Word], n: int) -> Iterator[Word]:
+    """The image of every word of length n under the action, in order, streamed from
+    C-level passes: a value shift maps each column of letters through one table, a
+    rotation or permutation reads every word through one ``itemgetter``.  A letter
+    outside a value shift's alphabet raises KeyError."""
     if action.kind == "value_shift":
         table = _shift_table(action.step % action.modulus, action.modulus)
-        try:
-            return tuple(map(table.__getitem__, w))
-        except (KeyError, TypeError):
-            raise DomainError("letters outside the action's alphabet") from None
-    if action.kind == "position_rotation":
-        r = action.step % len(w) if w else 0
-        return w[r:] + w[:r]
-    if action.kind != "permutation":
-        raise DomainError(f"unknown action kind {action.kind!r}")
-    if len(action.perm) != len(w):
-        raise DomainError("permutation length does not match the word")
-    return tuple(map(w.__getitem__, action.perm))
-
-
-def act_on_words(action: Action, words: Sequence[Word]) -> Iterator[Word]:
-    """``apply_action(action, w)`` for every w, in order, streamed from C-level passes.
-
-    Words of one length n >= 1 move in bulk: a value shift maps each column of letters
-    through one table, a rotation or permutation reads every word through one
-    ``itemgetter``.  Words of mixed or zero length move word by word.  Errors carry
-    ``apply_action``'s messages.
-    """
-    lengths = set(map(len, words))
-    if len(lengths) != 1 or 0 in lengths:
-        return map(apply_action, repeat(action), words)
-    return _act(action, iter(words), lengths.pop())
-
-
-def _act(action: Action, images: Iterator[Word], n: int) -> Iterator[Word]:
-    if action.kind == "value_shift":
-        table = _shift_table(action.step % action.modulus, action.modulus)
-        return _alphabet_checked(zip(*map(map, repeat(table.__getitem__), zip(*images))))
+        return zip(*map(map, repeat(table.__getitem__), zip(*words)))
     if action.kind == "position_rotation":
         r = action.step % n
-        return _read_positions(images, (*range(r, n), *range(r)))
+        return _read_positions(iter(words), (*range(r, n), *range(r)))
     if action.kind == "permutation":
         if len(action.perm) != n:
             raise DomainError("permutation length does not match the word")
-        return _read_positions(images, action.perm)
+        return _read_positions(iter(words), action.perm)
     raise DomainError(f"unknown action kind {action.kind!r}")
-
-
-def _alphabet_checked(images: Iterator[Word]) -> Iterator[Word]:
-    try:
-        yield from images
-    except (KeyError, TypeError):
-        raise DomainError("letters outside the action's alphabet") from None
 
 
 def _read_positions(images: Iterator[Word], positions: tuple[int, ...]) -> Iterator[Word]:
@@ -362,15 +357,13 @@ def canonical_form(w: Word, group: str, k: int):
     return tuple(sorted(pairs))
 
 
-def _labels(words: Sequence[Word], group: str, k: int) -> Iterator:
-    """``canonical_form(w, group, k)`` for every w, in order.
+def _labels(words: Sequence[Word], group: str, k: int, n: int) -> Iterator:
+    """``canonical_form(w, group, k)`` for every w of length n, in order.
 
-    For words of one length n >= 2, a Cn label is the least of the n rotations, each
-    read by one ``itemgetter``, and an Hr label sorts the (min, max) letter pairs of
-    consecutive positions; each is a C-level pass over the words.
+    For n >= 2, a Cn label is the least of the n rotations, each read by one
+    ``itemgetter``, and an Hr label sorts the (min, max) letter pairs of consecutive
+    positions; each is a C-level pass over the words.
     """
-    lengths = set(map(len, words))
-    n = lengths.pop() if len(lengths) == 1 else 0
     if group == "Cn" and n > 1:
         return map(min, words, *(map(itemgetter(*range(j, n), *range(j)), words) for j in range(1, n)))
     if group == "Hr" and n > 1 and n % 2 == 0:
@@ -402,8 +395,8 @@ class OrbitSet:
         position = dict(zip(self.labels, range(len(self.labels))))
         try:
             reps = list(map(self._reps.__getitem__, self.labels))
-            shifted = list(act_on_words(Action.value_shift(shift % self.k, self.k), reps))
-            return list(map(position.__getitem__, _labels(shifted, self.group, self.k)))
+            shifted = list(act_on_words(Action.value_shift(shift % self.k, self.k), reps, self.n))
+            return list(map(position.__getitem__, _labels(shifted, self.group, self.k, self.n)))
         except KeyError:
             raise InternalCheckError("value shift does not preserve the orbit set") from None
 
@@ -458,11 +451,8 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     if group == "Sn":
         # Read backwards, so the first word of each class is the last one stored.
         firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))
-        if not set(chain.from_iterable(firsts)) <= set(range(1, locus.k + 1)):
-            for w in locus.words:  # the walk's error names the first bad letter in locus order
-                content_of_word(w, locus.k)
         reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
         return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
     backwards = locus.words[::-1]  # so that each label keeps its first word
-    reps = dict(zip(_labels(backwards, group, locus.k), backwards))
+    reps = dict(zip(_labels(backwards, group, locus.k, locus.n), backwards))
     return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)

@@ -346,10 +346,10 @@ def word_bicsp_instance(
         arithmetic = cube_index_permutations(locus, (shift, position_action))
         if arithmetic is not None:
             return tuple(arithmetic)
-        words = locus.words
+        words, n = locus.words, locus.n
         index = dict(zip(words, range(len(words))))
         try:
-            return tuple(list(map(index.__getitem__, act_on_words(x, words))) for x in (shift, position_action))
+            return tuple(list(map(index.__getitem__, act_on_words(x, words, n))) for x in (shift, position_action))
         except KeyError:
             raise InternalCheckError("action does not preserve the locus") from None
 

@@ -263,7 +263,7 @@ def _crit_properties(max_n, max_k):
                 for group in groups:
                     elements = subgroup_elements(group, n)
                     words = locus.words
-                    images = (act_on_words(Action.permutation(perm), words) for perm in elements)
+                    images = (act_on_words(Action.permutation(perm), words, n) for perm in elements)
                     total = sum(sum(map(operator.eq, moved, words)) for moved in images)
                     if total % len(elements):
                         return False, f"Burnside sum not divisible for {family} n={n} k={k} {group}"

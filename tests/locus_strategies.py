@@ -1,9 +1,9 @@
-"""Hypothesis strategies for small loci, and the tuple-built twin of a locus, shared by
-the test modules."""
+"""Hypothesis strategies for small loci, the tuple-built twin of a locus, and the image
+of one word under an action, shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from orbitsieve.loci import Locus
+from orbitsieve.loci import Action, Locus
 
 
 @st.composite
@@ -25,3 +25,14 @@ def tuple_built(locus: Locus) -> Locus:
     """The locus handed its words as a tuple.  A cube ``enumerate_locus`` built becomes
     a plain locus with the same words, which takes the general paths."""
     return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)
+
+
+def image_of(action: Action, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of one word under the action, letter by letter: the reference for
+    ``loci.act_on_words``, which moves a whole list of words in C-level passes."""
+    if action.kind == "value_shift":
+        return tuple((x - 1 + action.step) % action.modulus + 1 for x in w)
+    if action.kind == "position_rotation":
+        r = action.step % len(w)
+        return w[r:] + w[:r]
+    return tuple(w[i] for i in action.perm)

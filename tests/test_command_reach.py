@@ -33,7 +33,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "harmonics.GroebnerBasis.__repr__": "interactive display",
     "harmonics.MultiPoly.__repr__": "interactive display",
     "harmonics.QuotientBasis.__repr__": "interactive display",
-    "loci.apply_action": "words of mixed or zero length from the Python API; every command's locus has one length",
     "qpoly.SparsePoly.__bool__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__hash__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__neg__": "operator of the public polynomial type",

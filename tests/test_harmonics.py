@@ -308,12 +308,6 @@ class TestVanishingIdeal:
             for w in locus.words:
                 assert not evaluate_at_word(g, w)
 
-    def test_word_length_below_one_is_a_domain_error(self):
-        locus = Locus("X", 0, 1, ((),))
-        for call in (verify_presentation, vanishing_ideal, graded_frobenius):
-            with pytest.raises(DomainError, match="^word length n must be >= 1$"):
-                call(locus)
-
     def test_budgets_and_domain(self):
         with pytest.raises(ResourceBudgetError):
             vanishing_ideal(enumerate_locus("X", 3, 3), max_points=20)

@@ -14,20 +14,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitsieve import loci
+from orbitsieve import harmonics, loci, sieving
 from orbitsieve.characters import subgroup_elements
 from orbitsieve.errors import DomainError, InternalCheckError
-from locus_strategies import shift_stable_loci, tuple_built
+from locus_strategies import image_of, shift_stable_loci, tuple_built
 from orbitsieve.loci import (
     Action,
     Locus,
     OrbitSet,
     act_on_words,
-    apply_action,
     canonical_form,
     enumerate_locus,
     orbit_set,
 )
+from orbitsieve.qpoly import SparsePoly
 
 
 def fixed_points(images):
@@ -137,8 +137,7 @@ class TestEnumeration:
         (lambda: Action.value_shift(-1, 3), "value shift needs k >= 1 and step >= 0"),
         (lambda: Action.position_rotation(0), "rotation needs n >= 1"),
         (lambda: Action.permutation((0, 0, 1)), "perm must be a permutation of 0..n-1"),
-        (lambda: apply_action(Action("spin"), (1, 2)), "unknown action kind 'spin'"),
-        (lambda: act_on_words(Action("spin"), [(1, 2), (2, 1)]), "unknown action kind 'spin'"),
+        (lambda: act_on_words(Action("spin"), [(1, 2), (2, 1)], 2), "unknown action kind 'spin'"),
         (lambda: canonical_form((1, 2), "Dn", 2), "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')"),
         (lambda: canonical_form((1, 2, 1), "Hr", 2), "matching stabilizer needs even n"),
         (
@@ -146,6 +145,26 @@ class TestEnumeration:
             "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')",
         ),
         (lambda: orbit_set(enumerate_locus("X", 3, 2), "Hr"), "matching stabilizer needs even n"),
+        # The constructor's one check of a hand-built locus.
+        (lambda: Locus("X", 0, 1, ((),)), "word length n must be >= 1"),
+        (lambda: Locus("X", 2, 0, ()), "alphabet size k must be >= 1"),
+        (lambda: Locus("tanisaki", 2, 2, ((1, 2), (2, 1))), "a tanisaki locus needs its value-shift step a"),
+        (lambda: Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))), "every word must have length n=2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))), "every word must have length n=2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 2, 1))), "every word must have length n=2"),
+        (lambda: Locus("X", 1, 3, ((1,), (2, 1), (3, 1, 2))), "every word must have length n=1"),
+        (lambda: Locus("X", 1, 3, ((), ())), "every word must have length n=1"),
+        (lambda: Locus("X", 2, 2, ((0, 1), (1, 0), (1, 1), (2, 2))), "letter 0 outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 3), (2, 2), (3, 1))), "letter 3 outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 3), (0, 2))), "letter 3 outside 1..2"),
+        (lambda: Locus("X", 3, 2, ((1, 1, 1), (2, 3, 0))), "letter 3 outside 1..2"),
+        (lambda: Locus("X", 3, 2, ((2, 2, 0), (1, 1, 1))), "letter 0 outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (0, 1), (2, 1))), "letter 0 outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, None), (2, 1))), "letter None outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, [2]), (2, 1))), "letter [2] outside 1..2"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 2))), "a word is listed twice"),
+        (lambda: Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2))), "a word is listed twice"),
+        (lambda: Locus("X", 3, 3, ((2, 1, 3), (1, 1, 1), (3, 2, 2), (1, 1, 1))), "a word is listed twice"),
     ],
 )
 def test_each_refusal_spells_out_its_reason(call, message):
@@ -153,23 +172,63 @@ def test_each_refusal_spells_out_its_reason(call, message):
         call()
 
 
+# Loci that are not sets of distinct points of C^n: before the constructor checked
+# them, a repeated word ran out of primes in vanishing_ideal, and long words gave a
+# wrong basis with no error.
+MALFORMED = [
+    (("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2))), {}),  # a repeated word
+    (("X", 2, 3, ((1, 2, 3), (2, 3, 1), (3, 1, 2))), {}),  # words of length 3 with n = 2
+    (("X", 2, 2, ((1, 1), (1, 3), (3, 1))), {}),  # a letter outside 1..k
+    (("X", 0, 2, ((),)), {}),  # n < 1
+    (("X", 2, 0, ()), {}),  # k < 1
+    (("tanisaki", 2, 2, ((1, 2), (2, 1))), {"mu": (1, 1)}),  # no step a
+]
+
+
+@pytest.mark.parametrize("args,kwargs", MALFORMED)
+def test_a_malformed_locus_is_refused_before_the_elimination_and_the_verifier(args, kwargs, monkeypatch):
+    entered = []
+    for module, name in ((harmonics, "vanishing_ideal"), (sieving, "word_bicsp_instance")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: entered.append(name))
+    rotation = Action.position_rotation(2)
+    for reach in (
+        lambda: harmonics.vanishing_ideal(Locus(*args, **kwargs)),
+        lambda: sieving.word_bicsp_instance("custom", Locus(*args, **kwargs), rotation, SparsePoly.one()),
+    ):
+        with pytest.raises(DomainError) as caught:
+            reach()
+        assert "__post_init__" in [entry.name for entry in caught.traceback]
+    assert entered == []
+
+
+def test_every_built_locus_passes_the_check():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for family in ("X", "Y", "Z"):
+                assert tuple_built(enumerate_locus(family, n, k)) == enumerate_locus(family, n, k)
+        assert tuple_built(enumerate_locus("springer", n)) == enumerate_locus("springer", n)
+    for mu in ((2, 2, 2), (2, 1, 2, 1), (3, 0, 1), (1, 1, 1, 1, 1)):
+        locus = enumerate_locus("tanisaki", mu=mu)
+        assert tuple_built(locus) == locus
+
+
 class TestActions:
     def test_value_shift_wraps(self):
         g = Action.value_shift(1, 3)
-        assert apply_action(g, (1, 2, 3)) == (2, 3, 1)
+        assert list(act_on_words(g, [(1, 2, 3)], 3)) == [(2, 3, 1)]
         assert g.order == 3
         assert Action.value_shift(2, 4).order == 2
         assert Action.value_shift(0, 4).order == 1
 
     def test_rotation(self):
         g = Action.position_rotation(4)
-        assert apply_action(g, (1, 2, 3, 4)) == (2, 3, 4, 1)
+        assert list(act_on_words(g, [(1, 2, 3, 4)], 4)) == [(2, 3, 4, 1)]
         assert g.order == 4
 
     def test_permutation_order(self):
         g = Action.permutation((1, 2, 0))
         assert g.order == 3
-        assert apply_action(g, (5, 6, 7)) == (6, 7, 5)
+        assert list(act_on_words(g, [(5, 6, 7)], 3)) == [(6, 7, 5)]
         with pytest.raises(DomainError):
             Action.permutation((0, 0, 1))
 
@@ -184,15 +243,11 @@ class TestActions:
             (Action.position_rotation(n), tuple(range(n))),
             (Action.permutation(perm), tuple(range(n))),
         ]:
-            image, length = apply_action(action, w), 1
+            image, length = image_of(action, w), 1
             while image != w:
-                image, length = apply_action(action, image), length + 1
+                image, length = image_of(action, image), length + 1
             assert action.order == length
 
-    def test_letters_outside_alphabet_rejected(self):
-        for w in ((1, 3), (0, 1), (1, None), (1, [2])):
-            with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
-                apply_action(Action.value_shift(1, 2), w)
 
 def actions_on(locus, data):
     """A value shift, the rotation and a permutation, for the locus."""
@@ -202,48 +257,39 @@ def actions_on(locus, data):
 
 
 def word_by_word(action, words):
-    return [apply_action(action, w) for w in words]
+    return [image_of(action, w) for w in words]
 
 
 class TestBulkActions:
-    """act_on_words against apply_action, one word at a time."""
+    """act_on_words against the one-word reference, one word at a time."""
 
     @settings(max_examples=100, deadline=None)
     @given(shift_stable_loci(), st.data())
     def test_images_equal_the_word_by_word_images(self, locus, data):
         for action in actions_on(locus, data):
-            images = act_on_words(action, locus.words)
+            images = act_on_words(action, locus.words, locus.n)
             assert iter(images) is images
             assert list(images) == word_by_word(action, locus.words)
-            assert list(act_on_words(action, [])) == []
+            assert list(act_on_words(action, [], locus.n)) == []
 
     @pytest.mark.parametrize(
         "words",
         [
             [(1,), (3,), (2,)],  # n = 1: a rotation or permutation moves nothing
-            [(2, 1, 3), (1, 1, 1), (3, 2, 2), (1, 1, 1)],  # repeated and unsorted
-            [(1,), (2, 1), (3, 1, 2)],  # mixed lengths move word by word
-            [(), ()],
+            [(2, 1, 3), (1, 1, 1), (3, 2, 2)],  # unsorted
         ],
     )
     def test_special_word_lists(self, words):
         n = len(words[0])
-        actions = [Action.value_shift(1, 3), Action.value_shift(5, 3), Action.position_rotation(max(n, 1))]
-        if len({len(w) for w in words}) == 1:
-            actions.append(Action.permutation(tuple(range(n))[::-1]))
-        for action in actions:
-            assert list(act_on_words(action, words)) == word_by_word(action, words)
-
-    @pytest.mark.parametrize("bad", [(1, 3), (0, 1), (1, None), (1, [2])])
-    def test_letters_outside_the_alphabet_rejected(self, bad):
-        with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
-            list(act_on_words(Action.value_shift(1, 2), [(1, 1), bad, (2, 1)]))
+        actions = [Action.value_shift(1, 3), Action.value_shift(5, 3), Action.position_rotation(n)]
+        for action in actions + [Action.permutation(tuple(range(n))[::-1])]:
+            assert list(act_on_words(action, words, n)) == word_by_word(action, words)
 
     def test_wrong_permutation_length_rejected(self):
         words = [(1, 2, 3), (3, 1, 2)]
         for perm in ((1, 0), (1, 0, 3, 2)):
             with pytest.raises(DomainError, match="^permutation length does not match the word$"):
-                list(act_on_words(Action.permutation(perm), words))
+                list(act_on_words(Action.permutation(perm), words, 3))
 
 
 class TestCanonicalForms:
@@ -273,7 +319,7 @@ class TestCanonicalForms:
 class TestOrbitSets:
     def burnside_count(self, locus, group):
         elements = subgroup_elements(group, locus.n)
-        total = sum(apply_action(Action.permutation(perm), w) == w for perm in elements for w in locus.words)
+        total = sum(image_of(Action.permutation(perm), w) == w for perm in elements for w in locus.words)
         assert total % len(elements) == 0
         return total // len(elements)
 
@@ -343,7 +389,7 @@ class TestOrbitSets:
 
 def shifted_label(orbits, label, shift):
     """Reference: the label of the orbit after shifting every value of its representative."""
-    shifted = apply_action(Action.value_shift(shift % orbits.k, orbits.k), orbits._reps[label])
+    shifted = image_of(Action.value_shift(shift % orbits.k, orbits.k), orbits._reps[label])
     return canonical_form(shifted, orbits.group, orbits.k)
 
 
@@ -364,7 +410,7 @@ def assert_labels_match_the_walk(locus, group="Cn"):
 
 @st.composite
 def hand_built_word_tuples(draw):
-    """Words of X(n, k), n <= 5, k <= 3: rotation-closed or not, sorted, shuffled or repeated.
+    """Distinct words of X(n, k), n <= 5, k <= 3: rotation-closed or not, sorted or shuffled.
 
     A closed set may lose one word, or swap it for another word of X(n, k), which
     keeps |X| and can keep the sum of the kept necklaces' periods equal to it.
@@ -380,11 +426,8 @@ def hand_built_word_tuples(draw):
             if closure == "swap one":
                 words.add(draw(word))
     words = sorted(words)
-    order = draw(st.sampled_from(["sorted", "shuffled", "repeated"]))
-    if order == "shuffled":
+    if draw(st.booleans()):
         words = draw(st.permutations(words))
-    elif order == "repeated" and words:
-        words = sorted(words + draw(st.lists(st.sampled_from(words), min_size=1, max_size=3)))
     return Locus("X", n, k, tuple(words))
 
 
@@ -412,16 +455,10 @@ class TestNecklaceLabels:
         assert orbit_set(locus, "Cn").labels == ((1, 2), (2, 3))
         assert_labels_match_the_walk(locus)
 
-    def test_unsorted_and_repeated_words_take_the_walk(self, monkeypatch):
+    def test_unsorted_words_take_the_walk(self, monkeypatch):
         unsorted = Locus("X", 2, 2, ((2, 1), (1, 1), (1, 2), (2, 2)))
-        repeated = Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 1), (2, 2)))
-        for locus in (unsorted, repeated):
-            assert word_paths_taken(locus, "Cn", monkeypatch) == {"_labels"}
+        assert word_paths_taken(unsorted, "Cn", monkeypatch) == {"_labels"}
         assert orbit_set(unsorted, "Cn")._reps[(1, 2)] == (2, 1)
-
-    def test_words_outside_the_alphabet_take_the_walk(self, monkeypatch):
-        locus = Locus("X", 2, 2, ((1, 1), (1, 3), (3, 1)))
-        assert word_paths_taken(locus, "Cn", monkeypatch) == {"_labels"}
 
     @settings(max_examples=150, deadline=None)
     @given(hand_built_word_tuples())
@@ -446,14 +483,8 @@ def spy_on(monkeypatch, name):
 def word_paths_taken(locus, group, monkeypatch):
     """Check orbit_set against the walk and name the word-by-word label paths it took:
     the sorted-letter content keys (a sorted word; the labels are sorted from a dict)
-    and the bulk canonical forms.  Where the
-    walk raises, orbit_set must raise its error, and None is returned."""
-    try:
-        labels, reps = canonical_walk(locus, group)  # before the spies: the walk sorts letters too
-    except DomainError as error:
-        with pytest.raises(DomainError, match=f"^{re.escape(str(error))}$"):
-            orbit_set(locus, group)
-        return None
+    and the bulk canonical forms."""
+    labels, reps = canonical_walk(locus, group)  # before the spies: the walk sorts letters too
     calls = {name: spy_on(monkeypatch, name) for name in ("sorted", "_labels")}
     orbits = orbit_set(locus, group)
     monkeypatch.undo()
@@ -487,34 +518,17 @@ class TestCubeLabels:
                 assert orbit_set(twin, group)._reps == orbit_set(cube, group)._reps
 
     @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
-    @pytest.mark.parametrize(
-        "locus",
-        [
-            # k^n sorted words, all of length n, one holding the letter 0
-            Locus("X", 2, 2, ((0, 1), (1, 0), (1, 1), (2, 2))),
-            # ... one holding the letter k + 1
-            Locus("X", 2, 2, ((1, 1), (1, 3), (2, 2), (3, 1))),
-            # ... letters in 1..k, one word of the wrong length
-            Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))),
-            Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))),
-            # the whole cube out of lex order
-            Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2))),
-            # k^n sorted words, one repeated in place of a missing one
-            Locus("X", 2, 2, ((1, 1), (1, 2), (1, 2), (2, 2))),
-        ],
-    )
-    def test_near_cubes_take_a_word_path(self, locus, group, monkeypatch):
-        assert locus.size == locus.k**locus.n
-        paths = word_paths_taken(locus, group, monkeypatch)
-        assert paths != set()
-        if group == "Cn" and list(locus.words) == sorted(set(locus.words)):
-            assert "_labels" in paths  # necklaces off the cube are read in bulk
+    def test_the_cube_out_of_lex_order_takes_a_word_path(self, group, monkeypatch):
+        # k^n distinct words of length n over 1..k that the constructor accepts are the
+        # cube's, so the only near cube left is the whole cube in another order.
+        locus = Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2)))
+        assert word_paths_taken(locus, group, monkeypatch) != set()
 
 
-def lookup_permutation(action, words):
+def lookup_permutation(action, locus):
     """Each word's image located by a dictionary lookup: the reference for digit arithmetic."""
-    index = {w: i for i, w in enumerate(words)}
-    return [index[image] for image in act_on_words(action, words)]
+    index = {w: i for i, w in enumerate(locus.words)}
+    return [index[image] for image in act_on_words(action, locus.words, locus.n)]
 
 
 def digit_actions(n, k):
@@ -534,7 +548,7 @@ class TestCube:
             cube = enumerate_locus("X", n, k)
             twin = Locus("X", n, k, tuple(product(range(1, k + 1), repeat=n)))
             actions = digit_actions(n, k)
-            expected = [lookup_permutation(action, twin.words) for action in actions]
+            expected = [lookup_permutation(action, twin) for action in actions]
             assert loci.cube_index_permutations(cube, actions) == expected
             assert loci.cube_index_permutations(twin, actions) is None  # only a built cube
 
@@ -576,7 +590,7 @@ class TestCube:
             enumerate_locus("X", 2, 3),
             enumerate_locus("X", 3, 2),
             Locus("X", 2, 2, words[:-1]),
-            Locus("X", 2, 2, words[:-1] + ((1, 1),)),
+            Locus("X", 2, 2, words[::-1]),
             Locus("Z", 2, 2, words),
             Locus("X", 2, 2, words, a=1),
         ]
@@ -604,20 +618,6 @@ class TestContentLabels:
     def test_hand_built_loci_match_the_walk(self, locus):
         assert_labels_match_the_walk(locus, "Sn")
 
-    @pytest.mark.parametrize(
-        "words,message",
-        [
-            (((1, 1), (1, 3), (0, 2)), "letter 3 outside 1..2"),
-            (((1, 1, 1), (2, 3, 0)), "letter 3 outside 1..2"),
-            (((2, 2, 0), (1, 1, 1)), "letter 0 outside 1..2"),
-        ],
-    )
-    def test_letter_outside_the_alphabet_names_the_walk_s_first(self, words, message):
-        locus = Locus("X", len(words[0]), 2, words)
-        for reach in (canonical_walk, orbit_set):
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                reach(locus, "Sn")
-
 
 class TestBulkLabels:
     """Labels read in bulk (Hr, Cn off the necklace path, shifted representatives)
@@ -638,11 +638,6 @@ class TestBulkLabels:
     def test_hr_hand_built_loci_match_the_walk(self, locus):
         assert_labels_match_the_walk(locus, "Hr")
 
-    def test_odd_word_inside_an_even_locus_rejected(self):
-        locus = Locus("X", 2, 2, ((1, 1), (1, 2, 1)))
-        with pytest.raises(DomainError, match="^matching stabilizer needs even n$"):
-            orbit_set(locus, "Hr")
-
     @pytest.mark.parametrize(
         "locus",
         [
@@ -662,7 +657,7 @@ class TestBulkLabels:
                 walk = [position[shifted_label(orbits, label, shift)] for label in orbits.labels]
                 assert orbits.shift_permutation(shift) == walk
 
-    def test_letters_outside_the_alphabet_rejected_by_the_shift(self):
+    def test_representatives_outside_the_alphabet_are_not_closed_under_the_shift(self):
         orbits = OrbitSet("Cn", 2, 2, ((0, 1),), {(0, 1): (0, 1)})
-        with pytest.raises(DomainError, match="^letters outside the action's alphabet$"):
+        with pytest.raises(InternalCheckError, match="^value shift does not preserve the orbit set$"):
             orbits.shift_permutation(1)

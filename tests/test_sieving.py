@@ -17,7 +17,6 @@ from orbitsieve.loci import (
     Action,
     Locus,
     act_on_words,
-    apply_action,
     canonical_form,
     enumerate_locus,
     orbit_set,
@@ -39,7 +38,7 @@ from orbitsieve.sieving import (
 )
 from orbitsieve.tableaux import fake_degree
 
-from locus_strategies import shift_stable_loci, tuple_built
+from locus_strategies import image_of, shift_stable_loci, tuple_built
 from q_analogues import evaluate
 
 
@@ -431,12 +430,12 @@ def test_regular_position_elements_of_adjacent_order():
 def power(action, w, times):
     """action applied `times` times to w, one step at a time."""
     for _ in range(times):
-        w = apply_action(action, w)
+        w = image_of(action, w)
     return w
 
 
 def brute_grid(words, shift, position, rs, ss):
-    """Fixed points of shift^r position^s for every (r, s), each word moved by apply_action;
+    """Fixed points of shift^r position^s for every (r, s), each word moved by image_of;
     None if some image leaves the set."""
     members = set(words)
     grid = {}
@@ -486,9 +485,9 @@ def test_word_grid_equals_brute_force(family, kwargs, locus_args):
 def test_each_generator_moves_each_word_once(monkeypatch):
     moved = []
 
-    def counting_act_on_words(action, words):
+    def counting_act_on_words(action, words, n):
         moved.append(len(words))
-        return act_on_words(action, words)
+        return act_on_words(action, words, n)
 
     monkeypatch.setattr(sieving, "act_on_words", counting_act_on_words)
     inst = build_instance("word-bicsp-Z", n=4, k=3)
@@ -647,7 +646,7 @@ def close_under(words, position):
     closed = set(words)
     frontier = list(closed)
     while frontier:
-        image = apply_action(position, frontier.pop())
+        image = image_of(position, frontier.pop())
         if image not in closed:
             closed.add(image)
             frontier.append(image)
@@ -773,7 +772,7 @@ def test_non_commuting_actions_rejected():
     locus = enumerate_locus("X", 3, 2)
     index = {w: i for i, w in enumerate(locus.words)}
     swap, rotation = Action.permutation((1, 0, 2)), Action.position_rotation(3)
-    a, b = ([index[apply_action(g, w)] for w in locus.words] for g in (swap, rotation))
+    a, b = ([index[image_of(g, w)] for w in locus.words] for g in (swap, rotation))
     counted = []
 
     def fixed(r, s):
