@@ -518,11 +518,28 @@ class TestCubeLabels:
                 assert orbit_set(twin, group)._reps == orbit_set(cube, group)._reps
 
     @pytest.mark.parametrize("group", ["Sn", "Cn", "Hr"])
-    def test_the_cube_out_of_lex_order_takes_a_word_path(self, group, monkeypatch):
-        # k^n distinct words of length n over 1..k that the constructor accepts are the
-        # cube's, so the only near cube left is the whole cube in another order.
-        locus = Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2)))
-        assert word_paths_taken(locus, group, monkeypatch) != set()
+    @pytest.mark.parametrize(
+        "locus",
+        [
+            # k^n distinct words of length n over 1..k that the constructor accepts are
+            # the cube's words, so a near cube differs from the built cube only in the
+            # order of its words or in its other fields.
+            # the whole cube out of lex order
+            Locus("X", 2, 2, ((1, 1), (2, 1), (1, 2), (2, 2))),
+            # ... in reverse lex order
+            Locus("X", 2, 3, tuple(product(range(3, 0, -1), repeat=2))),
+            # the cube's words in lex order, under another family name
+            Locus("Z", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2))),
+            # ... with a value-shift step
+            Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2)), a=1),
+        ],
+    )
+    def test_near_cubes_take_a_word_path(self, locus, group, monkeypatch):
+        assert locus.size == locus.k**locus.n
+        paths = word_paths_taken(locus, group, monkeypatch)
+        assert paths != set()
+        if group == "Cn" and list(locus.words) == sorted(locus.words):
+            assert "_labels" in paths  # necklaces off the cube are read in bulk
 
 
 def lookup_permutation(action, locus):
