@@ -79,7 +79,7 @@ import operator
 from itertools import islice, repeat
 
 from .cyclotomic import cyclo_field
-from .errors import InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .loci import Action, Locus, act_on_words
 from .rat import RAT
 
@@ -179,7 +179,8 @@ def unit_stable(locus: Locus) -> bool:
 
 
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
-    """Sorted least words of the value-shift orbits; the shift must preserve the locus.
+    """Sorted least words of the value-shift orbits; a locus the shift does not
+    preserve is refused.
 
     Closure is one pass: every shifted word is a word of the locus.  The shift is free
     on words of length >= 1, and the first letter of an orbit runs through one residue
@@ -188,7 +189,7 @@ def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
     """
     words = locus.words
     if not set(words).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), words, locus.n)):
-        raise InternalCheckError("value shift does not preserve the locus")
+        raise DomainError(f"the value shift by {locus.scaling_step} does not preserve the locus")
     g = locus.k // locus.scaling_order
     return sorted(w for w in words if w[0] <= g)
 

@@ -17,11 +17,17 @@ paths, with the same results.  On those the per-word passes stay at C level: con
 labels key each word by its sorted letters, and a value shift maps letters through a
 cached table.  ``act_on_words`` moves a whole list of words in such passes, and orbit
 labels are read in bulk too.
+
+Within ``_shared_loci`` (the suite runs in it), ``enumerate_locus`` builds each
+completed parameter set once and returns that same ``Locus`` to every later call; the
+loci go when the block ends.  Outside it, every call builds its locus anew.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, permutations, product, repeat
@@ -29,7 +35,7 @@ from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from .characters import check_subgroup
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 from .tableaux import Word, content_of_word, multiset_permutations
 
 FAMILIES = ("X", "Y", "Z", "tanisaki", "springer")
@@ -63,9 +69,12 @@ class Locus:
 
     def __post_init__(self):
         n, k, words = self.n, self.k, self.words
+        _check_family(self.family, self.mu, self.a)
         _check_sizes(n, k)
         if self.family == "tanisaki" and self.a is None:
             raise DomainError("a tanisaki locus needs its value-shift step a")
+        if self.infeasible and words:
+            raise DomainError("an infeasible locus has no words")
         if not set(map(len, words)) <= {n}:
             raise DomainError(f"every word must have length n={n}")
         alphabet = range(1, k + 1)
@@ -135,6 +144,15 @@ class _Cube(Locus):
         return self.k**self.n
 
 
+def _check_family(family: str, mu: tuple[int, ...] | None, a: int | None) -> None:
+    """Refuse a family not in ``FAMILIES``, and mu or a on a family other than
+    tanisaki: the check of both, for ``locus_parameters`` and the ``Locus`` constructor."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown locus family {family!r}")
+    if family != "tanisaki" and (mu is not None or a is not None):
+        raise DomainError(f"family {family!r} takes no mu or a")
+
+
 def _check_sizes(n: int, k: int) -> None:
     """Refuse a word length or an alphabet size below 1: the check of both, for
     ``locus_parameters`` and the ``Locus`` constructor."""
@@ -159,10 +177,7 @@ def locus_parameters(
     n defaults to sum(mu), k to len(mu) and a to the least cyclic symmetry of mu.
     springer's k defaults to n; X, Y and Z need both n and k.
     """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown locus family {family!r}")
-    if family != "tanisaki" and (mu is not None or a is not None):
-        raise DomainError(f"family {family!r} takes no mu or a")
+    _check_family(family, mu, a)
     if family == "tanisaki":
         if mu is None:
             raise DomainError("tanisaki locus needs a content vector mu")
@@ -191,6 +206,25 @@ def locus_parameters(
     return n, k, mu, a
 
 
+# The loci of the running suite, by completed parameters; None outside a run.
+_SHARED: ContextVar[dict[tuple, Locus] | None] = ContextVar("shared_loci", default=None)
+
+
+@contextmanager
+def _shared_loci() -> Iterator[None]:
+    """Within the block, ``enumerate_locus`` builds each completed parameter set once
+    and hands every later call the same ``Locus``.  A nested block shares the outer
+    block's loci; the outermost drops them on exit, raised or not."""
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def enumerate_locus(
     family: str,
     n: int | None = None,
@@ -200,8 +234,21 @@ def enumerate_locus(
 ) -> Locus:
     """Build a locus from parameters ``locus_parameters`` checks and completes (a
     tanisaki n may be left to sum(mu)); an infeasible (empty) range of Y or Z sets
-    the warning flag."""
+    the warning flag.  Inside ``_shared_loci`` a parameter set built before returns
+    the same locus."""
     n, k, mu, a = locus_parameters(family, n, k, mu, a)
+    shared = _SHARED.get()
+    if shared is None:
+        return _build_locus(family, n, k, mu, a)
+    key = (family, n, k, mu, a)
+    locus = shared.get(key)
+    if locus is None:
+        locus = shared[key] = _build_locus(family, n, k, mu, a)
+    return locus
+
+
+def _build_locus(family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None) -> Locus:
+    """The locus of completed parameters, built anew."""
     if family == "springer":
         words = tuple(sorted(tuple(p) for p in permutations(range(1, n + 1))))
         return Locus(family, n, n, words)
@@ -388,7 +435,8 @@ class OrbitSet:
         return len(self.labels)
 
     def shift_permutation(self, shift: int) -> list[int]:
-        """Index of each label's image under the value shift; checks closure.
+        """Index of each label's image under the value shift; checks closure, and refuses
+        a hand-built orbit set that the shift does not preserve.
 
         Every representative is shifted in one ``act_on_words`` pass and relabelled in bulk.
         """
@@ -398,7 +446,7 @@ class OrbitSet:
             shifted = list(act_on_words(Action.value_shift(shift % self.k, self.k), reps, self.n))
             return list(map(position.__getitem__, _labels(shifted, self.group, self.k, self.n)))
         except KeyError:
-            raise InternalCheckError("value shift does not preserve the orbit set") from None
+            raise DomainError(f"the value shift by {shift % self.k} does not preserve the orbit set") from None
 
 
 def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:

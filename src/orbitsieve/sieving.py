@@ -332,8 +332,9 @@ def word_bicsp_instance(
     the position side (the long rotation for the standard grids, other permutations
     for ad hoc checks).  Each generator moves every word once (``act_on_words``), on
     the first count, and becomes a permutation of word indices; closure under both
-    generators is closure under every element, as they are injective.  On a cube
-    under a rotation the permutations are computed from the indices alone.
+    generators is closure under every element, as they are injective, and a locus that
+    either generator does not preserve is refused.  On a cube under a rotation the
+    permutations are computed from the indices alone.
     """
     shift = Action.value_shift(locus.scaling_step, locus.k)
     t_label = "position-permutation" if position_action.kind == "permutation" else "position-rotation"
@@ -348,10 +349,14 @@ def word_bicsp_instance(
             return tuple(arithmetic)
         words, n = locus.words, locus.n
         index = dict(zip(words, range(len(words))))
-        try:
-            return tuple(list(map(index.__getitem__, act_on_words(x, words, n))) for x in (shift, position_action))
-        except KeyError:
-            raise InternalCheckError("action does not preserve the locus") from None
+        out = []
+        names = (f"value shift by {locus.scaling_step}", t_label.replace("-", " "))
+        for action, name in zip((shift, position_action), names):
+            try:
+                out.append(list(map(index.__getitem__, act_on_words(action, words, n))))
+            except KeyError:
+                raise DomainError(f"the {name} does not preserve the locus") from None
+        return tuple(out)
 
     return SievingInstance(
         family,

@@ -8,6 +8,13 @@ fails on its first discrepancy and reports the offending cell.
 
 ``run_suite`` is what both the command-line ``suite`` subcommand and the acceptance
 tests call; ``--max-n``/``--max-k`` clamp the grids without changing their shape.
+
+Many criteria read the same locus: the X cube of a word grid is the one of the
+necklace grid, the presentation and the oracle.  ``run_suite`` and ``run_criterion``
+each run inside ``loci._shared_loci``, so every locus is built and checked once per
+run (a criterion run alone is its own run) and all of its readings share it; the
+harmonics caches then find it by identity.  The run's loci are dropped when it ends,
+raised or not; only those the harmonics caches keep as keys outlive it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .characters import subgroup_elements
 from .cyclotomic import cyclo_field, cyclotomic_polynomial
 from .errors import DomainError
 from .harmonics import DEFAULT_MAX_POINTS, graded_frobenius, verify_presentation
-from .loci import Action, act_on_words, enumerate_locus, orbit_set, symmetry_steps
+from .loci import Action, _shared_loci, act_on_words, enumerate_locus, orbit_set, symmetry_steps
 from .qpoly import SparsePoly
 from .sieving import _FAMILIES, closed_frobenius, oracle_csp_poly, sieving_polynomial, verify_family
 from .tableaux import (
@@ -298,7 +305,8 @@ def run_criterion(name: str, max_n: int | None = None, max_k: int | None = None)
         raise DomainError(f"unknown suite criterion {name!r}")
     _check_clamps(max_n, max_k)
     start = time.perf_counter()
-    ok, detail = CRITERIA[name](max_n, max_k)
+    with _shared_loci():
+        ok, detail = CRITERIA[name](max_n, max_k)
     return SuiteResult(name, ok, detail, time.perf_counter() - start)
 
 
@@ -307,4 +315,5 @@ def run_suite(names=None, max_n: int | None = None, max_k: int | None = None) ->
     n <= max_n and k <= max_k, each at least 1."""
     _check_clamps(max_n, max_k)
     chosen = list(CRITERIA) if names is None else list(names)
-    return [run_criterion(name, max_n=max_n, max_k=max_k) for name in chosen]
+    with _shared_loci():
+        return [run_criterion(name, max_n=max_n, max_k=max_k) for name in chosen]

@@ -128,6 +128,10 @@ def test_every_domain_error_of_loci_fires_in_a_test():
     assert unraised([SOURCE / "loci.py"], "DomainError") == []
 
 
+def test_every_domain_error_of_interpolation_fires_in_a_test():
+    assert unraised([SOURCE / "interpolation.py"], "DomainError", least=1) == []
+
+
 def test_every_domain_error_of_characters_fires_in_a_test():
     assert unraised([SOURCE / "characters.py"], "DomainError", least=7) == []
 

@@ -652,9 +652,9 @@ class TestPackedRows:
     def test_shift_that_does_not_preserve_the_locus(self):
         # The shift by 1 takes (1, 1) to (2, 2) and then to (3, 3), which is missing.
         locus = Locus("X", 2, 3, ((1, 1), (2, 2)))
-        with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
+        with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the locus$"):
             interpolation.orbit_representatives(locus)
-        with pytest.raises(InternalCheckError, match="value shift does not preserve the locus"):
+        with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the locus$"):
             vanishing_ideal(locus)
 
     def test_elimination_past_its_count_bound_is_an_internal_error(self, monkeypatch):

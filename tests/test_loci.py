@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from orbitsieve import harmonics, loci, sieving
 from orbitsieve.characters import subgroup_elements
-from orbitsieve.errors import DomainError, InternalCheckError
+from orbitsieve.errors import DomainError
 from locus_strategies import image_of, shift_stable_loci, tuple_built
 from orbitsieve.loci import (
     Action,
@@ -148,6 +148,10 @@ class TestEnumeration:
         # The constructor's one check of a hand-built locus.
         (lambda: Locus("X", 0, 1, ((),)), "word length n must be >= 1"),
         (lambda: Locus("X", 2, 0, ()), "alphabet size k must be >= 1"),
+        (lambda: Locus("W", 2, 2, ((1, 2), (2, 1))), "unknown locus family 'W'"),
+        (lambda: Locus("X", 2, 2, ((1, 2), (2, 1)), mu=(5,), infeasible=True), "family 'X' takes no mu or a"),
+        (lambda: Locus("Y", 2, 2, ((1, 2), (2, 1)), a=1), "family 'Y' takes no mu or a"),
+        (lambda: Locus("X", 2, 2, ((1, 2), (2, 1)), infeasible=True), "an infeasible locus has no words"),
         (lambda: Locus("tanisaki", 2, 2, ((1, 2), (2, 1))), "a tanisaki locus needs its value-shift step a"),
         (lambda: Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))), "every word must have length n=2"),
         (lambda: Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))), "every word must have length n=2"),
@@ -199,6 +203,51 @@ def test_a_malformed_locus_is_refused_before_the_elimination_and_the_verifier(ar
             reach()
         assert "__post_init__" in [entry.name for entry in caught.traceback]
     assert entered == []
+
+
+def test_a_locus_its_value_shift_does_not_preserve_is_an_input_fault():
+    # The constructor does not check closure, which would cost every built locus a
+    # pass; each path that moves the words refuses the locus where it finds a word
+    # the shift takes outside it: (1, 1) goes to (2, 2).
+    locus = Locus("X", 2, 2, ((1, 1), (1, 2)))
+    instance = sieving.word_bicsp_instance("custom", locus, Action.position_rotation(2), SparsePoly.one())
+    for reach, message in (
+        (lambda: harmonics.vanishing_ideal(locus), "the value shift by 1 does not preserve the locus"),
+        (lambda: sieving.verify_bicsp(instance), "the value shift by 1 does not preserve the locus"),
+        (lambda: orbit_set(locus, "Cn").shift_permutation(1), "the value shift by 1 does not preserve the orbit set"),
+        (lambda: harmonics.graded_frobenius(locus), "the symmetric group does not preserve the locus"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            reach()
+
+
+class TestSharedLoci:
+    def test_outside_a_run_every_call_builds_anew(self):
+        assert enumerate_locus("Y", 2, 3) is not enumerate_locus("Y", 2, 3)
+        assert enumerate_locus("X", 2, 3) is not enumerate_locus("X", 2, 3)
+
+    def test_inside_a_run_completed_parameters_share_one_locus(self):
+        with loci._shared_loci():
+            assert enumerate_locus("Y", 2, 3) is enumerate_locus("Y", 2, 3)
+            tanisaki = enumerate_locus("tanisaki", mu=(1, 1))
+            assert enumerate_locus("tanisaki", 2, 2, mu=[1, 1], a=1) is tanisaki
+            assert enumerate_locus("Y", 3, 3) is not enumerate_locus("Y", 2, 3)
+        assert loci._SHARED.get() is None
+
+    def test_a_nested_run_shares_the_outer_loci_until_the_outer_ends(self):
+        with loci._shared_loci():
+            outer = enumerate_locus("Z", 3, 2)
+            with loci._shared_loci():
+                assert enumerate_locus("Z", 3, 2) is outer
+            assert enumerate_locus("Z", 3, 2) is outer
+        assert enumerate_locus("Z", 3, 2) is not outer
+
+    def test_a_run_that_raises_drops_its_loci(self):
+        with pytest.raises(DomainError, match="^unknown locus family 'W'$"):
+            with loci._shared_loci():
+                enumerate_locus("Y", 2, 3)
+                enumerate_locus("W", 2, 3)
+        assert loci._SHARED.get() is None
 
 
 def test_every_built_locus_passes_the_check():
@@ -379,7 +428,7 @@ class TestOrbitSets:
     def test_labels_not_closed_under_the_shift_rejected(self):
         orbits = OrbitSet("Cn", 2, 2, ((1, 1),), {(1, 1): (1, 1)})
         assert fixed_points(orbits.shift_permutation(0)) == 1
-        with pytest.raises(InternalCheckError, match="^value shift does not preserve the orbit set$"):
+        with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the orbit set$"):
             orbits.shift_permutation(1)
 
     def test_hr_requires_even_n(self):
@@ -530,8 +579,8 @@ class TestCubeLabels:
             Locus("X", 2, 3, tuple(product(range(3, 0, -1), repeat=2))),
             # the cube's words in lex order, under another family name
             Locus("Z", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2))),
-            # ... with a value-shift step
-            Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2)), a=1),
+            # ... under the one family that takes a value-shift step
+            Locus("tanisaki", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2)), a=1),
         ],
     )
     def test_near_cubes_take_a_word_path(self, locus, group, monkeypatch):
@@ -609,7 +658,7 @@ class TestCube:
             Locus("X", 2, 2, words[:-1]),
             Locus("X", 2, 2, words[::-1]),
             Locus("Z", 2, 2, words),
-            Locus("X", 2, 2, words, a=1),
+            Locus("tanisaki", 2, 2, words, a=1),
         ]
         for other in others:
             assert cube != other and other != cube
@@ -676,5 +725,5 @@ class TestBulkLabels:
 
     def test_representatives_outside_the_alphabet_are_not_closed_under_the_shift(self):
         orbits = OrbitSet("Cn", 2, 2, ((0, 1),), {(0, 1): (0, 1)})
-        with pytest.raises(InternalCheckError, match="^value shift does not preserve the orbit set$"):
+        with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the orbit set$"):
             orbits.shift_permutation(1)

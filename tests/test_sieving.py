@@ -628,18 +628,23 @@ def test_negative_coefficient_is_an_internal_error():
         sieving._check_counting_poly(SparsePoly({(0, 0): 2, (1, 1): -1}))
 
 
-def test_locus_not_preserved_by_the_value_shift_is_an_internal_error():
+def test_locus_not_preserved_by_the_value_shift_is_refused():
     # {11} is closed under rotation, but the shift sends it to 22.
     inst = word_instance(Locus("X", 2, 2, ((1, 1),)), Action.position_rotation(2))
-    with pytest.raises(InternalCheckError, match="^action does not preserve the locus$"):
+    with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the locus$"):
         verify_bicsp(inst)
 
 
-def test_locus_not_preserved_by_the_position_action_is_an_internal_error():
-    # {112, 221} is closed under the shift, but the rotation sends 112 to 121.
-    inst = word_instance(Locus("X", 3, 2, ((1, 1, 2), (2, 2, 1))), Action.position_rotation(3))
-    with pytest.raises(InternalCheckError, match="^action does not preserve the locus$"):
-        verify_bicsp(inst)
+def test_locus_not_preserved_by_the_position_action_is_refused():
+    # {112, 221} is closed under the shift, but the rotation sends 112 to 121, and
+    # the transposition of the last two letters sends it to 121 too.
+    locus = Locus("X", 3, 2, ((1, 1, 2), (2, 2, 1)))
+    for action, message in (
+        (Action.position_rotation(3), "the position rotation does not preserve the locus"),
+        (Action.permutation((0, 2, 1)), "the position permutation does not preserve the locus"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            verify_bicsp(word_instance(locus, action))
 
 
 def close_under(words, position):
@@ -660,7 +665,7 @@ def test_grid_equals_brute_force_on_random_sets(locus, data):
     shift = shift_of(locus)
     grid = brute_grid(locus.words, shift, position, range(shift.order), range(position.order))
     if grid is None:
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(DomainError, match="^the position permutation does not preserve the locus$"):
             verify_bicsp(word_instance(locus, position))
         locus = Locus(locus.family, locus.n, locus.k, close_under(locus.words, position), a=locus.a)
         grid = brute_grid(locus.words, shift, position, range(shift.order), range(position.order))

@@ -1,11 +1,13 @@
 """The failure details of the criteria: the first bad cell, named exactly."""
 
+import collections
 import re
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from orbitsieve import cli, harmonics, suite, tableaux
+from orbitsieve import cli, harmonics, loci, sieving, suite, tableaux
 from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly
 
@@ -84,6 +86,91 @@ def test_suite_eliminates_each_locus_once(monkeypatch):
     monkeypatch.setattr(harmonics, "vanishing_ideal", spy)
     assert all(result.ok for result in suite.run_suite(max_k=4))
     assert len(calls) == len(set(calls)) == 57
+
+
+def _count_builds(monkeypatch) -> collections.Counter:
+    """Builds of each completed parameter set, counted at the builder."""
+    builds = collections.Counter()
+    build = loci._build_locus
+
+    def counted(*params):
+        builds[params] += 1
+        return build(*params)
+
+    monkeypatch.setattr(loci, "_build_locus", counted)
+    return builds
+
+
+def test_a_suite_run_builds_each_locus_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    calls = []
+    for module in (suite, sieving):
+        enumerate_locus = module.enumerate_locus
+
+        def spy(*args, enumerate_locus=enumerate_locus, **kwargs):
+            calls.append(args)
+            return enumerate_locus(*args, **kwargs)
+
+        monkeypatch.setattr(module, "enumerate_locus", spy)
+    assert all(result.ok for result in suite.run_suite(max_n=3, max_k=3))
+    assert set(builds.values()) == {1}
+    assert (len(calls), len(builds)) == (227, 39)
+    assert loci._SHARED.get() is None
+
+
+def _built_loci(monkeypatch) -> list:
+    """A weak reference to each locus built from here on."""
+    refs = []
+    build = loci._build_locus
+
+    def kept(*params):
+        locus = build(*params)
+        refs.append(weakref.ref(locus))
+        return locus
+
+    monkeypatch.setattr(loci, "_build_locus", kept)
+    return refs
+
+
+def test_no_locus_outlives_the_run(monkeypatch):
+    # The loci of verify cells: no cache outside the run keeps them.
+    refs = _built_loci(monkeypatch)
+    assert all(result.ok for result in suite.run_suite(["word-bicsp-grids", "orbit-csps"], max_n=3, max_k=3))
+    assert len(refs) == 27 and not any(ref() for ref in refs)
+
+
+def test_no_locus_outlives_a_criterion_that_raises(monkeypatch):
+    refs = _built_loci(monkeypatch)
+    verify = suite.verify_family
+
+    def failing(family, **params):
+        if len(refs) == 5:
+            raise RuntimeError("a fault mid-run")
+        return verify(family, **params)
+
+    monkeypatch.setattr(suite, "verify_family", failing)
+    with pytest.raises(RuntimeError, match="^a fault mid-run$"):
+        suite.run_suite(["word-bicsp-grids"], max_n=3, max_k=3)
+    assert len(refs) == 5 and not any(ref() for ref in refs)
+    assert loci._SHARED.get() is None
+
+
+def test_each_criterion_of_a_run_reads_the_run_s_loci(monkeypatch):
+    seen = []
+
+    def criterion(max_n, max_k):
+        seen.append((loci._SHARED.get(), loci.enumerate_locus("Y", 2, 3)))
+        return True, "ok"
+
+    monkeypatch.setattr(suite, "CRITERIA", {"first": criterion, "second": criterion})
+    suite.run_suite()
+    (shared, locus), (shared_again, locus_again) = seen
+    assert shared is shared_again and locus is locus_again
+    assert shared == {("Y", 2, 3, None, None): locus}
+    # A criterion run on its own has loci of its own, dropped when it returns.
+    suite.run_criterion("first")
+    assert seen[2][0] is not shared and seen[2][1] is not locus
+    assert loci._SHARED.get() is None
 
 
 def test_oracle_enumerates_each_locus_once(monkeypatch):
