@@ -246,29 +246,37 @@ class GroebnerBasis:
         hold deg e.
 
         The generators are monic, so a reduction only adds and multiplies, and the
-        walk mod p gives the image of the exact normal form.
+        walk mod p gives the image of the exact normal form.  Each monomial is
+        looked up among the leads once: one whose shifted tail holds monomials not
+        yet reduced keeps that tail in ``pending`` until they are, so every cache
+        entry costs one ``divisor`` call and one shifted tail.
         """
         tails, cache = self._nf_mod[p]
         leads, divisor = self._packed_leads, self.monomials.divisor
+        pending: dict[int, list] = {}
         stack = [e]
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            idx = divisor(leads, cur)
-            if idx is None:
-                cache[cur] = {cur: 1}
-                stack.pop()
-                continue
-            shift = cur - leads[idx]
-            # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
-            # only the shifted tail survives.
-            deps = [(shift + te, tc) for te, tc in tails[idx]]
-            missing = [d for d, _ in deps if d not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
+            deps = pending.pop(cur, None)
+            if deps is None:
+                idx = divisor(leads, cur)
+                if idx is None:
+                    cache[cur] = {cur: 1}
+                    stack.pop()
+                    continue
+                shift = cur - leads[idx]
+                # x^cur = x^shift * lt = x^shift * (g - tail) for monic g, so modulo g
+                # only the shifted tail survives.
+                deps = [(shift + te, tc) for te, tc in tails[idx]]
+                missing = [d for d, _ in deps if d not in cache]
+                if missing:
+                    # Reduced above cur on the stack, so all in the cache when it is back on top.
+                    pending[cur] = deps
+                    stack.extend(missing)
+                    continue
             acc: dict = {}
             for d, tc in deps:
                 for se, sc in cache[d].items():
@@ -589,21 +597,32 @@ def _vanishes_on(gb: GroebnerBasis, words) -> bool:
     sums run over integers.  At each word, power-basis coordinate i of the
     coefficient of x^e lands on zeta^(i + e.w), so the integer coefficients of
     each power of zeta are gathered first; the generator vanishes there when
-    every power-basis column of the power table is orthogonal to them.
+    every power-basis column of the power table is orthogonal to them.  The dot
+    products e.w with all the words are built once per monomial, shared by the
+    generators: those of its predecessor at its first nonzero variable plus that
+    variable's column of letters.
     """
     field = gb.field
     order = field.order
     columns = list(zip(*map(field.power_vector, range(order))))
+    letters = list(zip(*words))
+    dots = {(0,) * gb.nvars: [0] * len(words)}
+
+    def dot(e: Exponents) -> list[int]:
+        out = dots.get(e)
+        if out is None:
+            i = next(i for i, x in enumerate(e) if x)
+            prev = dot(e[:i] + (e[i] - 1,) + e[i + 1:])
+            out = dots[e] = list(map(operator.add, prev, letters[i]))
+        return out
+
     for g in gb.gens:
         den = math.lcm(*(x.denominator for c in g.terms.values() for x in c.coords))
-        terms = [
-            (e, [(i, int(x * den)) for i, x in enumerate(c.coords) if x]) for e, c in g.terms.items()
-        ]
-        for w in words:
+        coords = [[(i, int(x * den)) for i, x in enumerate(c.coords) if x] for c in g.terms.values()]
+        for js in zip(*map(dot, g.terms)):
             at = [0] * order
-            for e, coords in terms:
-                j = sum(map(operator.mul, e, w))
-                for i, x in coords:
+            for j, term in zip(js, coords):
+                for i, x in term:
                     at[(i + j) % order] += x
             if any(sum(map(operator.mul, at, col)) for col in columns):
                 return False
@@ -622,7 +641,8 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
     each piece is then an S_n-module, whose traces are integers of absolute value
     at most its dimension.  A lift beyond the piece dimension raises
     InternalCheckError; ``graded_frobenius`` checks the stability before and the
-    fixed-word sums after.
+    fixed-word sums after.  A monomial whose image under w is itself or standard
+    adds 1 or 0 with no normal form; only the others are walked.
     """
     if sorted(w) != list(range(gb_t.nvars)):
         raise DomainError("w must be a permutation of 0..n-1")
@@ -652,12 +672,22 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
 
 
 def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
-    perm = []
-    offset = 0
+    """A permutation of cycle type ``ct``, its cycles on the last variables.
+
+    The cycles of ``ct`` are laid on 0..n-1 as i -> i + 1 and the result is conjugated
+    by the reversal i -> n - 1 - i, so the first cycle sits on the top variables and
+    each runs i -> i - 1.  A trace is a class function, so any representative gives
+    the same traces.  Variable n - 1 is the most significant in the packed grevlex
+    order, and with the cycles there more permuted standard monomials stay standard
+    and need no normal form: 296 class-monomial pairs of tanisaki 1^5 where the
+    first-cycles representative had 126, and 2,922 of Y(6,6) where it had 1,386.
+    """
+    first = []
     for c in ct:
-        perm.extend(offset + (i + 1) % c for i in range(c))
-        offset += c
-    return tuple(perm)
+        offset = len(first)
+        first.extend(offset + (i + 1) % c for i in range(c))
+    n = len(first)
+    return tuple(n - 1 - first[n - 1 - j] for j in range(n))
 
 
 # Graded Frobenius images by locus, oldest first; the oldest is evicted at the bound.

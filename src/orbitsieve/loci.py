@@ -250,7 +250,7 @@ def enumerate_locus(
 def _build_locus(family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None) -> Locus:
     """The locus of completed parameters, built anew."""
     if family == "springer":
-        words = tuple(sorted(tuple(p) for p in permutations(range(1, n + 1))))
+        words = tuple(permutations(range(1, n + 1)))  # of an ascending range: lex order
         return Locus(family, n, n, words)
     if family == "tanisaki":
         words = tuple(multiset_permutations(mu))  # already in lex order
@@ -260,7 +260,7 @@ def _build_locus(family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int
     if family == "Y":
         if k < n:
             return Locus(family, n, k, (), infeasible=True)
-        words = tuple(sorted(permutations(range(1, k + 1), n)))
+        words = tuple(permutations(range(1, k + 1), n))  # lex order, as for springer
         return Locus(family, n, k, words)
     # Z: surjective words
     if k > n:

@@ -11,6 +11,7 @@ those identities, and the cocharge sum over them is the Kostka-Foulkes polynomia
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
@@ -28,8 +29,9 @@ Word = tuple[int, ...]  # letters from {1, ..., k}
 
 
 def check_partition(lam) -> Partition:
-    lam = tuple(int(p) for p in lam)
-    if any(p <= 0 for p in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    """``lam`` as ints, refused unless non-increasing with a positive last part."""
+    lam = tuple(map(int, lam))
+    if lam and (lam[-1] <= 0 or not all(map(operator.ge, lam, lam[1:]))):
         raise DomainError(f"not a partition: {lam}")
     return lam
 

@@ -48,7 +48,7 @@ from orbitsieve.harmonics import (
 from orbitsieve.loci import Locus, enumerate_locus
 from orbitsieve.qpoly import SparsePoly
 from orbitsieve.rat import RAT
-from orbitsieve.tableaux import weak_compositions
+from orbitsieve.tableaux import partitions, weak_compositions
 
 import reference_ideals
 from locus_strategies import shift_stable_loci, tuple_built
@@ -70,6 +70,7 @@ from reference_ideals import (
     variable,
     zero,
 )
+from test_characters import cycle_type_of
 
 
 def alive_monomials(d, n, lead_exps):
@@ -1286,6 +1287,23 @@ class TestHilbertSeries:
         assert hilbert_series(gb.quotient_basis()) == SparsePoly.one()
 
 
+def first_cycles(ct):
+    """The representative with the cycles of ``ct`` on the first variables, as i -> i + 1."""
+    perm = []
+    for c in ct:
+        offset = len(perm)
+        perm.extend(offset + (i + 1) % c for i in range(c))
+    return tuple(perm)
+
+
+def conjugate(w, s):
+    """s w s^-1 in one-line form: it sends s(i) to s(w(i))."""
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[s[i]] = s[x]
+    return tuple(out)
+
+
 class TestGradedCharacter:
     def test_identity_is_hilbert(self):
         for family, n, k, mu in [("X", 2, 2, None), ("Z", 3, 2, None), ("springer", 3, None, None)]:
@@ -1311,6 +1329,44 @@ class TestGradedCharacter:
         for ct, _ in conjugacy_classes(locus.n):
             w = harmonics._perm_of_cycle_type(ct)
             assert graded_character(gb_t, w) == exact_graded_character(gb_t, w), ct
+
+    def test_class_representative_has_its_cycle_type(self):
+        for n in range(1, 8):
+            for ct in partitions(n):
+                w = harmonics._perm_of_cycle_type(ct)
+                assert sorted(w) == list(range(n))
+                assert cycle_type_of(w) == ct
+
+    # A trace is a class function: the mirrored representative, the one with its
+    # cycles on the first variables, and a third conjugate give the same traces.
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI + ORACLE_MID_LOCI)
+    def test_traces_agree_at_conjugate_representatives(self, family, n, k, mu):
+        locus = enumerate_locus(family, n, k, mu=mu)
+        gb_t = associated_graded(vanishing_ideal(locus))
+        shuffle = tuple(range(0, locus.n, 2)) + tuple(range(1, locus.n, 2))
+        for ct, _ in conjugacy_classes(locus.n):
+            w = harmonics._perm_of_cycle_type(ct)
+            first = first_cycles(ct)
+            expected = graded_character(gb_t, w)
+            assert graded_character(gb_t, first) == expected, ct
+            assert graded_character(gb_t, conjugate(first, shuffle)) == expected, ct
+
+    def test_the_walk_reduces_each_monomial_once(self, monkeypatch):
+        gb_t = associated_graded(vanishing_ideal(enumerate_locus("tanisaki", mu=(1, 1, 1, 1, 1))))
+        monos, seen = gb_t.monomials, []
+        divisor = monos.divisor
+
+        def counted(leads, m):
+            seen.append(m)
+            return divisor(leads, m)
+
+        monkeypatch.setattr(monos, "divisor", counted)
+        for ct, _ in conjugacy_classes(5):
+            graded_character(gb_t, harmonics._perm_of_cycle_type(ct))
+        ((_, cache),) = [entry for entry in gb_t._nf_mod.values() if entry is not None]
+        assert sorted(seen) == sorted(cache)
+        # The first-cycles representative needed 1,059 normal forms here.
+        assert len(cache) == 584
 
     def test_traces_past_the_lead_degree(self):
         # Y(3, 5): leads of degree at most 5, but the top standard monomial has

@@ -7,8 +7,9 @@ over explicitly enumerated position subgroups.
 
 import builtins
 import math
+import operator
 import re
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from orbitsieve.loci import (
     orbit_set,
 )
 from orbitsieve.qpoly import SparsePoly
+from orbitsieve.tableaux import partitions
 
 
 def fixed_points(images):
@@ -259,6 +261,20 @@ def test_every_built_locus_passes_the_check():
     for mu in ((2, 2, 2), (2, 1, 2, 1), (3, 0, 1), (1, 1, 1, 1, 1)):
         locus = enumerate_locus("tanisaki", mu=mu)
         assert tuple_built(locus) == locus
+
+
+def test_every_built_non_cube_locus_lists_its_words_strictly_ascending():
+    # The builders rely on permutations of an ascending range coming in lex order.
+    built = [enumerate_locus("springer", n) for n in range(1, 6)]
+    for n in range(1, 6):
+        for k in range(1, 7):
+            built += [enumerate_locus("Y", n, k), enumerate_locus("Z", n, k)]
+        for lam in partitions(n):
+            for mu in set(permutations(lam + (0,))):
+                built.append(enumerate_locus("tanisaki", mu=mu))
+    assert sum(locus.size > 1 for locus in built) > 100
+    for locus in built:
+        assert all(map(operator.lt, locus.words, locus.words[1:])), locus.describe()
 
 
 class TestActions:
