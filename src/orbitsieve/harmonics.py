@@ -176,8 +176,9 @@ class GroebnerBasis:
     def __init__(self, field: CycloField, nvars: int, gens: tuple[MultiPoly, ...]):
         self.field = field
         self.nvars = nvars
-        self.gens = tuple(sorted(gens, key=lambda g: grevlex_key(g.leading_term()[0])))
-        self._leads = leads = tuple(g.leading_term()[0] for g in self.gens)
+        by_lead = sorted(((g.leading_term()[0], g) for g in gens), key=lambda pair: grevlex_key(pair[0]))
+        self._leads = leads = tuple(lt for lt, _ in by_lead)
+        self.gens = tuple(g for _, g in by_lead)
         if any(g.terms[lt] != field.one for g, lt in zip(self.gens, leads)):
             raise InternalCheckError("Groebner basis generator is not monic")
         # The least a_i with x_i^a_i a lead, per variable, or None where a variable has none.

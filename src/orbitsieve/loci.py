@@ -6,17 +6,19 @@ position permutations.  Five families exist: all words (X), words with distinct 
 (springer).  Orbit sets quotient a locus by one of the three position subgroups and
 carry the induced value-shift action on canonical labels.
 
-The X locus ``enumerate_locus`` builds is all of {1..k}^n in lex order by construction,
-and it builds its k^n word tuples only when ``words`` is first read.  On such a cube,
-and only there (``_is_cube`` is a type test), the orbit labels are generated, and the
-value shift and the rotation permute word indices by base-k digit arithmetic
-(``cube_index_permutations``), so neither reads a word.  Any other locus is checked
-once, when it is made: n, k >= 1, and distinct words of length n over 1..k.  A locus
-handed the words of a cube passes that check but is not a cube: it takes the general
-paths, with the same results.  On those the per-word passes stay at C level: content
-labels key each word by its sorted letters, and a value shift maps letters through a
-cached table.  ``act_on_words`` moves a whole list of words in such passes, and orbit
-labels are read in bulk too.
+Every locus ``enumerate_locus`` builds knows its parameters: it counts its size from
+them, and builds its word tuples, in lex order, only when ``words`` is first read;
+they then pass the word check every locus passes.  On a built locus the orbit labels
+under Sn, and under Cn off tanisaki, are generated from the parameters, each with the
+least word of its orbit, so no word is read.  On the built X cube (``_is_cube``: built,
+and of family X) the Hr labels are generated too, and the value shift and the rotation
+permute word indices by base-k digit arithmetic (``cube_index_permutations``).  Any
+other locus is checked once, when it is made: n, k >= 1, and distinct words of length
+n over 1..k.  A locus handed the words of a built locus passes that check but is not
+built: it takes the general paths, with the same results.  On those the per-word
+passes stay at C level: content labels key each word by its sorted letters, and a
+value shift maps letters through a cached table.  ``act_on_words`` moves a whole list
+of words in such passes, and orbit labels are read in bulk too.
 
 Within ``_shared_loci`` (the suite runs in it), ``enumerate_locus`` builds each
 completed parameter set once and returns that same ``Locus`` to every later call; the
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, permutations, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
 from operator import add, itemgetter
 from typing import Iterator, Sequence
 
@@ -51,12 +53,14 @@ def symmetry_steps(mu: tuple[int, ...]) -> list[int]:
 class Locus:
     """A finite set of words, with the value-shift step that preserves it.
 
-    The constructor is the one check of the words, in C-level passes: n and k are at
-    least 1, every word has length n and letters in 1..k, no word is listed twice, and
+    The constructor is the one check of the locus, in C-level passes: n and k are at
+    least 1, every word has length n and letters in 1..k (``_check_words``, which a
+    built locus runs on its words when it builds them), no word is listed twice, and
     a tanisaki locus names its step a.  Every path after it relies on that.  Two loci
-    are equal when their parameters and words are; the hash reads the parameters and
-    the size only, so a cube ``enumerate_locus`` built equals and hashes like a locus
-    handed the same word tuple, and neither builds words to hash.
+    are equal when their parameters and words are; two that ``enumerate_locus`` built
+    compare parameters only.  The hash reads the parameters and the size only, so a
+    built locus equals and hashes like a locus handed the same word tuple, and neither
+    builds words to hash.
     """
 
     family: str
@@ -68,25 +72,13 @@ class Locus:
     infeasible: bool = False
 
     def __post_init__(self):
-        n, k, words = self.n, self.k, self.words
         _check_family(self.family, self.mu, self.a)
-        _check_sizes(n, k)
+        _check_sizes(self.n, self.k)
         if self.family == "tanisaki" and self.a is None:
             raise DomainError("a tanisaki locus needs its value-shift step a")
-        if self.infeasible and words:
+        if self.infeasible and self.words:
             raise DomainError("an infeasible locus has no words")
-        if not set(map(len, words)) <= {n}:
-            raise DomainError(f"every word must have length n={n}")
-        alphabet = range(1, k + 1)
-        try:
-            in_alphabet = set(chain.from_iterable(words)) <= set(alphabet)
-        except TypeError:  # an unhashable letter
-            in_alphabet = False
-        if not in_alphabet:
-            letter = next(x for x in chain.from_iterable(words) if x not in alphabet)
-            raise DomainError(f"letter {letter} outside 1..{k}")
-        if len(set(words)) != len(words):
-            raise DomainError("a word is listed twice")
+        _check_words(self.words, self.n, self.k)
 
     def _key(self) -> tuple:
         return (self.family, self.n, self.k, self.size, self.mu, self.a, self.infeasible)
@@ -98,7 +90,7 @@ class Locus:
             return True
         if self._key() != other._key():
             return False
-        return type(self) is type(other) is _Cube or self.words == other.words
+        return type(self) is type(other) is _Built or self.words == other.words
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -126,22 +118,64 @@ class Locus:
         return out
 
 
-class _Cube(Locus):
-    """X(n, k) as ``enumerate_locus`` builds it: all of {1..k}^n in lex order by
-    construction, so it skips the constructor's check.  Its k^n word tuples are built
-    on the first read of ``words``, once; the orbit sets and word grids of a cube read
-    none of them."""
+class _Built(Locus):
+    """A locus ``enumerate_locus`` built from its completed parameters.
 
-    def __init__(self, n: int, k: int):
-        vars(self).update(family="X", n=n, k=k)  # mu, a and infeasible keep their defaults
+    Its ``size`` is counted from them: k^n, k!/(k-n)!, k! S(n, k) by inclusion-exclusion,
+    the multinomial of mu, or n!.  It holds no word until ``words`` is first read; its
+    word tuples are then built in lex order, once, and pass the word check of the
+    constructor.  Only Y with k < n and Z with k > n hold no word (``infeasible``).
+    """
+
+    def __init__(self, family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None):
+        vars(self).update(family=family, n=n, k=k, mu=mu, a=a)
+        vars(self)["infeasible"] = self.size == 0
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
-        return tuple(product(range(1, self.k + 1), repeat=self.n))
+        family, n, letters = self.family, self.n, range(1, self.k + 1)
+        if self.infeasible:
+            words = ()
+        elif family == "X":
+            words = tuple(product(letters, repeat=n))
+        elif family in ("Y", "springer"):
+            words = tuple(permutations(letters, n))  # of an ascending range: lex order
+        elif family == "Z":
+            words = tuple(filter(frozenset(letters).issubset, product(letters, repeat=n)))
+        else:
+            words = tuple(multiset_permutations(self.mu))  # already in lex order
+        _check_words(words, n, self.k)
+        return words
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return self.k**self.n
+        n, k = self.n, self.k
+        if self.family == "X":
+            return k**n
+        if self.family == "Y":
+            return math.perm(k, n)
+        if self.family == "Z":
+            return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+        if self.family == "tanisaki":
+            return math.factorial(n) // math.prod(map(math.factorial, self.mu))
+        return math.factorial(n)
+
+
+def _check_words(words: tuple[Word, ...], n: int, k: int) -> None:
+    """Refuse a word whose length is not n, a letter outside 1..k and a word listed
+    twice, in C-level passes: the check of the words of every locus."""
+    if not set(map(len, words)) <= {n}:
+        raise DomainError(f"every word must have length n={n}")
+    alphabet = range(1, k + 1)
+    try:
+        in_alphabet = set(chain.from_iterable(words)) <= set(alphabet)
+    except TypeError:  # an unhashable letter
+        in_alphabet = False
+    if not in_alphabet:
+        letter = next(x for x in chain.from_iterable(words) if x not in alphabet)
+        raise DomainError(f"letter {letter} outside 1..{k}")
+    if len(set(words)) != len(words):
+        raise DomainError("a word is listed twice")
 
 
 def _check_family(family: str, mu: tuple[int, ...] | None, a: int | None) -> None:
@@ -248,25 +282,8 @@ def enumerate_locus(
 
 
 def _build_locus(family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None) -> Locus:
-    """The locus of completed parameters, built anew."""
-    if family == "springer":
-        words = tuple(permutations(range(1, n + 1)))  # of an ascending range: lex order
-        return Locus(family, n, n, words)
-    if family == "tanisaki":
-        words = tuple(multiset_permutations(mu))  # already in lex order
-        return Locus(family, n, k, words, mu=mu, a=a)
-    if family == "X":
-        return _Cube(n, k)
-    if family == "Y":
-        if k < n:
-            return Locus(family, n, k, (), infeasible=True)
-        words = tuple(permutations(range(1, k + 1), n))  # lex order, as for springer
-        return Locus(family, n, k, words)
-    # Z: surjective words
-    if k > n:
-        return Locus(family, n, k, (), infeasible=True)
-    words = tuple(filter(frozenset(range(1, k + 1)).issubset, product(range(1, k + 1), repeat=n)))
-    return Locus(family, n, k, words)
+    """The locus of completed parameters, built anew: it holds no word yet."""
+    return _Built(family, n, k, mu, a)
 
 
 # -- actions ---------------------------------------------------------------------------
@@ -350,9 +367,10 @@ def _shift_table(shift: int, k: int) -> dict[int, int]:
 
 
 def _is_cube(locus: Locus) -> bool:
-    """Whether the locus is a cube ``enumerate_locus`` built.  A locus handed the same
-    words is not one: it takes the general paths, which give the same results."""
-    return isinstance(locus, _Cube)
+    """Whether the locus is the X cube ``enumerate_locus`` built: built, and of family X.
+    A locus handed the same words is not one: it takes the general paths, which give
+    the same results."""
+    return isinstance(locus, _Built) and locus.family == "X"
 
 
 def cube_index_permutations(locus: Locus, actions: Sequence[Action]) -> list[list[int]] | None:
@@ -473,34 +491,62 @@ def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:
         a = a[:p] * (n // p) + a[: n % p]
 
 
+def _generated_representatives(locus: Locus, group: str) -> dict | None:
+    """Each orbit label of a built locus with its least word, generated from the
+    parameters (an infeasible locus has none); None where the labels are read instead:
+    tanisaki under Cn, and every family but X under Hr.
+
+    Sn: the non-decreasing words, labelled by their content vectors.  Cn: the
+    necklaces, each its own label; on Y and springer (distinct letters) the least
+    letter first, then each arrangement of the rest.
+    """
+    family, n, letters = locus.family, locus.n, range(1, locus.k + 1)
+    if locus.infeasible:
+        return {}
+    if group == "Sn":
+        if family == "X":
+            firsts = combinations_with_replacement(letters, n)
+        elif family == "Z":
+            firsts = filter(frozenset(letters).issubset, combinations_with_replacement(letters, n))
+        elif family == "tanisaki":
+            firsts = [tuple(chain.from_iterable(map(repeat, letters, locus.mu)))]
+        else:
+            firsts = combinations(letters, n)
+        return {tuple(map(w.count, letters)): w for w in firsts}
+    if group == "Cn":
+        if family == "X":
+            necklaces = _generated_necklace_labels(n, locus.k)
+        elif family == "Z":
+            necklaces = filter(frozenset(letters).issubset, _generated_necklace_labels(n, locus.k))
+        elif family == "tanisaki":
+            return None
+        else:
+            necklaces = ((least, *rest) for least, *others in combinations(letters, n) for rest in permutations(others))
+        return {w: w for w in necklaces}
+    if family != "X":
+        return None
+    pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), n // 2)
+    return {label: tuple(chain.from_iterable(label)) for label in pairs}
+
+
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
     """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
 
-    On a cube ``enumerate_locus`` built (`_is_cube`) the first word of each orbit is
-    generated, the least of its orbit: a necklace (`_generated_necklace_labels`), a
-    non-decreasing word, or sorted letter pairs in order.  Any other locus, one handed
-    the words of a cube included, is read: Sn labels key each word by its sorted
-    letters, and only the distinct keys become content vectors; Cn and Hr labels are
-    each word's canonical form, read in bulk (`_labels`).  Each gives the labels and
-    representatives of a word-by-word walk.
+    On a locus ``enumerate_locus`` built, the labels and the first word of each orbit,
+    the least of its orbit, are generated from the parameters under Sn, under Cn off
+    tanisaki and, on the X cube, under Hr (``_generated_representatives``), so no word
+    is built.  Any other locus, one handed the words of a built locus included, is
+    read: Sn labels key each word by its sorted letters, and only the distinct keys
+    become content vectors; Cn and Hr labels are each word's canonical form, read in
+    bulk (`_labels`).  Each gives the labels and representatives of a word-by-word walk.
     """
     check_subgroup(group, locus.n)
-    if _is_cube(locus):
-        n, k, letters = locus.n, locus.k, range(1, locus.k + 1)
-        if group == "Cn":
-            necklaces = _generated_necklace_labels(n, k)
-            reps = dict(zip(necklaces, necklaces))
-        elif group == "Sn":
-            reps = {tuple(map(w.count, letters)): w for w in combinations_with_replacement(letters, n)}
-        else:
-            pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), n // 2)
-            reps = {label: tuple(chain.from_iterable(label)) for label in pairs}
-        return OrbitSet(group, n, k, tuple(sorted(reps)), reps)
-    if group == "Sn":
+    reps = _generated_representatives(locus, group) if isinstance(locus, _Built) else None
+    if reps is None and group == "Sn":
         # Read backwards, so the first word of each class is the last one stored.
         firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))
         reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
-        return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)
-    backwards = locus.words[::-1]  # so that each label keeps its first word
-    reps = dict(zip(_labels(backwards, group, locus.k, locus.n), backwards))
+    elif reps is None:
+        backwards = locus.words[::-1]  # so that each label keeps its first word
+        reps = dict(zip(_labels(backwards, group, locus.k, locus.n), backwards))
     return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)

@@ -12,21 +12,24 @@ indices and checks that the set is closed under it (a generator is injective, so
 closure under the generators is closure under the group).  On the cube {1..k}^n that
 ``enumerate_locus`` builds, under the value shift and the rotation, both permutations
 come from base-k digit arithmetic instead (``loci.cube_index_permutations``): the
-cube is closed under both, and no word is built.  Each orbit of the group is then
-walked once and its stabilizer read off: a group element fixes exactly the
-points of the orbits whose stabilizer contains it (``_fixed_table``), so no count
-comes from the polynomial.  A cyclic sieving instance is counted and checked as the
+cube is closed under both, and no word is built.  Nor is one for an orbit grid whose
+labels ``loci.orbit_set`` generates from the parameters of a built locus: under Sn,
+and under Cn off tanisaki.  Each orbit of the group is then walked once and its
+stabilizer read off: a group element fixes exactly the points of the orbits whose
+stabilizer contains it (``_fixed_table``), so no count comes from the polynomial.  A cyclic sieving instance is counted and checked as the
 bicyclic one with no position action: its second group is trivial, so its grid is
 the one column s = 0, reported as None.
 
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
 the invariants of a position subgroup.  The X results and the Gaussian binomials are
-built directly, which is faster.  No closed form lists tableaux: Kostka numbers and
-(maj, des) counts come from recursions in ``tableaux``, q-analogues from quotients of
-products of (1 - q^a).  ``oracle_csp_poly`` derives the Frobenius image from the
-associated-graded quotient instead and restricts it the same way, so the closed forms
-can be cross-checked against an independent derivation.
+built directly, which is faster.  One closed form lists tableaux: the tanisaki image,
+whose Kostka-Foulkes polynomials sum cocharge over the semistandard tableaux
+(``tableaux.kostka_foulkes``).  No other does: Kostka numbers and (maj, des) counts
+come from recursions in ``tableaux``, q-analogues from quotients of products of
+(1 - q^a).  ``oracle_csp_poly`` derives the Frobenius image from the associated-graded
+quotient instead and restricts it the same way, so the closed forms can be
+cross-checked against an independent derivation.
 """
 
 from __future__ import annotations

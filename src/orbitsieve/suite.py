@@ -260,8 +260,9 @@ def _crit_properties(max_n, max_k):
             if not (total.is_integer() and total.as_int() == expected_sum):
                 return False, f"power sum at L={level} m={m} is not {expected_sum}"
         checks += 1
-    # Burnside counts orbits word by word: on every X(n <= 4, k <= 4) it cross-checks
-    # the labels orbit_set generates for the cube, on Y and Z the labels it finds.
+    # Burnside counts orbits word by word: on every X, Y and Z with n, k <= 4 it
+    # cross-checks the labels orbit_set generates from the parameters (Sn, Cn, and Hr
+    # on the cube) and the Hr labels it reads off the words of Y and Z.
     for n in range(1, _cap(4, max_n) + 1):
         for k in range(1, _cap(4, max_k) + 1):
             for family in ("X", "Y", "Z"):

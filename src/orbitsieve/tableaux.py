@@ -1,12 +1,13 @@
 """Partitions, tableaux and word combinatorics.
 
-Everything here is finite and exact.  The counts that feed the closed forms visit no
-tableau: Kostka numbers come from the horizontal-strip recursion on a sorted content,
-the (maj, des) distribution of standard tableaux from removing the corner that holds n,
-fake degrees from Stanley's q-hook length formula, and maj counts of words from
-MacMahon's q-multinomial; all are cached by shape and content.  The backtracking
-enumerations (``generate_ssyt``, ``generate_syt``) stay as the independent oracles for
-those identities, and the cocharge sum over them is the Kostka-Foulkes polynomial.
+Everything here is finite and exact.  The counts that feed the closed forms, but for
+the Kostka-Foulkes polynomials, visit no tableau: Kostka numbers come from the
+horizontal-strip recursion on a sorted content, the (maj, des) distribution of
+standard tableaux from removing the corner that holds n, fake degrees from Stanley's
+q-hook length formula, and maj counts of words from MacMahon's q-multinomial; all are
+cached by shape and content.  The backtracking enumerations (``generate_ssyt``,
+``generate_syt``) stay as the independent oracles for those identities, and the
+cocharge sum over ``generate_ssyt`` is the Kostka-Foulkes polynomial.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ def shift_stable_loci(draw):
 
 
 def tuple_built(locus: Locus) -> Locus:
-    """The locus handed its words as a tuple.  A cube ``enumerate_locus`` built becomes
+    """The locus handed its words as a tuple.  A locus ``enumerate_locus`` built becomes
     a plain locus with the same words, which takes the general paths."""
     return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)
 

@@ -1000,6 +1000,16 @@ class TestAssociatedGraded:
         assert buchberger(list(gb_t.gens)) == gb_t
         assert gb_t.leading_exponents() == gb_i.leading_exponents()
 
+    @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
+    def test_a_basis_reads_each_leading_term_once(self, family, n, k, mu, monkeypatch):
+        gb = vanishing_ideal(enumerate_locus(family, n, k, mu=mu))
+        calls = []
+        leading_term = MultiPoly.leading_term
+        monkeypatch.setattr(MultiPoly, "leading_term", lambda g: calls.append(g) or leading_term(g))
+        rebuilt = GroebnerBasis(gb.field, gb.nvars, gb.gens[::-1])
+        assert len(calls) == len(gb.gens)
+        assert rebuilt.gens == gb.gens and rebuilt.leading_exponents() == gb.leading_exponents()
+
     def test_non_monic_generator_rejected(self):
         field = cyclo_field(3)
         x = variable(field, 2, 0)

@@ -263,6 +263,71 @@ def test_every_built_locus_passes_the_check():
         assert tuple_built(locus) == locus
 
 
+# Small loci of every family, with tanisaki contents that have zero parts and steps a
+# other than the least.
+BUILT_PARAMETERS = (
+    [(family, n, k, None, None) for family in ("X", "Y", "Z") for n in range(1, 5) for k in range(1, 5)]
+    + [("springer", n, n, None, None) for n in range(1, 6)]
+    + [
+        ("tanisaki", None, None, mu, a)
+        for mu, a in [
+            ((2, 2, 2), None),
+            ((2, 2, 2), 3),
+            ((2, 1, 2, 1), None),
+            ((2, 1, 2, 1), 4),
+            ((3, 0, 1), None),
+            ((2, 0, 2, 0), None),
+            ((2, 0, 2, 0), 4),
+            ((0, 1, 0, 1, 0, 1), 2),
+            ((1, 1, 1, 1, 1), None),
+            ((4,), None),
+        ]
+    ]
+)
+
+
+class TestBuiltLoci:
+    """Every locus enumerate_locus builds against its tuple-built twin, which reads."""
+
+    @pytest.mark.parametrize("family,n,k,mu,a", BUILT_PARAMETERS)
+    def test_built_locus_matches_its_tuple_built_twin(self, family, n, k, mu, a):
+        built = enumerate_locus(family, n, k, mu=mu, a=a)
+        groups = ("Sn", "Cn", "Hr") if built.n % 2 == 0 else ("Sn", "Cn")
+        orbits = {group: orbit_set(built, group) for group in groups}
+        size = built.size
+        # Only a read label path builds words: tanisaki under Cn, a nonempty locus off X under Hr.
+        read = "Hr" in groups and family != "X" and size or family == "tanisaki"
+        assert ("words" in vars(built)) == bool(read)
+        twin = tuple_built(built)
+        assert size == len(built.words) == twin.size
+        assert built == twin and twin == built and hash(built) == hash(twin)
+        assert built == enumerate_locus(family, n, k, mu=mu, a=a) and built.words == twin.words
+        for group, generated in orbits.items():
+            walked = orbit_set(twin, group)
+            assert generated == walked and generated._reps == walked._reps
+            for shift in range(0, built.k + 1, built.scaling_step):
+                assert generated.shift_permutation(shift) == walked.shift_permutation(shift)
+
+    def test_the_table_holds_every_family_and_the_empty_loci(self):
+        families = {family for family, *_ in BUILT_PARAMETERS}
+        assert families == set(loci.FAMILIES)
+        empty = [(f, n, k) for f, n, k, mu, a in BUILT_PARAMETERS if enumerate_locus(f, n, k, mu=mu, a=a).infeasible]
+        assert ("Y", 4, 3) in empty and ("Z", 3, 4) in empty
+
+    def test_built_words_pass_the_word_check(self, monkeypatch):
+        monkeypatch.setattr(loci, "multiset_permutations", lambda mu: [(1, 2), (1, 2)])
+        locus = enumerate_locus("tanisaki", mu=(1, 1))
+        assert locus.size == 2
+        with pytest.raises(DomainError, match="^a word is listed twice$"):
+            locus.words
+
+    def test_counting_builds_no_word(self):
+        for family, n, k, mu, a in BUILT_PARAMETERS + [("X", 40, 4, None, None), ("Z", 30, 20, None, None)]:
+            locus = enumerate_locus(family, n, k, mu=mu, a=a)
+            assert locus.size >= 0 and "words" not in vars(locus)
+        assert enumerate_locus("X", 40, 4).size == 4**40
+
+
 def test_every_built_non_cube_locus_lists_its_words_strictly_ascending():
     # The builders rely on permutations of an ascending range coming in lex order.
     built = [enumerate_locus("springer", n) for n in range(1, 6)]
@@ -504,10 +569,8 @@ class TestNecklaceLabels:
     def test_families_match_the_walk(self, family, monkeypatch):
         for n in range(1, 7):
             for k in range(1, 5):
-                # Only the X cube has its necklaces generated; Y(1, k) and Z(n, 1) hold
-                # the words of a cube, and are read.
-                paths = word_paths_taken(enumerate_locus(family, n, k), "Cn", monkeypatch)
-                assert paths == (set() if family == "X" else {"_labels"})
+                # Every built X, Y and Z locus has its necklaces generated.
+                assert word_paths_taken(enumerate_locus(family, n, k), "Cn", monkeypatch) == set()
 
     @pytest.mark.parametrize("mu,a", [((2, 2, 2, 2), None), ((2, 1, 2, 1), 2), ((1, 1, 1, 1, 1), None)])
     def test_tanisaki_matches_the_walk(self, mu, a, monkeypatch):

@@ -496,8 +496,8 @@ def test_each_generator_moves_each_word_once(monkeypatch):
     assert moved == [inst.size] * 2
 
 
-def tuple_built_twin(family, n, k=None, mu=None, a=None):
-    """``enumerate_locus``, with an X cube handed over as a tuple of words."""
+def tuple_built_twin(family, n=None, k=None, mu=None, a=None):
+    """``enumerate_locus``, with the built locus handed over as a tuple of words."""
     return tuple_built(enumerate_locus(family, n, k, mu=mu, a=a))
 
 
@@ -510,16 +510,50 @@ def test_cube_reports_equal_those_on_the_tuple_built_twin(family, n, k, monkeypa
     assert verify_family(family, n=n, k=k).to_json_dict() == expected  # dictionary lookups and label walks
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        (family, {"n": n, "k": k})
+        for family in ("subset-csp", "necklace-Y", "comp-csp", "necklace-Z")
+        for n, k in [(1, 2), (2, 3), (4, 2), (4, 3), (3, 5), (5, 3)]
+    ]
+    + [("tanisaki-trivial", {"mu": mu, "a": a}) for mu, a in [((2, 2, 2), None), ((2, 0, 2, 0), 4), ((3, 0, 1), None)]],
+)
+def test_generated_orbit_reports_equal_those_on_the_tuple_built_twin(family, params, monkeypatch):
+    expected = verify_family(family, **params).to_json_dict()
+    assert expected["all_ok"]
+    monkeypatch.setattr(sieving, "enumerate_locus", tuple_built_twin)
+    assert verify_family(family, **params).to_json_dict() == expected  # labels read from the words
+
+
 @pytest.mark.parametrize("family", ["word-bicsp-X", "necklace-X", "wcomp-csp", "graph-X"])
 def test_cube_grids_build_no_word_tuple(family, monkeypatch):
     def unread(locus):
         raise AssertionError(f"the words of X({locus.n}, {locus.k}) were built")
 
-    monkeypatch.setattr(loci._Cube, "words", property(unread))
+    monkeypatch.setattr(loci._Built, "words", property(unread))
     report = verify_family(family, n=8, k=3 if family == "graph-X" else 4)
     assert report.all_ok
     with pytest.raises(AssertionError, match=r"^the words of X\(8, 4\) were built$"):
         enumerate_locus("X", 8, 4).words
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("subset-csp", {"n": 5, "k": 8}),
+        ("comp-csp", {"n": 7, "k": 4}),
+        ("necklace-Y", {"n": 5, "k": 8}),
+        ("necklace-Z", {"n": 6, "k": 3}),
+        ("tanisaki-trivial", {"mu": (2, 0, 2, 0), "a": 4}),
+    ],
+)
+def test_generated_orbit_grids_off_the_cube_build_no_word_tuple(family, params, monkeypatch):
+    def unread(locus):
+        raise AssertionError(f"the words of {locus.describe()} were built")
+
+    monkeypatch.setattr(loci._Built, "words", property(unread))
+    assert verify_family(family, **params).all_ok
 
 
 @pytest.mark.parametrize(
