@@ -33,11 +33,12 @@ which are given by generators rather than by points.  It takes pairs least lcm
 first and skips those that coprime leads or the chain criterion prove redundant
 (Buchberger, EUROSAM 1979; Gebauer and Moller, J. Symb. Comput. 6, 1988).
 
-``graded_frobenius`` and ``verify_presentation`` share one bounded cache of
-point-ideal bases keyed by locus, so each locus's basis is found once however many
-checks read its quotient; both check their budgets before the lookup.
-``vanishing_ideal`` itself is not cached: every call finds and certifies its basis
-afresh.
+A point-ideal basis and a graded Frobenius image depend on the locus alone, so each
+is kept while its locus lives, in a weak memo keyed by that ``Locus`` object: each
+locus's basis is found once however many checks read its quotient, and both go with
+the locus.  ``graded_frobenius`` and ``verify_presentation`` check their budgets before
+the lookup.  ``vanishing_ideal`` itself is not memoised: every call finds and
+certifies its basis afresh.
 
 Every result is exact: modular arithmetic only proposes a basis, which exact
 arithmetic certifies.  The monomial order is graded reverse lexicographic
@@ -51,6 +52,7 @@ import math
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from weakref import WeakKeyDictionary
 
 from . import interpolation, loci
 from .characters import SchurVector, conjugacy_classes, sn_character
@@ -691,9 +693,8 @@ def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n - 1 - first[n - 1 - j] for j in range(n))
 
 
-# Graded Frobenius images by locus, oldest first; the oldest is evicted at the bound.
-_FROBENIUS_CACHE: dict[Locus, SchurVector] = {}
-_FROBENIUS_CACHE_SIZE = 256
+# Graded Frobenius images, each kept while its locus lives.
+_FROBENIUS_CACHE: WeakKeyDictionary[Locus, SchurVector] = WeakKeyDictionary()
 
 
 def graded_frobenius(
@@ -712,8 +713,8 @@ def graded_frobenius(
     sum over all degrees to the number of words its permutation fixes; for the
     identity that is |X|, and by column orthogonality the dimensions of the Schur
     coefficients add up to the identity's trace sum.  Coefficients are checked to
-    be nonnegative integers.  Budgets are checked before the cache is consulted,
-    so a cached result never escapes a tighter budget.
+    be nonnegative integers.  Budgets are checked before the memo is consulted,
+    so a remembered result never escapes a tighter budget.
     """
     _check_locus(locus, max_points, max_vars)
     cached = _FROBENIUS_CACHE.get(locus)
@@ -758,29 +759,23 @@ def graded_frobenius(
             out[lam] = SparsePoly(poly_terms)
 
     frob = SchurVector(n, out)
-    _remember(_FROBENIUS_CACHE, locus, frob)
+    _FROBENIUS_CACHE[locus] = frob
     return frob
 
 
-# Reduced point-ideal bases by locus, bounded and evicted like _FROBENIUS_CACHE.  The
-# graded bases are rebuilt from them on each use, so their mod-p tables are not kept.
-_BASIS_CACHE: dict[Locus, GroebnerBasis] = {}
-
-
-def _remember(cache: dict, locus: Locus, value) -> None:
-    if len(cache) >= _FROBENIUS_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[locus] = value
+# Reduced point-ideal bases, each kept while its locus lives.  The graded bases are
+# rebuilt on each use, so their mod-p tables are not kept.
+_BASIS_CACHE: WeakKeyDictionary[Locus, GroebnerBasis] = WeakKeyDictionary()
 
 
 def _point_basis(locus: Locus, max_points: int, max_vars: int) -> GroebnerBasis:
     """``vanishing_ideal(locus)``, computed once per locus.  The budgets are checked
-    before the lookup, so a cached basis never escapes a tighter budget."""
+    before the lookup, so a remembered basis never escapes a tighter budget."""
     _check_locus(locus, max_points, max_vars)
     gb_i = _BASIS_CACHE.get(locus)
     if gb_i is None:
         gb_i = vanishing_ideal(locus, max_points=max_points, max_vars=max_vars)
-        _remember(_BASIS_CACHE, locus, gb_i)
+        _BASIS_CACHE[locus] = gb_i
     return gb_i
 
 
@@ -796,23 +791,13 @@ def stated_generators(locus: Locus) -> list[MultiPoly]:
     n, k = locus.n, locus.k
     if (locus.family == "Y" and k < n) or (locus.family == "Z" and k > n):
         raise DomainError("no stated presentation: the locus is empty")
-    if locus.family == "X":
-        gens = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = k
-            gens.append(MultiPoly(field, n, {tuple(e): field.one}))
+    if locus.family in ("X", "Z"):
+        gens = [MultiPoly(field, n, {(0,) * i + (k,) + (0,) * (n - 1 - i): field.one}) for i in range(n)]
+        if locus.family == "Z":
+            gens.extend(elementary_symmetric(field, n, d) for d in range(n - k + 1, n + 1))
         return gens
     if locus.family == "Y":
         return [complete_homogeneous(field, n, d) for d in range(k - n + 1, k + 1)]
-    if locus.family == "Z":
-        gens = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = k
-            gens.append(MultiPoly(field, n, {tuple(e): field.one}))
-        gens.extend(elementary_symmetric(field, n, d) for d in range(n - k + 1, n + 1))
-        return gens
     raise DomainError(f"no stated presentation for family {locus.family!r}")
 
 

@@ -56,11 +56,9 @@ class Locus:
     The constructor is the one check of the locus, in C-level passes: n and k are at
     least 1, every word has length n and letters in 1..k (``_check_words``, which a
     built locus runs on its words when it builds them), no word is listed twice, and
-    a tanisaki locus names its step a.  Every path after it relies on that.  Two loci
-    are equal when their parameters and words are; two that ``enumerate_locus`` built
-    compare parameters only.  The hash reads the parameters and the size only, so a
-    built locus equals and hashes like a locus handed the same word tuple, and neither
-    builds words to hash.
+    a tanisaki locus names its step a.  Every path after it relies on that.  A locus
+    compares and hashes by identity, so the harmonics memos keep each result exactly
+    as long as its locus.
     """
 
     family: str
@@ -79,21 +77,6 @@ class Locus:
         if self.infeasible and self.words:
             raise DomainError("an infeasible locus has no words")
         _check_words(self.words, self.n, self.k)
-
-    def _key(self) -> tuple:
-        return (self.family, self.n, self.k, self.size, self.mu, self.a, self.infeasible)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Locus):
-            return NotImplemented
-        if self is other:
-            return True
-        if self._key() != other._key():
-            return False
-        return type(self) is type(other) is _Built or self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def size(self) -> int:

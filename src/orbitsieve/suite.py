@@ -12,9 +12,9 @@ tests call; ``--max-n``/``--max-k`` clamp the grids without changing their shape
 Many criteria read the same locus: the X cube of a word grid is the one of the
 necklace grid, the presentation and the oracle.  ``run_suite`` and ``run_criterion``
 each run inside ``loci._shared_loci``, so every locus is built and checked once per
-run (a criterion run alone is its own run) and all of its readings share it; the
-harmonics caches then find it by identity.  The run's loci are dropped when it ends,
-raised or not; only those the harmonics caches keep as keys outlive it.
+run (a criterion run alone is its own run) and all of its readings share it, the
+harmonics memos, which are keyed by the locus object, among them.  The run's loci are
+dropped when it ends, raised or not, and the memo entries go with them.
 """
 
 from __future__ import annotations

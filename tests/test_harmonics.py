@@ -20,6 +20,7 @@ import sys
 import time
 from itertools import chain, islice
 from math import isqrt
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given, settings
@@ -1479,18 +1480,25 @@ class TestGradedFrobenius:
             graded_frobenius(locus, max_vars=1)
         assert graded_frobenius(locus, max_points=9) is graded_frobenius(locus)
 
-    def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE_SIZE", 3)
-        loci = [enumerate_locus("X", 1, k) for k in range(1, 7)]
-        for locus in loci:
-            graded_frobenius(locus)
-            assert len(harmonics._FROBENIUS_CACHE) <= 3
-        # The oldest entries went first.
-        assert list(harmonics._FROBENIUS_CACHE) == loci[3:]
+    def test_an_image_goes_with_its_locus(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
+        locus = enumerate_locus("X", 2, 3)
+        image = graded_frobenius(locus)
+        assert list(harmonics._FROBENIUS_CACHE.items()) == [(locus, image)]
+        del locus
+        assert len(harmonics._FROBENIUS_CACHE) == 0
+
+    def test_a_locus_built_separately_is_computed_afresh(self, monkeypatch):
+        # The memo is keyed by the locus object: equal parameters are not the same key.
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
+        first, second = enumerate_locus("X", 2, 3), enumerate_locus("X", 2, 3)
+        image = graded_frobenius(first)
+        assert graded_frobenius(first) is image
+        assert graded_frobenius(second) is not image and graded_frobenius(second) == image
+        assert len(harmonics._FROBENIUS_CACHE) == 2
 
     def test_cache_keyed_by_the_words(self, monkeypatch):
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
         graded_frobenius(enumerate_locus("X", 2, 2))
         diagonal = Locus("X", 2, 2, ((1, 1), (2, 2)))
         assert frobenius_dimension(graded_frobenius(diagonal)) == 2
@@ -1524,7 +1532,7 @@ class TestGradedFrobenius:
         def corrupted(gb_t, w):
             return trace(gb_t, tuple(range(len(w))))
 
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(harmonics, "graded_character", corrupted)
         with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
             graded_frobenius(locus)
@@ -1541,7 +1549,7 @@ class TestGradedFrobenius:
                 out = out + SparsePoly({(0, 0): -1, (1, 0): 1})
             return out
 
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(harmonics, "graded_character", moved)
         with pytest.raises(InternalCheckError, match="^graded multiplicity is not an integer$"):
             graded_frobenius(enumerate_locus("X", 2, 2))
@@ -1557,7 +1565,7 @@ class TestGradedFrobenius:
             chi = sn_character((1, 1), classes[tuple(w)])
             return trace(gb_t, w) + SparsePoly({(0, 0): -chi, (1, 0): chi})
 
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(harmonics, "graded_character", moved)
         with pytest.raises(InternalCheckError, match="^graded multiplicity is negative$"):
             graded_frobenius(enumerate_locus("X", 2, 2))
@@ -1595,14 +1603,27 @@ class TestBasisCache:
         assert vanishing_ideal(locus) == vanishing_ideal(locus)
         assert lifts == [locus, locus]
 
-    def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
-        monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE_SIZE", 3)
-        loci = [enumerate_locus("X", 1, k) for k in range(1, 7)]
-        for locus in loci:
-            assert verify_presentation(locus)
-            assert len(harmonics._BASIS_CACHE) <= 3
-        assert list(harmonics._BASIS_CACHE) == loci[3:]
+    def test_a_basis_goes_with_its_locus(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", WeakKeyDictionary())
+        locus = enumerate_locus("Y", 2, 4)
+        assert verify_presentation(locus)
+        assert list(harmonics._BASIS_CACHE) == [locus]
+        del locus
+        assert len(harmonics._BASIS_CACHE) == 0
+
+    def test_a_locus_built_separately_is_eliminated_afresh(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", WeakKeyDictionary())
+        eliminated = []
+        compute = harmonics.vanishing_ideal
+
+        def spy(locus, **budgets):
+            eliminated.append(locus)
+            return compute(locus, **budgets)
+
+        monkeypatch.setattr(harmonics, "vanishing_ideal", spy)
+        first, second = enumerate_locus("Y", 2, 4), enumerate_locus("Y", 2, 4)
+        assert verify_presentation(first) and verify_presentation(first) and verify_presentation(second)
+        assert len(eliminated) == 2 and eliminated[0] is first and eliminated[1] is second
 
 
 class TestPresentations:
@@ -1627,7 +1648,7 @@ class TestPresentations:
         def no_elimination(*args, **kwargs):
             raise AssertionError("vanishing_ideal ran before the family was refused")
 
-        monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
+        monkeypatch.setattr(harmonics, "_BASIS_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
         for locus, message in [
             (enumerate_locus("springer", 3), "family 'springer' has no stated presentation"),

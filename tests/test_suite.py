@@ -74,8 +74,8 @@ def test_springer_grid_shape_is_checked(monkeypatch):
 
 def test_suite_eliminates_each_locus_once(monkeypatch):
     # frobenius-coherence and oracle-coherence read the bases presentations computed.
-    monkeypatch.setattr(harmonics, "_BASIS_CACHE", {})
-    monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", {})
+    monkeypatch.setattr(harmonics, "_BASIS_CACHE", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(harmonics, "_FROBENIUS_CACHE", weakref.WeakKeyDictionary())
     calls = []
     compute = harmonics.vanishing_ideal
 
@@ -85,7 +85,7 @@ def test_suite_eliminates_each_locus_once(monkeypatch):
 
     monkeypatch.setattr(harmonics, "vanishing_ideal", spy)
     assert all(result.ok for result in suite.run_suite(max_k=4))
-    assert len(calls) == len(set(calls)) == 57
+    assert len(calls) == len({repr(locus.describe()) for locus in calls}) == 57
 
 
 def _count_builds(monkeypatch) -> collections.Counter:
@@ -133,10 +133,13 @@ def _built_loci(monkeypatch) -> list:
 
 
 def test_no_locus_outlives_the_run(monkeypatch):
-    # The loci of verify cells: no cache outside the run keeps them.
+    # Every criterion: the harmonics memos keep no locus, so their entries go with the run.
+    harmonics._BASIS_CACHE.clear()
+    harmonics._FROBENIUS_CACHE.clear()
     refs = _built_loci(monkeypatch)
-    assert all(result.ok for result in suite.run_suite(["word-bicsp-grids", "orbit-csps"], max_n=3, max_k=3))
-    assert len(refs) == 27 and not any(ref() for ref in refs)
+    assert all(result.ok for result in suite.run_suite(max_n=3, max_k=3))
+    assert len(refs) == 39 and not any(ref() for ref in refs)
+    assert len(harmonics._BASIS_CACHE) == len(harmonics._FROBENIUS_CACHE) == 0
 
 
 def test_no_locus_outlives_a_criterion_that_raises(monkeypatch):
