@@ -19,6 +19,7 @@ from .tableaux import (
     Partition,
     check_partition,
     count_maj_divisible,
+    fake_degree,
     is_even_partition,
     kostka_number,
     partitions,
@@ -129,7 +130,7 @@ def fixed_space_dim(shape: Partition, group: str) -> int:
     if group == "Sn":
         return 1 if shape == (n,) else 0
     if group == "Cn":
-        return count_maj_divisible(n, shape=shape)
+        return count_maj_divisible(n, fake_degree(shape))
     return 1 if is_even_partition(shape) else 0
 
 

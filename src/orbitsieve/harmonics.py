@@ -21,7 +21,8 @@ other, and gives the same basis.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
-pass is needed; the standard monomials of T(X) give the Hilbert series and its
+pass is needed.  The standard monomials of T(X) (``GroebnerBasis.quotient_basis``,
+a plain tuple of levels, one per degree) give the Hilbert series, and their
 permutation traces give the graded Frobenius image.  The traces are read modulo
 a split prime: S_n preserves the locus (checked), so each is an integer no larger
 than its piece's dimension, and every class' traces must add up to the words its
@@ -73,6 +74,9 @@ from .tableaux import partitions
 DEFAULT_MAX_POINTS = 720
 DEFAULT_MAX_VARS = 5
 MAX_QUOTIENT_DIM = 100000
+
+# Standard monomials of a zero-dimensional monomial quotient, one level per degree.
+QuotientBasis = tuple[tuple[Exponents, ...], ...]
 
 
 class MultiPoly:
@@ -289,7 +293,7 @@ class GroebnerBasis:
             stack.pop()
         return cache[e]
 
-    def quotient_basis(self) -> "QuotientBasis":
+    def quotient_basis(self) -> QuotientBasis:
         if self._qb is None:
             self._qb = _enumerate_standard(self)
         return self._qb
@@ -326,21 +330,6 @@ class GroebnerBasis:
         }
 
 
-class QuotientBasis:
-    """Standard monomials of a zero-dimensional monomial quotient, grouped by degree."""
-
-    def __init__(self, nvars: int, by_degree: tuple[tuple[Exponents, ...], ...]):
-        self.nvars = nvars
-        self.by_degree = by_degree
-
-    @property
-    def total(self) -> int:
-        return sum(len(level) for level in self.by_degree)
-
-    def __repr__(self) -> str:
-        return f"QuotientBasis(dim {self.total}, top degree {len(self.by_degree) - 1})"
-
-
 def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
     """Standard monomials degree by degree: a monomial is standard when it is not
     a leading exponent and its one-step predecessors are all standard.  A visited
@@ -359,13 +348,13 @@ def _enumerate_standard(gb: GroebnerBasis) -> QuotientBasis:
             raise ResourceBudgetError(f"quotient dimension exceeds the budget {MAX_QUOTIENT_DIM}")
         levels.append(tuple(map(monos.unpack, level)))
         level = [e for e in monos.successors(level) if e not in lead_set]
-    return QuotientBasis(gb.nvars, tuple(levels))
+    return tuple(levels)
 
 
 def hilbert_series(qb: QuotientBasis) -> SparsePoly:
     """Sum over degrees of (number of standard monomials) q^d."""
     out = SparsePoly.zero()
-    for d, level in enumerate(qb.by_degree):
+    for d, level in enumerate(qb):
         if level:
             out = out + SparsePoly.monomial(d, 0, len(level))
     return out
@@ -588,7 +577,7 @@ def _certified(locus: Locus, gb: GroebnerBasis, reps) -> bool:
     for i, a in enumerate(leads):
         if any(j != i and all(x >= y for x, y in zip(a, b)) for j, b in enumerate(leads)):
             return False
-    if gb.quotient_basis().total != locus.size:
+    if sum(map(len, gb.quotient_basis())) != locus.size:
         return False
     return _vanishes_on(gb, reps)
 
@@ -650,11 +639,11 @@ def graded_character(gb_t: GroebnerBasis, w: tuple[int, ...]) -> SparsePoly:
     if sorted(w) != list(range(gb_t.nvars)):
         raise DomainError("w must be a permutation of 0..n-1")
     qb = gb_t.quotient_basis()
-    p = gb_t.trace_prime(2 * max(map(len, qb.by_degree), default=0))
+    p = gb_t.trace_prime(2 * max(map(len, qb), default=0))
     pack = gb_t.monomials.pack
     w_inv = sorted(range(gb_t.nvars), key=w.__getitem__)
     terms = {}
-    for d, level in enumerate(qb.by_degree):
+    for d, level in enumerate(qb):
         std_here = set(level)
         tr = 0
         for e in level:
@@ -826,6 +815,6 @@ def harmonics_json(locus: Locus, gb_i: GroebnerBasis, gb_t: GroebnerBasis) -> di
         "locus": locus.describe(),
         "point_ideal": gb_i.to_json_dict(),
         "graded_ideal": gb_t.to_json_dict(),
-        "standard_monomials_by_degree": [[list(e) for e in level] for level in qb.by_degree],
+        "standard_monomials_by_degree": [[list(e) for e in level] for level in qb],
         "hilbert_series": hilbert_series(qb).pretty(),
     }

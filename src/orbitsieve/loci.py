@@ -67,20 +67,22 @@ class Locus:
     words: tuple[Word, ...]
     mu: tuple[int, ...] | None = None
     a: int | None = None
-    infeasible: bool = False
 
     def __post_init__(self):
         _check_family(self.family, self.mu, self.a)
         _check_sizes(self.n, self.k)
         if self.family == "tanisaki" and self.a is None:
             raise DomainError("a tanisaki locus needs its value-shift step a")
-        if self.infeasible and self.words:
-            raise DomainError("an infeasible locus has no words")
         _check_words(self.words, self.n, self.k)
 
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @property
+    def infeasible(self) -> bool:
+        """Whether the locus holds no word, as Y with k < n and Z with k > n do."""
+        return self.size == 0
 
     @property
     def scaling_step(self) -> int:
@@ -112,7 +114,6 @@ class _Built(Locus):
 
     def __init__(self, family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None):
         vars(self).update(family=family, n=n, k=k, mu=mu, a=a)
-        vars(self)["infeasible"] = self.size == 0
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
@@ -250,9 +251,9 @@ def enumerate_locus(
     a: int | None = None,
 ) -> Locus:
     """Build a locus from parameters ``locus_parameters`` checks and completes (a
-    tanisaki n may be left to sum(mu)); an infeasible (empty) range of Y or Z sets
-    the warning flag.  Inside ``_shared_loci`` a parameter set built before returns
-    the same locus."""
+    tanisaki n may be left to sum(mu)); an infeasible range of Y or Z gives a locus
+    with no word, which reads as ``infeasible``.  Inside ``_shared_loci`` a parameter
+    set built before returns the same locus."""
     n, k, mu, a = locus_parameters(family, n, k, mu, a)
     shared = _SHARED.get()
     if shared is None:

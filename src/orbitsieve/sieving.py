@@ -143,7 +143,7 @@ def _poly_word_x(n: int, k: int) -> SparsePoly:
 def _poly_necklace_x(n: int, k: int) -> SparsePoly:
     total = SparsePoly.zero()
     for mu in partitions_in_box(n, k - 1):
-        fixed_dim = count_maj_divisible(n, content=m_of(mu, n, k))
+        fixed_dim = count_maj_divisible(n, q_multinomial(n, m_of(mu, n, k)))
         total = total + SparsePoly.monomial(sum(mu), 0, fixed_dim)
     return total
 

@@ -36,9 +36,9 @@ from .tableaux import (
     fake_degree,
     generate_syt,
     kostka_foulkes,
-    maj_des,
     partitions,
     rsk,
+    tableau_maj_des,
     word_maj_des,
 )
 
@@ -220,7 +220,7 @@ def _crit_oracle(max_n, max_k):
 def _syt_maj_generating_function(lam):
     out = SparsePoly.zero()
     for t in generate_syt(lam):
-        out = out + SparsePoly.monomial(maj_des(t)[0])
+        out = out + SparsePoly.monomial(tableau_maj_des(t)[0])
     return out
 
 
@@ -236,7 +236,7 @@ def _crit_properties(max_n, max_k):
             locus = enumerate_locus("X", n, k)
             for w in locus.words:
                 _, recording = rsk(w)
-                if word_maj_des(w)[0] != maj_des(recording)[0]:
+                if word_maj_des(w)[0] != tableau_maj_des(recording)[0]:
                     return False, f"rsk does not preserve maj on {w}"
                 checks += 1
     for n in range(1, _cap(5, max_n) + 1):

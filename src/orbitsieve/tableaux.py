@@ -8,6 +8,10 @@ q-hook length formula, and maj counts of words from MacMahon's q-multinomial; al
 cached by shape and content.  The backtracking enumerations (``generate_ssyt``,
 ``generate_syt``) stay as the independent oracles for those identities, and the
 cocharge sum over ``generate_ssyt`` is the Kostka-Foulkes polynomial.
+
+A tableau is a plain tuple of row tuples, longest row first, as a partition is a
+tuple of parts.  Only ``generate_ssyt`` and ``rsk`` build one, and both keep the rows
+weakly decreasing in length, so no tableau is checked on the way in.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from itertools import product
 from typing import Iterator
 
 from .errors import DomainError
-from .qpoly import SparsePoly, q_multinomial, q_product_quotient
+from .qpoly import SparsePoly, q_product_quotient
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 WeakComposition = tuple[int, ...]  # nonnegative parts, order significant
 Word = tuple[int, ...]  # letters from {1, ..., k}
+Tableau = tuple[tuple[int, ...], ...]  # rows, longest first
 
 # -- partitions and compositions ---------------------------------------------------
 
@@ -160,66 +165,15 @@ def multiset_permutations(counts) -> Iterator[Word]:
 # -- tableaux -----------------------------------------------------------------------
 
 
-class Tableau:
-    """A filling of a Young diagram, stored as a tuple of row tuples."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        lengths = [len(r) for r in self.rows]
-        if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)) or 0 in lengths:
-            raise DomainError("rows do not form a partition shape")
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def reading_word(self) -> Word:
-        """Rows left to right, bottom row first."""
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
-
-    def content(self) -> WeakComposition:
-        biggest = max((x for row in self.rows for x in row), default=0)
-        counts = [0] * biggest
-        for row in self.rows:
-            for x in row:
-                counts[x - 1] += 1
-        return tuple(counts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Tableau({list(map(list, self.rows))})"
-
-
 def tableau_maj_des(t: Tableau) -> tuple[int, int]:
     """Descents of a standard tableau: i with i+1 in a lower row; maj sums them."""
     row_index = {}
-    for i, row in enumerate(t.rows):
+    for i, row in enumerate(t):
         for x in row:
             row_index[x] = i
-    n = t.size
+    n = sum(map(len, t))
     descents = [i for i in range(1, n) if row_index[i] < row_index[i + 1]]
     return sum(descents), len(descents)
-
-
-def maj_des(obj) -> tuple[int, int]:
-    """(maj, des) of a word or of a standard tableau."""
-    if isinstance(obj, Tableau):
-        return tableau_maj_des(obj)
-    return word_maj_des(tuple(obj))
 
 
 def generate_ssyt(shape: Partition, content: WeakComposition) -> list[Tableau]:
@@ -237,7 +191,7 @@ def generate_ssyt(shape: Partition, content: WeakComposition) -> list[Tableau]:
 
     def rec(idx: int):
         if idx == len(cells):
-            found.append(Tableau([tuple(r) for r in rows]))
+            found.append(tuple(map(tuple, rows)))
             return
         i, j = cells[idx]
         lo = rows[i][j - 1] if j else 1
@@ -362,8 +316,9 @@ def charge(word: Word) -> int:
 
 def cocharge(t: Tableau) -> int:
     """b(content) - charge(reading word); the statistic behind modified Kostka-Foulkes."""
-    content = tuple(c for c in t.content() if c)
-    return b_stat(content) - charge(t.reading_word())
+    word = tuple(x for row in reversed(t) for x in row)  # rows left to right, bottom row first
+    content = tuple(filter(None, content_of_word(word, max(word, default=0))))
+    return b_stat(content) - charge(word)
 
 
 def kostka_foulkes(shape: Partition, content: tuple[int, ...]) -> SparsePoly:
@@ -409,32 +364,19 @@ def rsk(word: Word) -> tuple[Tableau, Tableau]:
         if not placed:
             p_rows.append([x])
             q_rows.append([step])
-    if not word:
-        return Tableau([]), Tableau([])
-    return Tableau([tuple(r) for r in p_rows]), Tableau([tuple(r) for r in q_rows])
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
 
 # -- maj divisibility counts -----------------------------------------------------------
 
 
-def count_maj_divisible(d: int, *, shape: Partition | None = None, content=None) -> int:
-    """Count tableaux or words whose maj is divisible by d.
+def count_maj_divisible(d: int, maj: SparsePoly) -> int:
+    """The sum of the coefficients of q^e with d | e in a maj generating function.
 
-    Both counts are read off a maj generating function, so no tableau or word is
-    visited.  With shape: standard tableaux of that shape, whose maj generating
-    function is the fake degree.  With content: words with the given letter
-    multiplicities, whose maj generating function is the q-multinomial coefficient
-    (MacMahon).  Exactly one of the two must be given.
+    No tableau or word is visited: ``fake_degree(shape)`` gives the standard tableaux
+    of that shape whose maj d divides, and ``qpoly.q_multinomial(n, content)``
+    (MacMahon) the words of that content.
     """
     if d < 1:
         raise DomainError("divisor must be positive")
-    if (shape is None) == (content is None):
-        raise DomainError("give exactly one of shape= or content=")
-    if shape is not None:
-        maj = fake_degree(check_partition(shape))
-    else:
-        counts = tuple(int(c) for c in content)
-        if any(c < 0 for c in counts):
-            raise DomainError("negative multiplicity")
-        maj = q_multinomial(sum(counts), counts)
     return sum(c for (e, _), c in maj.terms.items() if e % d == 0)

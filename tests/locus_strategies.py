@@ -24,7 +24,7 @@ def shift_stable_loci(draw):
 def tuple_built(locus: Locus) -> Locus:
     """The locus handed its words as a tuple.  A locus ``enumerate_locus`` built becomes
     a plain locus with the same words, which takes the general paths."""
-    return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a, locus.infeasible)
+    return Locus(locus.family, locus.n, locus.k, tuple(locus.words), locus.mu, locus.a)
 
 
 def image_of(action: Action, w: tuple[int, ...]) -> tuple[int, ...]:

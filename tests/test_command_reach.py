@@ -32,7 +32,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "cyclotomic.CycloField.__repr__": "interactive display",
     "harmonics.GroebnerBasis.__repr__": "interactive display",
     "harmonics.MultiPoly.__repr__": "interactive display",
-    "harmonics.QuotientBasis.__repr__": "interactive display",
     "loci.Locus.__post_init__": "checks a locus built in Python; every command builds its loci with enumerate_locus",
     "loci.Locus.size": "|X| of a locus built in Python; one enumerate_locus built counts its own",
     "qpoly.SparsePoly.__bool__": "operator of the public polynomial type",
@@ -44,10 +43,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "qpoly.SparsePoly.__sub__": "operator of the public polynomial type",
     "sieving.SievingInstance.size": "library accessor of |X| on an instance; the verifiers count fixed points",
     "suite._bad_cell": "names the first failing row of a suite cell, and every cell passes",
-    "tableaux.Tableau.__eq__": "tableaux as set members in the Python API",
-    "tableaux.Tableau.__hash__": "tableaux as set members in the Python API",
-    "tableaux.Tableau.__repr__": "interactive display",
-    "tableaux.Tableau.shape": "library accessor of a tableau's shape",
 }
 
 # Runs the golden cases under a profile hook and prints their exit codes and the

@@ -149,7 +149,7 @@ def test_every_domain_error_of_cyclotomic_fires_in_a_test():
 
 
 def test_every_domain_error_of_tableaux_fires_in_a_test():
-    assert unraised([SOURCE / "tableaux.py"], "DomainError", least=14) == []
+    assert unraised([SOURCE / "tableaux.py"], "DomainError", least=11) == []
 
 
 def test_every_domain_error_of_cli_fires_in_a_test():

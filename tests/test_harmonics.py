@@ -88,7 +88,7 @@ def exact_graded_character(gb_t, w):
     in exact Q(zeta_k)."""
     out = SparsePoly.zero()
     field, gens = gb_t.field, list(gb_t.gens)
-    for d, level in enumerate(gb_t.quotient_basis().by_degree):
+    for d, level in enumerate(gb_t.quotient_basis()):
         tr = field.zero
         for e in level:
             permuted = [0] * len(e)
@@ -280,7 +280,7 @@ class TestVanishingIdeal:
     def test_grid_standard_monomials(self):
         gb = vanishing_ideal(enumerate_locus("X", 2, 2))
         # ascending grevlex within each degree: x2 precedes x1
-        assert gb.quotient_basis().by_degree == (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
+        assert gb.quotient_basis() == (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
 
     @pytest.mark.parametrize("family,n,k,mu", SMALL_LOCI)
     def test_matches_naive_elimination(self, family, n, k, mu):
@@ -376,7 +376,7 @@ class TestModularElimination:
         reps = interpolation.orbit_representatives(UNLUCKY_13_LOCUS)
         roots = interpolation.primitive_roots(6, 13)
         stds, _ = _unpacked(UNLUCKY_13_LOCUS, interpolation.modular_elimination(UNLUCKY_13_LOCUS, reps, 13, roots))
-        assert sorted(stds) != sorted(chain.from_iterable(exact.quotient_basis().by_degree))
+        assert sorted(stds) != sorted(chain.from_iterable(exact.quotient_basis()))
 
         monkeypatch.setattr(interpolation, "split_primes", lambda k: iter(order))
         assert vanishing_ideal(UNLUCKY_13_LOCUS) == exact
@@ -748,7 +748,7 @@ class TestPackedWalk:
         expected = _tuple_staircase(locus, gb.leading_exponents())
         assert (stds, [(e, c) for e, c, _ in gens]) == expected
         assert next(interpolation.modular_lifts(locus, reps))[0] == expected[1]
-        assert list(chain.from_iterable(gb.quotient_basis().by_degree)) == stds
+        assert list(chain.from_iterable(gb.quotient_basis())) == stds
 
     @pytest.mark.parametrize("k", [256, 300])
     def test_walk_reaches_the_degree_bound(self, k):
@@ -758,7 +758,7 @@ class TestPackedWalk:
         field = cyclo_field(k)
         (g,) = gb.gens
         assert equal(g, MultiPoly(field, 1, {(k,): field.one, (0,): -field.one}))
-        assert gb.quotient_basis().by_degree == tuple(((d,),) for d in range(k))
+        assert gb.quotient_basis() == tuple(((d,),) for d in range(k))
 
 
 # Z(3, 2): six points, shift order 2, three orbit representatives, and the
@@ -891,11 +891,11 @@ class TestCertificate:
 
     def test_extra_lead_is_its_only_fault(self):
         gb = _candidate(_lead_divisible_by_a_lead)
-        assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
+        assert sum(map(len, gb.quotient_basis())) == CERTIFIED_LOCUS.size
         assert harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
 
     def test_dropped_generator_changes_the_standard_count(self):
-        assert _candidate(_dropped_generator).quotient_basis().total == 8
+        assert sum(map(len, _candidate(_dropped_generator).quotient_basis())) == 8
 
     def test_changed_coordinate_fails_at_an_orbit_representative(self):
         assert not harmonics._vanishes_on(_candidate(_changed_coordinate), CERTIFIED_REPS)
@@ -927,7 +927,7 @@ class TestCertificate:
         assert {w[0] for w in CERTIFIED_REPS} == {1}
         assert harmonics._vanishes_on(gb, CERTIFIED_REPS)
         assert not harmonics._vanishes_on(gb, CERTIFIED_LOCUS.words)
-        assert gb.quotient_basis().total == CERTIFIED_LOCUS.size
+        assert sum(map(len, gb.quotient_basis())) == CERTIFIED_LOCUS.size
 
     def test_each_rejection_has_its_corruption(self):
         # Each corruption trips exactly one ``return False`` of the certificate,
@@ -986,7 +986,7 @@ class TestAssociatedGraded:
         taus = associated_graded(gb).gens
         assert sorted(t.leading_term()[0] for t in taus) == [(0, 2), (2, 0)]
         gb_t = buchberger(list(taus))
-        assert gb_t.quotient_basis().total == 4
+        assert sum(map(len, gb_t.quotient_basis())) == 4
 
     def test_springer_two_letters(self):
         gb = vanishing_ideal(enumerate_locus("springer", 2))
@@ -1059,11 +1059,11 @@ class TestBuchberger:
         field = cyclo_field(1)
         gens = [complete_homogeneous(field, 2, 1), complete_homogeneous(field, 2, 2)]
         gb = buchberger(gens)
-        assert gb.quotient_basis().total == 2
+        assert sum(map(len, gb.quotient_basis())) == 2
 
     def test_stated_surjective_generators_dimension(self):
         gb = buchberger(stated_generators(enumerate_locus("Z", 3, 2)))
-        assert gb.quotient_basis().total == 6
+        assert sum(map(len, gb.quotient_basis())) == 6
 
     def test_reduced_invariants(self):
         field = cyclo_field(1)
@@ -1080,7 +1080,7 @@ class TestBuchberger:
                     assert not all(x >= y for x, y in zip(a, b))
         for i, g in enumerate(gb.gens):
             assert equal(reduce_poly(g, list(gb.gens[:i] + gb.gens[i + 1 :])), g)
-        assert gb.quotient_basis().total == 24  # [2]_q[3]_q[4]_q at q=1
+        assert sum(map(len, gb.quotient_basis())) == 24  # [2]_q[3]_q[4]_q at q=1
 
     def test_quotient_dimension_budget(self, monkeypatch):
         field = cyclo_field(1)
@@ -1109,7 +1109,7 @@ class TestBuchberger:
             if not level:
                 break
             expected.append(tuple(level))
-        assert gb.quotient_basis().by_degree == tuple(expected)
+        assert gb.quotient_basis() == tuple(expected)
         assert not alive_monomials(len(expected), n, antichain)
 
     def test_non_artinian_quotient_rejected(self):
@@ -1238,7 +1238,7 @@ class TestNormalForms:
         # fields hold sum(a_i - 1) = 9, the top standard degree, and every monomial
         # up to it walks to its exact normal form mapped to F_p.
         gb = vanishing_ideal(enumerate_locus("Y", 3, 5))
-        top = len(gb.quotient_basis().by_degree) - 1
+        top = len(gb.quotient_basis()) - 1
         assert max(map(sum, gb.leading_exponents())) < top == 9 <= gb.monomials.full
         p = gb.trace_prime(0)
         for d in range(top + 1):
@@ -1258,7 +1258,7 @@ def modular_normal_form(gb, e, p):
     """``_normal_form_walk`` of x^e mod p, keyed by standard exponents instead of packed ints."""
     pack = gb.monomials.pack
     walk = gb._normal_form_walk(pack(e), p)
-    unpacked = {pack(s): s for s in chain.from_iterable(gb.quotient_basis().by_degree)}
+    unpacked = {pack(s): s for s in chain.from_iterable(gb.quotient_basis())}
     return {unpacked[s]: c for s, c in walk.items()}
 
 
@@ -1383,7 +1383,7 @@ class TestGradedCharacter:
         # Y(3, 5): leads of degree at most 5, but the top standard monomial has
         # degree 9; the fields fixed at construction hold it.
         gb_t = associated_graded(vanishing_ideal(enumerate_locus("Y", 3, 5)))
-        top = len(gb_t.quotient_basis().by_degree) - 1
+        top = len(gb_t.quotient_basis()) - 1
         assert max(map(sum, gb_t.leading_exponents())) < top <= gb_t.monomials.full
         for w in [(1, 0, 2), (1, 2, 0)]:
             assert graded_character(gb_t, w) == exact_graded_character(gb_t, w)

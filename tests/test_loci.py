@@ -56,6 +56,7 @@ class TestEnumeration:
         assert enumerate_locus("Y", 2, 2).words == ((1, 2), (2, 1))
         empty = enumerate_locus("Y", 4, 3)
         assert empty.size == 0 and empty.infeasible
+        assert Locus("Y", 4, 3, ()).infeasible and not Locus("Y", 2, 2, ((1, 2),)).infeasible
 
     def test_z_cardinality_and_infeasible(self):
         assert enumerate_locus("Z", 3, 2).size == 6
@@ -151,9 +152,8 @@ class TestEnumeration:
         (lambda: Locus("X", 0, 1, ((),)), "word length n must be >= 1"),
         (lambda: Locus("X", 2, 0, ()), "alphabet size k must be >= 1"),
         (lambda: Locus("W", 2, 2, ((1, 2), (2, 1))), "unknown locus family 'W'"),
-        (lambda: Locus("X", 2, 2, ((1, 2), (2, 1)), mu=(5,), infeasible=True), "family 'X' takes no mu or a"),
+        (lambda: Locus("X", 2, 2, ((1, 2), (2, 1)), mu=(5,)), "family 'X' takes no mu or a"),
         (lambda: Locus("Y", 2, 2, ((1, 2), (2, 1)), a=1), "family 'Y' takes no mu or a"),
-        (lambda: Locus("X", 2, 2, ((1, 2), (2, 1)), infeasible=True), "an infeasible locus has no words"),
         (lambda: Locus("tanisaki", 2, 2, ((1, 2), (2, 1))), "a tanisaki locus needs its value-shift step a"),
         (lambda: Locus("X", 2, 2, ((1,), (1, 1), (1, 2), (2, 1))), "every word must have length n=2"),
         (lambda: Locus("X", 2, 2, ((1, 1), (1, 2), (2, 1), (2, 2, 1))), "every word must have length n=2"),
