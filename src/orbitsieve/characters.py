@@ -21,7 +21,6 @@ from .tableaux import (
     count_maj_divisible,
     fake_degree,
     is_even_partition,
-    kostka_number,
     partitions,
 )
 
@@ -166,17 +165,6 @@ class SchurVector:
             and self._coeffs == other._coeffs
         )
 
-    def __add__(self, other: "SchurVector") -> "SchurVector":
-        if self.n != other.n:
-            raise DomainError("mixing Schur expansions of different degrees")
-        out = dict(self._coeffs)
-        for lam, poly in other._coeffs.items():
-            out[lam] = out.get(lam, SparsePoly.zero()) + poly
-        return SchurVector(self.n, out)
-
-    def scale(self, poly: SparsePoly) -> "SchurVector":
-        return SchurVector(self.n, {lam: c * poly for lam, c in self._coeffs.items()})
-
     def pretty(self) -> str:
         if not self._coeffs:
             return "0"
@@ -188,18 +176,6 @@ class SchurVector:
 
     def __repr__(self) -> str:
         return f"SchurVector({self.pretty()})"
-
-
-def h_to_schur(mu: Partition) -> SchurVector:
-    """Young's rule: the complete homogeneous h_mu as a Kostka combination of Schurs."""
-    mu = tuple(sorted((int(p) for p in mu if p), reverse=True))
-    n = sum(mu)
-    coeffs = {}
-    for lam in partitions(n):
-        k = kostka_number(lam, mu)
-        if k:
-            coeffs[lam] = SparsePoly.from_int(k)
-    return SchurVector(n, coeffs)
 
 
 def invariant_hilbert(frob: SchurVector, group: str) -> SparsePoly:

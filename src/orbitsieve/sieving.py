@@ -22,14 +22,14 @@ the one column s = 0, reported as None.
 
 Every polynomial is read off the closed graded Frobenius image of its locus
 (``closed_frobenius``): paired with the rotation's fake degrees in t, or restricted to
-the invariants of a position subgroup.  The X results and the Gaussian binomials are
-built directly, which is faster.  One closed form lists tableaux: the tanisaki image,
-whose Kostka-Foulkes polynomials sum cocharge over the semistandard tableaux
-(``tableaux.kostka_foulkes``).  No other does: Kostka numbers and (maj, des) counts
-come from recursions in ``tableaux``, q-analogues from quotients of products of
-(1 - q^a).  ``oracle_csp_poly`` derives the Frobenius image from the associated-graded
-quotient instead and restricts it the same way, so the closed forms can be
-cross-checked against an independent derivation.
+the invariants of a position subgroup.  One closed form lists tableaux: the tanisaki
+image, whose Kostka-Foulkes polynomials sum cocharge over the semistandard tableaux
+(``tableaux.kostka_foulkes``).  No other does: (maj, des) counts come from a recursion
+in ``tableaux``, the X image's principal specialisations from the hook-content
+formula, and q-analogues from quotients of products of (1 - q^a).
+``oracle_csp_poly`` derives the Frobenius image from the associated-graded quotient
+instead and restricts it the same way, so the closed forms can be cross-checked
+against an independent derivation.
 """
 
 from __future__ import annotations
@@ -40,23 +40,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import SchurVector, check_subgroup, h_to_schur, invariant_hilbert
+from .characters import SchurVector, check_subgroup, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
 from .loci import Action, Locus, act_on_words, cube_index_permutations, enumerate_locus, locus_parameters, orbit_set
-from .qpoly import SparsePoly, q_binomial, q_multinomial
-from .tableaux import (
-    count_maj_divisible,
-    fake_degree,
-    is_even_partition,
-    kostka_foulkes,
-    kostka_number,
-    m_of,
-    partitions,
-    partitions_in_box,
-    syt_maj_des,
-)
+from .qpoly import SparsePoly, q_binomial
+from .tableaux import fake_degree, kostka_foulkes, partitions, principal_specialization, syt_maj_des
 
 # Each result: the locus family it counts and how the Frobenius image is read off,
 # either paired with the rotation's fake degrees in t ("rotation") or restricted to
@@ -103,9 +93,9 @@ def normalize_family(name: str) -> str:
 def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
     """The graded Frobenius image of R/gr I(X) for a locus family, in closed form.
 
-    X: sum over m in the n x (k-1) box of q^|m| h_{m(m)}.  Y: [k choose n]_q f^lambda(q).
-    Z: sum over T in SYT(lambda) of q^maj(T) [n-des(T)-1 choose n-k]_q.  tanisaki: the
-    modified Kostka-Foulkes polynomials of mu.  springer: Y with k = n.
+    X: s_lambda(1, q, ..., q^(k-1)) by the hook-content formula.  Y: [k choose n]_q
+    f^lambda(q).  Z: sum over T in SYT(lambda) of q^maj(T) [n-des(T)-1 choose n-k]_q.
+    tanisaki: the modified Kostka-Foulkes polynomials of mu.  springer: Y with k = n.
     ``mu`` is read as a tuple before the cache lookup, so a list and a tuple share
     one entry.
     """
@@ -115,10 +105,7 @@ def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
 @functools.lru_cache(maxsize=None)
 def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -> SchurVector:
     if family == "X":
-        total = SchurVector(n, {})
-        for m in partitions_in_box(n, k - 1):
-            total = total + h_to_schur(m_of(m, n, k)).scale(SparsePoly.monomial(sum(m)))
-        return total
+        return SchurVector(n, {lam: principal_specialization(lam, k) for lam in partitions(n)})
     if family == "Z":
         acc = {lam: SparsePoly.zero() for lam in partitions(n)}
         for lam in acc:
@@ -131,43 +118,6 @@ def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -
         factor = q_binomial(n if family == "springer" else k, n)
         return SchurVector(n, {lam: factor * fake_degree(lam) for lam in partitions(n)})
     raise DomainError(f"no closed Frobenius image for family {family!r}")
-
-
-def _poly_word_x(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for mu in partitions_in_box(n, k - 1):
-        total = total + SparsePoly.monomial(sum(mu)) * q_multinomial(n, m_of(mu, n, k)).swap_q_to_t()
-    return total
-
-
-def _poly_necklace_x(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for mu in partitions_in_box(n, k - 1):
-        fixed_dim = count_maj_divisible(n, q_multinomial(n, m_of(mu, n, k)))
-        total = total + SparsePoly.monomial(sum(mu), 0, fixed_dim)
-    return total
-
-
-def _poly_graph_x(n: int, k: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    even_shapes = [lam for lam in partitions(n) if is_even_partition(lam)]
-    for mu in partitions_in_box(n, k - 1):
-        content = m_of(mu, n, k)
-        weight = sum(kostka_number(lam, content) for lam in even_shapes)
-        total = total + SparsePoly.monomial(sum(mu), 0, weight)
-    return total
-
-
-# Direct forms of the pairings that are slow through the Frobenius image, keyed by
-# (locus family, group): the three X images and the three Gaussian binomials.
-_DIRECT_FORMS = {
-    ("X", "rotation"): _poly_word_x,
-    ("X", "Cn"): _poly_necklace_x,
-    ("X", "Hr"): _poly_graph_x,
-    ("X", "Sn"): lambda n, k: q_binomial(n + k - 1, n),
-    ("Y", "Sn"): lambda n, k: q_binomial(k, n),
-    ("Z", "Sn"): lambda n, k: q_binomial(n - 1, k - 1),
-}
 
 
 def _check_counting_poly(p: SparsePoly) -> SparsePoly:
@@ -192,9 +142,6 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
     n, k, mu, _ = locus_parameters(locus_family, n, k, mu, a)
     if group != "rotation":
         check_subgroup(group, n)
-    direct = _DIRECT_FORMS.get((locus_family, group))
-    if direct is not None:
-        return _check_counting_poly(direct(n, k))
     frob = closed_frobenius(locus_family, n, k, mu)
     if group == "rotation":
         return _check_counting_poly(

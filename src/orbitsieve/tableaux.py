@@ -1,13 +1,13 @@
 """Partitions, tableaux and word combinatorics.
 
 Everything here is finite and exact.  The counts that feed the closed forms, but for
-the Kostka-Foulkes polynomials, visit no tableau: Kostka numbers come from the
-horizontal-strip recursion on a sorted content, the (maj, des) distribution of
-standard tableaux from removing the corner that holds n, fake degrees from Stanley's
-q-hook length formula, and maj counts of words from MacMahon's q-multinomial; all are
-cached by shape and content.  The backtracking enumerations (``generate_ssyt``,
-``generate_syt``) stay as the independent oracles for those identities, and the
-cocharge sum over ``generate_ssyt`` is the Kostka-Foulkes polynomial.
+the Kostka-Foulkes polynomials, visit no tableau: the (maj, des) distribution of
+standard tableaux comes from removing the corner that holds n, fake degrees from
+Stanley's q-hook length formula, and principal specialisations of Schur functions
+from his hook-content formula; all are cached by shape.  The backtracking
+enumerations (``generate_ssyt``, ``generate_syt``) stay as the independent oracles for
+those identities, and the cocharge sum over ``generate_ssyt`` is the Kostka-Foulkes
+polynomial.
 
 A tableau is a plain tuple of row tuples, longest row first, as a partition is a
 tuple of parts.  Only ``generate_ssyt`` and ``rsk`` build one, and both keep the rows
@@ -20,7 +20,6 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 from .errors import DomainError
@@ -47,14 +46,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise DomainError("partitions of a negative integer")
     return _partitions(n, n, n)
-
-
-def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
-    """All partitions (including the empty one) with at most max_len parts <= max_part."""
-    if max_len < 0 or max_part < 0:
-        raise DomainError("negative box dimensions")
-    for size in range(max_len * max_part + 1):
-        yield from _partitions(size, max_len, max_part)
 
 
 @lru_cache(maxsize=None)
@@ -103,20 +94,6 @@ def hook_lengths(lam: Partition) -> list[int]:
 
 def is_even_partition(lam: Partition) -> bool:
     return all(p % 2 == 0 for p in check_partition(lam))
-
-
-def m_of(lam: Partition, n: int, k: int) -> Partition:
-    """The content partition m(lambda) of the lambda-indexed monomial orbit.
-
-    For lambda with at most n parts, all < k: the nonzero values among
-    (n - len(lambda), mult_1(lambda), ..., mult_{k-1}(lambda)), sorted decreasingly.
-    This is a partition of n.
-    """
-    lam = check_partition(lam)
-    if len(lam) > n or any(p >= k for p in lam):
-        raise DomainError(f"partition {lam} does not fit the ({n} x {k - 1}) box")
-    counts = [n - len(lam)] + [sum(1 for p in lam if p == v) for v in range(1, k)]
-    return tuple(sorted((c for c in counts if c), reverse=True))
 
 
 # -- words --------------------------------------------------------------------------
@@ -215,33 +192,6 @@ def generate_syt(shape: Partition) -> list[Tableau]:
     return generate_ssyt(shape, (1,) * n)
 
 
-def kostka_number(shape: Partition, content: WeakComposition) -> int:
-    """Number of semistandard tableaux of this shape and content, none listed.  It is
-    symmetric in the content (Bender-Knuth), so the content is sorted, zeros dropped."""
-    shape = check_partition(shape)
-    content = tuple(int(c) for c in content)
-    if any(c < 0 for c in content):
-        raise DomainError("negative content entry")
-    if sum(content) != sum(shape):
-        return 0
-    return _kostka(shape, tuple(sorted((c for c in content if c), reverse=True)))
-
-
-@lru_cache(maxsize=None)
-def _kostka(shape: Partition, content: Partition) -> int:
-    """The cells holding the largest letter form a horizontal strip of content[-1]
-    cells, so K(shape, content) sums K(nu, content[:-1]) over each nu with shape/nu
-    such a strip: nu_i lies between shape_{i+1} and shape_i."""
-    if not content:
-        return 1
-    slack = [range(p - q + 1) for p, q in zip(shape, shape[1:] + (0,))]
-    return sum(
-        _kostka(tuple(p - c for p, c in zip(shape, cut) if p > c), content[:-1])
-        for cut in product(*slack)
-        if sum(cut) == content[-1]
-    )
-
-
 @lru_cache(maxsize=None)
 def syt_maj_des(shape: Partition) -> tuple[tuple[tuple[int, int], int], ...]:
     """((maj, des), count) over the standard tableaux of this shape, none listed."""
@@ -275,6 +225,19 @@ def fake_degree(shape: Partition) -> SparsePoly:
     shape = check_partition(shape)
     quotient = q_product_quotient(range(1, sum(shape) + 1), hook_lengths(shape))
     return SparsePoly.monomial(b_stat(shape)) * quotient
+
+
+@lru_cache(maxsize=None)
+def principal_specialization(shape: Partition, k: int) -> SparsePoly:
+    """s_lambda(1, q, ..., q^(k-1)) = q^b(lambda) prod over cells (i, j) of
+    [k + j - i]_q / [hook]_q: Stanley's hook-content formula, as a quotient of
+    products of (1 - q^a).  Zero for more than k rows, checked first: k + j - i
+    reaches 0 there."""
+    shape = check_partition(shape)
+    if len(shape) > k:
+        return SparsePoly.zero()
+    contents = [k + j - i for i, p in enumerate(shape) for j in range(p)]
+    return SparsePoly.monomial(b_stat(shape)) * q_product_quotient(contents, hook_lengths(shape))
 
 
 # -- charge, cocharge and Kostka-Foulkes ---------------------------------------------
@@ -373,9 +336,9 @@ def rsk(word: Word) -> tuple[Tableau, Tableau]:
 def count_maj_divisible(d: int, maj: SparsePoly) -> int:
     """The sum of the coefficients of q^e with d | e in a maj generating function.
 
-    No tableau or word is visited: ``fake_degree(shape)`` gives the standard tableaux
-    of that shape whose maj d divides, and ``qpoly.q_multinomial(n, content)``
-    (MacMahon) the words of that content.
+    No tableau or word is visited: the library passes ``fake_degree(shape)``, the maj
+    generating function of the standard tableaux of that shape; MacMahon's
+    ``qpoly.q_multinomial(n, content)`` is that of the words of a content.
     """
     if d < 1:
         raise DomainError("divisor must be positive")

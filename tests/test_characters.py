@@ -17,7 +17,6 @@ from orbitsieve.characters import (
     check_subgroup,
     conjugacy_classes,
     fixed_space_dim,
-    h_to_schur,
     invariant_hilbert,
     matching_group_elements,
     sn_character,
@@ -174,18 +173,6 @@ def test_subgroup_elements_are_permutation_groups():
             assert inv in elems
 
 
-def test_h_to_schur():
-    hv = h_to_schur((1, 1))
-    assert hv.coeff((2,)) == SparsePoly.one()
-    assert hv.coeff((1, 1)) == SparsePoly.one()
-    hv = h_to_schur((2, 1))
-    assert hv.coeff((3,)) == SparsePoly.one()
-    assert hv.coeff((2, 1)) == SparsePoly.one()
-    assert hv.coeff((1, 1, 1)).is_zero()
-    # zeros dropped, order of parts irrelevant
-    assert h_to_schur((1, 0, 2)) == h_to_schur((2, 1))
-
-
 def test_invariant_hilbert():
     frob = SchurVector(2, {(2,): 1 + Q + Q**2, (1, 1): Q})
     assert invariant_hilbert(frob, "Sn") == 1 + Q + Q**2
@@ -215,10 +202,6 @@ def test_schur_vector_validation():
         (lambda: check_subgroup("hr", 4), "unknown subgroup 'hr'; expected one of ('Sn', 'Cn', 'Hr')"),
         (lambda: invariant_hilbert(SchurVector(3, {}), "Hr"), "matching stabilizer needs even n"),
         (lambda: SchurVector(3, {(2,): SparsePoly.one()}), "shape (2,) is not a partition of 3"),
-        (
-            lambda: SchurVector(2, {(2,): SparsePoly.one()}) + SchurVector(3, {(3,): SparsePoly.one()}),
-            "mixing Schur expansions of different degrees",
-        ),
     ],
 )
 def test_each_refusal_spells_out_its_reason(call, message):

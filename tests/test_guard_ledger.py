@@ -133,7 +133,7 @@ def test_every_domain_error_of_interpolation_fires_in_a_test():
 
 
 def test_every_domain_error_of_characters_fires_in_a_test():
-    assert unraised([SOURCE / "characters.py"], "DomainError", least=7) == []
+    assert unraised([SOURCE / "characters.py"], "DomainError", least=6) == []
 
 
 def test_every_domain_error_of_qpoly_fires_in_a_test():
@@ -149,7 +149,7 @@ def test_every_domain_error_of_cyclotomic_fires_in_a_test():
 
 
 def test_every_domain_error_of_tableaux_fires_in_a_test():
-    assert unraised([SOURCE / "tableaux.py"], "DomainError", least=11) == []
+    assert unraised([SOURCE / "tableaux.py"], "DomainError", least=8) == []
 
 
 def test_every_domain_error_of_cli_fires_in_a_test():

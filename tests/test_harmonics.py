@@ -1651,8 +1651,8 @@ class TestPresentations:
         monkeypatch.setattr(harmonics, "_BASIS_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(harmonics, "vanishing_ideal", no_elimination)
         for locus, message in [
-            (enumerate_locus("springer", 3), "family 'springer' has no stated presentation"),
-            (enumerate_locus("tanisaki", 3, mu=(2, 1)), "family 'tanisaki' has no stated presentation"),
+            (enumerate_locus("springer", 3), "no stated presentation for family 'springer'"),
+            (enumerate_locus("tanisaki", 3, mu=(2, 1)), "no stated presentation for family 'tanisaki'"),
         ]:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 verify_presentation(locus)

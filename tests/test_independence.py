@@ -1,14 +1,16 @@
-"""The orbit-harmonics oracle and the closed forms share no working code.
+"""The two sides of each cross-check share no working code.
 
 ``oracle_csp_poly`` is the independent check of every closed form: it re-derives the
-graded Frobenius image from the vanishing ideal of the locus.  That check means
-something only while neither side reads the other's results.  For a few small loci,
-each side runs alone under ``sys.setprofile`` from the same parameters, with every
-``lru_cache`` of the package cleared first and a freshly built locus, so no cache
-warmed by the other side hides a call.  Every package function both sides enter must
-be listed in ``SHARED_BY_BOTH_SIDES`` with the reason it cannot carry a closed form
-into the oracle; a listed function that no case shares fails too, so the list cannot
-go stale.
+graded Frobenius image from the vanishing ideal of the locus.  The verifiers check
+every sieving polynomial against fixed points counted on the words of the locus.
+Each check means something only while neither side reads the other's results.  For
+a few small cases, each side runs alone under ``sys.setprofile`` from the same
+parameters, with every ``lru_cache`` of the package cleared first and a freshly built
+locus, so no cache warmed by the other side hides a call.  Every package function
+both sides enter must be listed, in ``SHARED_BY_BOTH_SIDES`` for the oracle and the
+closed forms and in ``SHARED_BY_COUNTS_AND_POLYNOMIALS`` for the grids, with the
+reason it cannot carry one side's result into the other; a listed function that no
+case shares fails too, so neither list can go stale.
 """
 
 import pathlib
@@ -17,8 +19,10 @@ import sys
 import pytest
 
 import orbitsieve
-from orbitsieve.loci import enumerate_locus, locus_parameters
-from orbitsieve.sieving import closed_frobenius, oracle_csp_poly
+from orbitsieve import sieving
+from orbitsieve.loci import Action, enumerate_locus, locus_parameters, orbit_set
+from orbitsieve.qpoly import SparsePoly
+from orbitsieve.sieving import closed_frobenius, oracle_csp_poly, sieving_polynomial, word_bicsp_instance
 
 from test_command_reach import SOURCE, definitions
 
@@ -35,6 +39,14 @@ SHARED_BY_BOTH_SIDES = {
     "tableaux.check_partition": "parameter check",
 }
 
+SHARED_BY_COUNTS_AND_POLYNOMIALS = {
+    "characters.check_subgroup": "checks the position subgroup's name against n",
+    "loci._check_family": "parameter check",
+    "loci._check_sizes": "parameter check",
+    "loci.locus_parameters": "parameter check",
+    "loci.symmetry_steps": "parameter check: the tanisaki value shift's step and order",
+}
+
 CASES = [
     ("X", 3, 3, None),
     ("Y", 3, 4, None),
@@ -42,6 +54,18 @@ CASES = [
     ("tanisaki", None, None, (2, 1, 1)),
     ("tanisaki", None, None, (2, 2)),
 ]
+
+
+GRID_CASES = [
+    ("word-bicsp-X", 3, 3, None),
+    ("wcomp-csp", 3, 3, None),
+    ("necklace-Y", 3, 4, None),
+    ("graph-Z", 4, 2, None),
+    ("tanisaki-bicsp", None, None, (2, 1, 1)),
+]
+
+# The instance's polynomial is never read by a count; built once, outside every profile.
+NO_POLYNOMIAL = SparsePoly.zero()
 
 
 def package_caches() -> list:
@@ -100,3 +124,33 @@ def test_the_oracle_enters_only_listed_functions_of_the_closed_forms(family, n, 
 def test_every_listed_function_is_shared_in_some_case():
     shared = set().union(*(shared_functions(*case) for case in CASES))
     assert shared == set(SHARED_BY_BOTH_SIDES)
+
+
+def grid_counts(family, n, k, mu) -> list[int]:
+    """Every fixed-point count of the result's grid, from a freshly built locus."""
+    locus_family, group = sieving._FAMILIES[family]
+    locus = enumerate_locus(locus_family, n, k, mu=mu)
+    if group == "rotation":
+        inst = word_bicsp_instance(family, locus, Action.position_rotation(n), NO_POLYNOMIAL)
+        return [inst.fixed_count(r, s) for r in range(inst.order_q) for s in range(inst.order_t)]
+    orbits, order = orbit_set(locus, group), locus.scaling_order
+    fixed = sieving._fixed_table(orbits.shift_permutation(locus.scaling_step), list(range(orbits.size)), order, 1)
+    return [fixed(r, 0) for r in range(order)]
+
+
+def shared_by_the_grid(family, n, k, mu) -> set[str]:
+    """What the grid counts and the sieving polynomial, both on the completed
+    parameters, both enter."""
+    n, k, mu, _ = locus_parameters(sieving._FAMILIES[family][0], n, k, mu)
+    counts = entered_by(lambda: grid_counts(family, n, k, mu))
+    return counts & entered_by(lambda: sieving_polynomial(family, n, k, mu))
+
+
+@pytest.mark.parametrize("family,n,k,mu", GRID_CASES)
+def test_the_grid_counts_enter_only_listed_functions_of_the_polynomials(family, n, k, mu):
+    assert shared_by_the_grid(family, n, k, mu) - set(SHARED_BY_COUNTS_AND_POLYNOMIALS) == set()
+
+
+def test_every_function_listed_for_the_grids_is_shared_in_some_case():
+    shared = set().union(*(shared_by_the_grid(*case) for case in GRID_CASES))
+    assert shared == set(SHARED_BY_COUNTS_AND_POLYNOMIALS)

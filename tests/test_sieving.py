@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitsieve import loci, sieving
-from orbitsieve.characters import invariant_hilbert
 from orbitsieve.cyclotomic import cyclo_field, eval_at_unity
 from orbitsieve.errors import DomainError, InternalCheckError
 from orbitsieve.harmonics import graded_frobenius
@@ -21,7 +20,7 @@ from orbitsieve.loci import (
     enumerate_locus,
     orbit_set,
 )
-from orbitsieve.qpoly import SparsePoly, q_binomial
+from orbitsieve.qpoly import SparsePoly, q_binomial, q_multinomial
 from orbitsieve.rat import RAT
 from orbitsieve.sieving import (
     SIEVING_FAMILIES,
@@ -36,7 +35,7 @@ from orbitsieve.sieving import (
     verify_family,
     word_bicsp_instance,
 )
-from orbitsieve.tableaux import fake_degree
+from orbitsieve.tableaux import count_maj_divisible, generate_ssyt, partitions, weak_compositions
 
 from locus_strategies import image_of, shift_stable_loci, tuple_built
 from q_analogues import evaluate
@@ -78,23 +77,33 @@ def test_orbit_csp_polynomials_are_gaussian_binomials():
     assert poly_dict(sieving_polynomial("wcomp-csp", n=2, k=2)) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
 
 
-def test_direct_forms_equal_their_pairings():
-    # The X results and the Gaussian binomials skip the Frobenius image for speed;
-    # each must still be the pairing of that image it stands for.
+def content_sum(n, k, value):
+    """The sum over the contents c of {1..k}^n of q^(sum (i-1) c_i) times value(c), a
+    polynomial in t or an int: the X results split the cube by content, and the value
+    shift's weight of a word depends on its content alone."""
+    total = SparsePoly.zero()
+    for c in weak_compositions(n, k):
+        total = total + SparsePoly.monomial(sum(i * ci for i, ci in enumerate(c))) * value(c)
+    return total
+
+
+def test_x_results_and_gaussian_binomials_match_their_counts():
+    # References from enumeration and MacMahon's maj count, none through a Frobenius
+    # image: words of content c by maj, necklaces by the words whose maj n divides,
+    # matching-invariant orbits by the tableaux of even shape and content c.
     for n in range(1, 7):
         for k in range(1, 5):
-            frob_x = closed_frobenius("X", n, k)
-            rotation = sum((c * fake_degree(lam).swap_q_to_t() for lam, c in frob_x.items()), SparsePoly.zero())
-            assert sieving_polynomial("word-bicsp-X", n=n, k=k) == rotation, (n, k)
-            groups = {"wcomp-csp": "Sn", "necklace-X": "Cn"} | ({"graph-X": "Hr"} if n % 2 == 0 else {})
-            for family, group in groups.items():
-                assert sieving_polynomial(family, n=n, k=k) == invariant_hilbert(frob_x, group), (family, n, k)
-            if k >= n:
-                frob_y = closed_frobenius("Y", n, k)
-                assert sieving_polynomial("subset-csp", n=n, k=k) == invariant_hilbert(frob_y, "Sn"), (n, k)
-            if k <= n:
-                frob_z = closed_frobenius("Z", n, k)
-                assert sieving_polynomial("comp-csp", n=n, k=k) == invariant_hilbert(frob_z, "Sn"), (n, k)
+            even = [lam for lam in partitions(n) if all(p % 2 == 0 for p in lam)]
+            word_x = content_sum(n, k, lambda c: q_multinomial(n, c).swap_q_to_t())
+            assert sieving_polynomial("word-bicsp-X", n=n, k=k) == word_x, (n, k)
+            necklace_x = content_sum(n, k, lambda c: count_maj_divisible(n, q_multinomial(n, c)))
+            assert sieving_polynomial("necklace-X", n=n, k=k) == necklace_x, (n, k)
+            if n % 2 == 0:
+                graph_x = content_sum(n, k, lambda c: sum(len(generate_ssyt(lam, c)) for lam in even))
+                assert sieving_polynomial("graph-X", n=n, k=k) == graph_x, (n, k)
+            assert sieving_polynomial("wcomp-csp", n=n, k=k) == q_binomial(n + k - 1, n), (n, k)
+            assert sieving_polynomial("subset-csp", n=n, k=k) == q_binomial(k, n), (n, k)
+            assert sieving_polynomial("comp-csp", n=n, k=k) == q_binomial(n - 1, k - 1), (n, k)
     with pytest.raises(DomainError):
         closed_frobenius("W", 2, 2)
 

@@ -7,7 +7,6 @@ against the package's formula paths.
 
 import gc
 import itertools
-import math
 import re
 from collections import Counter
 
@@ -30,11 +29,9 @@ from orbitsieve.tableaux import (
     hook_lengths,
     is_even_partition,
     kostka_foulkes,
-    kostka_number,
-    m_of,
     multiset_permutations,
     partitions,
-    partitions_in_box,
+    principal_specialization,
     rsk,
     syt_maj_des,
     tableau_maj_des,
@@ -85,9 +82,6 @@ def test_tableau_maj_des_seven_cell_example():
 def test_partition_generators():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert sum(1 for _ in partitions(8)) == 22
-    box = list(partitions_in_box(2, 1))
-    assert box == [(), (1,), (1, 1)]
-    assert sum(1 for _ in partitions_in_box(3, 2)) == math.comb(5, 2)
     assert list(weak_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
 
 
@@ -115,16 +109,6 @@ def test_syt_small_shapes():
     assert len(generate_syt((2, 2))) == 2
     assert len(generate_syt((3, 2))) == 5
     assert [is_standard(t) for t in generate_syt((3, 1))] == [True] * 3
-
-
-def test_kostka_numbers():
-    assert kostka_number((2, 1), (1, 1, 1)) == 2
-    assert kostka_number((2, 2), (2, 1, 1)) == 1
-    assert kostka_number((2, 2), (2, 2)) == 1
-    assert kostka_number((2, 1, 1), (2, 2)) == 0
-    assert kostka_number((3, 2, 2), (2, 0, 2, 2, 1)) >= 1
-    # content permutation invariance
-    assert kostka_number((3, 1), (1, 2, 1)) == kostka_number((3, 1), (2, 1, 1))
 
 
 def test_fake_degrees():
@@ -181,7 +165,7 @@ def test_kostka_foulkes_specializations():
             assert kostka_foulkes(lam, (1,) * n) == fake_degree(lam)
             for mu in partitions(n):
                 kf = kostka_foulkes(lam, mu)
-                assert evaluate(kf) == kostka_number(lam, mu)
+                assert evaluate(kf) == len(generate_ssyt(lam, mu))
     # content sorted internally, zeros dropped
     assert kostka_foulkes((2, 1), (1, 0, 2)) == kostka_foulkes((2, 1), (2, 1))
 
@@ -272,7 +256,7 @@ def test_maj_divisible_rsk_identity():
         n = sum(alpha)
         lhs = words_maj_divisible(n, alpha)
         rhs = sum(
-            kostka_number(lam, alpha) * count_maj_divisible(n, fake_degree(lam))
+            len(generate_ssyt(lam, alpha)) * count_maj_divisible(n, fake_degree(lam))
             for lam in partitions(n)
         )
         assert lhs == rhs
@@ -326,17 +310,6 @@ def test_maj_gf_is_q_multinomial():
         assert gf == q_multinomial(sum(alpha), alpha)
 
 
-def test_m_of():
-    assert m_of((), 2, 2) == (2,)
-    assert m_of((1,), 2, 2) == (1, 1)
-    assert m_of((1, 1), 2, 2) == (2,)
-    assert m_of((2, 1), 4, 3) == (2, 1, 1)
-    with pytest.raises(DomainError):
-        m_of((2,), 3, 2)  # part too large
-    with pytest.raises(DomainError):
-        m_of((1, 1, 1), 2, 3)  # too many parts
-
-
 def test_even_partitions():
     assert is_even_partition((4, 2, 2))
     assert not is_even_partition((3, 1))
@@ -365,19 +338,24 @@ def test_ssyt_respects_content_and_shape():
 # -- closed forms by recursion against the enumerations they replace -----------------
 
 
-def test_kostka_recursion_matches_tableau_count():
-    for n in range(9):
-        for lam in partitions(n):
-            for mu in partitions(n):
-                assert kostka_number(lam, mu) == len(generate_ssyt(lam, mu)), (lam, mu)
+def test_principal_specialization_matches_the_tableau_sum():
+    # s_lambda(1, q, ..., q^(k-1)) by its definition: a semistandard tableau of content
+    # c has weight q^(sum (i-1) c_i), so each content contributes its tableau count.
+    for n in range(7):
+        for k in range(5):
+            for lam in partitions(n):
+                by_tableaux = SparsePoly.zero()
+                for c in weak_compositions(n, k):
+                    weight = sum(i * ci for i, ci in enumerate(c))
+                    by_tableaux = by_tableaux + SparsePoly.monomial(weight, 0, len(generate_ssyt(lam, c)))
+                assert principal_specialization(lam, k) == by_tableaux, (lam, k)
 
 
-def test_kostka_recursion_on_permuted_and_padded_contents():
-    for n in range(1, 6):
-        for lam in partitions(n):
-            for mu in partitions(n):
-                for content in set(itertools.permutations(mu + (0,))):
-                    assert kostka_number(lam, content) == len(generate_ssyt(lam, content)), (lam, content)
+def test_principal_specialization_of_too_many_rows_is_zero():
+    # k + j - i reaches 0 in row k + 1, so the quotient is never formed there.
+    assert principal_specialization((1, 1, 1), 2).is_zero()
+    assert principal_specialization((1,), 0).is_zero()
+    assert principal_specialization((), 0) == SparsePoly.one()
 
 
 @pytest.mark.parametrize(
@@ -385,12 +363,9 @@ def test_kostka_recursion_on_permuted_and_padded_contents():
     [
         (lambda: tableaux.check_partition((1, 2)), "not a partition: (1, 2)"),
         (lambda: partitions(-1), "partitions of a negative integer"),
-        (lambda: list(partitions_in_box(-1, 2)), "negative box dimensions"),
-        (lambda: m_of((2,), 3, 2), "partition (2,) does not fit the (3 x 1) box"),
         (lambda: content_of_word((1, 3), 2), "letter 3 outside 1..2"),
         (lambda: list(multiset_permutations((1, -1))), "negative multiplicity"),
         (lambda: generate_ssyt((1,), (-1, 2)), "negative content entry"),
-        (lambda: kostka_number((1,), (-1, 2)), "negative content entry"),
         (lambda: charge((1, 3)), "charge needs partition content"),
         (lambda: rsk((0, 1)), "letters must be positive"),
         (lambda: count_maj_divisible(0, fake_degree((1,))), "divisor must be positive"),
@@ -399,15 +374,6 @@ def test_kostka_recursion_on_permuted_and_padded_contents():
 def test_each_refusal_spells_out_its_reason(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
-
-
-def test_kostka_number_checks_its_arguments():
-    assert kostka_number((2, 1), (1, 1)) == 0  # sizes differ
-    assert kostka_number((), ()) == kostka_number((), (0, 0)) == 1
-    with pytest.raises(DomainError, match="^negative content entry$"):
-        kostka_number((2, 1), (2, 2, -1))
-    with pytest.raises(DomainError, match=r"^not a partition: \(1, 2\)$"):
-        kostka_number((1, 2), (2, 1))
 
 
 def test_syt_maj_des_matches_enumeration():
@@ -431,15 +397,3 @@ def test_partitions_match_sorted_compositions():
         assert list(partitions(n)) == sorted(found, reverse=True)
     with pytest.raises(DomainError):
         partitions(-1)
-
-
-def test_partitions_in_box_match_filtered_partitions():
-    for max_len in range(6):
-        for max_part in range(6):
-            filtered = [
-                lam
-                for size in range(max_len * max_part + 1)
-                for lam in partitions(size)
-                if len(lam) <= max_len and max(lam, default=0) <= max_part
-            ]
-            assert list(partitions_in_box(max_len, max_part)) == filtered
