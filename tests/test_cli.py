@@ -353,6 +353,18 @@ def test_harmonics_check_presentation(capsys):
     assert out == "presentation matches\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--family", "springer", "--n", "3"), "no stated presentation for family 'springer'"),
+        (("--family", "Y", "--n", "3", "--k", "2"), "no stated presentation: the locus is empty"),
+    ],
+)
+def test_harmonics_check_presentation_refuses_loci_without_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, "harmonics", *argv, "--check-presentation")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_groebner_dump_requires_hilbert(capsys):
     code, _, err = run_cli(
         capsys, "harmonics", "--family", "X", "--n", "2", "--k", "2", "--frobenius", "--groebner"

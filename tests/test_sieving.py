@@ -35,10 +35,10 @@ from orbitsieve.sieving import (
     verify_family,
     word_bicsp_instance,
 )
-from orbitsieve.tableaux import count_maj_divisible, generate_ssyt, partitions, weak_compositions
+from orbitsieve.tableaux import count_maj_divisible, generate_ssyt, generate_syt, partitions, weak_compositions
 
 from locus_strategies import image_of, shift_stable_loci, tuple_built
-from q_analogues import evaluate
+from q_analogues import evaluate, q_int
 
 
 def poly_dict(p):
@@ -106,6 +106,18 @@ def test_x_results_and_gaussian_binomials_match_their_counts():
             assert sieving_polynomial("comp-csp", n=n, k=k) == q_binomial(n - 1, k - 1), (n, k)
     with pytest.raises(DomainError):
         closed_frobenius("W", 2, 2)
+
+
+def test_x_image_has_the_hilbert_series_of_the_cube_quotient():
+    # R / <x_1^k, ..., x_n^k> has Hilbert series [k]_q^n, and each s_lambda of the
+    # image stands for f^lambda dimensions, counted here by standard tableaux.
+    for n in range(1, 8):
+        for k in range(1, 6):
+            frob = closed_frobenius("X", n, k)
+            hilbert = SparsePoly.zero()
+            for lam, poly in frob.items():
+                hilbert = hilbert + poly * len(generate_syt(lam))
+            assert hilbert == q_int(k) ** n, (n, k)
 
 
 def test_necklace_and_graph_polynomials_small():

@@ -358,6 +358,22 @@ def test_principal_specialization_of_too_many_rows_is_zero():
     assert principal_specialization((), 0) == SparsePoly.one()
 
 
+def test_principal_specialization_is_palindromic_from_b_to_its_mirror():
+    # Reversing the alphabet 1..k sends weight w to n(k-1) - w; the least weight is
+    # b(lambda), from the tableau whose row i holds only the letter i.
+    for n in range(1, 9):
+        for k in range(1, 7):
+            for lam in partitions(n):
+                if len(lam) > k:
+                    continue
+                poly = principal_specialization(lam, k)
+                top = n * (k - 1)
+                coeffs = [poly.coeff(d) for d in range(top + 1)]
+                assert coeffs == coeffs[::-1], (lam, k)
+                assert poly.degree_q() == top - b_stat(lam), (lam, k)
+                assert coeffs[b_stat(lam)] == 1 and not any(coeffs[: b_stat(lam)]), (lam, k)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
