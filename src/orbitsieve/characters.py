@@ -3,7 +3,9 @@
 Irreducible characters come from the Murnaghan-Nakayama rule on beta-sets.  The three
 subgroup families whose invariants drive orbit counting are the full symmetric group,
 the cyclic group generated by the long cycle, and the stabilizer of a perfect matching
-(for even n).  Fixed-space dimensions have closed forms.
+(for even n).  Fixed-space dimensions have closed forms.  A graded Frobenius image is
+a read-only mapping from shapes to their nonzero Schur coefficients
+(``FrobeniusImage``); ``invariant_hilbert`` restricts one to a subgroup's invariants.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import DomainError
 from .qpoly import SparsePoly
@@ -133,56 +135,19 @@ def fixed_space_dim(shape: Partition, group: str) -> int:
     return 1 if is_even_partition(shape) else 0
 
 
-# -- Schur expansions -------------------------------------------------------------------
+# -- graded Frobenius images ------------------------------------------------------------
+
+# A graded Frobenius image: each shape of n to its nonzero Schur coefficient, a
+# polynomial in q, in ``partitions(n)`` order, behind a read-only mapping proxy.
+FrobeniusImage = Mapping[Partition, SparsePoly]
 
 
-class SchurVector:
-    """A graded virtual character: Schur expansion with SparsePoly coefficients."""
-
-    __slots__ = ("n", "_coeffs")
-
-    def __init__(self, n: int, coeffs: dict[Partition, SparsePoly]):
-        self.n = n
-        clean = {}
-        for lam, poly in coeffs.items():
-            lam = check_partition(lam)
-            if sum(lam) != n:
-                raise DomainError(f"shape {lam} is not a partition of {n}")
-            if not poly.is_zero():
-                clean[lam] = poly
-        self._coeffs = clean
-
-    def coeff(self, lam: Partition) -> SparsePoly:
-        return self._coeffs.get(tuple(lam), SparsePoly.zero())
-
-    def items(self) -> list[tuple[Partition, SparsePoly]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0], reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurVector)
-            and self.n == other.n
-            and self._coeffs == other._coeffs
-        )
-
-    def pretty(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for lam, poly in self.items():
-            shape = ",".join(map(str, lam))
-            parts.append(f"({poly.pretty()}) * s[{shape}]")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SchurVector({self.pretty()})"
-
-
-def invariant_hilbert(frob: SchurVector, group: str) -> SparsePoly:
-    """Hilbert series of the subgroup invariants of a module with this graded Frobenius."""
-    check_subgroup(group, frob.n)
+def invariant_hilbert(image: FrobeniusImage, group: str, n: int) -> SparsePoly:
+    """Hilbert series of the subgroup invariants of a module of S_n with this graded
+    Frobenius image.  n is given, since an image of the zero module names no shape."""
+    check_subgroup(group, n)
     out = SparsePoly.zero()
-    for lam, poly in frob.items():
+    for lam, poly in image.items():
         d = fixed_space_dim(lam, group)
         if d:
             out = out + poly * d

@@ -53,10 +53,11 @@ import math
 import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from . import interpolation, loci
-from .characters import SchurVector, conjugacy_classes, sn_character
+from .characters import FrobeniusImage, conjugacy_classes, sn_character
 from .cyclotomic import CycloElement, CycloField, cyclo_field
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
 from .interpolation import (
@@ -683,7 +684,7 @@ def _perm_of_cycle_type(ct: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # Graded Frobenius images, each kept while its locus lives.
-_FROBENIUS_CACHE: WeakKeyDictionary[Locus, SchurVector] = WeakKeyDictionary()
+_FROBENIUS_CACHE: WeakKeyDictionary[Locus, FrobeniusImage] = WeakKeyDictionary()
 
 
 def graded_frobenius(
@@ -691,8 +692,9 @@ def graded_frobenius(
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     max_vars: int = DEFAULT_MAX_VARS,
-) -> SchurVector:
-    """Schur expansion of the graded quotient as a symmetric-group module.
+) -> FrobeniusImage:
+    """Schur expansion of the graded quotient as a symmetric-group module: a read-only
+    mapping from each shape of n to its nonzero coefficient, in ``partitions(n)`` order.
 
     c_lambda(q) = sum over conjugacy classes of (|class|/n!) chi^lambda(class)
     times the class' graded trace.  The traces are read modulo a prime
@@ -747,7 +749,7 @@ def graded_frobenius(
         if poly_terms:
             out[lam] = SparsePoly(poly_terms)
 
-    frob = SchurVector(n, out)
+    frob = MappingProxyType(out)
     _FROBENIUS_CACHE[locus] = frob
     return frob
 

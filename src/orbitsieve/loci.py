@@ -16,9 +16,10 @@ permute word indices by base-k digit arithmetic (``cube_index_permutations``).  
 other locus is checked once, when it is made: n, k >= 1, and distinct words of length
 n over 1..k.  A locus handed the words of a built locus passes that check but is not
 built: it takes the general paths, with the same results.  On those the per-word
-passes stay at C level: content labels key each word by its sorted letters, and a
-value shift maps letters through a cached table.  ``act_on_words`` moves a whole list
-of words in such passes, and orbit labels are read in bulk too.
+passes stay at C level: a value shift maps letters through a cached table, and
+``act_on_words`` moves a whole list of words in such passes.  Necklace and
+pair-multiset labels are read in bulk too; only a locus built in Python reads content
+labels (orbits under Sn), each through ``canonical_form``.
 
 Within ``_shared_loci`` (the suite runs in it), ``enumerate_locus`` builds each
 completed parameter set once and returns that same ``Locus`` to every later call; the
@@ -520,17 +521,13 @@ def orbit_set(locus: Locus, group: str) -> OrbitSet:
     the least of its orbit, are generated from the parameters under Sn, under Cn off
     tanisaki and, on the X cube, under Hr (``_generated_representatives``), so no word
     is built.  Any other locus, one handed the words of a built locus included, is
-    read: Sn labels key each word by its sorted letters, and only the distinct keys
-    become content vectors; Cn and Hr labels are each word's canonical form, read in
-    bulk (`_labels`).  Each gives the labels and representatives of a word-by-word walk.
+    read: each label is the word's canonical form, read in bulk (``_labels``; an Sn
+    label is the content vector that ``canonical_form`` reads off each word).  Each
+    gives the labels and representatives of a word-by-word walk.
     """
     check_subgroup(group, locus.n)
     reps = _generated_representatives(locus, group) if isinstance(locus, _Built) else None
-    if reps is None and group == "Sn":
-        # Read backwards, so the first word of each class is the last one stored.
-        firsts = dict(zip(map(tuple, map(sorted, reversed(locus.words))), reversed(locus.words)))
-        reps = {content_of_word(key, locus.k): w for key, w in firsts.items()}
-    elif reps is None:
+    if reps is None:
         backwards = locus.words[::-1]  # so that each label keeps its first word
         reps = dict(zip(_labels(backwards, group, locus.k, locus.n), backwards))
     return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)

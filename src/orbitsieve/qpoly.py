@@ -30,9 +30,11 @@ class SparsePoly:
             for (eq, et), c in terms.items():
                 if eq < 0 or et < 0:
                     raise DomainError("negative exponent in SparsePoly")
-                if c:
-                    key = (int(eq), int(et))
-                    clean[key] = clean.get(key, 0) + int(c)
+                key, c_int = (int(eq), int(et)), int(c)
+                if key != (eq, et) or c_int != c:
+                    raise DomainError(f"term {c} * q^{eq} t^{et} of SparsePoly is not integral")
+                if c_int:
+                    clean[key] = clean.get(key, 0) + c_int
                     if not clean[key]:
                         del clean[key]
         self._terms = clean

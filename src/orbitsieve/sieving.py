@@ -38,9 +38,10 @@ import functools
 import gc
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
-from .characters import SchurVector, check_subgroup, invariant_hilbert
+from .characters import FrobeniusImage, check_subgroup, invariant_hilbert
 from .cyclotomic import CycloElement, eval_at_unity
 from .errors import DomainError, InternalCheckError
 from .harmonics import DEFAULT_MAX_POINTS, DEFAULT_MAX_VARS, graded_frobenius
@@ -90,8 +91,10 @@ def normalize_family(name: str) -> str:
 # -- polynomial constructors ------------------------------------------------------------
 
 
-def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
-    """The graded Frobenius image of R/gr I(X) for a locus family, in closed form.
+def closed_frobenius(family: str, n: int, k: int, mu=None) -> FrobeniusImage:
+    """The graded Frobenius image of R/gr I(X) for a locus family, in closed form: a
+    read-only mapping from each shape of n to its nonzero coefficient, in
+    ``partitions(n)`` order.  The image is cached, and every later call returns it.
 
     X: s_lambda(1, q, ..., q^(k-1)) by the hook-content formula.  Y: [k choose n]_q
     f^lambda(q).  Z: sum over T in SYT(lambda) of q^maj(T) [n-des(T)-1 choose n-k]_q.
@@ -103,21 +106,22 @@ def closed_frobenius(family: str, n: int, k: int, mu=None) -> SchurVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -> SchurVector:
+def _closed_frobenius(family: str, n: int, k: int, mu: tuple[int, ...] | None) -> FrobeniusImage:
     if family == "X":
-        return SchurVector(n, {lam: principal_specialization(lam, k) for lam in partitions(n)})
-    if family == "Z":
-        acc = {lam: SparsePoly.zero() for lam in partitions(n)}
-        for lam in acc:
+        coeffs = {lam: principal_specialization(lam, k) for lam in partitions(n)}
+    elif family == "Z":
+        coeffs = {lam: SparsePoly.zero() for lam in partitions(n)}
+        for lam in coeffs:
             for (maj, des), count in syt_maj_des(lam):
-                acc[lam] = acc[lam] + SparsePoly.monomial(maj, 0, count) * q_binomial(n - des - 1, n - k)
-        return SchurVector(n, acc)
-    if family == "tanisaki":
-        return SchurVector(n, {lam: kostka_foulkes(lam, mu) for lam in partitions(n)})
-    if family in ("Y", "springer"):
+                coeffs[lam] = coeffs[lam] + SparsePoly.monomial(maj, 0, count) * q_binomial(n - des - 1, n - k)
+    elif family == "tanisaki":
+        coeffs = {lam: kostka_foulkes(lam, mu) for lam in partitions(n)}
+    elif family in ("Y", "springer"):
         factor = q_binomial(n if family == "springer" else k, n)
-        return SchurVector(n, {lam: factor * fake_degree(lam) for lam in partitions(n)})
-    raise DomainError(f"no closed Frobenius image for family {family!r}")
+        coeffs = {lam: factor * fake_degree(lam) for lam in partitions(n)}
+    else:
+        raise DomainError(f"no closed Frobenius image for family {family!r}")
+    return MappingProxyType({lam: c for lam, c in coeffs.items() if c})
 
 
 def _check_counting_poly(p: SparsePoly) -> SparsePoly:
@@ -147,7 +151,7 @@ def sieving_polynomial(family: str, n=None, k=None, mu=None, a=None) -> SparsePo
         return _check_counting_poly(
             sum((c * fake_degree(lam).swap_q_to_t() for lam, c in frob.items()), SparsePoly.zero())
         )
-    return _check_counting_poly(invariant_hilbert(frob, group))
+    return _check_counting_poly(invariant_hilbert(frob, group, n))
 
 
 # -- instances and reports --------------------------------------------------------------
@@ -426,4 +430,4 @@ def oracle_csp_poly(
     """
     check_subgroup(group, locus.n)
     frob = graded_frobenius(locus, max_points=max_points, max_vars=max_vars)
-    return invariant_hilbert(frob, group)
+    return invariant_hilbert(frob, group, locus.n)

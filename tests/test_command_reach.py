@@ -21,9 +21,6 @@ SOURCE = pathlib.Path(orbitsieve.__file__).resolve().parent
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 NOT_RUN_BY_THE_GOLDEN_CASES = {
-    "characters.SchurVector.__repr__": "interactive display",
-    "characters.SchurVector.coeff": "library accessor of a graded Frobenius image; the CLI reads items()",
-    "characters.SchurVector.pretty": "the text of __repr__",
     "cli._Parser.error": "argparse calls it on a usage error, which no golden case makes",
     "cyclotomic.CycloElement.__hash__": "field elements as set members and dict keys in the Python API",
     "cyclotomic.CycloElement.__repr__": "interactive display",
@@ -34,7 +31,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "harmonics.MultiPoly.__repr__": "interactive display",
     "loci.Locus.__post_init__": "checks a locus built in Python; every command builds its loci with enumerate_locus",
     "loci.Locus.size": "|X| of a locus built in Python; one enumerate_locus built counts its own",
-    "qpoly.SparsePoly.__bool__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__hash__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__neg__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__pow__": "operator of the public polynomial type",

@@ -133,11 +133,11 @@ def test_every_domain_error_of_interpolation_fires_in_a_test():
 
 
 def test_every_domain_error_of_characters_fires_in_a_test():
-    assert unraised([SOURCE / "characters.py"], "DomainError", least=6) == []
+    assert unraised([SOURCE / "characters.py"], "DomainError", least=5) == []
 
 
 def test_every_domain_error_of_qpoly_fires_in_a_test():
-    assert unraised([SOURCE / "qpoly.py"], "DomainError", least=8) == []
+    assert unraised([SOURCE / "qpoly.py"], "DomainError", least=9) == []
 
 
 def test_every_domain_error_of_suite_fires_in_a_test():

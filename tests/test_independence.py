@@ -3,14 +3,17 @@
 ``oracle_csp_poly`` is the independent check of every closed form: it re-derives the
 graded Frobenius image from the vanishing ideal of the locus.  The verifiers check
 every sieving polynomial against fixed points counted on the words of the locus.
+``verify_presentation`` checks each stated presentation, reduced by Buchberger's
+algorithm, against the associated graded basis of the eliminated point ideal.
 Each check means something only while neither side reads the other's results.  For
 a few small cases, each side runs alone under ``sys.setprofile`` from the same
 parameters, with every ``lru_cache`` of the package cleared first and a freshly built
 locus, so no cache warmed by the other side hides a call.  Every package function
 both sides enter must be listed, in ``SHARED_BY_BOTH_SIDES`` for the oracle and the
-closed forms and in ``SHARED_BY_COUNTS_AND_POLYNOMIALS`` for the grids, with the
-reason it cannot carry one side's result into the other; a listed function that no
-case shares fails too, so neither list can go stale.
+closed forms, in ``SHARED_BY_COUNTS_AND_POLYNOMIALS`` for the grids and in
+``SHARED_BY_PRESENTATIONS_AND_ELIMINATION`` for the presentations, with the reason it
+cannot carry one side's result into the other; a listed function that no case
+shares fails too, so no list can go stale.
 """
 
 import pathlib
@@ -20,6 +23,7 @@ import pytest
 
 import orbitsieve
 from orbitsieve import sieving
+from orbitsieve.harmonics import associated_graded, buchberger, stated_generators, vanishing_ideal
 from orbitsieve.loci import Action, enumerate_locus, locus_parameters, orbit_set
 from orbitsieve.qpoly import SparsePoly
 from orbitsieve.sieving import closed_frobenius, oracle_csp_poly, sieving_polynomial, word_bicsp_instance
@@ -27,13 +31,11 @@ from orbitsieve.sieving import closed_frobenius, oracle_csp_poly, sieving_polyno
 from test_command_reach import SOURCE, definitions
 
 SHARED_BY_BOTH_SIDES = {
-    "characters.SchurVector.__init__": "stores a Schur expansion; it computes no coefficient",
     "qpoly.SparsePoly.__init__": "polynomial arithmetic",
     "qpoly.SparsePoly._valid": "polynomial arithmetic",
     "qpoly.SparsePoly.__add__": "polynomial arithmetic",
     "qpoly.SparsePoly.__mul__": "polynomial arithmetic",
     "qpoly.SparsePoly.zero": "polynomial arithmetic",
-    "qpoly.SparsePoly.is_zero": "polynomial arithmetic",
     "tableaux.partitions": "lists the index set of the Schur expansion",
     "tableaux._partitions": "lists the index set of the Schur expansion",
     "tableaux.check_partition": "parameter check",
@@ -45,6 +47,51 @@ SHARED_BY_COUNTS_AND_POLYNOMIALS = {
     "loci._check_sizes": "parameter check",
     "loci.locus_parameters": "parameter check",
     "loci.symmetry_steps": "parameter check: the tanisaki value shift's step and order",
+}
+
+_FIELD = "builds the cyclotomic field of the locus's k"
+_CYCLOTOMIC_POLYNOMIAL = "polynomial arithmetic of cyclotomic_polynomial, which builds the field's modulus"
+
+SHARED_BY_PRESENTATIONS_AND_ELIMINATION = {
+    "cyclotomic.cyclo_field": _FIELD,
+    "cyclotomic.cyclotomic_polynomial": _FIELD,
+    "cyclotomic.CycloField.__init__": _FIELD,
+    "cyclotomic.CycloField._build_powers": _FIELD,
+    "cyclotomic.CycloField.from_int": "field element arithmetic",
+    "cyclotomic.CycloElement.__init__": "field element arithmetic",
+    "cyclotomic.CycloElement._check": "field element arithmetic",
+    "cyclotomic.CycloElement.__bool__": "field element arithmetic",
+    "cyclotomic.CycloElement.__eq__": "field element arithmetic",
+    "cyclotomic.CycloElement.is_zero": "field element arithmetic",
+    "harmonics.MultiPoly.__init__": "stores a polynomial; it derives no generator",
+    "harmonics.MultiPoly.leading_term": "reads a polynomial's grevlex lead",
+    "harmonics.GroebnerBasis.__init__": "stores and checks a basis; it derives no generator",
+    "interpolation.PackedMonomials.__init__": "packs exponents into one int for the grevlex order",
+    "interpolation.PackedMonomials.pack": "packs exponents into one int for the grevlex order",
+    "interpolation.grevlex_key": "the grevlex order",
+    "qpoly.SparsePoly.__init__": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly._valid": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.__mul__": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly._q_coeff_list": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.coeff": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.degree_q": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.div_exact_q": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.is_zero": _CYCLOTOMIC_POLYNOMIAL,
+    "qpoly.SparsePoly.one": _CYCLOTOMIC_POLYNOMIAL,
+}
+
+# Each derives one side's ideal, so no presentation case may share it.
+PRESENTATION_DERIVATIONS = {
+    "harmonics.buchberger",
+    "harmonics._reduce",
+    "harmonics.stated_generators",
+    "harmonics.elementary_symmetric",
+    "harmonics.complete_homogeneous",
+    "interpolation.modular_lifts",
+    "interpolation.modular_elimination",
+    "harmonics._certified",
+    "harmonics._cube_basis",
+    "harmonics._basis",
 }
 
 CASES = [
@@ -154,3 +201,30 @@ def test_the_grid_counts_enter_only_listed_functions_of_the_polynomials(family, 
 def test_every_function_listed_for_the_grids_is_shared_in_some_case():
     shared = set().union(*(shared_by_the_grid(*case) for case in GRID_CASES))
     assert shared == set(SHARED_BY_COUNTS_AND_POLYNOMIALS)
+
+
+PRESENTATION_CASES = [("X", 2, 3), ("Y", 2, 3), ("Y", 3, 4), ("Z", 3, 2), ("Z", 4, 3)]
+
+
+def shared_by_the_presentation(family, n, k) -> set[str]:
+    """What the stated presentation, reduced by Buchberger's algorithm, and the
+    associated graded basis of the eliminated point ideal both enter, each side on its
+    own locus, built before either side runs."""
+    stated_locus, eliminated_locus = enumerate_locus(family, n, k), enumerate_locus(family, n, k)
+    stated = entered_by(lambda: buchberger(stated_generators(stated_locus)))
+    return stated & entered_by(lambda: associated_graded(vanishing_ideal(eliminated_locus)))
+
+
+def test_no_derivation_of_a_presentation_is_listed():
+    assert PRESENTATION_DERIVATIONS <= set(definitions().values())
+    assert PRESENTATION_DERIVATIONS.isdisjoint(SHARED_BY_PRESENTATIONS_AND_ELIMINATION)
+
+
+@pytest.mark.parametrize("family,n,k", PRESENTATION_CASES)
+def test_the_stated_presentation_enters_only_listed_functions_of_the_elimination(family, n, k):
+    assert shared_by_the_presentation(family, n, k) - set(SHARED_BY_PRESENTATIONS_AND_ELIMINATION) == set()
+
+
+def test_every_function_listed_for_the_presentations_is_shared_in_some_case():
+    shared = set().union(*(shared_by_the_presentation(*case) for case in PRESENTATION_CASES))
+    assert shared == set(SHARED_BY_PRESENTATIONS_AND_ELIMINATION)

@@ -6,6 +6,7 @@ index over explicitly enumerated words), not from the package's own formulas.
 
 import itertools
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,10 @@ def test_q_analogues_at_one_count_objects():
     "call,message",
     [
         (lambda: SparsePoly({(0, -1): 1}), "negative exponent in SparsePoly"),
+        (lambda: SparsePoly({(0, 0): 1.7}), "term 1.7 * q^0 t^0 of SparsePoly is not integral"),
+        (lambda: SparsePoly({(0, 0): Fraction(1, 2)}), "term 1/2 * q^0 t^0 of SparsePoly is not integral"),
+        (lambda: SparsePoly({(1.9, 0): 1}), "term 1 * q^1.9 t^0 of SparsePoly is not integral"),
+        (lambda: SparsePoly({(0, Fraction(3, 2)): 0}), "term 0 * q^0 t^3/2 of SparsePoly is not integral"),
         (lambda: SparsePoly.monomial(1) ** -1, "negative power of a polynomial"),
         (lambda: SparsePoly.monomial(1, 1).swap_q_to_t(), "swap_q_to_t needs a polynomial univariate in q"),
         (lambda: SparsePoly.monomial(2, 1).div_exact_q(SparsePoly.monomial(1)), "expected a polynomial univariate in q"),

@@ -820,6 +820,25 @@ def test_closed_frobenius_reads_mu_as_a_tuple():
     assert closed_frobenius("X", 2, 3) is closed_frobenius("X", 2, 3, None)
 
 
+def test_frobenius_images_are_read_only():
+    locus = enumerate_locus("X", 3, 2)
+    for image_of_locus in (lambda: closed_frobenius("X", 3, 2), lambda: graded_frobenius(locus)):
+        image = image_of_locus()
+        before = dict(image)
+        with pytest.raises(TypeError):
+            image[(3,)] = SparsePoly.zero()
+        assert image_of_locus() == before
+
+
+def test_frobenius_images_list_only_nonzero_coefficients_in_partition_order():
+    for image in (closed_frobenius("X", 3, 2), graded_frobenius(enumerate_locus("X", 3, 2))):
+        assert list(image) == [(3,), (2, 1)]
+    assert list(closed_frobenius("X", 3, 3)) == list(partitions(3))
+    assert closed_frobenius("Y", 3, 2) == {}
+    with pytest.raises(DomainError, match="^vanishing ideal of an empty locus$"):
+        graded_frobenius(enumerate_locus("Y", 3, 2))
+
+
 def test_verifier_dispatch_mismatch():
     with pytest.raises(DomainError):
         verify_csp(build_instance("word-bicsp-X", n=2, k=2))

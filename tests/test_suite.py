@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from orbitsieve import cli, harmonics, loci, sieving, suite, tableaux
-from orbitsieve.characters import SchurVector
 from orbitsieve.errors import DomainError
 from orbitsieve.qpoly import SparsePoly
 
@@ -199,7 +198,7 @@ def _wrong_closed_frobenius(monkeypatch):
         frob = closed(family, n, k, mu)
         if (family, n, k) != ("Z", 3, 2):
             return frob
-        return SchurVector(frob.n, {lam: c * SparsePoly.monomial(1) for lam, c in frob.items()})
+        return {lam: c * SparsePoly.monomial(1) for lam, c in frob.items()}
 
     monkeypatch.setattr(suite, "closed_frobenius", wrong)
 
