@@ -11,7 +11,6 @@ from .cyclotomic import CycloElement, CycloField, cyclo_field, eval_at_unity
 from .errors import DomainError, InternalCheckError, ResourceBudgetError
 from .harmonics import (
     GroebnerBasis,
-    MultiPoly,
     associated_graded,
     graded_character,
     graded_frobenius,
@@ -44,7 +43,6 @@ __all__ = [
     "GroebnerBasis",
     "InternalCheckError",
     "Locus",
-    "MultiPoly",
     "OrbitSet",
     "Report",
     "ResourceBudgetError",

@@ -26,6 +26,7 @@ from .harmonics import (
     DEFAULT_MAX_VARS,
     associated_graded,
     check_budget,
+    generator_text,
     graded_frobenius,
     harmonics_json,
     hilbert_series,
@@ -212,8 +213,8 @@ def _cmd_harmonics(ns) -> tuple[int, str]:
         return 0, _render_poly(ns.output, {"locus": locus.describe()}, hilbert_series(gb_t.quotient_basis()))
     data = harmonics_json(locus, gb_i, gb_t)
     lines = ["hilbert " + data["hilbert_series"]]
-    lines += ["point-ideal generator: " + g.pretty() for g in gb_i.gens]
-    lines += ["graded generator: " + g.pretty() for g in gb_t.gens]
+    lines += ["point-ideal generator: " + generator_text(g) for g in gb_i.gens]
+    lines += ["graded generator: " + generator_text(g) for g in gb_t.gens]
     return 0, _render(ns.output, data, None, None, "\n".join(lines))
 
 

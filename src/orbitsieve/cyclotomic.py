@@ -149,6 +149,9 @@ class CycloElement:
         return self.coords == other.coords
 
     def __hash__(self):
+        # An integral element equals its int, so it hashes as that int.
+        if self.is_integer():
+            return hash(self.as_int())
         return hash((self.field.order, self.coords))
 
     def __add__(self, other: "CycloElement") -> "CycloElement":

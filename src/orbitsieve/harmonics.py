@@ -17,7 +17,8 @@ yields a certified basis, ResourceBudgetError names that prime budget.  On the c
 {1..k}^n that ``enumerate_locus`` builds for X(n, k) (``loci._is_cube``), the basis
 x_i^k - 1 is known beforehand (``_cube_basis``); it passes the same certificate, and
 no elimination runs.  A locus handed the words of a cube is eliminated like any
-other, and gives the same basis.
+other, and gives the same basis.  Each generator is a ``Generator``, a mapping from
+exponent tuples to nonzero coefficients; ``GroebnerBasis.gens`` holds read-only views.
 
 Under grevlex the top-degree components of the reduced basis of I(X) are already
 the reduced basis of the associated graded ideal T(X), so no second Groebner
@@ -54,6 +55,7 @@ import operator
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
+from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from . import interpolation, loci
@@ -79,61 +81,35 @@ MAX_QUOTIENT_DIM = 100000
 # Standard monomials of a zero-dimensional monomial quotient, one level per degree.
 QuotientBasis = tuple[tuple[Exponents, ...], ...]
 
-
-class MultiPoly:
-    """Multivariate polynomial with CycloElement coefficients, zero terms dropped.
-
-    The library only builds, reads and prints these; it does no arithmetic on them."""
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field: CycloField, nvars: int, terms: dict[Exponents, CycloElement]):
-        self.field = field
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def leading_term(self) -> tuple[Exponents, CycloElement]:
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
-    def sorted_terms(self) -> list[tuple[Exponents, CycloElement]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
-    def top_component(self) -> "MultiPoly":
-        """Homogeneous part of highest total degree."""
-        if not self.terms:
-            return self
-        d = self.degree
-        return MultiPoly(self.field, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e) if p]
-            mono = "*".join(factors) if factors else "1"
-            if c.is_integer():
-                coeff = str(c.as_int())
-            else:
-                coeff = "zeta[" + ", ".join(str(x) for x in c.coords) + "]"
-            if coeff == "1" and factors:
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}" if factors else f"({coeff})")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.pretty()})"
+# A polynomial of a basis: each exponent tuple to its nonzero coefficient.  The library
+# only builds, reads and prints these; it does no arithmetic on them.
+Generator = Mapping[Exponents, CycloElement]
 
 
-def elementary_symmetric(field: CycloField, nvars: int, d: int) -> MultiPoly:
+def _sorted_terms(g: Generator) -> list[tuple[Exponents, CycloElement]]:
+    return sorted(g.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+
+
+def generator_text(g: Generator) -> str:
+    """g as text, its terms in descending grevlex order."""
+    if not g:
+        return "0"
+    parts = []
+    for e, c in _sorted_terms(g):
+        factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e) if p]
+        mono = "*".join(factors) if factors else "1"
+        if c.is_integer():
+            coeff = str(c.as_int())
+        else:
+            coeff = "zeta[" + ", ".join(str(x) for x in c.coords) + "]"
+        if coeff == "1" and factors:
+            parts.append(mono)
+        else:
+            parts.append(f"({coeff})*{mono}" if factors else f"({coeff})")
+    return " + ".join(parts)
+
+
+def elementary_symmetric(field: CycloField, nvars: int, d: int) -> Generator:
     """e_d(x_1..x_n): sum of squarefree degree-d monomials."""
     if d < 0 or d > nvars:
         raise DomainError("elementary symmetric degree out of range")
@@ -144,10 +120,10 @@ def elementary_symmetric(field: CycloField, nvars: int, d: int) -> MultiPoly:
         for i in subset:
             e[i] = 1
         terms[tuple(e)] = one
-    return MultiPoly(field, nvars, terms)
+    return terms
 
 
-def complete_homogeneous(field: CycloField, nvars: int, d: int) -> MultiPoly:
+def complete_homogeneous(field: CycloField, nvars: int, d: int) -> Generator:
     """h_d(x_1..x_n): sum of all degree-d monomials."""
     if d < 0:
         raise DomainError("negative degree")
@@ -158,7 +134,7 @@ def complete_homogeneous(field: CycloField, nvars: int, d: int) -> MultiPoly:
         for i in multiset:
             e[i] += 1
         terms[tuple(e)] = one
-    return MultiPoly(field, nvars, terms)
+    return terms
 
 
 # -- Groebner bases ------------------------------------------------------------------
@@ -167,8 +143,10 @@ def complete_homogeneous(field: CycloField, nvars: int, d: int) -> MultiPoly:
 class GroebnerBasis:
     """A reduced, monic Groebner basis under grevlex, with normal forms mod p cached.
 
-    Every generator must be monic; reductions rely on it and never invert a
-    leading coefficient.
+    Every generator must be nonzero and monic; reductions rely on it and never
+    invert a leading coefficient.  ``gens`` holds read-only views of the
+    generators, in ascending grevlex order of their leads: a basis outlives its
+    builder in the per-locus memo, and its packed tails are derived here once.
 
     Normal forms walk packed exponents in one ``interpolation.PackedMonomials``
     format, ``monomials``, fixed at construction: a product of monomials is one
@@ -180,13 +158,18 @@ class GroebnerBasis:
     every walk from a graded trace stays within the fields.
     """
 
-    def __init__(self, field: CycloField, nvars: int, gens: tuple[MultiPoly, ...]):
+    def __init__(self, field: CycloField, nvars: int, gens: Iterable[Generator]):
         self.field = field
         self.nvars = nvars
-        by_lead = sorted(((g.leading_term()[0], g) for g in gens), key=lambda pair: grevlex_key(pair[0]))
+        by_lead = []
+        for g in gens:
+            if not g:
+                raise DomainError("zero polynomial has no leading term")
+            by_lead.append((max(g, key=grevlex_key), MappingProxyType(g)))
+        by_lead.sort(key=lambda pair: grevlex_key(pair[0]))
         self._leads = leads = tuple(lt for lt, _ in by_lead)
         self.gens = tuple(g for _, g in by_lead)
-        if any(g.terms[lt] != field.one for g, lt in zip(self.gens, leads)):
+        if any(g[lt] != field.one for g, lt in zip(self.gens, leads)):
             raise InternalCheckError("Groebner basis generator is not monic")
         # The least a_i with x_i^a_i a lead, per variable, or None where a variable has none.
         self._pure_powers = [min((lt[i] for lt in leads if sum(lt) == lt[i]), default=None) for i in range(nvars)]
@@ -196,7 +179,7 @@ class GroebnerBasis:
         self.monomials = monos = PackedMonomials(nvars, width)
         self._packed_leads = tuple(map(monos.pack, leads))
         self._packed_tails = tuple(
-            tuple((monos.pack(e), c) for e, c in g.terms.items() if e != lt) for g, lt in zip(self.gens, leads)
+            tuple((monos.pack(e), c) for e, c in g.items() if e != lt) for g, lt in zip(self.gens, leads)
         )
         # Per prime p: the packed tails mapped to F_p and their normal-form cache, or
         # None when p divides a coefficient denominator.
@@ -300,9 +283,7 @@ class GroebnerBasis:
         return self._qb
 
     def _canonical(self):
-        return tuple(
-            tuple((e, tuple(c.coords)) for e, c in g.sorted_terms()) for g in self.gens
-        )
+        return tuple(tuple((e, tuple(c.coords)) for e, c in _sorted_terms(g)) for g in self.gens)
 
     def __eq__(self, other) -> bool:
         return (
@@ -323,7 +304,7 @@ class GroebnerBasis:
                 {
                     "terms": [
                         {"exponents": list(e), "coords": [str(x) for x in c.coords]}
-                        for e, c in g.sorted_terms()
+                        for e, c in _sorted_terms(g)
                     ]
                 }
                 for g in self.gens
@@ -361,7 +342,7 @@ def hilbert_series(qb: QuotientBasis) -> SparsePoly:
     return out
 
 
-def buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
+def buchberger(gens: list[Generator]) -> GroebnerBasis:
     """Reduced monic grevlex Groebner basis of the ideal that nonzero generators of
     one ring span; ``verify_presentation`` runs it on the stated generators.
 
@@ -375,7 +356,8 @@ def buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
     basis.  Last, elements whose lead another lead divides are dropped, the other
     tails reduced.
     """
-    field, nvars = gens[0].field, gens[0].nvars
+    e0, c0 = next(iter(gens[0].items()))
+    field, nvars = c0.field, len(e0)
     one = field.one
     leads: list[Exponents] = []
     tails: list[list[tuple[Exponents, CycloElement]]] = []
@@ -394,8 +376,8 @@ def buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
         done.append(set())
 
     for g in gens:
-        lead = max(g.terms, key=grevlex_key)
-        admit(lead, [(e, c) for e, c in g.terms.items() if e != lead], g.terms[lead])
+        lead = max(g, key=grevlex_key)
+        admit(lead, [(e, c) for e, c in g.items() if e != lead], g[lead])
     while heap:
         _, gamma, i, j = heappop(heap)
         done[i].add(j)
@@ -423,10 +405,10 @@ def buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
     leads, tails = [leads[i] for i in minimal], [tails[i] for i in minimal]
     # x^L = T = NF(T) modulo the ideal, so x^L - NF(T) is the reduced element.
     reduced = (
-        MultiPoly(field, nvars, {lead: one} | {e: -c for e, c in _reduce(dict(tail), leads, tails).items()})
+        {lead: one} | {e: -c for e, c in _reduce(dict(tail), leads, tails).items()}
         for lead, tail in zip(leads, tails)
     )
-    return GroebnerBasis(field, nvars, tuple(reduced))
+    return GroebnerBasis(field, nvars, reduced)
 
 
 def _reduce(terms: dict, leads: list[Exponents], tails: list) -> dict:
@@ -470,7 +452,10 @@ def associated_graded(gb: GroebnerBasis) -> GroebnerBasis:
     the same leads, both bases have the same standard monomials, so gb's quotient
     basis, if already enumerated, is passed on.
     """
-    gb_t = GroebnerBasis(gb.field, gb.nvars, tuple(g.top_component() for g in gb.gens))
+    tops = (
+        {e: c for e, c in g.items() if sum(e) == d} for g, d in zip(gb.gens, map(sum, gb.leading_exponents()))
+    )
+    gb_t = GroebnerBasis(gb.field, gb.nvars, tops)
     gb_t._qb = gb._qb
     return gb_t
 
@@ -535,23 +520,23 @@ def _cube_basis(field: CycloField, n: int) -> GroebnerBasis:
     finite sets has these univariate products as its reduced Groebner basis in
     every monomial order (Alon, Combinatorial Nullstellensatz, CPC 8, 1999)."""
     k, zero = field.order, (0,) * n
-    gens = (
-        MultiPoly(field, n, {tuple(k if j == i else 0 for j in range(n)): field.one, zero: -field.one})
-        for i in range(n)
-    )
-    return GroebnerBasis(field, n, tuple(gens))
+    gens = ({tuple(k if j == i else 0 for j in range(n)): field.one, zero: -field.one} for i in range(n))
+    return GroebnerBasis(field, n, gens)
 
 
 def _basis(field: CycloField, n: int, layout, coords) -> GroebnerBasis:
-    """Generators x^e + tail, the tails read from flat power-basis coordinates."""
+    """Generators x^e + tail, the tails read from flat power-basis coordinates and
+    their zero coefficients dropped."""
     it = iter(coords)
     gens = []
     for e, stds in layout:
         terms = {e: field.one}
         for s in stds:
-            terms[s] = field.element([next(it) for _ in range(field.degree)])
-        gens.append(MultiPoly(field, n, terms))
-    return GroebnerBasis(field, n, tuple(gens))
+            c = field.element([next(it) for _ in range(field.degree)])
+            if c:
+                terms[s] = c
+        gens.append(terms)
+    return GroebnerBasis(field, n, gens)
 
 
 def _certified(locus: Locus, gb: GroebnerBasis, reps) -> bool:
@@ -571,9 +556,9 @@ def _certified(locus: Locus, gb: GroebnerBasis, reps) -> bool:
     leads = gb.leading_exponents()
     korder = locus.scaling_order
     for g, lt in zip(gb.gens, leads):
-        if any(e != lt and not gb.is_standard(e) for e in g.terms):
+        if any(e != lt and not gb.is_standard(e) for e in g):
             return False
-        if any((sum(e) - sum(lt)) % korder for e in g.terms):
+        if any((sum(e) - sum(lt)) % korder for e in g):
             return False
     for i, a in enumerate(leads):
         if any(j != i and all(x >= y for x, y in zip(a, b)) for j, b in enumerate(leads)):
@@ -610,9 +595,9 @@ def _vanishes_on(gb: GroebnerBasis, words) -> bool:
         return out
 
     for g in gb.gens:
-        den = math.lcm(*(x.denominator for c in g.terms.values() for x in c.coords))
-        coords = [[(i, int(x * den)) for i, x in enumerate(c.coords) if x] for c in g.terms.values()]
-        for js in zip(*map(dot, g.terms)):
+        den = math.lcm(*(x.denominator for c in g.values() for x in c.coords))
+        coords = [[(i, int(x * den)) for i, x in enumerate(c.coords) if x] for c in g.values()]
+        for js in zip(*map(dot, g)):
             at = [0] * order
             for j, term in zip(js, coords):
                 for i, x in term:
@@ -772,7 +757,7 @@ def _point_basis(locus: Locus, max_points: int, max_vars: int) -> GroebnerBasis:
 
 # -- stated presentations ------------------------------------------------------------
 
-def stated_generators(locus: Locus) -> list[MultiPoly]:
+def stated_generators(locus: Locus) -> list[Generator]:
     """Closed-form generating sets of the graded ideal for the three word families.
 
     X: the pure powers x_i^k.  Y: complete homogeneous h_{k-n+1}, ..., h_k.
@@ -783,7 +768,7 @@ def stated_generators(locus: Locus) -> list[MultiPoly]:
     if (locus.family == "Y" and k < n) or (locus.family == "Z" and k > n):
         raise DomainError("no stated presentation: the locus is empty")
     if locus.family in ("X", "Z"):
-        gens = [MultiPoly(field, n, {(0,) * i + (k,) + (0,) * (n - 1 - i): field.one}) for i in range(n)]
+        gens = [{(0,) * i + (k,) + (0,) * (n - 1 - i): field.one} for i in range(n)]
         if locus.family == "Z":
             gens.extend(elementary_symmetric(field, n, d) for d in range(n - k + 1, n + 1))
         return gens

@@ -94,6 +94,9 @@ class SparsePoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # A constant equals its int, so it hashes as that int.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- arithmetic ------------------------------------------------------------
@@ -270,10 +273,4 @@ def q_multinomial(n: int, parts: Iterable[int]) -> SparsePoly:
         raise DomainError("q_multinomial with a negative part")
     if sum(parts) != n:
         raise DomainError(f"q_multinomial parts {parts} do not sum to {n}")
-    return _q_multinomial(n, tuple(sorted(parts)))
-
-
-@lru_cache(maxsize=None)
-def _q_multinomial(n: int, parts: tuple[int, ...]) -> SparsePoly:
-    """q_multinomial on sorted parts, so every rearrangement shares a cache entry."""
     return q_product_quotient(range(1, n + 1), (b for p in parts for b in range(1, p + 1)))

@@ -18,16 +18,19 @@ rows into integers and builds them incrementally, and must return the same.
 Both eliminations here walk the staircase on exponent tuples (``successors``),
 so they share no staircase code with the packed walk of ``interpolation``.
 
-``pairwise_buchberger`` is Buchberger's algorithm on whole ``MultiPoly`` values:
+``pairwise_buchberger`` is Buchberger's algorithm on whole polynomials:
 it skips only the pairs with coprime leads and reduces every other S-polynomial by
 ``reduce_poly``, long division that recomputes the leading term at each step.
 ``harmonics.buchberger`` also applies the chain criterion and divides in place, and
 must return the same reduced basis.  ``reduce_poly`` is also the tests' exact normal
 form, the reference for graded traces.
 
-The library builds and reads ``MultiPoly`` values but never combines them, so their
-arithmetic (``add``, ``sub``, ``scale``, ``mul``, ``equal``, ``zero``, ``is_zero``)
-lives here, as plain functions for these references and the tests.
+A polynomial here is what the library builds, a ``harmonics.Generator``: a mapping
+from exponent tuples to nonzero ``CycloElement`` coefficients, so two polynomials are
+equal when their mappings are and zero when empty.  The library builds and reads
+these but never combines them, so ``leading_term`` and their arithmetic (``add``,
+``sub``, ``scale``, ``mul``) live here, as plain functions for these references and
+the tests; the arithmetic returns new dicts with the zero terms dropped.
 """
 
 from __future__ import annotations
@@ -36,55 +39,51 @@ from heapq import heappop, heappush
 
 from orbitsieve.cyclotomic import CycloElement, CycloField, cyclo_field
 from orbitsieve.errors import DomainError, InternalCheckError, ResourceBudgetError
-from orbitsieve.harmonics import GroebnerBasis, MultiPoly, _basis, buchberger
+from orbitsieve.harmonics import Generator, GroebnerBasis, _basis, buchberger
 from orbitsieve.interpolation import Exponents, _tail_coefficients, grevlex_key, orbit_representatives
 from orbitsieve.loci import Locus
 from orbitsieve.rat import RAT
 
 
-# -- MultiPoly arithmetic ----------------------------------------------------------------
+# -- polynomial arithmetic --------------------------------------------------------------
+
+def nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
 
 
-def zero(field: CycloField, nvars: int) -> MultiPoly:
-    return MultiPoly(field, nvars, {})
+def leading_term(p: Generator) -> tuple[Exponents, CycloElement]:
+    e = max(p, key=grevlex_key)
+    return e, p[e]
 
 
-def is_zero(p: MultiPoly) -> bool:
-    return not p.terms
-
-
-def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
-    """p + q or p - q; the constructor drops the terms that cancel."""
-    out = dict(p.terms)
-    for e, c in q.terms.items():
+def _merge(p: Generator, q: Generator, sign: int) -> dict:
+    """p + q or p - q, the terms that cancel dropped."""
+    out = dict(p)
+    for e, c in q.items():
         c = c if sign > 0 else -c
         out[e] = out[e] + c if e in out else c
-    return MultiPoly(p.field, p.nvars, out)
+    return nonzero(out)
 
 
-def add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+def add(p: Generator, q: Generator) -> dict:
     return _merge(p, q, +1)
 
 
-def sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+def sub(p: Generator, q: Generator) -> dict:
     return _merge(p, q, -1)
 
 
-def scale(p: MultiPoly, c: CycloElement) -> MultiPoly:
-    return MultiPoly(p.field, p.nvars, {e: pc * c for e, pc in p.terms.items()})
+def scale(p: Generator, c: CycloElement) -> dict:
+    return nonzero({e: pc * c for e, pc in p.items()})
 
 
-def mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    out: dict[Exponents, CycloElement] = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+def mul(p: Generator, q: Generator) -> dict:
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return MultiPoly(p.field, p.nvars, out)
-
-
-def equal(p: MultiPoly, q: MultiPoly) -> bool:
-    return p.field == q.field and p.nvars == q.nvars and p.terms == q.terms
+    return nonzero(out)
 
 
 def successors(level: list[Exponents], n: int) -> list[Exponents]:
@@ -103,16 +102,16 @@ def successors(level: list[Exponents], n: int) -> list[Exponents]:
     return out
 
 
-def variable(field: CycloField, n: int, i: int) -> MultiPoly:
+def variable(field: CycloField, n: int, i: int) -> dict:
     """The polynomial x_(i+1) in n variables."""
-    return MultiPoly(field, n, {tuple(int(j == i) for j in range(n)): field.one})
+    return {tuple(int(j == i) for j in range(n)): field.one}
 
 
-def evaluate_at_word(p: MultiPoly, w) -> CycloElement:
-    """Value of p at the embedded point (zeta^w_1, ..., zeta^w_n)."""
-    total = p.field.zero
-    for e, c in p.terms.items():
-        total = total + c * p.field.root_power(sum(a * b for a, b in zip(e, w)))
+def evaluate_at_word(field: CycloField, p: Generator, w) -> CycloElement:
+    """Value of p, over ``field``, at the embedded point (zeta^w_1, ..., zeta^w_n)."""
+    total = field.zero
+    for e, c in p.items():
+        total = total + c * field.root_power(sum(a * b for a, b in zip(e, w)))
     return total
 
 
@@ -265,7 +264,7 @@ def exact_vanishing_ideal(locus: Locus) -> GroebnerBasis:
     gb = _basis(field, locus.n, *rational_elimination(locus))
     for g in gb.gens:
         for w in locus.words:
-            if evaluate_at_word(g, w):
+            if evaluate_at_word(field, g, w):
                 raise InternalCheckError(f"basis element does not vanish at {w}")
     return gb
 
@@ -331,7 +330,7 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
     n = locus.n
     basis: GroebnerBasis | None = None
     for w in locus.words:
-        origin = MultiPoly(field, n, {(0,) * n: field.one})
+        origin = {(0,) * n: field.one}
         linear = [sub(variable(field, n, i), scale(origin, field.root_power(w[i]))) for i in range(n)]
         if basis is None:
             gens = linear
@@ -344,21 +343,21 @@ def point_ideal_product(locus: Locus, *, max_points: int = 8) -> GroebnerBasis:
 # -- pairwise Buchberger ----------------------------------------------------------------
 
 
-def monomial_shift(p: MultiPoly, shift: Exponents, coeff: CycloElement) -> MultiPoly:
+def monomial_shift(p: Generator, shift: Exponents, coeff: CycloElement) -> dict:
     """Multiply by coeff * x^shift."""
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.items():
         out[tuple(a + b for a, b in zip(e, shift))] = c * coeff
-    return MultiPoly(p.field, p.nvars, out)
+    return nonzero(out)
 
 
-def reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+def reduce_poly(p: Generator, basis: list[Generator]) -> dict:
     """Full normal form of p against a list of (monic) polynomials; long division."""
-    remainder: dict[Exponents, CycloElement] = {}
+    remainder = {}
     work = p
-    leads = [g.leading_term()[0] for g in basis]
-    while work.terms:
-        le, lc = work.leading_term()
+    leads = [leading_term(g)[0] for g in basis]
+    while work:
+        le, lc = leading_term(work)
         hit = None
         for idx, lt in enumerate(leads):
             if all(a >= b for a, b in zip(le, lt)):
@@ -366,19 +365,19 @@ def reduce_poly(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
                 break
         if hit is None:
             remainder[le] = lc
-            work = MultiPoly(work.field, work.nvars, {e: c for e, c in work.terms.items() if e != le})
+            work = {e: c for e, c in work.items() if e != le}
             continue
         shift = tuple(a - b for a, b in zip(le, leads[hit]))
         work = sub(work, monomial_shift(basis[hit], shift, lc))
-    return MultiPoly(p.field, p.nvars, remainder)
+    return nonzero(remainder)
 
 
-def spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+def spoly(f: Generator, g: Generator) -> dict:
     """S-polynomial of two monic polynomials."""
-    ltf = f.leading_term()[0]
-    ltg = g.leading_term()[0]
+    ltf = leading_term(f)[0]
+    ltg = leading_term(g)[0]
     gamma = tuple(max(a, b) for a, b in zip(ltf, ltg))
-    one = f.field.one
+    one = next(iter(f.values())).field.one
     lhs = monomial_shift(f, tuple(a - b for a, b in zip(gamma, ltf)), one)
     rhs = monomial_shift(g, tuple(a - b for a, b in zip(gamma, ltg)), one)
     return sub(lhs, rhs)
@@ -389,15 +388,16 @@ def spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 PAIRWISE_MAX_PAIRS = 20000
 
 
-def pairwise_buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
+def pairwise_buchberger(gens: list[Generator]) -> GroebnerBasis:
     """Reduced monic grevlex Groebner basis of the ideal that nonzero generators of
     one ring span.
 
     Classic pair processing with the coprime-criterion skip; every pair whose leads
     are not coprime is reduced.
     """
-    field, nvars = gens[0].field, gens[0].nvars
-    basis = [scale(g, g.leading_term()[1].inverse()) for g in gens]
+    e0, c0 = next(iter(gens[0].items()))
+    field, nvars = c0.field, len(e0)
+    basis = [scale(g, leading_term(g)[1].inverse()) for g in gens]
 
     heap: list[tuple] = []
     for i in range(len(basis)):
@@ -409,13 +409,13 @@ def pairwise_buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
         processed += 1
         if processed > PAIRWISE_MAX_PAIRS:
             raise ResourceBudgetError(f"reference pair cap {PAIRWISE_MAX_PAIRS} exceeded")
-        lti = basis[i].leading_term()[0]
-        ltj = basis[j].leading_term()[0]
+        lti = leading_term(basis[i])[0]
+        ltj = leading_term(basis[j])[0]
         if tuple(a + b for a, b in zip(lti, ltj)) == gamma:
             continue  # coprime leading terms: s-polynomial reduces to zero
         r = reduce_poly(spoly(basis[i], basis[j]), basis)
-        if r.terms:
-            r = scale(r, r.leading_term()[1].inverse())
+        if r:
+            r = scale(r, leading_term(r)[1].inverse())
             new_idx = len(basis)
             basis.append(r)
             for idx in range(new_idx):
@@ -425,16 +425,16 @@ def pairwise_buchberger(gens: list[MultiPoly]) -> GroebnerBasis:
 
 
 def push_pair(heap, basis, i, j):
-    lti = basis[i].leading_term()[0]
-    ltj = basis[j].leading_term()[0]
+    lti = leading_term(basis[i])[0]
+    ltj = leading_term(basis[j])[0]
     gamma = tuple(max(a, b) for a, b in zip(lti, ltj))
     heappush(heap, (grevlex_key(gamma), gamma, i, j))
 
 
-def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
+def interreduce(basis: list[Generator]) -> list[Generator]:
     # Minimalize: drop generators whose leading term another one divides.
-    kept: list[MultiPoly] = []
-    leads = [g.leading_term()[0] for g in basis]
+    kept: list[Generator] = []
+    leads = [leading_term(g)[0] for g in basis]
     for i, g in enumerate(basis):
         lt = leads[i]
         redundant = False

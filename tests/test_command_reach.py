@@ -28,7 +28,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "cyclotomic.CycloField.__hash__": "fields as set members and dict keys in the Python API",
     "cyclotomic.CycloField.__repr__": "interactive display",
     "harmonics.GroebnerBasis.__repr__": "interactive display",
-    "harmonics.MultiPoly.__repr__": "interactive display",
     "loci.Locus.__post_init__": "checks a locus built in Python; every command builds its loci with enumerate_locus",
     "loci.Locus.size": "|X| of a locus built in Python; one enumerate_locus built counts its own",
     "qpoly.SparsePoly.__hash__": "operator of the public polynomial type",
@@ -38,7 +37,6 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "qpoly.SparsePoly.__rsub__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__sub__": "operator of the public polynomial type",
     "qpoly.SparsePoly.from_int": "constructor of the public polynomial type; arithmetic with an int calls it",
-    "qpoly._q_multinomial": "the cache behind q_multinomial",
     "qpoly.q_multinomial": "public q-analogue that no command calls; the tests' MacMahon reference for the X results",
     "sieving.SievingInstance.size": "library accessor of |X| on an instance; the verifiers count fixed points",
     "suite._bad_cell": "names the first failing row of a suite cell, and every cell passes",

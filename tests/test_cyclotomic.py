@@ -253,6 +253,17 @@ def test_int_and_rational_coordinates_are_equal_and_hash_equal():
     assert len({f5.one, f5.element([RAT(1), 0, 0, 0])}) == 1
 
 
+def test_an_integral_element_hashes_as_the_int_it_equals():
+    for order in (1, 3, 4, 5):
+        field = cyclo_field(order)
+        for n in (0, 1, -2):
+            for element in (field.from_int(n), field.element([RAT(n)] + [0] * (field.degree - 1))):
+                assert element == n and hash(element) == hash(n)
+    assert 1 in {cyclo_field(3).one} and cyclo_field(3).one in {1}
+    assert len({cyclo_field(4).from_int(2), 2}) == 1
+    assert cyclo_field(3).root_power(1) not in {1} and cyclo_field(3).element([RAT(1, 2), 0]) not in {0, 1}
+
+
 def test_repr_prints_each_coordinate_with_str():
     f4 = cyclo_field(4)
     assert repr(f4.root_power(1)) == "CycloElement(L=4, [0, 1])"

@@ -63,8 +63,6 @@ SHARED_BY_PRESENTATIONS_AND_ELIMINATION = {
     "cyclotomic.CycloElement.__bool__": "field element arithmetic",
     "cyclotomic.CycloElement.__eq__": "field element arithmetic",
     "cyclotomic.CycloElement.is_zero": "field element arithmetic",
-    "harmonics.MultiPoly.__init__": "stores a polynomial; it derives no generator",
-    "harmonics.MultiPoly.leading_term": "reads a polynomial's grevlex lead",
     "harmonics.GroebnerBasis.__init__": "stores and checks a basis; it derives no generator",
     "interpolation.PackedMonomials.__init__": "packs exponents into one int for the grevlex order",
     "interpolation.PackedMonomials.pack": "packs exponents into one int for the grevlex order",

@@ -68,14 +68,15 @@ def test_q_multinomial_matches_maj_oracle():
 def test_q_multinomial_part_order_irrelevant():
     assert q_multinomial(5, (3, 2)) == q_multinomial(5, (2, 3))
     assert q_multinomial(6, (3, 2, 1)) == q_multinomial(6, (1, 3, 2))
+    assert len({q_multinomial(6, parts) for parts in itertools.permutations((3, 2, 1, 0))}) == 1
 
 
-def test_q_multinomial_rearrangements_share_one_cache_entry():
-    qpoly._q_multinomial.cache_clear()
-    values = [q_multinomial(6, parts) for parts in itertools.permutations((3, 2, 1, 0))]
-    assert all(v == values[0] for v in values)
-    info = qpoly._q_multinomial.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 23)
+def test_a_constant_hashes_as_the_int_it_equals():
+    for n in (0, 1, 3, -2):
+        assert SparsePoly.from_int(n) == n and hash(SparsePoly.from_int(n)) == hash(n)
+    assert 3 in {SparsePoly.from_int(3)} and SparsePoly.from_int(3) in {3}
+    assert 0 in {SparsePoly.zero()} and len({SparsePoly.one(), 1}) == 1
+    assert SparsePoly.monomial(1) not in {1} and SparsePoly({(0, 1): 1}) not in {1}
 
 
 def test_q_binomial_out_of_range_is_zero():
