@@ -70,7 +70,7 @@ from .interpolation import (
     primitive_roots,
     split_primes,
 )
-from .loci import Action, Locus, act_on_words
+from .loci import Action, Locus, act_on_words, fixed_words
 from .qpoly import SparsePoly
 from .tableaux import partitions
 
@@ -354,8 +354,10 @@ def buchberger(gens: list[Generator]) -> GroebnerBasis:
     Gebauer and Moller, J. Symb. Comput. 6, 1988).  Each other S-polynomial is built
     from the two tails and reduced by ``_reduce``; a nonzero remainder joins the
     basis.  Last, elements whose lead another lead divides are dropped, the other
-    tails reduced.
+    tails reduced.  A zero generator is refused, as ``GroebnerBasis`` refuses it.
     """
+    if not all(gens):
+        raise DomainError("zero polynomial has no leading term")
     e0, c0 = next(iter(gens[0].items()))
     field, nvars = c0.field, len(e0)
     one = field.one
@@ -697,17 +699,19 @@ def graded_frobenius(
     if cached is not None:
         return cached
 
-    n = locus.n
-    words = set(locus.words)
-    for w in locus.words:
-        if w[1:] + w[:1] not in words or (n > 1 and (w[1], w[0]) + w[2:] not in words):
-            raise DomainError("the symmetric group does not preserve the locus")
+    n, codes = locus.n, locus.codes
+    words = set(codes)
+    generators = [Action.position_rotation(n)]
+    if n > 1:
+        generators.append(Action.permutation((1, 0, *range(2, n))))
+    if not all(words.issuperset(act_on_words(g, codes, n)) for g in generators):
+        raise DomainError("the symmetric group does not preserve the locus")
     gb_t = associated_graded(_point_basis(locus, max_points, max_vars))
     traces = {}
     for ct, _ in conjugacy_classes(n):
         perm = _perm_of_cycle_type(ct)
         traces[ct] = graded_character(gb_t, perm)
-        fixed = sum(map(operator.eq, act_on_words(Action.permutation(perm), locus.words, n), locus.words))
+        fixed = fixed_words(perm, codes)
         if sum(traces[ct].terms.values()) != fixed:
             raise InternalCheckError(
                 f"graded traces of class {ct} do not sum to the {fixed} words its permutation fixes"

@@ -76,11 +76,11 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import islice, repeat
+from itertools import islice
 
 from .cyclotomic import cyclo_field
 from .errors import DomainError, InternalCheckError
-from .loci import Action, Locus, act_on_words
+from .loci import Action, Locus, act_on_words, map_letters
 from .rat import RAT
 
 Exponents = tuple[int, ...]
@@ -160,38 +160,31 @@ class PackedMonomials:
 def unit_stable(locus: Locus) -> bool:
     """Whether scaling every letter by each unit u mod k maps the locus to itself.
 
-    Brute force on the words, which all have length n: for each unit, every column
-    of letters is mapped through one letter table and the images are checked
-    against the word set in one pass.  Where it holds, each Galois map zeta ->
-    zeta^u sends I(X) to itself and so fixes its reduced basis, whose coefficients
-    are therefore rational.
+    Brute force on the codes of the locus: for each unit, one ``map_letters`` pass
+    scales every letter and the images are checked against the set of codes.  Where
+    it holds, each Galois map zeta -> zeta^u sends I(X) to itself and so fixes its
+    reduced basis, whose coefficients are therefore rational.
     """
-    kk = locus.k
-    words = set(locus.words)
-    columns = tuple(zip(*locus.words))
-    letters = set().union(*columns)
-    for u in range(2, kk):
-        if math.gcd(u, kk) == 1:
-            table = {x: (u * x - 1) % kk + 1 for x in letters}
-            if not words.issuperset(zip(*map(map, repeat(table.__getitem__), columns))):
-                return False
-    return True
+    kk, codes = locus.k, locus.codes
+    words = set(codes)
+    units = (u for u in range(2, kk) if math.gcd(u, kk) == 1)
+    return all(words.issuperset(map_letters(codes, kk, scale=u)) for u in units)
 
 
 def orbit_representatives(locus: Locus) -> list[tuple[int, ...]]:
-    """Sorted least words of the value-shift orbits; a locus the shift does not
-    preserve is refused.
+    """Sorted least words of the value-shift orbits, as tuples; a locus the shift does
+    not preserve is refused.
 
-    Closure is one pass: every shifted word is a word of the locus.  The shift is free
-    on words of length >= 1, and the first letter of an orbit runs through one residue
-    class mod g = k // scaling_order, so each orbit has exactly one word whose first
-    letter is at most g, and that word is its least.
+    Closure is one pass over the codes: every shifted code is a code of the locus.  The
+    shift is free on words of length >= 1, and the first letter of an orbit runs
+    through one residue class mod g = k // scaling_order, so each orbit has exactly
+    one word whose first letter is at most g, and that word is its least.
     """
-    words = locus.words
-    if not set(words).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), words, locus.n)):
+    codes = locus.codes
+    if not set(codes).issuperset(act_on_words(Action.value_shift(locus.scaling_step, locus.k), codes, locus.n)):
         raise DomainError(f"the value shift by {locus.scaling_step} does not preserve the locus")
     g = locus.k // locus.scaling_order
-    return sorted(w for w in words if w[0] <= g)
+    return sorted(tuple(w) for w in codes if w[0] <= g)
 
 
 # -- arithmetic mod split primes -----------------------------------------------------

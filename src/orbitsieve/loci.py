@@ -6,20 +6,24 @@ position permutations.  Five families exist: all words (X), words with distinct 
 (springer).  Orbit sets quotient a locus by one of the three position subgroups and
 carry the induced value-shift action on canonical labels.
 
+Every bulk pass reads a locus' ``codes`` (``Code``): its words as byte strings, or as
+word tuples over an alphabet above 255 letters.  Codes are compared only with codes;
+the passes slice both kinds alike, and only a letter map and a permuted word tell them
+apart.  The tuple ``words`` are the public form.
+
 Every locus ``enumerate_locus`` builds knows its parameters: it counts its size from
-them, and builds its word tuples, in lex order, only when ``words`` is first read;
-they then pass the word check every locus passes.  On a built locus the orbit labels
-under Sn, and under Cn off tanisaki, are generated from the parameters, each with the
-least word of its orbit, so no word is read.  On the built X cube (``_is_cube``: built,
-and of family X) the Hr labels are generated too, and the value shift and the rotation
-permute word indices by base-k digit arithmetic (``cube_index_permutations``).  Any
-other locus is checked once, when it is made: n, k >= 1, and distinct words of length
-n over 1..k.  A locus handed the words of a built locus passes that check but is not
-built: it takes the general paths, with the same results.  On those the per-word
-passes stay at C level: a value shift maps letters through a cached table, and
-``act_on_words`` moves a whole list of words in such passes.  Necklace and
-pair-multiset labels are read in bulk too; only a locus built in Python reads content
-labels (orbits under Sn), each through ``canonical_form``.
+them, and builds its codes, in lex order, only when first read; they then pass the
+word check every locus passes, and its ``words`` are read off them only when read.  On
+a built locus the orbit labels under Sn, and under Cn off tanisaki, are generated from
+the parameters, each with the least word of its orbit, so no word is read.  On the
+built X cube (``_is_cube``: built, and of family X) the Hr labels are generated too,
+and the value shift and the rotation permute word indices by base-k digit arithmetic
+(``cube_index_permutations``).  Any other locus is checked once, when it is made: n,
+k >= 1, and distinct words of length n over 1..k; its codes are encoded from its words
+once, when first read.  A locus handed the words of a built locus passes that check
+but is not built: it takes the general paths, with the same results.  On those the
+per-word passes stay at C level: ``act_on_words`` moves a whole list of codes, and the
+orbit labels of codes are read in bulk (``_labels``).
 
 Within ``_shared_loci`` (the suite runs in it), ``enumerate_locus`` builds each
 completed parameter set once and returns that same ``Locus`` to every later call; the
@@ -34,14 +38,18 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterator, Sequence
 
 from .characters import check_subgroup
 from .errors import DomainError
-from .tableaux import Word, content_of_word, multiset_permutations
+from .tableaux import Word, multiset_permutations
 
 FAMILIES = ("X", "Y", "Z", "tanisaki", "springer")
+
+# A word as the bulk passes read it: one byte per letter, or the word tuple itself
+# over an alphabet above 255 letters.
+Code = bytes | Word
 
 
 def symmetry_steps(mu: tuple[int, ...]) -> list[int]:
@@ -56,7 +64,7 @@ class Locus:
 
     The constructor is the one check of the locus, in C-level passes: n and k are at
     least 1, every word has length n and letters in 1..k (``_check_words``, which a
-    built locus runs on its words when it builds them), no word is listed twice, and
+    built locus runs on its codes when it builds them), no word is listed twice, and
     a tanisaki locus names its step a.  Every path after it relies on that.  A locus
     compares and hashes by identity, so the harmonics memos keep each result exactly
     as long as its locus.
@@ -75,6 +83,11 @@ class Locus:
         if self.family == "tanisaki" and self.a is None:
             raise DomainError("a tanisaki locus needs its value-shift step a")
         _check_words(self.words, self.n, self.k)
+
+    @cached_property
+    def codes(self) -> tuple[Code, ...]:
+        """The words as the bulk passes read them (``Code``), encoded once, when first read."""
+        return tuple(map(_word_type(self.k), self.words))
 
     @property
     def size(self) -> int:
@@ -108,29 +121,35 @@ class _Built(Locus):
     """A locus ``enumerate_locus`` built from its completed parameters.
 
     Its ``size`` is counted from them: k^n, k!/(k-n)!, k! S(n, k) by inclusion-exclusion,
-    the multinomial of mu, or n!.  It holds no word until ``words`` is first read; its
-    word tuples are then built in lex order, once, and pass the word check of the
-    constructor.  Only Y with k < n and Z with k > n hold no word (``infeasible``).
+    the multinomial of mu, or n!.  It holds no word until ``codes`` or ``words`` is
+    first read; its codes are then built in lex order, once, and pass the word check of
+    the constructor, and its word tuples are read off them once, when ``words`` is
+    first read.  Only Y with k < n and Z with k > n hold no word (``infeasible``).
     """
 
     def __init__(self, family: str, n: int, k: int, mu: tuple[int, ...] | None, a: int | None):
         vars(self).update(family=family, n=n, k=k, mu=mu, a=a)
 
     @cached_property
-    def words(self) -> tuple[Word, ...]:
+    def codes(self) -> tuple[Code, ...]:
         family, n, letters = self.family, self.n, range(1, self.k + 1)
         if self.infeasible:
             words = ()
         elif family == "X":
-            words = tuple(product(letters, repeat=n))
+            words = product(letters, repeat=n)
         elif family in ("Y", "springer"):
-            words = tuple(permutations(letters, n))  # of an ascending range: lex order
+            words = permutations(letters, n)  # of an ascending range: lex order
         elif family == "Z":
-            words = tuple(filter(frozenset(letters).issubset, product(letters, repeat=n)))
+            words = filter(frozenset(letters).issubset, product(letters, repeat=n))
         else:
-            words = tuple(multiset_permutations(self.mu))  # already in lex order
-        _check_words(words, n, self.k)
-        return words
+            words = multiset_permutations(self.mu)  # already in lex order
+        codes = tuple(map(_word_type(self.k), words))
+        _check_words(codes, n, self.k)
+        return codes
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.codes))
 
     @cached_property
     def size(self) -> int:
@@ -146,9 +165,14 @@ class _Built(Locus):
         return math.factorial(n)
 
 
-def _check_words(words: tuple[Word, ...], n: int, k: int) -> None:
+def _word_type(k: int) -> type:
+    """The type of the codes over 1..k: bytes, or tuple if a byte cannot hold k."""
+    return bytes if k < 256 else tuple
+
+
+def _check_words(words: Sequence[Code], n: int, k: int) -> None:
     """Refuse a word whose length is not n, a letter outside 1..k and a word listed
-    twice, in C-level passes: the check of the words of every locus."""
+    twice, in C-level passes: the check of the words of every locus, tuples or codes."""
     if not set(map(len, words)) <= {n}:
         raise DomainError(f"every word must have length n={n}")
     alphabet = range(1, k + 1)
@@ -317,35 +341,61 @@ class Action:
         return order
 
 
-def act_on_words(action: Action, words: Sequence[Word], n: int) -> Iterator[Word]:
-    """The image of every word of length n under the action, in order, streamed from
-    C-level passes: a value shift maps each column of letters through one table, a
-    rotation or permutation reads every word through one ``itemgetter``.  A letter
-    outside a value shift's alphabet raises KeyError."""
+def act_on_words(action: Action, words: Sequence[Code], n: int) -> Iterator[Code]:
+    """The image of every word of length n under the action, in order and of the same
+    kind (codes or tuples), streamed from C-level passes: a value shift is one
+    ``map_letters`` pass, a rotation two slices and a concatenation per word, and a
+    permutation one ``itemgetter`` per word, whose letters a byte word re-encodes."""
     if action.kind == "value_shift":
-        table = _shift_table(action.step % action.modulus, action.modulus)
-        return zip(*map(map, repeat(table.__getitem__), zip(*words)))
+        return map_letters(words, action.modulus, shift=action.step)
     if action.kind == "position_rotation":
         r = action.step % n
-        return _read_positions(iter(words), (*range(r, n), *range(r)))
+        return map(add, map(itemgetter(slice(r, None)), words), map(itemgetter(slice(r)), words))
     if action.kind == "permutation":
         if len(action.perm) != n:
             raise DomainError("permutation length does not match the word")
-        return _read_positions(iter(words), action.perm)
+        if action.perm == tuple(range(n)):
+            return iter(words)
+        images = map(itemgetter(*action.perm), words)
+        return map(bytes, images) if words and isinstance(words[0], bytes) else images
     raise DomainError(f"unknown action kind {action.kind!r}")
 
 
-def _read_positions(images: Iterator[Word], positions: tuple[int, ...]) -> Iterator[Word]:
-    """Each word read at the given positions; the identity (n = 1 included) reads nothing."""
-    if positions == tuple(range(len(positions))):
-        return images
-    return map(itemgetter(*positions), images)
+def map_letters(words: Sequence[Code], k: int, scale: int = 1, shift: int = 0) -> Iterator[Code]:
+    """Every word with each letter x replaced by (scale x + shift - 1) mod k + 1: a value
+    shift, or a scaling by a unit.  A byte word is one ``bytes.translate`` through a
+    cached table, which keeps a byte outside 1..k; tuple words map each column of
+    letters through the same images, and a letter outside 1..k raises KeyError."""
+    images, table = _letter_tables(k, scale % k, shift % k)
+    if words and isinstance(words[0], bytes):
+        return map(bytes.translate, words, repeat(table))
+    return zip(*map(map, repeat(images.__getitem__), zip(*words)))
 
 
 @lru_cache(maxsize=None)
-def _shift_table(shift: int, k: int) -> dict[int, int]:
-    """Image of each letter 1..k under the value shift by `shift` (mod k)."""
-    return {x: (x - 1 + shift) % k + 1 for x in range(1, k + 1)}
+def _letter_tables(k: int, scale: int, shift: int) -> tuple[dict[int, int], bytes | None]:
+    """The image of each letter 1..k under x -> scale x + shift (mod k), and the
+    ``bytes.translate`` table of those images if a byte holds k."""
+    images = {x: (scale * x + shift - 1) % k + 1 for x in range(1, k + 1)}
+    return images, bytes.maketrans(bytes(images), bytes(images.values())) if k < 256 else None
+
+
+def fixed_words(perm: tuple[int, ...], words: Sequence[Code]) -> int:
+    """How many of the words (codes or tuples) the position permutation fixes.
+
+    A word is fixed when it is constant on every cycle, so no word is moved: the
+    letters at each cycle's first position are compared with those at its other
+    positions, one ``itemgetter`` on each side per word.
+    """
+    heads, others = [], []
+    for i, j in enumerate(perm):
+        while j != i and i not in others:
+            heads.append(i)
+            others.append(j)
+            j = perm[j]
+    if not heads:
+        return len(words)
+    return sum(map(eq, map(itemgetter(*heads), words), map(itemgetter(*others), words)))
 
 
 # -- the cube --------------------------------------------------------------------------
@@ -392,40 +442,38 @@ def cube_index_permutations(locus: Locus, actions: Sequence[Action]) -> list[lis
 # -- orbit sets --------------------------------------------------------------------------
 
 
-def canonical_form(w: Word, group: str, k: int):
-    """Canonical label of the orbit of w under the position subgroup.
+def _labels(words: Sequence[Code], group: str, k: int, n: int) -> Iterator:
+    """The orbit label under the group of every word of length n over 1..k, in order,
+    in C-level passes over the words (codes or tuples).
 
-    Sn: the content vector.  Cn: the lexicographically least rotation.  Hr: the multiset
-    of unordered letter pairs read off consecutive disjoint position pairs.
+    An Sn label counts each letter, one ``count`` pass per letter; a Cn label is the
+    least of the word and the other n - 1 length-n slices of the doubled word (a word
+    of length 1 is its own label); an Hr label sorts the (min, max) letter pairs of
+    consecutive positions.
     """
-    check_subgroup(group, len(w))
+    if not words:
+        return iter(())
     if group == "Sn":
-        return content_of_word(w, k)
+        count = type(words[0]).count
+        return zip(*(map(count, words, repeat(x)) for x in range(1, k + 1)))
+    if group == "Cn" and n == 1:
+        return iter(words)
     if group == "Cn":
-        return min(w[i:] + w[:i] for i in range(len(w)))
-    pairs = [tuple(sorted((w[2 * i], w[2 * i + 1]))) for i in range(len(w) // 2)]
-    return tuple(sorted(pairs))
-
-
-def _labels(words: Sequence[Word], group: str, k: int, n: int) -> Iterator:
-    """``canonical_form(w, group, k)`` for every w of length n, in order.
-
-    For n >= 2, a Cn label is the least of the n rotations, each read by one
-    ``itemgetter``, and an Hr label sorts the (min, max) letter pairs of consecutive
-    positions; each is a C-level pass over the words.
-    """
-    if group == "Cn" and n > 1:
-        return map(min, words, *(map(itemgetter(*range(j, n), *range(j)), words) for j in range(1, n)))
-    if group == "Hr" and n > 1 and n % 2 == 0:
-        pairs = [itemgetter(i, i + 1) for i in range(0, n, 2)]
-        columns = (zip(map(min, map(pair, words)), map(max, map(pair, words))) for pair in pairs)
-        return map(tuple, map(sorted, zip(*columns)))
-    return map(canonical_form, words, repeat(group), repeat(k))
+        doubled = list(map(add, words, words))
+        return map(min, words, *(map(itemgetter(slice(j, j + n)), doubled) for j in range(1, n)))
+    pairs = [itemgetter(i, i + 1) for i in range(0, n, 2)]
+    columns = (zip(map(min, map(pair, words)), map(max, map(pair, words))) for pair in pairs)
+    return map(tuple, map(sorted, zip(*columns)))
 
 
 @dataclass(frozen=True)
 class OrbitSet:
-    """Orbit labels of a locus under a position subgroup, with orbit representatives."""
+    """Orbit labels of a locus under a position subgroup, with orbit representatives.
+
+    An Sn label is the content vector (the count of each letter 1..k), a Cn label the
+    least rotation, a code, and an Hr label the sorted tuple of the (min, max) letter
+    pairs at positions (0, 1), (2, 3), ...  Each representative is a code.
+    """
 
     group: str
     n: int
@@ -441,19 +489,24 @@ class OrbitSet:
         """Index of each label's image under the value shift; checks closure, and refuses
         a hand-built orbit set that the shift does not preserve.
 
-        Every representative is shifted in one ``act_on_words`` pass and relabelled in bulk.
+        The shift by s moves each count of a content vector s places on, so an Sn label
+        is rotated as it stands.  Under Cn and Hr every representative is shifted in one
+        ``act_on_words`` pass and relabelled in bulk (``_labels``).
         """
         position = dict(zip(self.labels, range(len(self.labels))))
+        s = shift % self.k
         try:
+            if self.group == "Sn":
+                return [position[label[-s:] + label[:-s]] for label in self.labels]
             reps = list(map(self._reps.__getitem__, self.labels))
-            shifted = list(act_on_words(Action.value_shift(shift % self.k, self.k), reps, self.n))
+            shifted = list(act_on_words(Action.value_shift(s, self.k), reps, self.n))
             return list(map(position.__getitem__, _labels(shifted, self.group, self.k, self.n)))
         except KeyError:
             raise DomainError(f"the value shift by {shift % self.k} does not preserve the orbit set") from None
 
 
-def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:
-    """The necklace labels of the cube {1..k}^n, generated in lex order.
+def _generated_necklace_labels(n: int, k: int) -> tuple[Code, ...]:
+    """The necklace labels of the cube {1..k}^n, generated in lex order as codes.
 
     Prenecklaces of length n over 1..k come in lex order by the iterative
     Fredricksen-Kessler-Maiorana step: raise the last letter below k and repeat the
@@ -461,11 +514,11 @@ def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:
     exactly when its length p divides n.  A necklace is the least word of its orbit,
     so it is its own first-met representative; no word of the locus is read.
     """
-    labels = []
+    labels, code = [], _word_type(k)
     a, p = [1] * n, 1
     while True:
         if n % p == 0:
-            labels.append(tuple(a))
+            labels.append(code(a))
         i = n - 1
         while i >= 0 and a[i] == k:
             i -= 1
@@ -477,15 +530,15 @@ def _generated_necklace_labels(n: int, k: int) -> tuple[Word, ...]:
 
 
 def _generated_representatives(locus: Locus, group: str) -> dict | None:
-    """Each orbit label of a built locus with its least word, generated from the
-    parameters (an infeasible locus has none); None where the labels are read instead:
-    tanisaki under Cn, and every family but X under Hr.
+    """Each orbit label of a built locus with the code of its least word, generated
+    from the parameters (an infeasible locus has none); None where the labels are read
+    instead: tanisaki under Cn, and every family but X under Hr.
 
     Sn: the non-decreasing words, labelled by their content vectors.  Cn: the
     necklaces, each its own label; on Y and springer (distinct letters) the least
     letter first, then each arrangement of the rest.
     """
-    family, n, letters = locus.family, locus.n, range(1, locus.k + 1)
+    family, n, letters, code = locus.family, locus.n, range(1, locus.k + 1), _word_type(locus.k)
     if locus.infeasible:
         return {}
     if group == "Sn":
@@ -497,7 +550,7 @@ def _generated_representatives(locus: Locus, group: str) -> dict | None:
             firsts = [tuple(chain.from_iterable(map(repeat, letters, locus.mu)))]
         else:
             firsts = combinations(letters, n)
-        return {tuple(map(w.count, letters)): w for w in firsts}
+        return {tuple(map(w.count, letters)): code(w) for w in firsts}
     if group == "Cn":
         if family == "X":
             necklaces = _generated_necklace_labels(n, locus.k)
@@ -506,28 +559,29 @@ def _generated_representatives(locus: Locus, group: str) -> dict | None:
         elif family == "tanisaki":
             return None
         else:
-            necklaces = ((least, *rest) for least, *others in combinations(letters, n) for rest in permutations(others))
+            firsts = combinations(letters, n)
+            necklaces = (code((least, *rest)) for least, *others in firsts for rest in permutations(others))
         return {w: w for w in necklaces}
     if family != "X":
         return None
     pairs = combinations_with_replacement(tuple(combinations_with_replacement(letters, 2)), n // 2)
-    return {label: tuple(chain.from_iterable(label)) for label in pairs}
+    return {label: code(chain.from_iterable(label)) for label in pairs}
 
 
 def orbit_set(locus: Locus, group: str) -> OrbitSet:
-    """Orbit labels of the locus under Sn, Cn or Hr, each with its first word in locus order.
+    """Orbit labels of the locus under Sn, Cn or Hr, each with the code of its first
+    word in locus order.
 
     On a locus ``enumerate_locus`` built, the labels and the first word of each orbit,
     the least of its orbit, are generated from the parameters under Sn, under Cn off
     tanisaki and, on the X cube, under Hr (``_generated_representatives``), so no word
     is built.  Any other locus, one handed the words of a built locus included, is
-    read: each label is the word's canonical form, read in bulk (``_labels``; an Sn
-    label is the content vector that ``canonical_form`` reads off each word).  Each
-    gives the labels and representatives of a word-by-word walk.
+    read: the labels of its codes are read in bulk (``_labels``).  Each gives the
+    labels and representatives of a word-by-word walk over the codes.
     """
     check_subgroup(group, locus.n)
     reps = _generated_representatives(locus, group) if isinstance(locus, _Built) else None
     if reps is None:
-        backwards = locus.words[::-1]  # so that each label keeps its first word
+        backwards = locus.codes[::-1]  # so that each label keeps its first word
         reps = dict(zip(_labels(backwards, group, locus.k, locus.n), backwards))
     return OrbitSet(group, locus.n, locus.k, tuple(sorted(reps)), reps)

@@ -9,10 +9,12 @@ fixed points are counted on the set and compared with the cyclotomic evaluation 
 polynomial, with no numerical tolerance anywhere.  Each generator's image of every
 element of the set is computed once, which turns the generator into a permutation of
 indices and checks that the set is closed under it (a generator is injective, so
-closure under the generators is closure under the group).  On the cube {1..k}^n that
-``enumerate_locus`` builds, under the value shift and the rotation, both permutations
-come from base-k digit arithmetic instead (``loci.cube_index_permutations``): the
-cube is closed under both, and no word is built.  Nor is one for an orbit grid whose
+closure under the generators is closure under the group).  A word grid moves the
+locus' codes, its words as byte strings (``loci``), and looks each image up among
+them; no word tuple is built.  On the cube {1..k}^n that ``enumerate_locus`` builds,
+under the value shift and the rotation, both permutations come from base-k digit
+arithmetic instead (``loci.cube_index_permutations``): the cube is closed under both,
+and no word is built.  Nor is one for an orbit grid whose
 labels ``loci.orbit_set`` generates from the parameters of a built locus: under Sn,
 and under Cn off tanisaki.  Each orbit of the group is then walked once and its
 stabilizer read off: a group element fixes exactly the points of the orbits whose
@@ -284,8 +286,9 @@ def word_bicsp_instance(
 
     The value side is always the canonical shift preserving the locus; callers choose
     the position side (the long rotation for the standard grids, other permutations
-    for ad hoc checks).  Each generator moves every word once (``act_on_words``), on
-    the first count, and becomes a permutation of word indices; closure under both
+    for ad hoc checks).  Each generator moves every code of the locus once
+    (``act_on_words``), on the first count, and becomes a permutation of word indices
+    by one dictionary lookup per image; closure under both
     generators is closure under every element, as they are injective, and a locus that
     either generator does not preserve is refused.  On a cube under a rotation the
     permutations are computed from the indices alone.
@@ -301,7 +304,7 @@ def word_bicsp_instance(
         arithmetic = cube_index_permutations(locus, (shift, position_action))
         if arithmetic is not None:
             return tuple(arithmetic)
-        words, n = locus.words, locus.n
+        words, n = locus.codes, locus.n
         index = dict(zip(words, range(len(words))))
         out = []
         names = (f"value shift by {locus.scaling_step}", t_label.replace("-", " "))
@@ -399,9 +402,9 @@ def verify_bicsp(inst: SievingInstance) -> Report:
 def verify_family(family: str, n=None, k=None, mu=None, a=None) -> Report:
     """Build the instance for a named result and run the matching verifier.
 
-    Cyclic GC is paused meanwhile, then restored: the word tuples, index dicts,
-    index permutations and count table made here form no cycles, and the few
-    cycles made meanwhile wait for the next collection.
+    Cyclic GC is paused meanwhile, then restored: the codes, index dicts, index
+    permutations and count table made here form no cycles, and the few cycles made
+    meanwhile wait for the next collection.
     """
     enabled = gc.isenabled()
     gc.disable()

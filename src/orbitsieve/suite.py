@@ -20,7 +20,6 @@ dropped when it ends, raised or not, and the memo entries go with them.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .characters import subgroup_elements
 from .cyclotomic import cyclo_field, cyclotomic_polynomial
 from .errors import DomainError
 from .harmonics import DEFAULT_MAX_POINTS, graded_frobenius, verify_presentation
-from .loci import Action, _shared_loci, act_on_words, enumerate_locus, orbit_set, symmetry_steps
+from .loci import _shared_loci, enumerate_locus, fixed_words, orbit_set, symmetry_steps
 from .qpoly import SparsePoly
 from .sieving import _FAMILIES, closed_frobenius, oracle_csp_poly, sieving_polynomial, verify_family
 from .tableaux import (
@@ -260,7 +259,7 @@ def _crit_properties(max_n, max_k):
             if not (total.is_integer() and total.as_int() == expected_sum):
                 return False, f"power sum at L={level} m={m} is not {expected_sum}"
         checks += 1
-    # Burnside counts orbits word by word: on every X, Y and Z with n, k <= 4 it
+    # Burnside counts the words each element fixes: on every X, Y and Z with n, k <= 4 it
     # cross-checks the labels orbit_set generates from the parameters (Sn, Cn, and Hr
     # on the cube) and the Hr labels it reads off the words of Y and Z.
     for n in range(1, _cap(4, max_n) + 1):
@@ -270,9 +269,7 @@ def _crit_properties(max_n, max_k):
                 groups = ["Sn", "Cn"] + (["Hr"] if n % 2 == 0 else [])
                 for group in groups:
                     elements = subgroup_elements(group, n)
-                    words = locus.words
-                    images = (act_on_words(Action.permutation(perm), words, n) for perm in elements)
-                    total = sum(sum(map(operator.eq, moved, words)) for moved in images)
+                    total = sum(fixed_words(perm, locus.codes) for perm in elements)
                     if total % len(elements):
                         return False, f"Burnside sum not divisible for {family} n={n} k={k} {group}"
                     if total // len(elements) != orbit_set(locus, group).size:

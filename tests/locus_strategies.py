@@ -1,8 +1,10 @@
-"""Hypothesis strategies for small loci, the tuple-built twin of a locus, and the image
-of one word under an action, shared by the test modules."""
+"""Hypothesis strategies for small loci, the tuple-built twin of a locus, the image of
+one word under an action and the canonical label of its orbit, shared by the test
+modules."""
 
 from hypothesis import strategies as st
 
+from orbitsieve.characters import check_subgroup
 from orbitsieve.loci import Action, Locus
 
 
@@ -36,3 +38,28 @@ def image_of(action: Action, w: tuple[int, ...]) -> tuple[int, ...]:
         r = action.step % len(w)
         return w[r:] + w[:r]
     return tuple(w[i] for i in action.perm)
+
+
+def canonical_form(w, group: str, k: int):
+    """Canonical label of the orbit of the word w (a tuple, or a code) under the position
+    subgroup, letter by letter: the reference for the labels ``loci.orbit_set`` reads in
+    bulk.  Sn: the content vector.  Cn: the least rotation, of w's kind.  Hr: the multiset
+    of unordered letter pairs read off consecutive disjoint position pairs."""
+    check_subgroup(group, len(w))
+    if group == "Sn":
+        return tuple(sum(x == letter for x in w) for letter in range(1, k + 1))
+    if group == "Cn":
+        return min(w[i:] + w[:i] for i in range(len(w)))
+    return tuple(sorted(tuple(sorted((w[i], w[i + 1]))) for i in range(0, len(w), 2)))
+
+
+def tuple_label(group: str, label):
+    """An orbit label read back as ``canonical_form`` gives it on word tuples: a Cn
+    label is a code."""
+    return tuple(label) if group == "Cn" else label
+
+
+def read_back(orbits):
+    """The labels of an orbit set and its representative of each, read back as tuples."""
+    labels = tuple(tuple_label(orbits.group, label) for label in orbits.labels)
+    return labels, {tuple_label(orbits.group, label): tuple(w) for label, w in orbits._reps.items()}

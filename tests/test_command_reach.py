@@ -29,6 +29,7 @@ NOT_RUN_BY_THE_GOLDEN_CASES = {
     "cyclotomic.CycloField.__repr__": "interactive display",
     "harmonics.GroebnerBasis.__repr__": "interactive display",
     "loci.Locus.__post_init__": "checks a locus built in Python; every command builds its loci with enumerate_locus",
+    "loci.Locus.codes": "encodes the words of a locus built in Python; a built locus builds its own",
     "loci.Locus.size": "|X| of a locus built in Python; one enumerate_locus built counts its own",
     "qpoly.SparsePoly.__hash__": "operator of the public polynomial type",
     "qpoly.SparsePoly.__neg__": "operator of the public polynomial type",

@@ -117,7 +117,7 @@ def test_every_internal_check_fires_in_a_test():
 
 
 def test_every_domain_error_of_harmonics_fires_in_a_test():
-    assert unraised([SOURCE / "harmonics.py"], "DomainError", least=11) == []
+    assert unraised([SOURCE / "harmonics.py"], "DomainError", least=12) == []
 
 
 def test_every_domain_error_of_sieving_fires_in_a_test():

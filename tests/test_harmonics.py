@@ -14,6 +14,7 @@ Q(zeta_k).
 """
 
 import ast
+import math
 import pathlib
 import re
 import sys
@@ -424,6 +425,16 @@ class TestModularElimination:
         counts.clear()
         assert vanishing_ideal(locus) == one_root
         assert set(counts) == {cyclo_field(locus.k).degree}
+
+    @pytest.mark.parametrize("family,n,k,mu", STOCK_LOCI)
+    def test_built_loci_scale_as_their_tuple_built_twins(self, family, n, k, mu):
+        # X, Y, Z and springer are unit-stable, and so is a tanisaki locus exactly
+        # when scaling by each unit permutes its content.
+        locus = enumerate_locus(family, n, k, mu=mu)
+        kk = locus.k
+        units = [u for u in range(2, kk) if math.gcd(u, kk) == 1]
+        stable = family != "tanisaki" or all(mu[u * x % kk - 1] == mu[x - 1] for u in units for x in range(1, kk + 1))
+        assert interpolation.unit_stable(locus) == interpolation.unit_stable(tuple_built(locus)) == stable
 
     @pytest.mark.parametrize("n,mu", NON_UNIT_STABLE_LOCI)
     def test_non_stable_loci_take_every_root(self, n, mu, monkeypatch):
@@ -1047,6 +1058,12 @@ def counted(function, calls: list, name: str):
 
 
 class TestBuchberger:
+    def test_a_zero_generator_is_refused(self):
+        one = cyclo_field(1).one
+        for gens in ([{}], [{(1, 0): one}, {}]):
+            with pytest.raises(DomainError, match="^zero polynomial has no leading term$"):
+                buchberger(gens)
+
     def test_monomial_ideal_idempotent(self):
         field = cyclo_field(1)
         gens = [{(2, 0): field.one}, {(0, 2): field.one}]

@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 from orbitsieve import harmonics, loci, sieving
 from orbitsieve.characters import subgroup_elements
 from orbitsieve.errors import DomainError
-from locus_strategies import image_of, shift_stable_loci, tuple_built
+from locus_strategies import canonical_form, image_of, read_back, shift_stable_loci, tuple_built, tuple_label
 from orbitsieve.loci import (
     Action,
     Locus,
     OrbitSet,
     act_on_words,
-    canonical_form,
     enumerate_locus,
     orbit_set,
 )
@@ -141,8 +140,6 @@ class TestEnumeration:
         (lambda: Action.position_rotation(0), "rotation needs n >= 1"),
         (lambda: Action.permutation((0, 0, 1)), "perm must be a permutation of 0..n-1"),
         (lambda: act_on_words(Action("spin"), [(1, 2), (2, 1)], 2), "unknown action kind 'spin'"),
-        (lambda: canonical_form((1, 2), "Dn", 2), "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')"),
-        (lambda: canonical_form((1, 2, 1), "Hr", 2), "matching stabilizer needs even n"),
         (
             lambda: orbit_set(enumerate_locus("X", 2, 2), "Dn"),
             "unknown subgroup 'Dn'; expected one of ('Sn', 'Cn', 'Hr')",
@@ -302,9 +299,10 @@ class TestBuiltLoci:
         groups = ("Sn", "Cn", "Hr") if built.n % 2 == 0 else ("Sn", "Cn")
         orbits = {group: orbit_set(built, group) for group in groups}
         size = built.size
-        # Only a read label path builds words: tanisaki under Cn, a nonempty locus off X under Hr.
+        # Only a read label path builds codes (tanisaki under Cn, a nonempty locus off X
+        # under Hr), and none builds word tuples.
         read = "Hr" in groups and family != "X" and size or family == "tanisaki"
-        assert ("words" in vars(built)) == bool(read)
+        assert ("codes" in vars(built)) == bool(read) and "words" not in vars(built)
         twin = tuple_built(built)
         assert size == len(built.words) == twin.size
         assert_same_locus(built, twin)
@@ -331,7 +329,7 @@ class TestBuiltLoci:
     def test_counting_builds_no_word(self):
         for family, n, k, mu, a in BUILT_PARAMETERS + [("X", 40, 4, None, None), ("Z", 30, 20, None, None)]:
             locus = enumerate_locus(family, n, k, mu=mu, a=a)
-            assert locus.size >= 0 and "words" not in vars(locus)
+            assert locus.size >= 0 and "words" not in vars(locus) and "codes" not in vars(locus)
         assert enumerate_locus("X", 40, 4).size == 4**40
 
 
@@ -422,6 +420,14 @@ class TestBulkActions:
         for action in actions + [Action.permutation(tuple(range(n))[::-1])]:
             assert list(act_on_words(action, words, n)) == word_by_word(action, words)
 
+    @settings(max_examples=100, deadline=None)
+    @given(shift_stable_loci(), st.data())
+    def test_code_images_read_back_as_the_word_by_word_images(self, locus, data):
+        for action in actions_on(locus, data):
+            images = list(act_on_words(action, locus.codes, locus.n))
+            assert all(type(image) is bytes for image in images)
+            assert list(map(tuple, images)) == word_by_word(action, locus.words)
+
     def test_wrong_permutation_length_rejected(self):
         words = [(1, 2, 3), (3, 1, 2)]
         for perm in ((1, 0), (1, 0, 3, 2)):
@@ -493,9 +499,9 @@ class TestOrbitSets:
 
     def test_induced_shift_action(self):
         orbits = orbit_set(enumerate_locus("X", 2, 2), "Cn")
-        assert orbits.labels == ((1, 1), (1, 2), (2, 2))
-        assert shifted_label(orbits, (1, 1), 1) == (2, 2)
-        assert shifted_label(orbits, (1, 2), 1) == (1, 2)
+        assert orbits.labels == (b"\x01\x01", b"\x01\x02", b"\x02\x02")
+        assert shifted_label(orbits, b"\x01\x01", 1) == (2, 2)
+        assert shifted_label(orbits, b"\x01\x02", 1) == (1, 2)
         assert fixed_points(orbits.shift_permutation(1)) == 1
         assert fixed_points(orbits.shift_permutation(2)) == 3
 
@@ -503,18 +509,18 @@ class TestOrbitSets:
         locus = enumerate_locus("X", 4, 3)
         for group in ("Sn", "Cn", "Hr"):
             orbits = orbit_set(locus, group)
-            for w in locus.words:
-                label = canonical_form(w, group, 3)
+            for w, code in zip(locus.words, locus.codes):
                 shifted = tuple(x % 3 + 1 for x in w)
-                assert canonical_form(shifted, group, 3) == shifted_label(orbits, label, 1)
+                assert canonical_form(shifted, group, 3) == shifted_label(orbits, canonical_form(code, group, 3), 1)
 
     def test_shift_permutation(self):
         orbits = orbit_set(enumerate_locus("X", 2, 2), "Cn")
         assert orbits.shift_permutation(1) == [2, 1, 0]
         assert orbits.shift_permutation(0) == orbits.shift_permutation(2) == [0, 1, 2]
 
-    def test_labels_not_closed_under_the_shift_rejected(self):
-        orbits = OrbitSet("Cn", 2, 2, ((1, 1),), {(1, 1): (1, 1)})
+    @pytest.mark.parametrize("group,label", [("Cn", (1, 1)), ("Sn", (2, 0))])
+    def test_labels_not_closed_under_the_shift_rejected(self, group, label):
+        orbits = OrbitSet(group, 2, 2, (label,), {label: (1, 1)})
         assert fixed_points(orbits.shift_permutation(0)) == 1
         with pytest.raises(DomainError, match="^the value shift by 1 does not preserve the orbit set$"):
             orbits.shift_permutation(1)
@@ -525,7 +531,8 @@ class TestOrbitSets:
 
 
 def shifted_label(orbits, label, shift):
-    """Reference: the label of the orbit after shifting every value of its representative."""
+    """Reference: the label of the orbit after shifting every value of its representative,
+    read back as a tuple."""
     shifted = image_of(Action.value_shift(shift % orbits.k, orbits.k), orbits._reps[label])
     return canonical_form(shifted, orbits.group, orbits.k)
 
@@ -539,10 +546,7 @@ def canonical_walk(locus, group):
 
 
 def assert_labels_match_the_walk(locus, group="Cn"):
-    labels, reps = canonical_walk(locus, group)
-    orbits = orbit_set(locus, group)
-    assert orbits.labels == labels
-    assert orbits._reps == reps
+    assert read_back(orbit_set(locus, group)) == canonical_walk(locus, group)
 
 
 @st.composite
@@ -568,6 +572,14 @@ def hand_built_word_tuples(draw):
     return Locus("X", n, k, tuple(words))
 
 
+@settings(max_examples=100, deadline=None)
+@given(hand_built_word_tuples(), st.data())
+def test_fixed_words_count_the_words_a_permutation_fixes(locus, data):
+    perm = tuple(data.draw(st.permutations(range(locus.n))))
+    fixed = sum(image_of(Action.permutation(perm), w) == w for w in locus.words)
+    assert loci.fixed_words(perm, locus.codes) == loci.fixed_words(perm, locus.words) == fixed
+
+
 class TestNecklaceLabels:
     """Necklace labels, generated on the cube and read in bulk elsewhere, against the
     canonical-form walk."""
@@ -587,13 +599,13 @@ class TestNecklaceLabels:
     def test_missing_rotation_replaced_by_a_foreign_word(self):
         # (2, 1) is missing and (3, 2) stands in for it: not closed under rotation.
         locus = Locus("X", 2, 3, ((1, 2), (3, 2)))
-        assert orbit_set(locus, "Cn").labels == ((1, 2), (2, 3))
+        assert read_back(orbit_set(locus, "Cn"))[0] == ((1, 2), (2, 3))
         assert_labels_match_the_walk(locus)
 
     def test_unsorted_words_take_the_walk(self, monkeypatch):
         unsorted = Locus("X", 2, 2, ((2, 1), (1, 1), (1, 2), (2, 2)))
         assert word_paths_taken(unsorted, "Cn", monkeypatch) == {"_labels"}
-        assert orbit_set(unsorted, "Cn")._reps[(1, 2)] == (2, 1)
+        assert orbit_set(unsorted, "Cn")._reps[b"\x01\x02"] == b"\x02\x01"
 
     @settings(max_examples=150, deadline=None)
     @given(hand_built_word_tuples())
@@ -623,8 +635,7 @@ def word_paths_taken(locus, group, monkeypatch):
     calls = {name: spy_on(monkeypatch, name) for name in ("sorted", "_labels")}
     orbits = orbit_set(locus, group)
     monkeypatch.undo()
-    assert orbits.labels == labels
-    assert orbits._reps == reps
+    assert read_back(orbits) == (labels, reps)
     calls["sorted"] = [arg for arg in calls["sorted"] if not isinstance(arg, dict)]
     return {name for name, made in calls.items() if made}
 
@@ -776,6 +787,18 @@ class TestBulkLabels:
     """Labels read in bulk (Hr, Cn off the necklace path, shifted representatives)
     against the canonical-form walk."""
 
+    @pytest.mark.parametrize(
+        "family,n,k,group",
+        [(family, 6, k, group) for family, k in [("X", 4), ("Z", 3)] for group in ("Sn", "Cn", "Hr")]
+        # tuple words: a byte holds no letter above 255
+        + [("Y", 2, 257, "Cn"), ("Y", 2, 257, "Hr"), ("X", 1, 300, "Sn")],
+    )
+    def test_labels_of_codes_read_back_as_the_canonical_forms(self, family, n, k, group):
+        locus = tuple_built(enumerate_locus(family, n, k))
+        assert type(locus.codes[0]) is (bytes if k < 256 else tuple)
+        labels = [tuple_label(group, label) for label in loci._labels(locus.codes, group, k, n)]
+        assert labels == [canonical_form(w, group, k) for w in locus.words]
+
     @pytest.mark.parametrize("family", ["X", "Y", "Z"])
     def test_hr_families_match_the_walk(self, family):
         for n in (2, 4, 6):
@@ -805,7 +828,7 @@ class TestBulkLabels:
         step = locus.scaling_step
         for group in ("Sn", "Cn", "Hr") if locus.n % 2 == 0 else ("Sn", "Cn"):
             orbits = orbit_set(locus, group)
-            position = {label: i for i, label in enumerate(orbits.labels)}
+            position = {tuple_label(group, label): i for i, label in enumerate(orbits.labels)}
             for shift in range(-step, locus.k + 2 * step, step):
                 walk = [position[shifted_label(orbits, label, shift)] for label in orbits.labels]
                 assert orbits.shift_permutation(shift) == walk

@@ -16,7 +16,6 @@ from orbitsieve.loci import (
     Action,
     Locus,
     act_on_words,
-    canonical_form,
     enumerate_locus,
     orbit_set,
 )
@@ -37,7 +36,7 @@ from orbitsieve.sieving import (
 )
 from orbitsieve.tableaux import count_maj_divisible, generate_ssyt, generate_syt, partitions, weak_compositions
 
-from locus_strategies import image_of, shift_stable_loci, tuple_built
+from locus_strategies import canonical_form, image_of, shift_stable_loci, tuple_built, tuple_label
 from q_analogues import evaluate, q_int
 
 
@@ -548,15 +547,41 @@ def test_generated_orbit_reports_equal_those_on_the_tuple_built_twin(family, par
 
 
 @pytest.mark.parametrize("family", ["word-bicsp-X", "necklace-X", "wcomp-csp", "graph-X"])
-def test_cube_grids_build_no_word_tuple(family, monkeypatch):
+def test_cube_grids_build_no_word(family, monkeypatch):
     def unread(locus):
         raise AssertionError(f"the words of X({locus.n}, {locus.k}) were built")
 
     monkeypatch.setattr(loci._Built, "words", property(unread))
+    monkeypatch.setattr(loci._Built, "codes", property(unread))
     report = verify_family(family, n=8, k=3 if family == "graph-X" else 4)
     assert report.all_ok
     with pytest.raises(AssertionError, match=r"^the words of X\(8, 4\) were built$"):
-        enumerate_locus("X", 8, 4).words
+        enumerate_locus("X", 8, 4).codes
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("word-bicsp-Z", {"n": 5, "k": 3}),
+        ("word-bicsp-Y", {"n": 4, "k": 5}),
+        ("springer-bicsp", {"n": 5}),
+        ("tanisaki-bicsp", {"mu": (2, 1, 2, 1), "a": 2}),
+        ("tanisaki-necklace", {"mu": (2, 2, 2)}),
+        ("graph-Z", {"n": 4, "k": 3}),
+    ],
+)
+def test_word_grids_off_the_cube_read_codes_and_build_no_word_tuple(family, params, monkeypatch):
+    def unread(locus):
+        raise AssertionError(f"the word tuples of {locus.describe()} were built")
+
+    monkeypatch.setattr(loci._Built, "words", property(unread))
+    assert verify_family(family, **params).all_ok
+
+
+@pytest.mark.parametrize("family,n,k", [("word-bicsp-Y", 1, 300), ("necklace-Y", 2, 257)])
+def test_alphabets_above_255_letters_keep_tuple_words(family, n, k):
+    assert type(enumerate_locus("Y", n, k).codes[0]) is tuple
+    assert verify_family(family, n=n, k=k).all_ok
 
 
 @pytest.mark.parametrize(
@@ -574,6 +599,7 @@ def test_generated_orbit_grids_off_the_cube_build_no_word_tuple(family, params, 
         raise AssertionError(f"the words of {locus.describe()} were built")
 
     monkeypatch.setattr(loci._Built, "words", property(unread))
+    monkeypatch.setattr(loci._Built, "codes", property(unread))
     assert verify_family(family, **params).all_ok
 
 
@@ -731,7 +757,7 @@ def recanonicalised_count(orbits, shift):
     """Labels whose representative, shifted and put in canonical form, gives the label back."""
     return sum(
         canonical_form(tuple((x - 1 + shift) % orbits.k + 1 for x in orbits._reps[label]), orbits.group, orbits.k)
-        == label
+        == tuple_label(orbits.group, label)
         for label in orbits.labels
     )
 
